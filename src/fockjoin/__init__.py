@@ -36,7 +36,6 @@ from .gates import (
     CnotSpec,
     DualRailQubit,
     IllegalPatternError,
-    QuartEncoding,
     apply_cnot,
     apply_reversed_cnot,
     build_postselected_cnot_network,

@@ -14,6 +14,9 @@ radians; the ``modes`` declaration must come first):
     project i0 a_re a_im [i1 b_re b_im ...]
     vac i0 [i1 ...]
 
+Each op is defined once, as a row of ``_OPS``: its usage text, argument
+parser, executor and canonical formatter. Adding an op means adding a row.
+
 Parsing collects every diagnostic instead of stopping at the first, so a
 fixture corpus can be validated in one pass. Execution folds instructions
 over a Fock state; projections multiply the running success probability.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -62,6 +66,24 @@ class CircuitProgram:
     instructions: tuple[Instruction, ...]
 
 
+@dataclass
+class _Line:
+    """One instruction line being parsed; parsers report problems through it."""
+
+    number: int
+    keyword: str
+    key_col: int
+    modes: int
+    diagnostics: list[ParseDiagnostic]
+
+    def complain(self, column: int, message: str, token: str = ""):
+        self.diagnostics.append(ParseDiagnostic(self.number, column, message, token))
+
+    def reject(self, message: str | None = None):
+        """Complain at the op keyword, by default with the op's usage text."""
+        self.complain(self.key_col, message or f"usage: {self.keyword} {_OPS[self.keyword].usage}", self.keyword)
+
+
 def _tokenize(line: str):
     tokens = []
     for match in _TOKEN.finditer(line):
@@ -78,35 +100,24 @@ def parse_circuit(text: str):
     instructions: list[Instruction] = []
     modes: int | None = None
 
-    def complain(line_no, column, message, token=""):
-        diagnostics.append(ParseDiagnostic(line_no, column, message, token))
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw)
         if not tokens:
             continue
         (keyword, key_col), rest = tokens[0], tokens[1:]
+        line = _Line(line_no, keyword, key_col, modes, diagnostics)
 
         if modes is None:
-            if keyword != "modes":
-                complain(line_no, key_col, "the first instruction must declare 'modes N'", keyword)
-                continue
-            value = _parse_int(rest, 0, line_no, complain, "mode count")
-            if value is None:
-                continue
-            if value < 1 or len(rest) != 1:
-                complain(line_no, key_col, "usage: modes N with N >= 1", keyword)
-                continue
-            modes = value
+            modes = _parse_modes(line, rest)
             continue
 
-        handler = _HANDLERS.get(keyword)
-        if handler is None:
-            complain(line_no, key_col, f"unknown instruction {keyword!r}", keyword)
+        op = _OPS.get(keyword)
+        if op is None:
+            line.complain(key_col, f"unknown instruction {keyword!r}", keyword)
             continue
-        result = handler(rest, modes, line_no, key_col, complain)
-        if result is not None:
-            instructions.append(Instruction(result[0], result[1], line_no))
+        args = op.parse(line, rest)
+        if args is not None:
+            instructions.append(Instruction(keyword, args, line_no))
 
     if modes is None and not diagnostics:
         diagnostics.append(ParseDiagnostic(1, 1, "empty program: missing 'modes N'", ""))
@@ -115,169 +126,183 @@ def parse_circuit(text: str):
     return CircuitProgram(modes, tuple(instructions))
 
 
-def _parse_int(tokens, index, line_no, complain, what):
-    if index >= len(tokens):
-        complain(line_no, 1, f"missing {what}", "")
+def _parse_modes(line: _Line, tokens):
+    """The mode count declared by a leading 'modes N' line, or None."""
+    if line.keyword != "modes":
+        line.complain(line.key_col, "the first instruction must declare 'modes N'", line.keyword)
         return None
-    text, col = tokens[index]
+    if not tokens:
+        line.complain(1, "missing mode count")
+        return None
+    text, col = tokens[0]
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        complain(line_no, col, f"{what} must be an integer", text)
+        line.complain(col, "mode count must be an integer", text)
         return None
+    if value < 1 or len(tokens) != 1:
+        line.reject("usage: modes N with N >= 1")
+        return None
+    return value
 
 
-def _numbers(tokens, line_no, complain):
+def _numbers(line: _Line, tokens):
     values = []
     for text, col in tokens:
         try:
             values.append(float(text))
         except ValueError:
-            complain(line_no, col, "expected a numeric literal", text)
+            line.complain(col, "expected a numeric literal", text)
             return None
     return values
 
 
-def _mode_args(tokens, count, modes, line_no, key_col, complain, distinct=True):
-    if len(tokens) < count:
-        complain(line_no, key_col, f"expected {count} mode indices", "")
-        return None
+def _mode_args(line: _Line, tokens):
+    """Distinct in-range mode indices, one per token."""
     out = []
-    for text, col in tokens[:count]:
+    for text, col in tokens:
         try:
             value = int(text)
         except ValueError:
-            complain(line_no, col, "mode index must be an integer", text)
+            line.complain(col, "mode index must be an integer", text)
             return None
-        if value < 0 or value >= modes:
-            complain(line_no, col, f"mode {value} out of range for {modes} modes", text)
+        if value < 0 or value >= line.modes:
+            line.complain(col, f"mode {value} out of range for {line.modes} modes", text)
             return None
         out.append(value)
-    if distinct and len(set(out)) != len(out):
-        complain(line_no, key_col, "mode indices must be distinct", "")
+    if len(set(out)) != len(out):
+        line.complain(line.key_col, "mode indices must be distinct")
         return None
-    return out
+    return tuple(out)
 
 
-def _handle_bs(tokens, modes, line_no, key_col, complain):
-    if len(tokens) != 4:
-        complain(line_no, key_col, "usage: bs i j theta phi", "bs")
-        return None
-    pair = _mode_args(tokens[:2], 2, modes, line_no, key_col, complain)
-    angles = _numbers(tokens[2:], line_no, complain)
-    if pair is None or angles is None:
-        return None
-    return "bs", (pair[0], pair[1], angles[0], angles[1])
+def _fixed_arity(n_modes: int, n_numbers: int):
+    """Parser for exactly n_modes distinct modes followed by n_numbers numbers."""
 
-
-def _handle_ps(tokens, modes, line_no, key_col, complain):
-    if len(tokens) != 2:
-        complain(line_no, key_col, "usage: ps i phi", "ps")
-        return None
-    pair = _mode_args(tokens[:1], 1, modes, line_no, key_col, complain)
-    angles = _numbers(tokens[1:], line_no, complain)
-    if pair is None or angles is None:
-        return None
-    return "ps", (pair[0], angles[0])
-
-
-def _handle_perm(tokens, modes, line_no, key_col, complain):
-    if len(tokens) != modes:
-        complain(line_no, key_col, f"perm needs exactly {modes} indices", "perm")
-        return None
-    values = _mode_args(tokens, modes, modes, line_no, key_col, complain)
-    if values is None:
-        return None
-    if sorted(values) != list(range(modes)):
-        complain(line_no, key_col, "perm arguments must form a permutation", "perm")
-        return None
-    return "perm", tuple(values)
-
-
-def _handle_had(tokens, modes, line_no, key_col, complain):
-    if len(tokens) != 2:
-        complain(line_no, key_col, "usage: had i j", "had")
-        return None
-    pair = _mode_args(tokens, 2, modes, line_no, key_col, complain)
-    if pair is None:
-        return None
-    return "had", tuple(pair)
-
-
-def _handle_zflip(tokens, modes, line_no, key_col, complain):
-    if len(tokens) != 2:
-        complain(line_no, key_col, "usage: zflip m0 m1", "zflip")
-        return None
-    pair = _mode_args(tokens, 2, modes, line_no, key_col, complain)
-    if pair is None:
-        return None
-    return "zflip", tuple(pair)
-
-
-def _handle_cnot(op):
-    def handler(tokens, modes, line_no, key_col, complain):
-        if len(tokens) not in (4, 6, 8):
-            complain(line_no, key_col, f"usage: {op} c0 c1 t0 t1 [eta_re eta_im [etap_re etap_im]]", op)
+    def parse(line: _Line, tokens):
+        if len(tokens) != n_modes + n_numbers:
+            return line.reject()
+        modes = _mode_args(line, tokens[:n_modes])
+        numbers = _numbers(line, tokens[n_modes:])
+        if modes is None or numbers is None:
             return None
-        quads = _mode_args(tokens[:4], 4, modes, line_no, key_col, complain)
-        if quads is None:
-            return None
-        extras = _numbers(tokens[4:], line_no, complain)
-        if extras is None:
-            return None
-        eta = complex(extras[0], extras[1]) if len(extras) >= 2 else 1 + 0j
-        etap = complex(extras[2], extras[3]) if len(extras) >= 4 else 1 + 0j
-        if abs(eta) > 1 + 1e-12 or abs(etap) > 1 + 1e-12:
-            complain(line_no, key_col, "vacuum-port amplitudes cannot exceed unit magnitude", op)
-            return None
-        return op, (*quads, eta, etap)
+        return (*modes, *numbers)
 
-    return handler
+    return parse
 
 
-def _handle_project(tokens, modes, line_no, key_col, complain):
+def _parse_perm(line: _Line, tokens):
+    if len(tokens) != line.modes:
+        return line.reject(f"perm needs exactly {line.modes} indices")
+    return _mode_args(line, tokens)
+
+
+def _parse_cnot(line: _Line, tokens):
+    if len(tokens) not in (4, 6, 8):
+        return line.reject()
+    quads = _mode_args(line, tokens[:4])
+    if quads is None:
+        return None
+    extras = _numbers(line, tokens[4:])
+    if extras is None:
+        return None
+    eta = complex(extras[0], extras[1]) if len(extras) >= 2 else 1 + 0j
+    etap = complex(extras[2], extras[3]) if len(extras) >= 4 else 1 + 0j
+    if abs(eta) > 1 + 1e-12 or abs(etap) > 1 + 1e-12:
+        return line.reject("vacuum-port amplitudes cannot exceed unit magnitude")
+    return (*quads, eta, etap)
+
+
+def _parse_project(line: _Line, tokens):
     if not tokens or len(tokens) % 3 != 0:
-        complain(line_no, key_col, "usage: project i0 a_re a_im [i1 b_re b_im ...]", "project")
-        return None
+        return line.reject()
     entries = []
     seen = set()
     for k in range(0, len(tokens), 3):
-        mode = _mode_args(tokens[k : k + 1], 1, modes, line_no, key_col, complain)
-        amps = _numbers(tokens[k + 1 : k + 3], line_no, complain)
+        mode = _mode_args(line, tokens[k : k + 1])
+        amps = _numbers(line, tokens[k + 1 : k + 3])
         if mode is None or amps is None:
             return None
         if mode[0] in seen:
-            complain(line_no, tokens[k][1], f"mode {mode[0]} listed twice", tokens[k][0])
+            line.complain(tokens[k][1], f"mode {mode[0]} listed twice", tokens[k][0])
             return None
         seen.add(mode[0])
         entries.append((mode[0], complex(amps[0], amps[1])))
     total = sum(abs(a) ** 2 for _, a in entries)
     if abs(total - 1.0) > 1e-6:
-        complain(line_no, key_col, f"projection amplitudes have squared norm {total:.6g}, expected 1", "project")
-        return None
-    return "project", tuple(entries)
+        return line.reject(f"projection amplitudes have squared norm {total:.6g}, expected 1")
+    return tuple(entries)
 
 
-def _handle_vac(tokens, modes, line_no, key_col, complain):
+def _parse_vac(line: _Line, tokens):
     if not tokens:
-        complain(line_no, key_col, "usage: vac i0 [i1 ...]", "vac")
-        return None
-    values = _mode_args(tokens, len(tokens), modes, line_no, key_col, complain)
-    if values is None:
-        return None
-    return "vac", tuple(values)
+        return line.reject()
+    return _mode_args(line, tokens)
 
 
-_HANDLERS = {
-    "bs": _handle_bs,
-    "ps": _handle_ps,
-    "perm": _handle_perm,
-    "had": _handle_had,
-    "cnot": _handle_cnot("cnot"),
-    "rcnot": _handle_cnot("rcnot"),
-    "zflip": _handle_zflip,
-    "project": _handle_project,
-    "vac": _handle_vac,
+def _unitary(build):
+    """Executor applying the mode unitary build(modes, *args); no branch weight."""
+    return lambda state, *args: (apply_unitary(state, build(state.modes, *args)), None)
+
+
+def _cnot(gate):
+    def execute(state, c0, c1, t0, t1, eta, etap):
+        spec = CnotSpec(DualRailQubit(c0, c1), DualRailQubit(t0, t1), eta=eta, eta_prime=etap)
+        return gate(state, spec), None
+
+    return execute
+
+
+def _zflip(state, m0, m1):
+    return logical_phase_flip(state, DualRailQubit(m0, m1)), None
+
+
+def _project(state, *entries):
+    phi = np.zeros(state.modes, dtype=complex)
+    for mode, amp in entries:
+        phi[mode] = amp
+    phi /= math.sqrt(sum(abs(a) ** 2 for a in phi))
+    return apply_projector(state, ProjectorSpec(phi))
+
+
+def _cnot_fields(c0, c1, t0, t1, eta, etap):
+    return (c0, c1, t0, t1, eta.real, eta.imag, etap.real, etap.imag)
+
+
+def _project_fields(*entries):
+    return tuple(x for mode, amp in entries for x in (mode, amp.real, amp.imag))
+
+
+@dataclass(frozen=True)
+class _Op:
+    """Everything the language knows about one op.
+
+    ``parse(line, tokens)`` returns the argument tuple or None after
+    complaining; ``execute(state, *args)`` returns the new state and the
+    branch weight (None for deterministic ops); ``fields(*args)`` gives
+    the canonical tokens after the op name. ``log`` names a weighted step
+    in the run log.
+    """
+
+    usage: str
+    parse: Callable
+    execute: Callable
+    fields: Callable = lambda *args: args
+    log: str = ""
+
+
+_CNOT_USAGE = "c0 c1 t0 t1 [eta_re eta_im [etap_re etap_im]]"
+
+_OPS = {
+    "bs": _Op("i j theta phi", _fixed_arity(2, 2), _unitary(beamsplitter)),
+    "ps": _Op("i phi", _fixed_arity(1, 1), _unitary(phase_shifter)),
+    "perm": _Op("p0 p1 ... p{N-1}", _parse_perm, _unitary(lambda m, *perm: mode_permutation(m, perm))),
+    "had": _Op("i j", _fixed_arity(2, 0), _unitary(hadamard_pair)),
+    "cnot": _Op(_CNOT_USAGE, _parse_cnot, _cnot(apply_cnot), _cnot_fields),
+    "rcnot": _Op(_CNOT_USAGE, _parse_cnot, _cnot(apply_reversed_cnot), _cnot_fields),
+    "zflip": _Op("m0 m1", _fixed_arity(2, 0), _zflip),
+    "project": _Op("i0 a_re a_im [i1 b_re b_im ...]", _parse_project, _project, _project_fields, "project"),
+    "vac": _Op("i0 [i1 ...]", _parse_vac, lambda state, *modes: postselect_vacuum(state, modes), log="vacuum check"),
 }
 
 
@@ -293,15 +318,7 @@ def format_circuit(program: CircuitProgram) -> str:
     """Canonical text form; parsing it reproduces the program exactly."""
     lines = [f"modes {program.modes}"]
     for ins in program.instructions:
-        if ins.op in ("cnot", "rcnot"):
-            c0, c1, t0, t1, eta, etap = ins.args
-            parts = [ins.op, c0, c1, t0, t1, eta.real, eta.imag, etap.real, etap.imag]
-        elif ins.op == "project":
-            parts = [ins.op]
-            for mode, amp in ins.args:
-                parts += [mode, amp.real, amp.imag]
-        else:
-            parts = [ins.op, *ins.args]
+        parts = [ins.op, *_OPS[ins.op].fields(*ins.args)]
         lines.append(" ".join(_fmt(p) for p in parts))
     return "\n".join(lines) + "\n"
 
@@ -318,44 +335,14 @@ def run_circuit(program: CircuitProgram, state: FockState):
     probability = 1.0
     log: list[str] = []
     for index, ins in enumerate(program.instructions):
+        op = _OPS.get(ins.op)
+        if op is None:
+            raise CircuitError(f"unsupported instruction {ins.op!r}", index)
         try:
-            state, probability = _step(ins, state, probability, index, log)
+            state, weight = op.execute(state, *ins.args)
         except IllegalPatternError as exc:
             raise CircuitError(f"instruction {index} (line {ins.line}, {ins.op}): {exc}", index) from exc
+        if weight is not None:
+            log.append(f"instruction {index} (line {ins.line}): {op.log} weight {weight:.17g}")
+            probability *= weight
     return state, probability, log
-
-
-def _step(ins: Instruction, state: FockState, probability: float, index: int, log: list[str]):
-    m = state.modes
-    if ins.op == "bs":
-        i, j, theta, phi = ins.args
-        return apply_unitary(state, beamsplitter(m, i, j, theta, phi)), probability
-    if ins.op == "ps":
-        i, phi = ins.args
-        return apply_unitary(state, phase_shifter(m, i, phi)), probability
-    if ins.op == "perm":
-        return apply_unitary(state, mode_permutation(m, ins.args)), probability
-    if ins.op == "had":
-        i, j = ins.args
-        return apply_unitary(state, hadamard_pair(m, i, j)), probability
-    if ins.op in ("cnot", "rcnot"):
-        c0, c1, t0, t1, eta, etap = ins.args
-        spec = CnotSpec(DualRailQubit(c0, c1), DualRailQubit(t0, t1), eta=eta, eta_prime=etap)
-        gate = apply_cnot if ins.op == "cnot" else apply_reversed_cnot
-        return gate(state, spec), probability
-    if ins.op == "zflip":
-        m0, m1 = ins.args
-        return logical_phase_flip(state, DualRailQubit(m0, m1)), probability
-    if ins.op == "vac":
-        state, weight = postselect_vacuum(state, ins.args)
-        log.append(f"instruction {index} (line {ins.line}): vacuum check weight {weight:.17g}")
-        return state, probability * weight
-    if ins.op == "project":
-        phi = np.zeros(m, dtype=complex)
-        for mode, amp in ins.args:
-            phi[mode] = amp
-        phi /= math.sqrt(sum(abs(a) ** 2 for a in phi))
-        state, weight = apply_projector(state, ProjectorSpec(phi))
-        log.append(f"instruction {index} (line {ins.line}): project weight {weight:.17g}")
-        return state, probability * weight
-    raise CircuitError(f"unsupported instruction {ins.op!r}", index)

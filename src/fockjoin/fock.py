@@ -10,8 +10,12 @@ them transiently); nothing enforces a global photon-number sector.
 """
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,21 +36,22 @@ class FockState:
     """Sparse superposition over occupation-number basis vectors.
 
     ``terms`` maps occupation tuples (length ``modes``, entries >= 0) to
-    complex amplitudes. An empty map is the zero state, which is how a
-    failed projection is flagged.
+    complex amplitudes; it is a read-only view of a private copy. An empty
+    map is the zero state, which is how a failed projection is flagged.
+    Construction checks every occupation; operations inside this package
+    build their results through ``_trusted`` instead, since they only
+    rearrange occupations that were checked on the way in.
     """
 
     modes: int
-    terms: dict[Occupation, complex] = field(default_factory=dict)
+    terms: Mapping[Occupation, complex] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"mode count must be positive, got {self.modes}")
         for occ in self.terms:
-            if len(occ) != self.modes:
-                raise ValueError(f"occupation {occ} has length {len(occ)}, expected {self.modes}")
-            if any(n < 0 for n in occ):
-                raise ValueError(f"negative occupation in {occ}")
+            _check_occupation(self.modes, occ)
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @property
     def is_zero(self) -> bool:
@@ -56,27 +61,44 @@ class FockState:
         return self.terms.get(tuple(occ), 0j)
 
 
+def _check_occupation(modes: int, occ: Occupation):
+    if len(occ) != modes:
+        raise ValueError(f"occupation {occ} has length {len(occ)}, expected {modes}")
+    if any(n < 0 for n in occ):
+        raise ValueError(f"negative occupation in {occ}")
+
+
+def _trusted(modes: int, terms: dict[Occupation, complex]) -> FockState:
+    """Wrap terms built from an already-checked state, skipping the checks."""
+    state = object.__new__(FockState)
+    object.__setattr__(state, "modes", modes)
+    object.__setattr__(state, "terms", MappingProxyType(terms))
+    return state
+
+
 def _pruned(modes: int, terms: dict[Occupation, complex]) -> FockState:
-    kept = {occ: amp for occ, amp in terms.items() if abs(amp) > PRUNE_TOL}
-    return FockState(modes, kept)
+    return _trusted(modes, {occ: amp for occ, amp in terms.items() if abs(amp) > PRUNE_TOL})
 
 
 def make_state(modes: int, terms) -> FockState:
     """Build a state from (occupation, amplitude) pairs.
 
     Duplicate occupations are merged by summing amplitudes; the result is
-    pruned but not normalized.
+    pruned but not normalized. A NaN or infinite amplitude raises
+    ValueError rather than being pruned or carried along.
     """
     if not terms:
         raise ValueError("at least one term is required")
+    if modes < 1:
+        raise ValueError(f"mode count must be positive, got {modes}")
     merged: dict[Occupation, complex] = {}
     for occ, amp in terms:
         occ = tuple(int(n) for n in occ)
-        if len(occ) != modes:
-            raise ValueError(f"occupation {occ} has length {len(occ)}, expected {modes}")
-        if any(n < 0 for n in occ):
-            raise ValueError(f"negative occupation in {occ}")
-        merged[occ] = merged.get(occ, 0j) + complex(amp)
+        _check_occupation(modes, occ)
+        amp = complex(amp)
+        if not cmath.isfinite(amp):
+            raise ValueError(f"amplitude {amp} of occupation {occ} is not finite")
+        merged[occ] = merged.get(occ, 0j) + amp
     return _pruned(modes, merged)
 
 
@@ -149,16 +171,6 @@ def fidelity(a: FockState, b: FockState) -> float:
     return min(abs(inner_product(a, b)) ** 2, 1.0)
 
 
-def states_close(a: FockState, b: FockState, atol: float = 1e-10) -> bool:
-    """Term-wise amplitude comparison (no global-phase freedom)."""
-    if a.modes != b.modes:
-        return False
-    for occ in set(a.terms) | set(b.terms):
-        if abs(a.terms.get(occ, 0j) - b.terms.get(occ, 0j)) > atol:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """Split of the mode register into two disjoint index sets."""
@@ -218,7 +230,7 @@ def add_vacuum_modes(s: FockState, positions) -> FockState:
         it = iter(occ)
         new_occ = tuple(0 if j in pos_set else next(it) for j in range(new_modes))
         out[new_occ] = amp
-    return FockState(new_modes, out)
+    return _trusted(new_modes, out)
 
 
 def discard_empty_modes(s: FockState, positions) -> FockState:
@@ -226,13 +238,15 @@ def discard_empty_modes(s: FockState, positions) -> FockState:
     positions = set(int(p) for p in positions)
     if any(p < 0 or p >= s.modes for p in positions):
         raise ValueError(f"positions {sorted(positions)} out of range for {s.modes} modes")
+    if len(positions) == s.modes:
+        raise ValueError("cannot discard every mode; at least one must remain")
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
         for p in positions:
             if occ[p] != 0:
                 raise NonEmptyModeError(f"mode {p} holds {occ[p]} photon(s) in term {occ}")
         out[tuple(n for j, n in enumerate(occ) if j not in positions)] = amp
-    return FockState(s.modes - len(positions), out)
+    return _trusted(s.modes - len(positions), out)
 
 
 def permute_modes(s: FockState, perm) -> FockState:
@@ -246,7 +260,7 @@ def permute_modes(s: FockState, perm) -> FockState:
         for i, n in enumerate(occ):
             new_occ[perm[i]] = n
         out[tuple(new_occ)] = amp
-    return FockState(s.modes, out)
+    return _trusted(s.modes, out)
 
 
 def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
@@ -265,6 +279,14 @@ def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
     return normalize(_pruned(s.modes, kept)), prob
 
 
+def _picker(indices):
+    """Callable returning the tuple of an occupation's entries at indices."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda occ: (occ[i],)
+    return itemgetter(*indices)
+
+
 def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
     """Contract <bra| against the listed modes of |ket>.
 
@@ -277,22 +299,19 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
         raise ValueError(f"expected {bra.modes} positions, got {len(positions)}")
     if len(set(positions)) != len(positions) or any(p < 0 or p >= ket.modes for p in positions):
         raise ValueError(f"invalid mode selection {positions} for {ket.modes} modes")
-    rest = [j for j in range(ket.modes) if j not in set(positions)]
+    taken = set(positions)
+    rest = [j for j in range(ket.modes) if j not in taken]
     if not rest:
         raise ValueError("cannot contract every mode; at least one must remain")
+    pick_sub, pick_rest = _picker(positions), _picker(rest)
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.terms.items():
-        sub = tuple(occ[p] for p in positions)
-        bra_amp = bra.terms.get(sub)
+        bra_amp = bra.terms.get(pick_sub(occ))
         if bra_amp is None:
             continue
-        rest_occ = tuple(occ[j] for j in rest)
+        rest_occ = pick_rest(occ)
         out[rest_occ] = out.get(rest_occ, 0j) + np.conj(bra_amp) * amp
     return _pruned(len(rest), out)
-
-
-def total_photons(occ: Occupation) -> int:
-    return sum(occ)
 
 
 def state_to_dict(s: FockState) -> dict:

@@ -50,19 +50,6 @@ class DualRailQubit:
 
 
 @dataclass(frozen=True)
-class QuartEncoding:
-    """Four distinct modes carrying one photon, ordered as logical 0..3."""
-
-    modes: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len(set(self.modes)) != 4:
-            raise ValueError("the four modes must be distinct")
-        if any(m < 0 for m in self.modes):
-            raise ValueError("modes must be non-negative")
-
-
-@dataclass(frozen=True)
 class CnotSpec:
     """CNOT descriptor with vacuum-port amplitudes.
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fock import make_state
-from .optics import ModeUnitary, ProjectorSpec, apply_projector, apply_unitary, haar_from_rng, random_projector
+from .optics import ModeUnitary, ProjectorSpec, _coupler_matrix, apply_projector, apply_unitary, haar_from_rng, random_projector
 
 # sigma_min above this is a counterexample; double-precision SVD noise sits
 # around 1e-13, five decades below.
@@ -88,13 +88,17 @@ def symmetrized_mode_matrix(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if len(phi) != 4:
         raise ValueError("expected four detection components")
-    pc = np.conj(phi)
-    mat = np.zeros((4, 4), dtype=complex)
+    return _core_matrices(np.conj(phi))
+
+
+def _core_matrices(pc: np.ndarray) -> np.ndarray:
+    """Core matrices for conjugated detections pc of shape (..., 4)."""
+    mats = np.zeros(pc.shape[:-1] + (4, 4), dtype=complex)
     for r, row in enumerate(_CORE_PATTERN):
         for c, sym in enumerate(row):
             if sym is not None:
-                mat[r, c] = pc[sym]
-    return mat
+                mats[..., r, c] = pc[..., sym]
+    return mats
 
 
 def symbolic_core_determinant(pattern=_CORE_PATTERN) -> dict[tuple[int, int, int, int], int]:
@@ -136,13 +140,7 @@ def max_abs_core_determinant(samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     phis = rng.standard_normal((samples, 4)) + 1j * rng.standard_normal((samples, 4))
     phis /= np.linalg.norm(phis, axis=1, keepdims=True)
-    pc = np.conj(phis)
-    mats = np.zeros((samples, 4, 4), dtype=complex)
-    for r, row in enumerate(_CORE_PATTERN):
-        for c, sym in enumerate(row):
-            if sym is not None:
-                mats[:, r, c] = pc[:, sym]
-    return float(np.max(np.abs(np.linalg.det(mats))))
+    return float(np.max(np.abs(np.linalg.det(_core_matrices(np.conj(phis))))))
 
 
 def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2, 3)) -> SymmetrizedModeSet:
@@ -159,11 +157,21 @@ def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2
     m = u.dim
     if phi.modes != m or max(la, lb, lc, ld) >= m or min(la, lb, lc, ld) < 0:
         raise ValueError("dimension mismatch between unitary, detection and logical modes")
-    pc = np.conj(phi.phi)
-    rows = np.zeros((4, m), dtype=complex)
-    for k, (x, y) in enumerate(((la, lc), (la, ld), (lb, lc), (lb, ld))):
-        rows[k] = pc[y] * u.matrix[x, :] + pc[x] * u.matrix[y, :]
-    return SymmetrizedModeSet(rows)
+    return SymmetrizedModeSet(_symmetrized_rows(u.matrix, np.conj(phi.phi), (la, lb, lc, ld)))
+
+
+def _mode_pairs(logical_modes):
+    """The four (first-qubit, second-qubit) logical mode pairs, in row order."""
+    la, lb, lc, ld = logical_modes
+    return ((la, lc), (la, ld), (lb, lc), (lb, ld))
+
+
+def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarray:
+    """Unchecked row formula behind symmetrized_modes; pc is the conjugated detection."""
+    rows = np.empty((4, u.shape[1]), dtype=complex)
+    for k, (x, y) in enumerate(_mode_pairs(logical_modes)):
+        rows[k] = pc[y] * u[x, :] + pc[x] * u[y, :]
+    return rows
 
 
 def rank_scan(m: int, trials: int, seed: int = 0) -> NogoCertificate:
@@ -213,15 +221,8 @@ def unitary_from_angles(params, m: int) -> np.ndarray:
     idx = 0
     for i in range(m):
         for j in range(i + 1, m):
-            theta, lam = params[idx], params[idx + 1]
+            mat = mat @ _coupler_matrix(m, i, j, params[idx], params[idx + 1])
             idx += 2
-            rot = np.eye(m, dtype=complex)
-            c, s = math.cos(theta), math.sin(theta)
-            rot[i, i] = c
-            rot[i, j] = np.exp(1j * lam) * s
-            rot[j, i] = -np.exp(-1j * lam) * s
-            rot[j, j] = c
-            mat = mat @ rot
     return mat @ np.diag(np.exp(1j * params[idx:]))
 
 
@@ -241,11 +242,9 @@ def projector_from_params(params, m: int) -> np.ndarray:
 
 def _objective_sigma(x, m: int, singular_index: int) -> float:
     u = unitary_from_angles(x[: m * m], m)
-    phi = np.conj(projector_from_params(x[m * m :], m))
-    # Inline coefficient rows (logical modes 0..3) for optimizer speed.
-    rows = np.empty((4, m), dtype=complex)
-    for k, (a, b) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
-        rows[k] = phi[b] * u[a, :] + phi[a] * u[b, :]
+    # Unchecked builders: constructor validation would dominate the
+    # optimizer's inner loop.
+    rows = _symmetrized_rows(u, np.conj(projector_from_params(x[m * m :], m)), (0, 1, 2, 3))
     return float(np.linalg.svd(rows, compute_uv=False)[singular_index])
 
 
@@ -304,14 +303,12 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
         raise ValueError("expected four input amplitudes")
     if abs(np.sum(np.abs(alpha) ** 2) - 1.0) > 1e-8:
         raise ValueError("input amplitudes must be normalized")
-    la, lb, lc, ld = logical_modes
     m = u.dim
     if phi.modes != m:
         raise ValueError("detection length must match the unitary dimension")
 
-    pairs = ((la, lc), (la, ld), (lb, lc), (lb, ld))
     terms = []
-    for a_k, (x, y) in zip(alpha, pairs):
+    for a_k, (x, y) in zip(alpha, _mode_pairs(logical_modes)):
         occ = [0] * m
         occ[x], occ[y] = 1, 1
         terms.append((tuple(occ), a_k))

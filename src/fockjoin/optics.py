@@ -80,13 +80,18 @@ def compose(*elements: ModeUnitary) -> ModeUnitary:
 def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> ModeUnitary:
     """Two-mode coupler: block [[cos, e^{i p} sin], [-e^{-i p} sin, cos]] on (i, j)."""
     _check_pair(m, i, j)
+    return ModeUnitary(m, _coupler_matrix(m, i, j, theta, phase))
+
+
+def _coupler_matrix(m: int, i: int, j: int, theta: float, phase: float) -> np.ndarray:
+    """The beamsplitter matrix, built without checks for hot loops."""
     mat = np.eye(m, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
     mat[i, i] = c
     mat[i, j] = np.exp(1j * phase) * s
     mat[j, i] = -np.exp(-1j * phase) * s
     mat[j, j] = c
-    return ModeUnitary(m, mat)
+    return mat
 
 
 def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:

@@ -12,7 +12,7 @@ Mode layout conventions (fixed so test vectors are bit-exact):
   basis amplitudes are indexed a0..a3 with a_k for logical k = 2*q0 + q1.
 * unfolded register: 6 modes, t1 = (0, 1), t2 = (2, 3), c = (4, 5);
   unfolding maps the first qubit's |10> -> |1000| and |01> -> |0010>
-  (an empty mode is inserted after each original rail).
+  (an empty mode is inserted after each original rail, at UNFOLD_GAPS).
 * splitting register: 6 modes, c1 = (0, 1), c2 = (2, 3), t = (4, 5);
   split outputs live on 4 modes with the c qubit on (0, 1), t on (2, 3).
 
@@ -41,6 +41,7 @@ from .fock import (
 from .gates import CnotSpec, DualRailQubit, apply_cnot, apply_reversed_cnot, logical_phase_flip
 from .optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
 
+UNFOLD_GAPS = (1, 3)
 UNFOLDED_T1 = DualRailQubit(0, 1)
 UNFOLDED_T2 = DualRailQubit(2, 3)
 UNFOLDED_C = DualRailQubit(4, 5)
@@ -50,6 +51,7 @@ SPLIT_C2 = DualRailQubit(2, 3)
 SPLIT_T = DualRailQubit(4, 5)
 
 _QUBIT_PATTERNS = {(1, 0): 0, (0, 1): 1}
+_TWO_QUBIT_BASIS = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
 _QUQUART_BASIS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
 
@@ -123,13 +125,7 @@ def two_qubit_input(alphas) -> FockState:
     alphas = [complex(a) for a in alphas]
     if len(alphas) != 4:
         raise EncodingViolationError("expected four amplitudes")
-    terms = [
-        ((1, 0, 1, 0), alphas[0]),
-        ((1, 0, 0, 1), alphas[1]),
-        ((0, 1, 1, 0), alphas[2]),
-        ((0, 1, 0, 1), alphas[3]),
-    ]
-    return make_state(4, [(occ, a) for occ, a in terms if a != 0])
+    return make_state(4, [(occ, a) for occ, a in zip(_TWO_QUBIT_BASIS, alphas) if a != 0])
 
 
 def input_coefficients(s: FockState) -> np.ndarray:
@@ -181,13 +177,24 @@ def joined_ququart(alphas) -> FockState:
 def unfold_target(s: FockState) -> FockState:
     """Spread the first qubit over four modes, c pair moving to (4, 5)."""
     validate_two_qubit_input(s)
-    return add_vacuum_modes(s, (1, 3))
+    return add_vacuum_modes(s, UNFOLD_GAPS)
 
 
 def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
     """The two CNOTs of the joining pipeline on the unfolded register."""
     state = apply_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T1, eta=etas[0]))
     return apply_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T2, eta=etas[1]))
+
+
+def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> FockState:
+    """The four CNOTs of deterministic joining on the unfolded register.
+
+    Afterwards the control photon is parked in |10> on modes (4, 5),
+    disentangled from the joined photon on modes 0-3.
+    """
+    state = joining_cnot_pass(state, etas=etas)
+    state = apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T1, eta_prime=eta_primes[0]))
+    return apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T2, eta_prime=eta_primes[1]))
 
 
 def _resolve_branch(branch: str, p_plus: float, seed) -> str:
@@ -213,7 +220,7 @@ def join_projective(
     target by phase flips on both unfolded rails when feed_forward is on.
     """
     alphas = input_coefficients(s)
-    state = joining_cnot_pass(unfold_target(s), etas=etas)
+    state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
 
     root_half = 1.0 / np.sqrt(2.0)
     plus = ProjectorSpec([0, 0, 0, 0, root_half, root_half])
@@ -250,9 +257,7 @@ def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> 
     |10> on modes (4, 5), which the report's expected state includes.
     """
     alphas = input_coefficients(s)
-    state = joining_cnot_pass(unfold_target(s), etas=etas)
-    state = apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T1, eta_prime=eta_primes[0]))
-    state = apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T2, eta_prime=eta_primes[1]))
+    state = deterministic_joining_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas, eta_primes)
     expected = tensor(joined_ququart(alphas), basis_state(2, (1, 0)))
     return SchemeReport(
         output=state,
@@ -264,7 +269,7 @@ def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> 
 
 
 def drop_control_photon(state: FockState) -> FockState:
-    """Remove the |10>-parked control photon from a deterministic join output."""
+    """Remove the control photon that deterministic joining parks in |10> on modes (4, 5)."""
     projector = np.zeros(state.modes)
     projector[4] = 1.0
     reduced, prob = apply_projector(state, ProjectorSpec(projector))
@@ -276,20 +281,8 @@ def drop_control_photon(state: FockState) -> FockState:
 # --- splitting ----------------------------------------------------------------
 
 
-def split_expected(alphas) -> FockState:
-    """Two-photon target of splitting: c qubit on (0, 1), t qubit on (2, 3)."""
-    terms = [
-        ((1, 0, 1, 0), alphas[0]),
-        ((1, 0, 0, 1), alphas[1]),
-        ((0, 1, 1, 0), alphas[2]),
-        ((0, 1, 0, 1), alphas[3]),
-    ]
-    return make_state(4, [(occ, a) for occ, a in terms if a != 0])
-
-
 def splitting_cnot_pass(q: FockState) -> FockState:
     """Append the fresh target photon and run the two splitting CNOTs."""
-    validate_ququart(q)
     state = tensor(q, basis_state(2, (1, 0)))
     state = apply_cnot(state, CnotSpec(SPLIT_C1, SPLIT_T))
     return apply_cnot(state, CnotSpec(SPLIT_C2, SPLIT_T))
@@ -326,7 +319,7 @@ def split_projective(
             prob = p_plus + p_minus
             applied_ff = True
     output = discard_empty_modes(out6, empty_rails)
-    expected = split_expected(alphas)
+    expected = two_qubit_input(alphas)
     return SchemeReport(
         output=output,
         success_probability=prob,
@@ -348,7 +341,7 @@ def split_deterministic(q: FockState) -> SchemeReport:
     state = apply_reversed_cnot(state, CnotSpec(SPLIT_C1, SPLIT_T))
     state = apply_reversed_cnot(state, CnotSpec(SPLIT_C2, SPLIT_T))
     output = discard_empty_modes(state, (1, 3))
-    expected = split_expected(alphas)
+    expected = two_qubit_input(alphas)
     return SchemeReport(
         output=output,
         success_probability=1.0,

@@ -20,21 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from .fock import (
-    FockState,
-    add_vacuum_modes,
-    discard_empty_modes,
-    fidelity,
-    make_state,
-    norm,
-    normalize,
-    partial_inner,
-    permute_modes,
-    tensor,
-)
-from .gates import CnotSpec, DualRailQubit, apply_cnot
-from .optics import ModeUnitary, ProjectorSpec, apply_projector, apply_unitary
-from .schemes import SchemeReport
+from .fock import FockState, add_vacuum_modes, fidelity, make_state, norm, normalize, partial_inner, tensor
+from .optics import ModeUnitary, apply_unitary
+from .schemes import UNFOLD_GAPS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
 
 H, V = 0, 1
 UP, DOWN = 0, 1
@@ -142,43 +130,24 @@ def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
     """Build the same resource by joining two halves of entangled pairs.
 
     Photons (2, 4) share the polarization Bell flavor, photons (3, 5) the
-    path flavor; the deterministic joining pipeline fuses the photon-4
-    polarization qubit and photon-5 path qubit into a fresh photon 1.
+    path flavor; the deterministic joining pass fuses the photon-5 path
+    qubit and the photon-4 polarization qubit into a fresh photon 1.
     """
-    # Working register: photon2 modes 0-3, photon3 modes 4-7,
-    # photon4 polarization rails 8-9, photon5 path rails 10-11.
+    # Register: photon-5 path rails 0-1 and photon-4 polarization rails
+    # 2-3 (the two qubits to join, in joining input order), then photon 2
+    # on 4-7 and photon 3 on 8-11. The joined photon lands on modes 0-3,
+    # so the result is already ordered [photon 1, photon 2, photon 3].
     terms = []
     for p2, p4, cp in _pol_terms(pol_kind):
         for w3, w5, cw in _path_terms(path_kind):
             occ = [0] * 12
-            occ[p2] = 1
-            occ[4 + 2 * w3] = 1
-            occ[8 + p4] = 1
-            occ[10 + w5] = 1
+            occ[w5] = 1
+            occ[2 + p4] = 1
+            occ[4 + p2] = 1
+            occ[8 + 2 * w3] = 1
             terms.append((tuple(occ), cp * cw))
-    state = make_state(12, terms)
-
-    # Unfold the photon-5 rails across four modes; photon-4 rails control.
-    state = add_vacuum_modes(state, (11, 13))
-    c = DualRailQubit(8, 9)
-    t1 = DualRailQubit(10, 11)
-    t2 = DualRailQubit(12, 13)
-    state = apply_cnot(state, CnotSpec(c, t1))
-    state = apply_cnot(state, CnotSpec(c, t2))
-    state = apply_cnot(state, CnotSpec(t1, c))
-    state = apply_cnot(state, CnotSpec(t2, c))
-
-    # The control photon is parked in |10> on rails (8, 9); remove it.
-    park = np.zeros(14)
-    park[8] = 1.0
-    state, weight = apply_projector(state, ProjectorSpec(park))
-    if abs(weight - 1.0) > 1e-9:
-        raise RuntimeError(f"control photon not disentangled (weight {weight:.6g})")
-    state = discard_empty_modes(state, (8, 9))
-
-    # Reorder [photon2, photon3, photon1] -> [photon1, photon2, photon3].
-    perm = [4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3]
-    return permute_modes(state, perm)
+    state = add_vacuum_modes(make_state(12, terms), UNFOLD_GAPS)
+    return drop_control_photon(deterministic_joining_pass(state))
 
 
 def _input_qubits_state(alpha: complex, beta: complex, gamma: complex, delta: complex) -> FockState:
@@ -189,9 +158,7 @@ def _input_qubits_state(alpha: complex, beta: complex, gamma: complex, delta: co
 
 def joined_reference(alpha, beta, gamma, delta) -> FockState:
     """(alpha H + beta V)(gamma u + delta d) on one photon's four modes."""
-    amps = [alpha * gamma, beta * gamma, alpha * delta, beta * delta]
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    return make_state(4, [(occ, a) for occ, a in zip(basis, amps) if a != 0])
+    return joined_ququart([alpha * gamma, beta * gamma, alpha * delta, beta * delta])
 
 
 def expand_five_photon(alpha, beta, gamma, delta, resource=("Phi-", "phi-")):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fockjoin.circuit import CircuitError, CircuitProgram, format_circuit, parse_circuit, run_circuit
+from fockjoin.circuit import CircuitError, CircuitProgram, Instruction, format_circuit, parse_circuit, run_circuit
 from fockjoin.fock import discard_empty_modes, fidelity, make_state, norm, normalize, tensor, basis_state
 from fockjoin.schemes import (
     joined_ququart,
@@ -164,3 +165,122 @@ def test_gate_errors_carry_instruction_index():
         run_circuit(program, bad_input)
     assert err.value.instruction_index == 1
     assert "line 3" in str(err.value)
+
+
+# Every parse branch, one malformed line each: (line, column, message, token).
+MALFORMED = """modes 4
+bs 0 1 0.5
+ps 0
+perm 0 1 2
+had 0
+cnot 0 1 2
+rcnot 0 1 2 3 1
+zflip 0 1 2
+project 0 1
+vac
+bs 0 7 0 0
+had 1 1
+ps x 0
+bs 0 1 half 0
+bs 0 9 a 0
+perm 0 1 1 2
+project 0 1 0 0 0 0
+project 0 0.5 0
+cnot 0 1 2 3 2 0
+foo 1
+"""
+
+MALFORMED_DIAGNOSTICS = [
+    (2, 1, "usage: bs i j theta phi", "bs"),
+    (3, 1, "usage: ps i phi", "ps"),
+    (4, 1, "perm needs exactly 4 indices", "perm"),
+    (5, 1, "usage: had i j", "had"),
+    (6, 1, "usage: cnot c0 c1 t0 t1 [eta_re eta_im [etap_re etap_im]]", "cnot"),
+    (7, 1, "usage: rcnot c0 c1 t0 t1 [eta_re eta_im [etap_re etap_im]]", "rcnot"),
+    (8, 1, "usage: zflip m0 m1", "zflip"),
+    (9, 1, "usage: project i0 a_re a_im [i1 b_re b_im ...]", "project"),
+    (10, 1, "usage: vac i0 [i1 ...]", "vac"),
+    (11, 6, "mode 7 out of range for 4 modes", "7"),
+    (12, 1, "mode indices must be distinct", ""),
+    (13, 4, "mode index must be an integer", "x"),
+    (14, 8, "expected a numeric literal", "half"),
+    (15, 6, "mode 9 out of range for 4 modes", "9"),
+    (15, 8, "expected a numeric literal", "a"),
+    (16, 1, "mode indices must be distinct", ""),
+    (17, 15, "mode 0 listed twice", "0"),
+    (18, 1, "projection amplitudes have squared norm 0.25, expected 1", "project"),
+    (19, 1, "vacuum-port amplitudes cannot exceed unit magnitude", "cnot"),
+    (20, 1, "unknown instruction 'foo'", "foo"),
+]
+
+
+def _diagnostic_tuples(result):
+    assert isinstance(result, list)
+    return [(d.line, d.column, d.message, d.token) for d in result]
+
+
+def test_parse_diagnostics_are_pinned_for_every_branch():
+    assert _diagnostic_tuples(parse_circuit(MALFORMED)) == MALFORMED_DIAGNOSTICS
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", (1, 1, "empty program: missing 'modes N'", "")),
+        ("# only a comment\n", (1, 1, "empty program: missing 'modes N'", "")),
+        ("bs 0 1 0 0\n", (1, 1, "the first instruction must declare 'modes N'", "bs")),
+        ("modes\n", (1, 1, "missing mode count", "")),
+        ("modes two\n", (1, 7, "mode count must be an integer", "two")),
+        ("modes 0\n", (1, 1, "usage: modes N with N >= 1", "modes")),
+        ("  modes 2 3\n", (1, 3, "usage: modes N with N >= 1", "modes")),
+    ],
+)
+def test_parse_diagnostics_for_modes_line(text, expected):
+    assert _diagnostic_tuples(parse_circuit(text)) == [expected]
+
+
+_FINITE = st.floats(-10.0, 10.0, allow_nan=False)
+_PORT = st.floats(-0.7, 0.7, allow_nan=False)
+
+
+def _distinct_modes(m, k):
+    return st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+
+
+def _instruction_strategies(m):
+    def project(entries):
+        total = math.sqrt(sum(abs(a) ** 2 for _, a in entries))
+        return Instruction("project", tuple((mode, a / total) for mode, a in entries))
+
+    amplitude = st.builds(complex, st.floats(0.1, 1.0), _FINITE)
+    port = st.builds(complex, _PORT, _PORT)
+    return {
+        "bs": st.builds(lambda p, t, f: Instruction("bs", (*p, t, f)), _distinct_modes(m, 2), _FINITE, _FINITE),
+        "ps": st.builds(lambda i, f: Instruction("ps", (i, f)), st.integers(0, m - 1), _FINITE),
+        "perm": st.permutations(range(m)).map(lambda p: Instruction("perm", tuple(p))),
+        "had": _distinct_modes(m, 2).map(lambda p: Instruction("had", tuple(p))),
+        "cnot": st.builds(lambda q, e, f: Instruction("cnot", (*q, e, f)), _distinct_modes(m, 4), port, port),
+        "rcnot": st.builds(lambda q, e, f: Instruction("rcnot", (*q, e, f)), _distinct_modes(m, 4), port, port),
+        "zflip": _distinct_modes(m, 2).map(lambda p: Instruction("zflip", tuple(p))),
+        "project": st.lists(
+            st.tuples(st.integers(0, m - 1), amplitude), min_size=1, max_size=m, unique_by=lambda e: e[0]
+        ).map(project),
+        "vac": st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True).map(
+            lambda p: Instruction("vac", tuple(p))
+        ),
+    }
+
+
+@st.composite
+def _programs(draw):
+    m = draw(st.integers(4, 6))
+    ops = _instruction_strategies(m)
+    names = draw(st.permutations(sorted(ops)))
+    names += draw(st.lists(st.sampled_from(sorted(ops)), max_size=6))
+    return CircuitProgram(m, tuple(draw(ops[name]) for name in names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_programs())
+def test_format_parse_round_trip_property(program):
+    assert parse_circuit(format_circuit(program)) == program

@@ -110,6 +110,17 @@ def test_encoding_error_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_amplitude_exits_two(tmp_path, capsys, literal):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 1.0, "im": 0.0},'
+        ' {"occ": [0, 1, 0, 1], "re": %s, "im": 0.0}]}' % literal
+    )
+    assert cli_dispatch(["join", "--input", str(bad), "--variant", "deterministic"]) == 2
+    assert "occupation (0, 1, 0, 1) is not finite" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockjoin.fock import (
+    FockState,
     NonEmptyModeError,
     add,
     add_vacuum_modes,
@@ -60,6 +61,25 @@ def test_make_state_rejects_bad_occupations():
         make_state(2, [((-1, 0), 1)])
     with pytest.raises(ValueError):
         make_state(2, [])
+
+
+@pytest.mark.parametrize("amp", [float("nan"), complex(0.0, float("inf")), float("-inf")])
+def test_make_state_rejects_non_finite_amplitudes(amp):
+    with pytest.raises(ValueError, match=r"occupation \(0, 1\) is not finite"):
+        make_state(2, [((1, 0), 1.0), ((0, 1), amp)])
+    data = {"modes": 2, "terms": [{"occ": [0, 1], "re": amp.real, "im": amp.imag}]}
+    with pytest.raises(ValueError, match="not finite"):
+        state_from_dict(data)
+
+
+def test_terms_are_read_only():
+    s = make_state(2, [((1, 0), 0.6), ((0, 1), 0.8)])
+    with pytest.raises(TypeError):
+        s.terms[(1, 0)] = 1.0
+    source = {(1, 0): 1.0}
+    built = FockState(2, source)
+    source[(0, 1)] = 1.0
+    assert built.terms == {(1, 0): 1.0}
 
 
 def test_inner_product_orthonormal_basis():
@@ -210,6 +230,8 @@ def test_discard_empty_modes_examples():
     assert out.terms == {(1, 0): 0.6, (0, 1): 0.8}
     with pytest.raises(NonEmptyModeError):
         discard_empty_modes(basis_state(4, (0, 1, 0, 0)), (1, 3))
+    with pytest.raises(ValueError):
+        discard_empty_modes(basis_state(2, (0, 0)), (0, 1))
 
 
 def test_vacuum_roundtrip_is_identity():

@@ -9,7 +9,6 @@ from fockjoin.gates import (
     DualRailQubit,
     IllegalPatternError,
     NETWORK_SUCCESS_AMPLITUDE,
-    QuartEncoding,
     apply_cnot,
     apply_reversed_cnot,
     build_postselected_cnot_network,
@@ -184,8 +183,6 @@ def test_logical_phase_flip():
 def test_qubit_and_quart_validation():
     with pytest.raises(ValueError):
         DualRailQubit(1, 1)
-    with pytest.raises(ValueError):
-        QuartEncoding((0, 1, 2, 2))
     with pytest.raises(ValueError):
         CnotSpec(DualRailQubit(0, 1), DualRailQubit(1, 2))
     with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from fockjoin.schemes import (
     joined_ququart,
     joining_cnot_pass,
     split_deterministic,
-    split_expected,
     split_projective,
     two_qubit_input,
     unfold_target,
@@ -190,7 +189,7 @@ def test_split_projective_generic():
     report = split_projective(joined_ququart(a), branch="plus")
     assert report.success_probability == pytest.approx(0.5, abs=1e-12)
     assert report.fidelity_to_expected >= 1 - 1e-10
-    expected = split_expected(a)
+    expected = two_qubit_input(a)
     for occ in expected.terms:
         assert report.output.terms[occ] == pytest.approx(expected.terms[occ])
 
