@@ -235,11 +235,13 @@ def _cmd_teleport(args) -> int:
 
 def _cmd_nogo(args) -> int:
     cert = rank_scan(args.modes, args.trials, seed=args.seed)
-    if args.restarts > 0:
+    described = f"m={args.modes} trials={args.trials} restarts={args.restarts}"
+    if args.restarts != 0:
         cert = merge_certificates(
             cert, adversarial_search(args.modes, restarts=args.restarts, iterations=args.iterations, seed=args.seed)
         )
-    payload = _envelope(args.seed, [f"m={args.modes} trials={args.trials} restarts={args.restarts}".encode()])
+        described += f" iterations={args.iterations}"
+    payload = _envelope(args.seed, [described.encode()])
     payload.update(
         {
             "verb": "nogo-scan",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import make_state
 from .optics import ModeUnitary, ProjectorSpec, _coupler_matrix, apply_projector, apply_unitary, haar_from_rng, random_projector
@@ -174,10 +173,17 @@ def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarra
     return rows
 
 
+def _require_trials(trials: int):
+    # A certificate from no trials would report max_sigma_min -1.
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def rank_scan(m: int, trials: int, seed: int = 0) -> NogoCertificate:
     """Max sigma_min over Haar unitaries and random detections."""
     if m < 4:
         raise ValueError("need at least four modes")
+    _require_trials(trials)
     best = -1.0
     best_seed = seed
     for i in range(trials):
@@ -199,6 +205,7 @@ def rank_scan_control(m: int, trials: int, seed: int = 0) -> NogoCertificate:
     counterexample; this validates that the scan threshold would catch
     a real violation.
     """
+    _require_trials(trials)
     best = -1.0
     best_seed = seed
     for i in range(trials):
@@ -263,6 +270,13 @@ def adversarial_search(
     """
     if m < 4:
         raise ValueError("need at least four modes")
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    # Imported here, not at module level: scipy.optimize is slow to load.
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     dim = m * m + 2 * m
     best = -1.0

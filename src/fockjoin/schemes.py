@@ -50,9 +50,8 @@ SPLIT_C1 = DualRailQubit(0, 1)
 SPLIT_C2 = DualRailQubit(2, 3)
 SPLIT_T = DualRailQubit(4, 5)
 
-_QUBIT_PATTERNS = {(1, 0): 0, (0, 1): 1}
-_TWO_QUBIT_BASIS = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
-_QUQUART_BASIS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+_TWO_QUBIT_BASIS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+_QUQUART_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class EncodingViolationError(ValueError):
@@ -120,55 +119,46 @@ def compose_success_probability(model: ProbabilityModel):
 # --- input encodings ----------------------------------------------------------
 
 
-def two_qubit_input(alphas) -> FockState:
-    """Two dual-rail qubits from amplitudes a0..a3 (normalized by caller)."""
+def _encode(basis, alphas) -> FockState:
+    """Four amplitudes on the four basis occupations of an encoding (normalized by caller)."""
     alphas = [complex(a) for a in alphas]
     if len(alphas) != 4:
         raise EncodingViolationError("expected four amplitudes")
-    return make_state(4, [(occ, a) for occ, a in zip(_TWO_QUBIT_BASIS, alphas) if a != 0])
+    return make_state(4, [(occ, a) for occ, a in zip(basis, alphas) if a != 0])
+
+
+def _decode(s: FockState, basis, what: str, pattern: str) -> np.ndarray:
+    """Read a0..a3 back from a normalized four-mode state written in ``basis``."""
+    if s.modes != 4:
+        raise EncodingViolationError(f"expected 4 modes, got {s.modes}")
+    if not is_normalized(s, atol=1e-8):
+        raise EncodingViolationError(f"{what} must be normalized")
+    coeffs = np.zeros(4, dtype=complex)
+    for occ, amp in s.terms.items():
+        if occ not in basis:
+            raise EncodingViolationError(f"term {occ} is not {pattern}")
+        coeffs[basis.index(occ)] = amp
+    return coeffs
+
+
+def two_qubit_input(alphas) -> FockState:
+    """Two dual-rail qubits from amplitudes a0..a3 (normalized by caller)."""
+    return _encode(_TWO_QUBIT_BASIS, alphas)
 
 
 def input_coefficients(s: FockState) -> np.ndarray:
     """Extract a0..a3 from a valid two-qubit input state."""
-    validate_two_qubit_input(s)
-    coeffs = np.zeros(4, dtype=complex)
-    for occ, amp in s.terms.items():
-        k = 2 * _QUBIT_PATTERNS[occ[:2]] + _QUBIT_PATTERNS[occ[2:]]
-        coeffs[k] = amp
-    return coeffs
-
-
-def validate_two_qubit_input(s: FockState):
-    if s.modes != 4:
-        raise EncodingViolationError(f"expected 4 modes, got {s.modes}")
-    if not is_normalized(s, atol=1e-8):
-        raise EncodingViolationError("input state must be normalized")
-    for occ in s.terms:
-        if occ[:2] not in _QUBIT_PATTERNS or occ[2:] not in _QUBIT_PATTERNS:
-            raise EncodingViolationError(f"term {occ} is not one photon per rail pair")
-
-
-def validate_ququart(q: FockState):
-    if q.modes != 4:
-        raise EncodingViolationError(f"expected 4 modes, got {q.modes}")
-    if not is_normalized(q, atol=1e-8):
-        raise EncodingViolationError("ququart state must be normalized")
-    for occ in q.terms:
-        if sum(occ) != 1 or max(occ) != 1:
-            raise EncodingViolationError(f"term {occ} is not a one-photon four-mode pattern")
-
-
-def ququart_coefficients(q: FockState) -> np.ndarray:
-    validate_ququart(q)
-    coeffs = np.zeros(4, dtype=complex)
-    for occ, amp in q.terms.items():
-        coeffs[occ.index(1)] = amp
-    return coeffs
+    return _decode(s, _TWO_QUBIT_BASIS, "input state", "one photon per rail pair")
 
 
 def joined_ququart(alphas) -> FockState:
     """The target joined state a0|1000> + a1|0100> + a2|0010> + a3|0001>."""
-    return make_state(4, [(occ, a) for occ, a in zip(_QUQUART_BASIS, alphas) if a != 0])
+    return _encode(_QUQUART_BASIS, alphas)
+
+
+def ququart_coefficients(q: FockState) -> np.ndarray:
+    """Extract a0..a3 from a valid one-photon four-mode state."""
+    return _decode(q, _QUQUART_BASIS, "ququart state", "a one-photon four-mode pattern")
 
 
 # --- joining ------------------------------------------------------------------
@@ -176,7 +166,7 @@ def joined_ququart(alphas) -> FockState:
 
 def unfold_target(s: FockState) -> FockState:
     """Spread the first qubit over four modes, c pair moving to (4, 5)."""
-    validate_two_qubit_input(s)
+    input_coefficients(s)
     return add_vacuum_modes(s, UNFOLD_GAPS)
 
 
@@ -197,13 +187,23 @@ def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.
     return apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T2, eta_prime=eta_primes[1]))
 
 
-def _resolve_branch(branch: str, p_plus: float, seed) -> str:
+def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
+    """Report one branch; ``plus``/``minus`` are (state, weight) with the measured modes discarded."""
     if branch == "sample":
-        rng = np.random.default_rng(seed)
-        return "plus" if rng.random() < p_plus else "minus"
-    if branch not in ("plus", "minus"):
+        branch = "plus" if np.random.default_rng(seed).random() < plus[1] else "minus"
+    elif branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
-    return branch
+    applied_ff = branch == "minus" and feed_forward
+    output, prob = plus if branch == "plus" else minus
+    if applied_ff:
+        output, prob = correct(output), plus[1] + minus[1]
+    return SchemeReport(
+        output=output,
+        success_probability=prob,
+        branch=branch,
+        feed_forward_applied=applied_ff,
+        fidelity_to_expected=fidelity(output, expected) if not output.is_zero else 0.0,
+    )
 
 
 def join_projective(
@@ -223,30 +223,16 @@ def join_projective(
     state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
 
     root_half = 1.0 / np.sqrt(2.0)
-    plus = ProjectorSpec([0, 0, 0, 0, root_half, root_half])
-    minus = ProjectorSpec([0, 0, 0, 0, root_half, -root_half])
-    plus_state, p_plus = apply_projector(state, plus)
-    minus_state, p_minus = apply_projector(state, minus)
-
-    chosen = _resolve_branch(branch, p_plus, seed)
-    applied_ff = False
-    if chosen == "plus":
-        out6, prob = plus_state, p_plus
-    else:
-        out6, prob = minus_state, p_minus
-        if feed_forward:
-            out6 = logical_phase_flip(out6, UNFOLDED_T1)
-            out6 = logical_phase_flip(out6, UNFOLDED_T2)
-            prob = p_plus + p_minus
-            applied_ff = True
-    output = discard_empty_modes(out6, (4, 5))
-    expected = joined_ququart(alphas)
-    return SchemeReport(
-        output=output,
-        success_probability=prob,
-        branch=chosen,
-        feed_forward_applied=applied_ff,
-        fidelity_to_expected=fidelity(output, expected) if not output.is_zero else 0.0,
+    plus, p_plus = apply_projector(state, ProjectorSpec([0, 0, 0, 0, root_half, root_half]))
+    minus, p_minus = apply_projector(state, ProjectorSpec([0, 0, 0, 0, root_half, -root_half]))
+    return _projective_report(
+        (discard_empty_modes(plus, (4, 5)), p_plus),
+        (discard_empty_modes(minus, (4, 5)), p_minus),
+        lambda out: logical_phase_flip(logical_phase_flip(out, UNFOLDED_T1), UNFOLDED_T2),
+        branch,
+        feed_forward,
+        seed,
+        joined_ququart(alphas),
     )
 
 
@@ -304,28 +290,16 @@ def split_projective(
     state = splitting_cnot_pass(q)
     state = apply_unitary(state, hadamard_pair(6, 0, 1))
     state = apply_unitary(state, hadamard_pair(6, 2, 3))
-
-    plus_state, p_plus = postselect_vacuum(state, (1, 3))
-    minus_state, p_minus = postselect_vacuum(state, (0, 2))
-
-    chosen = _resolve_branch(branch, p_plus, seed)
-    applied_ff = False
-    if chosen == "plus":
-        out6, prob, empty_rails = plus_state, p_plus, (1, 3)
-    else:
-        out6, prob, empty_rails = minus_state, p_minus, (0, 2)
-        if feed_forward:
-            out6 = logical_phase_flip(out6, SPLIT_T)
-            prob = p_plus + p_minus
-            applied_ff = True
-    output = discard_empty_modes(out6, empty_rails)
-    expected = two_qubit_input(alphas)
-    return SchemeReport(
-        output=output,
-        success_probability=prob,
-        branch=chosen,
-        feed_forward_applied=applied_ff,
-        fidelity_to_expected=fidelity(output, expected) if not output.is_zero else 0.0,
+    plus, p_plus = postselect_vacuum(state, (1, 3))
+    minus, p_minus = postselect_vacuum(state, (0, 2))
+    return _projective_report(
+        (discard_empty_modes(plus, (1, 3)), p_plus),
+        (discard_empty_modes(minus, (0, 2)), p_minus),
+        lambda out: logical_phase_flip(out, DualRailQubit(2, 3)),  # the target qubit
+        branch,
+        feed_forward,
+        seed,
+        two_qubit_input(alphas),
     )
 
 

@@ -58,10 +58,6 @@ class PhotonRegister:
             raise ValueError(f"photon label {photon} out of range 1..{self.n_photons}")
         return 4 * (photon - 1) + pol + 2 * path
 
-    def photon_modes(self, photon: int) -> tuple[int, int, int, int]:
-        base = 4 * (photon - 1)
-        return (base, base + 1, base + 2, base + 3)
-
 
 def _pol_terms(kind: str):
     """(pol_first, pol_second, coefficient) pairs of a polarization Bell state."""
@@ -161,6 +157,28 @@ def joined_reference(alpha, beta, gamma, delta) -> FockState:
     return joined_ququart([alpha * gamma, beta * gamma, alpha * delta, beta * delta])
 
 
+# Bell-measured modes: photons 2 and 4 of the five-photon register, then
+# photons 3 and 5 of the survivors [photon 1, photon 3, photon 5].
+_PAIR_24 = (4, 5, 6, 7, 12, 13, 14, 15)
+_PAIR_35 = (4, 5, 6, 7, 8, 9, 10, 11)
+
+
+def _five_photon_state(alpha, beta, gamma, delta, resource) -> FockState:
+    """Resource photons 1-3 followed by the input qubits on photons 4 and 5."""
+    for name, (x, y) in (("alpha/beta", (alpha, beta)), ("gamma/delta", (gamma, delta))):
+        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > 1e-8:
+            raise ValueError(f"{name} amplitudes must be normalized")
+    return tensor(build_tpes(*resource), _input_qubits_state(alpha, beta, gamma, delta))
+
+
+def _bell_branch(full: FockState, outcome) -> tuple[FockState, float]:
+    """(normalized photon-1 state, exact weight) of one Bell outcome pair."""
+    pol_kind, path_kind = outcome
+    reduced = partial_inner(bell_pair(pol_kind), full, _PAIR_24)
+    conditional = partial_inner(bell_pair(path_kind), reduced, _PAIR_35)
+    return normalize(conditional), norm(conditional) ** 2
+
+
 def expand_five_photon(alpha, beta, gamma, delta, resource=("Phi-", "phi-")):
     """Bell-basis expansion of resource x input qubits over pairs (2,4), (3,5).
 
@@ -169,23 +187,8 @@ def expand_five_photon(alpha, beta, gamma, delta, resource=("Phi-", "phi-")):
     states are normalized but keep their expansion sign; weights are the
     exact branch probabilities and each equals 1/16.
     """
-    for name, (x, y) in (("alpha/beta", (alpha, beta)), ("gamma/delta", (gamma, delta))):
-        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > 1e-8:
-            raise ValueError(f"{name} amplitudes must be normalized")
-    full = tensor(build_tpes(*resource), _input_qubits_state(alpha, beta, gamma, delta))
-
-    pair24 = list(PhotonRegister(5).photon_modes(2)) + list(PhotonRegister(5).photon_modes(4))
-    # After contracting photons 2 and 4, the survivors reorder to
-    # photon1 (0-3), photon3 (4-7), photon5 (8-11).
-    pair35 = [4, 5, 6, 7, 8, 9, 10, 11]
-
-    branches = []
-    for pol_kind, path_kind in ALL_BELL_OUTCOMES:
-        reduced = partial_inner(bell_pair(pol_kind), full, pair24)
-        conditional = partial_inner(bell_pair(path_kind), reduced, pair35)
-        weight = norm(conditional) ** 2
-        branches.append(((pol_kind, path_kind), normalize(conditional), weight))
-    return branches
+    full = _five_photon_state(alpha, beta, gamma, delta, resource)
+    return [(outcome, *_bell_branch(full, outcome)) for outcome in ALL_BELL_OUTCOMES]
 
 
 @dataclass(frozen=True)
@@ -270,21 +273,20 @@ def teleport_join(
 ) -> SchemeReport:
     """Join two qubits onto one photon by double Bell measurement.
 
-    ``outcome`` forces a Bell result (pair of kinds, or index 0..15) or
-    samples one with the exact branch weights when set to "sample". The
-    report's success_probability is the branch weight (1/16); after the
-    table correction every branch reaches the joined state.
+    ``outcome`` forces a Bell result (pair of kinds, or index 0..15) or,
+    when set to "sample", draws one uniformly: every branch weight is 1/16.
+    Only that branch is contracted; its weight is the report's
+    success_probability, and the table correction maps it to the joined state.
     """
     alpha, beta = (complex(x) for x in alpha_beta)
     gamma, delta = (complex(x) for x in gamma_delta)
-    branches = expand_five_photon(alpha, beta, gamma, delta, resource=resource)
+    full = _five_photon_state(alpha, beta, gamma, delta, resource)
     if outcome == "sample":
         rng = np.random.default_rng(seed)
-        weights = np.array([w for _, _, w in branches])
-        index = int(rng.choice(len(branches), p=weights / weights.sum()))
+        picked_outcome = ALL_BELL_OUTCOMES[int(rng.choice(16, p=np.full(16, 1 / 16)))]
     else:
-        index = ALL_BELL_OUTCOMES.index(resolve_outcome(outcome))
-    picked_outcome, conditional, weight = branches[index]
+        picked_outcome = resolve_outcome(outcome)
+    conditional, weight = _bell_branch(full, picked_outcome)
 
     entry = derive_correction_table(resource)[picked_outcome]
     corrected = _apply_single_photon_matrix(conditional, entry.unitary)

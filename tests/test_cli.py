@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -137,6 +138,33 @@ def test_nogo_scan_verb(tmp_path):
     assert cert["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--trials", "0"], ["--trials", "-3"], ["--restarts", "-1"], ["--restarts", "1", "--iterations", "0"]],
+)
+def test_nogo_scan_rejects_empty_budgets(tmp_path, capsys, extra):
+    out = tmp_path / "cert.json"
+    argv = ["nogo-scan", "--trials", "5", *extra, "--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nogo_scan_digest_covers_iterations(tmp_path):
+    digests = []
+    for iterations in ("3", "4"):
+        out = tmp_path / f"cert{iterations}.json"
+        argv = ["nogo-scan", "--trials", "2", "--restarts", "1", "--iterations", iterations, "--out", str(out)]
+        assert cli_dispatch(argv) == 0
+        digests.append(json.loads(out.read_text())["input_digest"])
+    assert digests[0] != digests[1]
+    # Without restarts the digest text, and so the report, is as before.
+    out = tmp_path / "plain.json"
+    assert cli_dispatch(["nogo-scan", "--trials", "2", "--iterations", "3", "--out", str(out)]) == 0
+    expected = hashlib.sha256(b"m=4 trials=2 restarts=0").hexdigest()
+    assert json.loads(out.read_text())["input_digest"] == expected
+
+
 def test_tpes_verb(tmp_path):
     out = tmp_path / "tpes.json"
     code = cli_dispatch(["tpes", "--pol", "Phi-", "--path", "phi-", "--report", str(out)])
@@ -209,3 +237,85 @@ def test_console_entry_point_runs():
 def test_verb_level_help_exits_zero(capsys):
     assert cli_dispatch(["join", "--help"]) == 0
     assert "--variant" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, fockjoin.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+# Golden reports: SHA-256 of the report bytes for fixed inputs. The input
+# files are literal text, so their digests inside the reports are fixed
+# too. nogo-scan and cnot-demo are left out: their floats pass through
+# BLAS/LAPACK and may differ in the last bits between builds.
+_TWO_QUBIT_JSON = (
+    '{"modes": 4, "terms": ['
+    '{"occ": [1, 0, 1, 0], "re": 0.36, "im": 0.0}, {"occ": [1, 0, 0, 1], "re": 0.0, "im": 0.48}, '
+    '{"occ": [0, 1, 1, 0], "re": 0.48, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": -0.64, "im": 0.0}]}'
+)
+_QUQUART_JSON = (
+    '{"modes": 4, "terms": ['
+    '{"occ": [1, 0, 0, 0], "re": 0.36, "im": 0.0}, {"occ": [0, 1, 0, 0], "re": 0.0, "im": 0.48}, '
+    '{"occ": [0, 0, 1, 0], "re": 0.48, "im": 0.0}, {"occ": [0, 0, 0, 1], "re": -0.64, "im": 0.0}]}'
+)
+_QUBITS = ["--alpha", "0.6", "--beta", "0.8j", "--gamma", "0.28", "--delta=-0.96j"]
+_GOLDEN = {
+    "join-deterministic": (
+        ["join", "--input", "{two}", "--variant", "deterministic"],
+        "5a4405c64a77dbb00b6382922fcdd415a0d0b603b584dc78b8035f9d83ab47a3",
+    ),
+    "join-minus": (
+        ["join", "--input", "{two}", "--branch", "minus"],
+        "247987495c457f28ef26be163be2edb5c2cb9a71792895528e1b1b294775eb42",
+    ),
+    "join-minus-no-ff": (
+        ["join", "--input", "{two}", "--branch", "minus", "--no-feed-forward"],
+        "4042a55222aaeee504d74a2ce6bed434aa2b0794e335c932a8ac33bb12b70668",
+    ),
+    "join-sample": (
+        ["join", "--input", "{two}", "--branch", "sample", "--seed", "13"],
+        "11f29376c63f1e2db7d17f93450e9cae489cdc06d069095c41bac3805c718374",
+    ),
+    "split-deterministic": (
+        ["split", "--input", "{quart}", "--variant", "deterministic"],
+        "e221f79d6e981937e788df4afc53e20831de23753f7d3751ed17bd2165311eac",
+    ),
+    "split-minus": (
+        ["split", "--input", "{quart}", "--branch", "minus"],
+        "33c76c7bb826d1152a7b5484861b75bd5ed26cd6ea49bbc86f827edc73d0a830",
+    ),
+    "split-minus-no-ff": (
+        ["split", "--input", "{quart}", "--branch", "minus", "--no-feed-forward"],
+        "b08510689becb987229ac5337910ff760c24bc587b5baed01a7a8c7952944b4b",
+    ),
+    "split-sample": (
+        ["split", "--input", "{quart}", "--branch", "sample", "--seed", "13"],
+        "2b009c31e12259ea386bf84d978a3ea847daa29e2334a1a7c7addae4ddccdd20",
+    ),
+    "teleport-outcome": (
+        ["teleport-join", *_QUBITS, "--outcome", "6"],
+        "1ba5a7e5e0aadf08a94b696fd419886277ee1469bc3b1615050674fdf6033ce4",
+    ),
+    "teleport-sample": (
+        ["teleport-join", *_QUBITS, "--sample", "--seed", "3"],
+        "4c22743ab684c478f6eb783cd165614ef40adb3781b9c32a9cf03d59855ee619",
+    ),
+    "tpes": (
+        ["tpes", "--pol", "Psi+", "--path", "phi-"],
+        "0a00a551cce2d2e403ed238f87827aa54ebe5c9127a95ea21b30eaff406546ab",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_report_bytes(tmp_path, case):
+    two, quart = tmp_path / "two.json", tmp_path / "quart.json"
+    two.write_text(_TWO_QUBIT_JSON)
+    quart.write_text(_QUQUART_JSON)
+    argv, expected = _GOLDEN[case]
+    report = tmp_path / "report.json"
+    argv = [arg.format(two=two, quart=quart) for arg in argv] + ["--report", str(report)]
+    assert cli_dispatch(argv) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == expected

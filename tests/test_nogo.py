@@ -192,3 +192,17 @@ def test_dimension_checks_raise():
         rank_scan(3, trials=1)
     with pytest.raises(ValueError):
         end_to_end_projection_check([1, 0, 0, 0], identity(4), ProjectorSpec([1, 0, 0]))
+
+
+@pytest.mark.parametrize("scan", [rank_scan, rank_scan_control])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_scans_reject_empty_trial_budgets(scan, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        scan(4, trials=trials)
+
+
+def test_adversarial_search_rejects_empty_budgets():
+    with pytest.raises(ValueError, match="restarts must be non-negative"):
+        adversarial_search(4, restarts=-1, iterations=10)
+    with pytest.raises(ValueError, match="iterations must be at least 1"):
+        adversarial_search(4, restarts=1, iterations=0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dense_oracle import DenseFock, enumerate_occupations
 from fockjoin.fock import add, basis_state, make_state, norm, normalize
@@ -202,6 +203,39 @@ def test_unitary_application_matches_permanent_oracle_small():
                 continue
             expected = transition_amplitude(u.matrix, occ_in, occ_out)
             assert out.amplitude(occ_out) == pytest.approx(expected, abs=1e-10)
+
+
+@st.composite
+def _states_under_haar(draw):
+    """A random state of at most 4 modes and 3 photons, and a Haar unitary seed."""
+    modes = draw(st.integers(1, 4))
+    occs = enumerate_occupations(modes, 3)
+    picks = draw(st.lists(st.sampled_from(occs), min_size=1, max_size=5, unique=True))
+    parts = st.floats(-1, 1, allow_nan=False)
+    amps = [complex(draw(parts), draw(parts)) for _ in picks]
+    if sum(abs(a) ** 2 for a in amps) < 1e-6:
+        amps[0] = 1.0
+    return normalize(make_state(modes, list(zip(picks, amps)))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_states_under_haar())
+def test_apply_unitary_matches_permanent_oracle_property(case):
+    state, seed = case
+    u = haar_random_unitary(state.modes, seed)
+    out = apply_unitary(state, u)
+    for occ_out in enumerate_occupations(state.modes, 3):
+        expected = sum(
+            amp * transition_amplitude(u.matrix, occ_in, occ_out) for occ_in, amp in state.terms.items()
+        )
+        assert abs(out.amplitude(occ_out) - expected) < 1e-10
+    # Photon number is conserved sector by sector, so the norm is too.
+    for n in range(4):
+        weight_in = sum(abs(a) ** 2 for occ, a in state.terms.items() if sum(occ) == n)
+        weight_out = sum(abs(a) ** 2 for occ, a in out.terms.items() if sum(occ) == n)
+        assert abs(weight_out - weight_in) < 1e-10
+    assert all(sum(occ) <= 3 for occ in out.terms)
+    assert abs(norm(out) - 1.0) < 1e-10
 
 
 def test_unitary_json_roundtrip():

@@ -234,6 +234,30 @@ def test_split_rejects_invalid_ququart():
         split_deterministic(basis_state(3, (1, 0, 0)))
 
 
+@pytest.mark.parametrize("encode", [two_qubit_input, joined_ququart])
+@pytest.mark.parametrize("alphas", [[0, 0.6, 0.8], [0, 0, 0, 0.6, 0.8]])
+def test_encoders_require_four_amplitudes(encode, alphas):
+    with pytest.raises(EncodingViolationError, match="expected four amplitudes"):
+        encode(alphas)
+
+
+@pytest.mark.parametrize(
+    "protocol, state, message",
+    [
+        (join_projective, basis_state(5, (1, 0, 1, 0, 0)), "expected 4 modes, got 5"),
+        (join_projective, make_state(4, [((1, 0, 1, 0), 2.0)]), "input state must be normalized"),
+        (join_projective, basis_state(4, (1, 1, 0, 0)), "term (1, 1, 0, 0) is not one photon per rail pair"),
+        (split_projective, basis_state(3, (1, 0, 0)), "expected 4 modes, got 3"),
+        (split_projective, make_state(4, [((1, 0, 0, 0), 2.0)]), "ququart state must be normalized"),
+        (split_projective, basis_state(4, (1, 0, 1, 0)), "term (1, 0, 1, 0) is not a one-photon four-mode pattern"),
+    ],
+)
+def test_encoding_error_messages(protocol, state, message):
+    with pytest.raises(EncodingViolationError) as err:
+        protocol(state)
+    assert str(err.value) == message
+
+
 # --- round trips and linearity --------------------------------------------------
 
 
