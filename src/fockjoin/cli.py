@@ -1,12 +1,17 @@
 """Command-line interface.
 
 Verbs: join, split, tpes, teleport-join, nogo-scan, run, cnot-demo.
-Exit codes: 0 success, 1 usage error, 2 scheme/encoding/data error.
+Exit codes: 0 success; 1 usage error (unknown verb, missing or malformed
+flag); 2 scheme/encoding/data error (bad state, circuit or budget, missing
+file), with the message on stderr.
 
-Reports are canonical JSON: keys sorted, floats printed with 17
-significant digits, newline-terminated, and they embed the tool version,
-the seed in effect and a digest of the inputs, so identical invocations
-produce byte-identical files.
+Each verb writes one report to --report (nogo-scan: --out), or to stdout
+if that flag is omitted. Reports are canonical JSON: keys sorted, floats
+printed with 17 significant digits, newline-terminated, and they embed
+the tool version, the verb, a digest of the inputs and the seed in
+effect: --seed when given, else 0 if the run samples a branch or a Bell
+outcome, else null. So the seed is null only when nothing was sampled,
+and identical invocations produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -17,28 +22,15 @@ import sys
 
 from . import __version__
 from .circuit import CircuitError, parse_circuit, run_circuit
-from .fock import NonEmptyModeError, fidelity, state_from_dict, state_to_dict
-from .gates import IllegalPatternError, build_postselected_cnot_network, network_input, postselect_rail_pairs, vacuum_failure_demo
+from .fock import fidelity, state_from_dict, state_to_dict
+from .gates import build_postselected_cnot_network, network_input, postselect_rail_pairs, vacuum_failure_demo
 from .nogo import adversarial_search, merge_certificates, rank_scan
 from .optics import apply_unitary
-from .schemes import (
-    EncodingViolationError,
-    join_deterministic,
-    join_projective,
-    split_deterministic,
-    split_projective,
-)
+from .schemes import join_deterministic, join_projective, split_deterministic, split_projective
 from .tpes import build_tpes, resolve_outcome, teleport_join, tpes_via_joining
 
-_DATA_ERRORS = (
-    EncodingViolationError,
-    IllegalPatternError,
-    NonEmptyModeError,
-    CircuitError,
-    ValueError,
-    json.JSONDecodeError,
-    OSError,
-)
+# Encoding, pattern and JSON errors are ValueErrors too.
+_DATA_ERRORS = (CircuitError, ValueError, OSError)
 
 
 class UsageError(Exception):
@@ -85,19 +77,13 @@ def _emit(obj, pieces: list[str]):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _digest(chunks) -> str:
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()
-
-
-def _envelope(seed, digest_chunks) -> dict:
+def _envelope(verb: str, seed, digest_chunks) -> dict:
     return {
         "tool": "fockjoin",
         "version": __version__,
+        "verb": verb,
         "seed": seed,
-        "input_digest": _digest(digest_chunks),
+        "input_digest": hashlib.sha256(b"".join(digest_chunks)).hexdigest(),
     }
 
 
@@ -116,15 +102,15 @@ def _write_report(report: dict, path: str | None):
             fh.write(text)
 
 
-def _scheme_args(sub, name: str, help_text: str):
+def _scheme_args(sub, name: str, help_text: str, projective, deterministic):
     p = sub.add_parser(name, help=help_text)
+    p.set_defaults(handler=_cmd_scheme, projective=projective, deterministic=deterministic)
     p.add_argument("--input", required=True, help="input state JSON file")
     p.add_argument("--variant", choices=("projective", "deterministic"), default="projective")
     p.add_argument("--branch", choices=("plus", "minus", "sample"), default="plus")
     p.add_argument("--seed", type=int, default=None, help="seed for --branch sample")
     p.add_argument("--feed-forward", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--report", default=None, help="report JSON path (stdout if omitted)")
-    return p
 
 
 def _build_parser() -> _Parser:
@@ -132,19 +118,21 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"fockjoin {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    _scheme_args(sub, "join", "join two dual-rail qubits into one four-mode photon")
-    _scheme_args(sub, "split", "split a four-mode photon into two dual-rail qubits")
+    _scheme_args(sub, "join", "join two dual-rail qubits into one four-mode photon", join_projective, join_deterministic)
+    _scheme_args(sub, "split", "split a four-mode photon into two dual-rail qubits", split_projective, split_deterministic)
 
     p = sub.add_parser("tpes", help="build a doubly-entangled three-photon state")
+    p.set_defaults(handler=_cmd_tpes)
     p.add_argument("--pol", required=True, choices=("Phi+", "Phi-", "Psi+", "Psi-"))
     p.add_argument("--path", required=True, choices=("phi+", "phi-", "psi+", "psi-"))
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("teleport-join", help="joining via Bell measurements on a shared resource")
-    p.add_argument("--alpha", required=True, help="complex literal, e.g. 0.6 or 0.6+0j")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--delta", required=True)
+    p.set_defaults(handler=_cmd_teleport)
+    for name in ("alpha", "beta", "gamma", "delta"):
+        p.add_argument(
+            f"--{name}", required=True, help=f"complex literal, e.g. 0.6 or 0.6+0j; negative values take the --{name}=-0.96j form"
+        )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--outcome", type=int, default=None, help="force Bell outcome index 0..15")
     group.add_argument("--sample", action="store_true", help="sample the Bell outcome")
@@ -152,88 +140,79 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("nogo-scan", help="certify the rank deficiency of two-photon joining")
+    p.set_defaults(handler=_cmd_nogo)
     p.add_argument("--modes", type=int, default=4)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--restarts", type=int, default=0, help="adversarial search restarts")
     p.add_argument("--iterations", type=int, default=500, help="optimizer iterations per restart")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="certificate JSON path (stdout if omitted)")
+    p.add_argument("--out", dest="report", metavar="OUT", default=None, help="certificate JSON path (stdout if omitted)")
 
     p = sub.add_parser("run", help="run a circuit file on an input state")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("--circuit", required=True, help="circuit file (.pc)")
     p.add_argument("--input", required=True, help="input state JSON file")
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("cnot-demo", help="post-selected CNOT truth table and vacuum failure")
+    p.set_defaults(handler=_cmd_cnot_demo)
     p.add_argument("--report", default=None)
     return parser
 
 
-def _cmd_scheme(args) -> int:
+# Each handler returns (seed in effect, input digest chunks, report body);
+# cli_dispatch adds the envelope and writes the report.
+
+
+def _seed_in_effect(seed: int | None, samples: bool) -> int | None:
+    """--seed if given, else 0 for a run that samples, else None."""
+    return 0 if seed is None and samples else seed
+
+
+def _scheme_body(report) -> dict:
+    """Report fields shared by join, split and teleport-join."""
+    return {
+        "branch": report.branch,
+        "success_probability": float(report.success_probability),
+        "fidelity": float(report.fidelity_to_expected),
+        "output": state_to_dict(report.output),
+    }
+
+
+def _cmd_scheme(args):
     state, raw = _load_state(args.input)
-    if args.verb == "join":
-        if args.variant == "deterministic":
-            report = join_deterministic(state)
-        else:
-            report = join_projective(state, branch=args.branch, feed_forward=args.feed_forward, seed=args.seed)
+    seed = _seed_in_effect(args.seed, args.variant == "projective" and args.branch == "sample")
+    if args.variant == "deterministic":
+        report = args.deterministic(state)
     else:
-        if args.variant == "deterministic":
-            report = split_deterministic(state)
-        else:
-            report = split_projective(state, branch=args.branch, feed_forward=args.feed_forward, seed=args.seed)
-    payload = _envelope(args.seed, [raw])
-    payload.update(
-        {
-            "verb": args.verb,
-            "variant": args.variant,
-            "success_probability": float(report.success_probability),
-            "branch": report.branch,
-            "feed_forward_applied": report.feed_forward_applied,
-            "fidelity": float(report.fidelity_to_expected),
-            "output": state_to_dict(report.output),
-        }
-    )
-    _write_report(payload, args.report)
-    return 0
+        report = args.projective(state, branch=args.branch, feed_forward=args.feed_forward, seed=seed)
+    body = _scheme_body(report) | {"variant": args.variant, "feed_forward_applied": report.feed_forward_applied}
+    return seed, [raw], body
 
 
-def _cmd_tpes(args) -> int:
+def _cmd_tpes(args):
     built = build_tpes(args.pol, args.path)
     joined = tpes_via_joining(args.pol, args.path)
-    payload = _envelope(None, [f"{args.pol}/{args.path}".encode()])
-    payload.update(
-        {
-            "verb": "tpes",
-            "pol": args.pol,
-            "path": args.path,
-            "joining_fidelity": float(fidelity(joined, built)),
-            "output": state_to_dict(built),
-        }
-    )
-    _write_report(payload, args.report)
-    return 0
+    body = {
+        "pol": args.pol,
+        "path": args.path,
+        "joining_fidelity": float(fidelity(joined, built)),
+        "output": state_to_dict(built),
+    }
+    return None, [f"{args.pol}/{args.path}".encode()], body
 
 
-def _cmd_teleport(args) -> int:
+def _cmd_teleport(args):
     alpha, beta = complex(args.alpha), complex(args.beta)
     gamma, delta = complex(args.gamma), complex(args.delta)
-    outcome = "sample" if args.sample or args.outcome is None else resolve_outcome(args.outcome)
-    report = teleport_join((alpha, beta), (gamma, delta), outcome=outcome, seed=args.seed)
-    payload = _envelope(args.seed, [f"{alpha}{beta}{gamma}{delta}".encode()])
-    payload.update(
-        {
-            "verb": "teleport-join",
-            "branch": report.branch,
-            "success_probability": float(report.success_probability),
-            "fidelity": float(report.fidelity_to_expected),
-            "output": state_to_dict(report.output),
-        }
-    )
-    _write_report(payload, args.report)
-    return 0
+    # --sample and --outcome exclude each other; without --outcome the run samples.
+    seed = _seed_in_effect(args.seed, args.outcome is None)
+    outcome = "sample" if args.outcome is None else resolve_outcome(args.outcome)
+    report = teleport_join((alpha, beta), (gamma, delta), outcome=outcome, seed=seed)
+    return seed, [f"{alpha}{beta}{gamma}{delta}".encode()], _scheme_body(report)
 
 
-def _cmd_nogo(args) -> int:
+def _cmd_nogo(args):
     cert = rank_scan(args.modes, args.trials, seed=args.seed)
     described = f"m={args.modes} trials={args.trials} restarts={args.restarts}"
     if args.restarts != 0:
@@ -241,46 +220,31 @@ def _cmd_nogo(args) -> int:
             cert, adversarial_search(args.modes, restarts=args.restarts, iterations=args.iterations, seed=args.seed)
         )
         described += f" iterations={args.iterations}"
-    payload = _envelope(args.seed, [described.encode()])
-    payload.update(
-        {
-            "verb": "nogo-scan",
-            "modes": args.modes,
-            "trials": cert.trials,
-            "max_sigma_min": float(cert.max_sigma_min),
-            "argmax_seed": cert.argmax_seed,
-            "optimizer_iterations": cert.optimizer_iterations,
-            "verdict": cert.verdict,
-        }
-    )
-    _write_report(payload, args.out)
-    return 0
+    body = {
+        "modes": args.modes,
+        "trials": cert.trials,
+        "max_sigma_min": float(cert.max_sigma_min),
+        "argmax_seed": cert.argmax_seed,
+        "optimizer_iterations": cert.optimizer_iterations,
+        "verdict": cert.verdict,
+    }
+    return args.seed, [described.encode()], body
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     with open(args.circuit, "rb") as fh:
         circuit_raw = fh.read()
     parsed = parse_circuit(circuit_raw.decode("utf-8"))
     if isinstance(parsed, list):
         for diag in parsed:
             print(f"{args.circuit}:{diag.line}:{diag.column}: {diag.message}", file=sys.stderr)
-        return 2
+        raise SystemExit(2)  # already reported, like argparse's own exits
     state, raw = _load_state(args.input)
     final, probability, log = run_circuit(parsed, state)
-    payload = _envelope(None, [circuit_raw, raw])
-    payload.update(
-        {
-            "verb": "run",
-            "probability": float(probability),
-            "log": log,
-            "output": state_to_dict(final),
-        }
-    )
-    _write_report(payload, args.report)
-    return 0
+    return None, [circuit_raw, raw], {"probability": float(probability), "log": log, "output": state_to_dict(final)}
 
 
-def _cmd_cnot_demo(args) -> int:
+def _cmd_cnot_demo(args):
     network = build_postselected_cnot_network()
     table = []
     for control in ((1, 0), (0, 1)):
@@ -309,48 +273,29 @@ def _cmd_cnot_demo(args) -> int:
         }
         for case in demo.cases
     ]
-    payload = _envelope(None, [b"cnot-demo"])
-    payload.update(
-        {
-            "verb": "cnot-demo",
-            "logical_success_amplitude": demo.logical_success_amplitude,
-            "truth_table": table,
-            "vacuum_cases": cases,
-            "demonstrates_failure": demo.demonstrates_failure,
-        }
-    )
-    _write_report(payload, args.report)
-    return 0
-
-
-_COMMANDS = {
-    "join": _cmd_scheme,
-    "split": _cmd_scheme,
-    "tpes": _cmd_tpes,
-    "teleport-join": _cmd_teleport,
-    "nogo-scan": _cmd_nogo,
-    "run": _cmd_run,
-    "cnot-demo": _cmd_cnot_demo,
-}
+    body = {
+        "logical_success_amplitude": demo.logical_success_amplitude,
+        "truth_table": table,
+        "vacuum_cases": cases,
+        "demonstrates_failure": demo.demonstrates_failure,
+    }
+    return None, [b"cnot-demo"], body
 
 
 def cli_dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        seed, digest_chunks, body = args.handler(args)
+        _write_report(_envelope(args.verb, seed, digest_chunks) | body, args.report)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help / --version
+    except SystemExit as exc:  # --help, --version, run's parse diagnostics
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.verb](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -270,8 +270,8 @@ def adversarial_search(
     """
     if m < 4:
         raise ValueError("need at least four modes")
-    if restarts < 0:
-        raise ValueError(f"restarts must be non-negative, got {restarts}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     # Imported here, not at module level: scipy.optimize is slow to load.

@@ -319,3 +319,91 @@ def test_golden_report_bytes(tmp_path, case):
     argv = [arg.format(two=two, quart=quart) for arg in argv] + ["--report", str(report)]
     assert cli_dispatch(argv) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == expected
+
+
+# A run report over every non-BLAS op (had, bs, cnot, zflip, project, vac).
+_RUN_CIRCUIT = (
+    "# joining-style circuit on the unfolded register, then detection\n"
+    "modes 6\nhad 4 5\ncnot 4 5 0 1\ncnot 4 5 2 3\nzflip 2 3\nbs 0 2 0.3 0.1\n"
+    "project 4 0.6 0 5 0 0.8\nvac 1\n"
+)
+_RUN_STATE = (
+    '{"modes": 6, "terms": [{"occ": [1, 0, 1, 0, 1, 0], "re": 0.6, "im": 0.0},'
+    ' {"occ": [0, 1, 1, 0, 1, 0], "re": 0.0, "im": 0.8}]}'
+)
+
+
+def test_golden_run_report_bytes(tmp_path):
+    circuit, state, report = tmp_path / "c.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text(_RUN_CIRCUIT)
+    state.write_text(_RUN_STATE)
+    assert cli_dispatch(["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]) == 0
+    expected = "09553110360f40806dde05818d69600791166a99129cbaacefe9e4d3a1ee663a"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == expected
+
+
+def test_run_parse_diagnostic_stderr_is_exact(tmp_path, capsys):
+    circuit, state, report = tmp_path / "bad.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text("modes 2\nbs 0 9 0 0\n")
+    state.write_text('{"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}]}')
+    argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{circuit}:2:6: mode 9 out of range for 2 modes\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "circuit_text, state_text, message",
+    [
+        # OSError: the input file is missing.
+        ("modes 2\n", None, "No such file or directory"),
+        # ValueError: the circuit and the state disagree on the mode count.
+        ("modes 3\nbs 0 1 0 0\n", '{"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}]}', "program declares 3"),
+        # CircuitError: a cnot on a rail pair holding two photons.
+        (
+            "modes 4\ncnot 0 1 2 3\n",
+            '{"modes": 4, "terms": [{"occ": [2, 0, 1, 0], "re": 1.0, "im": 0.0}]}',
+            "instruction 0 (line 2, cnot): pattern (2, 0)",
+        ),
+    ],
+    ids=["missing-input", "mode-mismatch", "two-photon-rail"],
+)
+def test_run_data_errors_exit_two(tmp_path, capsys, circuit_text, state_text, message):
+    circuit, state = tmp_path / "c.pc", tmp_path / "s.json"
+    circuit.write_text(circuit_text)
+    if state_text is not None:
+        state.write_text(state_text)
+    assert cli_dispatch(["run", "--circuit", str(circuit), "--input", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["join", "--input", "{two}", "--branch", "sample"],
+        ["split", "--input", "{quart}", "--branch", "sample"],
+        ["teleport-join", *_QUBITS],
+        ["teleport-join", *_QUBITS, "--sample"],
+    ],
+    ids=["join", "split", "teleport", "teleport-sample"],
+)
+def test_unseeded_sampling_uses_seed_zero(tmp_path, argv):
+    two, quart = tmp_path / "two.json", tmp_path / "quart.json"
+    two.write_text(_TWO_QUBIT_JSON)
+    quart.write_text(_QUQUART_JSON)
+    argv = [arg.format(two=two, quart=quart) for arg in argv]
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.json"
+        assert cli_dispatch([*argv, "--report", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])["seed"] == 0
+    seeded = tmp_path / "seeded.json"
+    assert cli_dispatch([*argv, "--seed", "0", "--report", str(seeded)]) == 0
+    assert seeded.read_bytes() == runs[0]

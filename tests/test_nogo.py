@@ -202,7 +202,8 @@ def test_scans_reject_empty_trial_budgets(scan, trials):
 
 
 def test_adversarial_search_rejects_empty_budgets():
-    with pytest.raises(ValueError, match="restarts must be non-negative"):
-        adversarial_search(4, restarts=-1, iterations=10)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
+            adversarial_search(4, restarts=restarts, iterations=10)
     with pytest.raises(ValueError, match="iterations must be at least 1"):
         adversarial_search(4, restarts=1, iterations=0)
