@@ -9,9 +9,11 @@ Each verb writes one report to --report (nogo-scan: --out), or to stdout
 if that flag is omitted. Reports are canonical JSON: keys sorted, floats
 printed with 17 significant digits, newline-terminated, and they embed
 the tool version, the verb, a digest of the inputs and the seed in
-effect: --seed when given, else 0 if the run samples a branch or a Bell
-outcome, else null. So the seed is null only when nothing was sampled,
-and identical invocations produce byte-identical files.
+effect. A run that samples a branch or a Bell outcome uses --seed, or 0
+when it is omitted, and reports that seed; a run that samples nothing
+reports null, whether or not --seed was given. So identical invocations
+produce byte-identical files, and so do deterministic runs that differ
+only in --seed.
 """
 from __future__ import annotations
 
@@ -165,8 +167,10 @@ def _build_parser() -> _Parser:
 
 
 def _seed_in_effect(seed: int | None, samples: bool) -> int | None:
-    """--seed if given, else 0 for a run that samples, else None."""
-    return 0 if seed is None and samples else seed
+    """The seed a sampling run uses (--seed, else 0); None if nothing is sampled."""
+    if not samples:
+        return None
+    return 0 if seed is None else seed
 
 
 def _scheme_body(report) -> dict:

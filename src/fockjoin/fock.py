@@ -281,10 +281,11 @@ def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
 
 def _picker(indices):
     """Callable returning the tuple of an occupation's entries at indices."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda occ: (occ[i],)
-    return itemgetter(*indices)
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    # A slice keeps the result a tuple: () or (occ[i],).
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
 
 
 def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:

@@ -6,17 +6,29 @@ term as a polynomial in the substituted operators with the bosonic
 sqrt(n!) normalization per mode. Detection of one photon in a mode
 superposition phi is the operator sum_h conj(phi[h]) a_h.
 
+The expansion only runs over the modes a unitary mixes: mode i is active
+unless row i and column i are both the unit vector e_i, and photons on
+the other (passive) modes stay where they are. Within one call, each
+distinct occupation of the active modes is expanded once and spliced
+back into every term that carries it. A beamsplitter on (8, 4) states
+expands at most 15 sub-occupations for 330 terms; phase shifters and
+permutations, with one nonzero entry per row, expand each sub-occupation
+into a single monomial. Dense unitaries take the same path with every
+mode active.
+
 All functions are pure; unitaries and projectors validate themselves on
-construction.
+construction and keep a private read-only copy of their array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
-from .fock import FockState, Occupation, _pruned, norm, zero_state
+from .fock import PRUNE_TOL, FockState, Occupation, _picker, _trusted, _pruned, norm, zero_state
 
 UNITARY_ATOL = 1e-10
 
@@ -29,13 +41,40 @@ class ModeUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}")
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(self.dim)))
         if defect > UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @cached_property
+    def _expansion_plan(self):
+        """What apply_unitary needs of the matrix, read once per unitary.
+
+        Returns (pick_active, pick_passive, layout, rows): pickers for the
+        active and passive entries of an occupation, the reordering that
+        puts passive + active entries back in mode order (tuple when that
+        order is already the mode order), and the active rows restricted
+        to the active columns (the only columns where they are nonzero)
+        as (active index, entry) pairs of their nonzero entries.
+        """
+        m = self.dim
+        rows = self.matrix.tolist()
+        cols = list(zip(*rows))
+        active, passive = [], []
+        unit = [0j] * m
+        for i in range(m):
+            unit[i] = 1 + 0j
+            (active if rows[i] != unit or cols[i] != tuple(unit) else passive).append(i)
+            unit[i] = 0j
+        order = passive + active
+        layout = tuple if order == list(range(m)) else itemgetter(*sorted(range(m), key=order.__getitem__))
+        pick_active = _picker(active)
+        nonzero = [[(b, c) for b, c in enumerate(pick_active(rows[i])) if c] for i in active]
+        return pick_active, _picker(passive), layout, nonzero
 
 
 @dataclass(frozen=True)
@@ -45,10 +84,11 @@ class ProjectorSpec:
     phi: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.phi, dtype=complex).reshape(-1)
+        vec = np.array(self.phi, dtype=complex).reshape(-1)
         defect = abs(np.sum(np.abs(vec) ** 2) - 1.0)
         if defect > UNITARY_ATOL:
             raise ValueError(f"projector vector is not normalized (defect {defect:.3e})")
+        vec.setflags(write=False)
         object.__setattr__(self, "phi", vec)
 
     @property
@@ -169,34 +209,58 @@ def _check_pair(m: int, i: int, j: int):
 def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     """Evolve a state through a mode unitary.
 
-    Each term is expanded by substituting every creation operator and
-    collecting monomials; photon number per term and the overall norm are
+    Each term's photons on the active modes are expanded by substituting
+    their creation operators and collecting monomials, once per distinct
+    active sub-occupation; each monomial is then spliced into the term's
+    passive photons. Photon number per term and the overall norm are
     preserved.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
-    mat = u.matrix
+    pick_active, pick_passive, layout, rows = u._expansion_plan
+    expansions: dict[Occupation, tuple] = {}
     out: dict[Occupation, complex] = {}
-    zero = (0,) * s.modes
     for occ, amp in s.terms.items():
-        # Polynomial in the output creation operators, keyed by exponent vector.
-        poly: dict[Occupation, complex] = {zero: 1.0 + 0j}
-        for i, n in enumerate(occ):
-            for _ in range(n):
-                nxt: dict[Occupation, complex] = {}
-                for expo, coeff in poly.items():
-                    for j in range(s.modes):
-                        cij = mat[i, j]
-                        if cij == 0:
-                            continue
-                        key = expo[:j] + (expo[j] + 1,) + expo[j + 1 :]
-                        nxt[key] = nxt.get(key, 0j) + coeff * cij
-                poly = nxt
-        in_norm = math.sqrt(math.prod(math.factorial(n) for n in occ))
-        for expo, coeff in poly.items():
-            out_norm = math.sqrt(math.prod(math.factorial(n) for n in expo))
-            out[expo] = out.get(expo, 0j) + amp * coeff * out_norm / in_norm
-    return _pruned(s.modes, out)
+        sub = pick_active(occ)
+        expansion = expansions.get(sub)
+        if expansion is None:
+            expansion = expansions[sub] = _expand(sub, rows)
+        sub_fact, monomials = expansion
+        passive = pick_passive(occ)
+        passive_fact = math.prod(map(math.factorial, passive))
+        # amp * coeff * out_norm / in_norm in Python complex arithmetic,
+        # which rounds as np.complex128 scalars do; numpy divides a complex
+        # by a float through the float's reciprocal.
+        inv_norm = 1.0 / math.sqrt(passive_fact * sub_fact)
+        amp = complex(amp)
+        for expo, coeff, expo_fact in monomials:
+            key = layout(passive + expo)
+            out[key] = out.get(key, 0j) + amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm
+    terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
+    vacuum = (0,) * s.modes
+    if vacuum in terms:
+        # The photon-free term passes through with its amplitude's own type.
+        terms[vacuum] = 0j + s.terms[vacuum]
+    return _trusted(s.modes, terms)
+
+
+def _expand(sub: Occupation, rows) -> tuple[int, list]:
+    """Substitute the creation operators of the active photons in sub.
+
+    Returns the factorial product of sub and, in expansion order, one
+    (exponent vector, coefficient, factorial product) triple per monomial.
+    """
+    poly: dict[Occupation, complex] = {(0,) * len(sub): 1.0 + 0j}
+    for n, row in zip(sub, rows):
+        for _ in range(n):
+            nxt: dict[Occupation, complex] = {}
+            for expo, coeff in poly.items():
+                for b, c in row:
+                    key = expo[:b] + (expo[b] + 1,) + expo[b + 1 :]
+                    nxt[key] = nxt.get(key, 0j) + coeff * c
+            poly = nxt
+    monomials = [(expo, coeff, math.prod(map(math.factorial, expo))) for expo, coeff in poly.items()]
+    return math.prod(map(math.factorial, sub)), monomials
 
 
 def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:

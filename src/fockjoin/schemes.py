@@ -49,6 +49,8 @@ UNFOLDED_C = DualRailQubit(4, 5)
 SPLIT_C1 = DualRailQubit(0, 1)
 SPLIT_C2 = DualRailQubit(2, 3)
 SPLIT_T = DualRailQubit(4, 5)
+# Balanced mixers on the two control rail pairs after the splitting CNOTs.
+_SPLIT_RAIL_MIXERS = (hadamard_pair(6, 0, 1), hadamard_pair(6, 2, 3))
 
 _TWO_QUBIT_BASIS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 _QUQUART_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -288,8 +290,8 @@ def split_projective(
     """
     alphas = ququart_coefficients(q)
     state = splitting_cnot_pass(q)
-    state = apply_unitary(state, hadamard_pair(6, 0, 1))
-    state = apply_unitary(state, hadamard_pair(6, 2, 3))
+    for mixer in _SPLIT_RAIL_MIXERS:
+        state = apply_unitary(state, mixer)
     plus, p_plus = postselect_vacuum(state, (1, 3))
     minus, p_minus = postselect_vacuum(state, (0, 2))
     return _projective_report(

@@ -203,10 +203,12 @@ def _correction_matrix(pol_op: str, path_op: str) -> np.ndarray:
     return np.kron(_PAULI[path_op], _PAULI[pol_op])
 
 
-def _apply_single_photon_matrix(state: FockState, mat: np.ndarray) -> FockState:
+@lru_cache(maxsize=None)
+def _correction_unitary(pol_op: str, path_op: str) -> ModeUnitary:
     # apply_unitary substitutes creation operators, which transposes the
-    # action on amplitude vectors; transpose first so amplitudes see mat.
-    return apply_unitary(state, ModeUnitary(mat.shape[0], mat.T))
+    # action on amplitude vectors; transpose first so amplitudes see the
+    # correction matrix.
+    return ModeUnitary(4, _correction_matrix(pol_op, path_op).T)
 
 
 @lru_cache(maxsize=None)
@@ -233,11 +235,11 @@ def derive_correction_table(resource=("Phi-", "phi-")) -> dict:
     for idx, (outcome, _, _) in enumerate(expansions[0]):
         matches = []
         for pol_op, path_op in product(_PAULI_ORDER, repeat=2):
-            mat = _correction_matrix(pol_op, path_op)
+            correction = _correction_unitary(pol_op, path_op)
             ok = True
             for expansion, reference in zip(expansions, references):
                 _, conditional, _ = expansion[idx]
-                corrected = _apply_single_photon_matrix(conditional, mat)
+                corrected = apply_unitary(conditional, correction)
                 if fidelity(corrected, reference) < 1.0 - 1e-9:
                     ok = False
                     break
@@ -289,7 +291,7 @@ def teleport_join(
     conditional, weight = _bell_branch(full, picked_outcome)
 
     entry = derive_correction_table(resource)[picked_outcome]
-    corrected = _apply_single_photon_matrix(conditional, entry.unitary)
+    corrected = apply_unitary(conditional, _correction_unitary(entry.pol_op, entry.path_op))
     reference = joined_reference(alpha, beta, gamma, delta)
     return SchemeReport(
         output=corrected,

@@ -407,3 +407,28 @@ def test_unseeded_sampling_uses_seed_zero(tmp_path, argv):
     seeded = tmp_path / "seeded.json"
     assert cli_dispatch([*argv, "--seed", "0", "--report", str(seeded)]) == 0
     assert seeded.read_bytes() == runs[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["join", "--input", "{two}", "--variant", "deterministic"],
+        ["join", "--input", "{two}", "--branch", "plus"],
+        ["split", "--input", "{quart}", "--variant", "deterministic"],
+        ["split", "--input", "{quart}", "--branch", "minus"],
+        ["teleport-join", *_QUBITS, "--outcome", "3"],
+    ],
+    ids=["join-deterministic", "join-plus", "split-deterministic", "split-minus", "teleport-outcome"],
+)
+def test_runs_that_sample_nothing_ignore_seed(tmp_path, argv):
+    two, quart = tmp_path / "two.json", tmp_path / "quart.json"
+    two.write_text(_TWO_QUBIT_JSON)
+    quart.write_text(_QUQUART_JSON)
+    argv = [arg.format(two=two, quart=quart) for arg in argv]
+    runs = []
+    for name, extra in (("bare", []), ("seed5", ["--seed", "5"]), ("seed4", ["--seed", "4"])):
+        out = tmp_path / f"{name}.json"
+        assert cli_dispatch([*argv, *extra, "--report", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0])["seed"] is None

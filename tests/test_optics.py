@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -243,3 +245,128 @@ def test_unitary_json_roundtrip():
     back = unitary_from_dict(unitary_to_dict(u))
     assert back.dim == 4
     assert np.array_equal(back.matrix, u.matrix)
+
+
+def test_mode_unitary_keeps_a_private_read_only_copy():
+    source = np.eye(2, dtype=complex)
+    u = ModeUnitary(2, source)
+    source[0, 0] = 5
+    assert apply_unitary(basis_state(2, (1, 0)), u).terms == {(1, 0): 1}
+    assert u.matrix[0, 0] == 1
+    with pytest.raises(ValueError):
+        u.matrix[0, 0] = 5
+
+
+def test_projector_spec_keeps_a_private_read_only_copy():
+    r = 1 / math.sqrt(2)
+    source = np.array([r, r], dtype=complex)
+    p = ProjectorSpec(source)
+    source[1] = -r
+    assert p.phi[1] == r
+    _, prob = apply_projector(basis_state(2, (0, 1)), p)
+    assert prob == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        p.phi[0] = 1
+
+
+def test_applied_unitary_still_pickles():
+    s = make_state(3, [((1, 0, 1), 0.6), ((0, 2, 0), 0.8)])
+    for u in (phase_shifter(3, 1, 0.5), beamsplitter(3, 0, 2, 0.4, 0.3), haar_random_unitary(3, 4)):
+        out = apply_unitary(s, u)
+        back = pickle.loads(pickle.dumps(u))
+        assert np.array_equal(back.matrix, u.matrix)
+        assert apply_unitary(s, back).terms == out.terms
+
+
+def test_photon_free_term_passes_through_unchanged():
+    s = make_state(3, [((0, 0, 0), 0.6), ((1, 0, 1), 0.8j)])
+    out = apply_unitary(s, beamsplitter(3, 0, 2, 0.4, 0.3))
+    assert out.terms[(0, 0, 0)] == s.terms[(0, 0, 0)]
+    assert type(out.terms[(0, 0, 0)]) is type(s.terms[(0, 0, 0)])
+    assert all(type(a) is np.complex128 for occ, a in out.terms.items() if sum(occ))
+
+
+def _embedded_haar(modes, subset, seed):
+    mat = np.eye(modes, dtype=complex)
+    mat[np.ix_(subset, subset)] = haar_random_unitary(len(subset), seed).matrix
+    return ModeUnitary(modes, mat)
+
+
+@st.composite
+def _states_under_elements(draw):
+    """A state of at most 7 modes and 4 photons, and one mixing element on some of its modes."""
+    modes = draw(st.integers(2, 7))
+    occs = enumerate_occupations(modes, 4)
+    picks = draw(st.lists(st.sampled_from(occs), min_size=1, max_size=4, unique=True))
+    parts = st.floats(-1, 1, allow_nan=False)
+    amps = [complex(draw(parts), draw(parts)) for _ in picks]
+    if sum(abs(a) ** 2 for a in amps) < 1e-6:
+        amps[0] = 1.0
+    state = normalize(make_state(modes, list(zip(picks, amps))))
+    pair = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    kind = draw(st.sampled_from(["bs", "had", "ps", "perm", "haar"]))
+    if kind == "bs":
+        element = beamsplitter(modes, *pair, draw(angle), draw(angle))
+    elif kind == "had":
+        element = hadamard_pair(modes, *pair)
+    elif kind == "ps":
+        element = phase_shifter(modes, pair[0], draw(angle))
+    elif kind == "perm":
+        element = mode_permutation(modes, draw(st.permutations(range(modes))))
+    else:
+        subset = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=modes, unique=True))
+        element = _embedded_haar(modes, subset, draw(st.integers(0, 2**32 - 1)))
+    return state, element
+
+
+@settings(max_examples=60, deadline=None)
+@given(_states_under_elements())
+def test_apply_unitary_on_mode_subsets_matches_permanent_oracle(case):
+    state, u = case
+    out = apply_unitary(state, u)
+    sectors = {sum(occ) for occ in state.terms}
+    for occ_out in enumerate_occupations(state.modes, 4):
+        if sum(occ_out) not in sectors:
+            assert occ_out not in out.terms
+            continue
+        expected = sum(
+            amp * transition_amplitude(u.matrix, occ_in, occ_out) for occ_in, amp in state.terms.items()
+        )
+        assert abs(out.amplitude(occ_out) - expected) < 1e-10
+    assert abs(norm(out) - 1.0) < 1e-10
+
+
+def _items_sha256(state):
+    # repr of each (occupation, amplitude, amplitude type) in insertion
+    # order; the type name keeps the hash independent of numpy's repr.
+    items = [(occ, complex(amp), type(amp).__name__) for occ, amp in state.terms.items()]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def _mesh_elements(modes, seed):
+    """A phase column, then brick-wall couplers with a mode permutation halfway."""
+    rng = np.random.default_rng(seed)
+    elements = [phase_shifter(modes, i, float(rng.uniform(-math.pi, math.pi))) for i in range(modes)]
+    for layer in range(modes):
+        if layer == modes // 2:
+            elements.append(mode_permutation(modes, rng.permutation(modes)))
+        for i in range(layer % 2, modes - 1, 2):
+            theta, phase = float(rng.uniform(0, math.pi / 2)), float(rng.uniform(-math.pi, math.pi))
+            elements.append(beamsplitter(modes, i, i + 1, theta, phase))
+    return elements
+
+
+def test_mesh_evolution_terms_are_pinned():
+    # Values, amplitude types and term order must all stay as they are.
+    state = basis_state(8, (1, 0, 1, 0, 1, 0, 1, 0))
+    for element in _mesh_elements(8, 2024):
+        state = apply_unitary(state, element)
+    assert len(state.terms) == 330
+    assert _items_sha256(state) == "39f8dc8edfaf1747b6d9ff09636b2c9309b2e38a226cd83122f6c3dea986796a"
+
+
+def test_dense_haar_evolution_terms_are_pinned():
+    state = apply_unitary(basis_state(10, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)), haar_random_unitary(10, 2024))
+    assert len(state.terms) == 2002
+    assert _items_sha256(state) == "be6278d4170c1de5e6a6734586c2b2191e7b24415347d0a03ac16ddb6ab0c91f"
