@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockState, postselect_vacuum
+from .fock import FockState, is_normalized, norm, postselect_vacuum
 from .gates import CnotSpec, DualRailQubit, IllegalPatternError, apply_cnot, apply_reversed_cnot, logical_phase_flip
 from .optics import ProjectorSpec, apply_projector, apply_unitary, beamsplitter, hadamard_pair, mode_permutation, phase_shifter
 
@@ -229,7 +229,7 @@ def _parse_project(line: _Line, tokens):
         seen.add(mode[0])
         entries.append((mode[0], complex(amps[0], amps[1])))
     total = sum(abs(a) ** 2 for _, a in entries)
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         return line.reject(f"projection amplitudes have squared norm {total:.6g}, expected 1")
     return tuple(entries)
 
@@ -328,10 +328,13 @@ def run_circuit(program: CircuitProgram, state: FockState):
 
     Returns (final state, cumulative success probability, branch log).
     Unitary instructions leave the probability untouched; each projection
-    multiplies it by the branch weight and appends a log entry.
+    multiplies it by the branch weight and appends a log entry. The input
+    must be normalized, or that probability would mean nothing.
     """
     if state.modes != program.modes:
         raise ValueError(f"input has {state.modes} modes, program declares {program.modes}")
+    if not is_normalized(state, atol=1e-8):
+        raise ValueError(f"input state must be normalized (norm={norm(state):.6g})")
     probability = 1.0
     log: list[str] = []
     for index, ins in enumerate(program.instructions):

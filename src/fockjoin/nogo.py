@@ -315,7 +315,7 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
     if len(alpha) != 4:
         raise ValueError("expected four input amplitudes")
-    if abs(np.sum(np.abs(alpha) ** 2) - 1.0) > 1e-8:
+    if not abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= 1e-8:
         raise ValueError("input amplitudes must be normalized")
     m = u.dim
     if phi.modes != m:

@@ -261,7 +261,7 @@ def drop_control_photon(state: FockState) -> FockState:
     projector = np.zeros(state.modes)
     projector[4] = 1.0
     reduced, prob = apply_projector(state, ProjectorSpec(projector))
-    if abs(prob - 1.0) > 1e-9:
+    if not abs(prob - 1.0) <= 1e-9:
         raise EncodingViolationError(f"control photon is not parked in mode 4 (weight {prob:.6g})")
     return discard_empty_modes(reduced, (4, 5))
 

@@ -166,7 +166,7 @@ _PAIR_35 = (4, 5, 6, 7, 8, 9, 10, 11)
 def _five_photon_state(alpha, beta, gamma, delta, resource) -> FockState:
     """Resource photons 1-3 followed by the input qubits on photons 4 and 5."""
     for name, (x, y) in (("alpha/beta", (alpha, beta)), ("gamma/delta", (gamma, delta))):
-        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > 1e-8:
+        if not abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= 1e-8:
             raise ValueError(f"{name} amplitudes must be normalized")
     return tensor(build_tpes(*resource), _input_qubits_state(alpha, beta, gamma, delta))
 

@@ -382,6 +382,36 @@ def test_run_data_errors_exit_two(tmp_path, capsys, circuit_text, state_text, me
     assert captured.out == ""
 
 
+def test_run_rejects_a_non_normalized_input(tmp_path, capsys):
+    # A norm-3 input used to run through and report "probability": 1.
+    circuit, state, report = tmp_path / "c.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text("modes 2\nbs 0 1 0.5 0\n")
+    state.write_text(
+        '{"modes": 2, "terms": [{"occ": [1, 0], "re": 3.0, "im": 0.0}, {"occ": [0, 1], "re": 1e-13, "im": 0.0}]}'
+    )
+    argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input state must be normalized (norm=3)\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "amplitudes, blamed",
+    [
+        (["--alpha", "nan", "--beta", "0", "--gamma", "0", "--delta", "0"], "alpha/beta"),
+        (["--alpha", "1", "--beta", "0", "--gamma", "nan", "--delta", "0"], "gamma/delta"),
+    ],
+    ids=["alpha-nan", "gamma-nan"],
+)
+def test_teleport_join_names_the_nan_pair(capsys, amplitudes, blamed):
+    assert cli_dispatch(["teleport-join", *amplitudes, "--outcome", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {blamed} amplitudes must be normalized\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

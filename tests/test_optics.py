@@ -1,13 +1,14 @@
 import hashlib
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import DenseFock, enumerate_occupations
-from fockjoin.fock import add, basis_state, make_state, norm, normalize
+from fockjoin.fock import PRUNE_TOL, FockState, add, basis_state, make_state, norm, normalize
 from fockjoin.optics import (
     ModeUnitary,
     ProjectorSpec,
@@ -21,7 +22,7 @@ from fockjoin.optics import (
     mode_permutation,
     phase_shifter,
 )
-from fockjoin.optics import unitary_from_dict, unitary_to_dict
+from fockjoin.optics import _expand, _expand_arrays, _splice_arrays, unitary_from_dict, unitary_to_dict
 from fockjoin.permanent import permanent, transition_amplitude
 
 
@@ -370,3 +371,167 @@ def test_dense_haar_evolution_terms_are_pinned():
     state = apply_unitary(basis_state(10, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)), haar_random_unitary(10, 2024))
     assert len(state.terms) == 2002
     assert _items_sha256(state) == "be6278d4170c1de5e6a6734586c2b2191e7b24415347d0a03ac16ddb6ab0c91f"
+
+
+def test_dense_haar_evolution_at_12_6_is_pinned():
+    state = apply_unitary(basis_state(12, (1,) * 6 + (0,) * 6), haar_random_unitary(12, 2024))
+    assert len(state.terms) == 12376
+    assert _items_sha256(state) == "f378a1a7895af66e98930a1406107d1833f209c4c46d6ef15c690d557b105279"
+
+
+def test_mixed_terms_under_a_partial_haar_are_pinned():
+    # Modes 6 and 7 are passive; the four-photon sub-occupations expand
+    # with numpy, the three-photon and one-photon ones with the dict loop,
+    # and the vacuum passes through.
+    mat = np.eye(8, dtype=complex)
+    mat[:6, :6] = haar_random_unitary(6, 2024).matrix
+    state = normalize(
+        make_state(
+            8,
+            [
+                ((0,) * 8, 0.1),
+                ((2, 1, 1, 0, 0, 0, 0, 0), 0.5),
+                ((0, 0, 1, 1, 1, 1, 0, 0), 0.6j),
+                ((1, 0, 0, 2, 0, 0, 1, 0), -0.3 + 0.2j),
+                ((1, 0, 0, 0, 0, 0, 0, 3), 0.4),
+            ],
+        )
+    )
+    out = apply_unitary(state, ModeUnitary(8, mat))
+    assert len(out.terms) == 189
+    assert _items_sha256(out) == "e751a5a4dd17cbe2e85eb87191f021b00bc3271a77bf6a59afcc18b2924db5bc"
+
+
+_SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1, allow_nan=False))
+
+
+@st.composite
+def _unitaries_with_zeros_and_terms(draw):
+    """A unitary whose mixing block has exact zeros and signed-zero parts, and terms for it.
+
+    The block is a direct sum of complex Haar blocks and real orthogonal
+    blocks (some times 1j), with rows and columns permuted, and every
+    zero real or imaginary part gets a random sign. The terms hold up to
+    three photons per mode on active and passive modes, and one of them
+    is the vacuum.
+    """
+    modes = draw(st.integers(2, 6))
+    active = sorted(draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=modes, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = len(active)
+    block = np.zeros((size, size), dtype=complex)
+    start = 0
+    while start < size:
+        width = draw(st.integers(1, size - start))
+        kind = draw(st.sampled_from(["haar", "real", "imag"]))
+        if kind == "haar":
+            piece = haar_random_unitary(width, int(rng.integers(2**32))).matrix
+        else:
+            piece = np.linalg.qr(rng.standard_normal((width, width)))[0] * (1j if kind == "imag" else 1)
+        block[start : start + width, start : start + width] = piece
+        start += width
+    block = block[rng.permutation(size)][:, rng.permutation(size)]
+    parts = [block.real.copy(), block.imag.copy()]
+    for part in parts:
+        part[(part == 0) & (rng.random(part.shape) < 0.5)] = -0.0
+    mat = np.eye(modes, dtype=complex)
+    mixed = np.empty((size, size), dtype=complex)
+    mixed.real, mixed.imag = parts
+    mat[np.ix_(active, active)] = mixed
+    occupation = st.lists(st.integers(0, 3), min_size=modes, max_size=modes).filter(lambda o: sum(o) <= 6)
+    occs = [(0,) * modes] + [tuple(o) for o in draw(st.lists(occupation, min_size=1, max_size=3))]
+    amps = [complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for _ in occs]
+    return ModeUnitary(modes, mat), list(zip(occs, amps))
+
+
+def _bytes(values):
+    return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+
+def _assert_same_expansion(sub, rows):
+    """_expand_arrays gives _expand's monomials, in its order, with its bits."""
+    sub_fact, monomials = _expand(sub, rows)
+    arrays = _expand_arrays(sub, rows)
+    assert arrays.sub_fact == sub_fact
+    assert [tuple(e[k] for e in arrays.expos) for k in range(len(arrays.re))] == [e for e, _, _ in monomials]
+    assert _bytes(complex(r, i) for r, i in zip(arrays.re, arrays.im)) == _bytes(c for _, c, _ in monomials)
+    assert [arrays.facts[k] for k in arrays.fact_index] == [f for _, _, f in monomials]
+    return arrays
+
+
+def _dict_loop_splice(u, occ, amp):
+    """One term's (key, amp * coeff * out_norm / in_norm) pairs, as apply_unitary's dict loop computes them."""
+    pick_active, pick_passive, layout, rows, _, _ = u._expansion_plan
+    passive = pick_passive(occ)
+    passive_fact = math.prod(map(math.factorial, passive))
+    sub_fact, monomials = _expand(pick_active(occ), rows)
+    inv_norm = 1.0 / math.sqrt(passive_fact * sub_fact)
+    return [
+        (layout(passive + expo), amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm)
+        for expo, coeff, expo_fact in monomials
+    ]
+
+
+def _assert_lone_term_matches_dict_loop(u, occ, amp):
+    """apply_unitary on the single term: each amplitude is 0j + value, then pruned."""
+    kept = [(key, 0j + value) for key, value in _dict_loop_splice(u, occ, amp) if abs(0j + value) > PRUNE_TOL]
+    out = apply_unitary(FockState(u.dim, {occ: amp}), u)
+    assert list(out.terms) == [key for key, _ in kept]
+    assert _bytes(out.terms.values()) == _bytes(value for _, value in kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unitaries_with_zeros_and_terms())
+def test_numpy_expansion_and_splice_match_the_dict_loop_bit_for_bit(case):
+    u, terms = case
+    pick_active, pick_passive, _, rows, columns, _ = u._expansion_plan
+    for occ, amp in terms:
+        sub, passive = pick_active(occ), pick_passive(occ)
+        arrays = _assert_same_expansion(sub, rows)
+        passive_fact = math.prod(map(math.factorial, passive))
+        inv_norm = 1.0 / math.sqrt(passive_fact * arrays.sub_fact)
+        keys, amps = _splice_arrays(arrays, amp, passive, passive_fact, inv_norm, columns)
+        expected = _dict_loop_splice(u, occ, amp)
+        assert keys == [key for key, _ in expected]
+        assert _bytes(amps.tolist()) == _bytes(value for _, value in expected)
+        if sum(occ) and abs(amp) > PRUNE_TOL:
+            _assert_lone_term_matches_dict_loop(u, occ, amp)
+
+
+def test_lone_term_on_the_numpy_path_adds_each_amplitude_to_0j():
+    # A real orthogonal block and amplitude -0.6 - 0.0j leave -0.0
+    # imaginary parts after the splice; the dict loop's 0j + value turns
+    # them into +0.0, and so must the numpy path.
+    mat = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0].astype(complex)
+    u, occ, amp = ModeUnitary(6, mat), (1, 1, 1, 1, 0, 0), complex(-0.6, -0.0)
+    _, _, _, rows, _, array_photons = u._expansion_plan
+    assert sum(occ) in array_photons
+    _, spliced = _splice_arrays(_expand_arrays(occ, rows), amp, (), 1, 1.0, None)
+    assert np.any(np.signbit(spliced.imag) & (spliced.imag == 0))
+    _assert_lone_term_matches_dict_loop(u, occ, amp)
+
+
+def test_numpy_path_holds_up_to_twenty_photons():
+    # Three dense modes take the numpy path from 10 photons (66 monomials)
+    # to 20, the most whose factorial products fit int64.
+    u = haar_random_unitary(3, 8)
+    rows, array_photons = u._expansion_plan[3], u._expansion_plan[5]
+    assert 20 in array_photons and 21 not in array_photons
+    for sub in ((16, 0, 0), (7, 7, 6), (0, 20, 0)):
+        _assert_same_expansion(sub, rows)
+    _assert_lone_term_matches_dict_loop(u, (7, 7, 6), 1.0 + 0j)
+
+
+def test_mode_unitary_and_projector_compare_by_identity():
+    u = identity(2)
+    assert u == u and u != identity(2)
+    p = ProjectorSpec([1, 0])
+    assert p == p and p != ProjectorSpec([1, 0])
+    assert len({u, identity(2), p, ProjectorSpec([1, 0])}) == 4
+
+
+def test_non_finite_matrices_and_projectors_are_rejected():
+    with pytest.raises(ValueError, match="not unitary"):
+        ModeUnitary(2, np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="not normalized"):
+        ProjectorSpec([np.nan, 0])
