@@ -13,6 +13,14 @@ vanishing determinant. This module checks that three independent ways:
 
 A full-rank control scan and a third-singular-value objective validate
 that the scans would notice a counterexample if one existed.
+
+Both scans give trial i its own generator, default_rng(seed + i), and
+draw per trial; the QR, the symmetrized rows and the SVD then run over
+numpy stacks of trials, in chunks of a fixed number of matrix entries, so
+memory does not grow with the trial budget. Each trial's arithmetic is
+the one it would get alone (LAPACK factors each matrix of a stack
+separately, and the detection is normalized per trial), so certificates
+are bit-identical to a per-trial loop and independent of the chunking.
 """
 from __future__ import annotations
 
@@ -23,7 +31,16 @@ from itertools import permutations
 import numpy as np
 
 from .fock import make_state
-from .optics import ModeUnitary, ProjectorSpec, _coupler_matrix, apply_projector, apply_unitary, haar_from_rng, random_projector
+from .optics import (
+    ModeUnitary,
+    ProjectorSpec,
+    _haar_from_normals,
+    _require_normalized,
+    _require_unitary,
+    _set_coupler,
+    apply_projector,
+    apply_unitary,
+)
 
 # sigma_min above this is a counterexample; double-precision SVD noise sits
 # around 1e-13, five decades below.
@@ -166,35 +183,95 @@ def _mode_pairs(logical_modes):
 
 
 def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarray:
-    """Unchecked row formula behind symmetrized_modes; pc is the conjugated detection."""
-    rows = np.empty((4, u.shape[1]), dtype=complex)
+    """Unchecked row formula behind symmetrized_modes; pc is the conjugated detection.
+
+    Also takes stacks: u of shape (..., m, m) with pc of shape (..., m).
+    """
+    rows = np.empty(u.shape[:-2] + (4, u.shape[-1]), dtype=complex)
     for k, (x, y) in enumerate(_mode_pairs(logical_modes)):
-        rows[k] = pc[y] * u[x, :] + pc[x] * u[y, :]
+        rows[..., k, :] = pc[..., y, None] * u[..., x, :] + pc[..., x, None] * u[..., y, :]
     return rows
 
 
-def _require_trials(trials: int):
-    # A certificate from no trials would report max_sigma_min -1.
+def _require_budget(m: int, trials: int):
+    # Four rows in fewer than four dimensions never have rank 4, and a
+    # certificate from no trials would report max_sigma_min -1.
+    if m < 4:
+        raise ValueError("need at least four modes")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
-def rank_scan(m: int, trials: int, seed: int = 0) -> NogoCertificate:
-    """Max sigma_min over Haar unitaries and random detections."""
-    if m < 4:
-        raise ValueError("need at least four modes")
-    _require_trials(trials)
+# A chunk holds about this many complex entries per stacked m x m array, so
+# a scan's memory does not grow with its trial budget.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _chunk_trials(m: int) -> int:
+    """Trials per stacked chunk: 2048 at m = 4, 910 at m = 6."""
+    return max(1, _CHUNK_ENTRIES // (m * m))
+
+
+def _scan(sigmas_of, draws: int, m: int, trials: int, seed: int) -> NogoCertificate:
+    """Max sigma_min over trials seed, seed + 1, ..., one chunk at a time.
+
+    Trial s fills one row of the chunk with the first `draws` standard
+    normals of default_rng(s); sigmas_of(rows, m) returns the chunk's
+    sigma_min per trial. The first of equal maxima wins.
+    """
+    _require_budget(m, trials)
     best = -1.0
     best_seed = seed
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = np.random.default_rng(trial_seed)
-        u = haar_from_rng(m, rng)
-        phi = random_projector(m, rng)
-        sigma = symmetrized_modes(u, phi).sigma_min()
-        if sigma > best:
-            best, best_seed = sigma, trial_seed
+    end = seed + trials
+    chunk = _chunk_trials(m)
+    for start in range(seed, end, chunk):
+        seeds = range(start, min(start + chunk, end))
+        normals = np.empty((len(seeds), draws))
+        for row, trial_seed in zip(normals, seeds):
+            np.random.default_rng(trial_seed).standard_normal(out=row)
+        sigmas = sigmas_of(normals, m)
+        if not np.isfinite(sigmas).all():
+            bad = seeds[int(np.argmin(np.isfinite(sigmas)))]
+            raise ValueError(f"non-finite singular value in trial seed {bad}")
+        k = int(np.argmax(sigmas))
+        if sigmas[k] > best:
+            best, best_seed = float(sigmas[k]), seeds[k]
     return _certify(trials, best, best_seed, 0)
+
+
+def _haar_trial_sigmas(normals: np.ndarray, m: int) -> np.ndarray:
+    """sigma_min of symmetrized_modes(haar_from_rng(m, rng), random_projector(m, rng)) per row."""
+    n, mm = len(normals), m * m
+    u = _haar_from_normals(normals[:, :mm].reshape(n, m, m), normals[:, mm : 2 * mm].reshape(n, m, m))
+    _require_unitary(u)
+    v = normals[:, 2 * mm : 2 * mm + m] + 1j * normals[:, 2 * mm + m :]
+    # One norm per trial: a stacked norm sums in another order.
+    phi = v / np.array([np.linalg.norm(x) for x in v])[:, None]
+    _require_normalized(phi)
+    rows = _symmetrized_rows(u, np.conj(phi), (0, 1, 2, 3))
+    return np.linalg.svd(rows, compute_uv=False)[:, -1]
+
+
+def _control_trial_sigmas(normals: np.ndarray, m: int) -> np.ndarray:
+    """sigma_min of four independent random unit rows over m modes, per row."""
+    n = len(normals)
+    rows = normals[:, : 4 * m].reshape(n, 4, m) + 1j * normals[:, 4 * m :].reshape(n, 4, m)
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return np.linalg.svd(rows, compute_uv=False)[:, -1]
+
+
+def rank_scan(m: int, trials: int, seed: int = 0) -> NogoCertificate:
+    """Max sigma_min over Haar unitaries and random detections.
+
+    Trial i draws a Haar unitary and then a detection from its own
+    generator default_rng(seed + i). The draws are made per trial; the QR,
+    the symmetrized rows and the SVD run over stacks of trials, one chunk
+    at a time (a few MB whatever the budget). Every trial gets the bits it
+    would get on its own, so the certificate, argmax_seed included, does
+    not depend on the chunking. A non-finite singular value raises
+    ValueError rather than reading as rank-deficient.
+    """
+    return _scan(_haar_trial_sigmas, 2 * m * m + 2 * m, m, trials, seed)
 
 
 def rank_scan_control(m: int, trials: int, seed: int = 0) -> NogoCertificate:
@@ -203,20 +280,9 @@ def rank_scan_control(m: int, trials: int, seed: int = 0) -> NogoCertificate:
     A fictitious evolution free to pick four unconstrained output modes
     produces full-rank coefficient sets, so the scan must flag a
     counterexample; this validates that the scan threshold would catch
-    a real violation.
+    a real violation. Seeds, chunks and checks are those of rank_scan.
     """
-    _require_trials(trials)
-    best = -1.0
-    best_seed = seed
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = np.random.default_rng(trial_seed)
-        rows = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        sigma = float(np.linalg.svd(rows, compute_uv=False)[-1])
-        if sigma > best:
-            best, best_seed = sigma, trial_seed
-    return _certify(trials, best, best_seed, 0)
+    return _scan(_control_trial_sigmas, 8 * m, m, trials, seed)
 
 
 def unitary_from_angles(params, m: int) -> np.ndarray:
@@ -225,10 +291,15 @@ def unitary_from_angles(params, m: int) -> np.ndarray:
     if params.size != m * m:
         raise ValueError(f"expected {m * m} parameters, got {params.size}")
     mat = np.eye(m, dtype=complex)
+    # One coupler buffer, reset to the identity after each product.
+    coupler = np.eye(m, dtype=complex)
     idx = 0
     for i in range(m):
         for j in range(i + 1, m):
-            mat = mat @ _coupler_matrix(m, i, j, params[idx], params[idx + 1])
+            _set_coupler(coupler, i, j, params[idx], params[idx + 1])
+            mat = mat @ coupler
+            coupler[i, i] = coupler[j, j] = 1.0
+            coupler[i, j] = coupler[j, i] = 0.0
             idx += 2
     return mat @ np.diag(np.exp(1j * params[idx:]))
 
@@ -270,6 +341,8 @@ def adversarial_search(
     """
     if m < 4:
         raise ValueError("need at least four modes")
+    if not 0 <= singular_index <= 3:
+        raise ValueError(f"singular_index must be in 0..3, got {singular_index}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if iterations < 1:

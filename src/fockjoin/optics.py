@@ -53,9 +53,7 @@ class ModeUnitary:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}")
-        defect = np.max(np.abs(mat @ mat.conj().T - np.eye(self.dim)))
-        if not defect <= UNITARY_ATOL:
-            raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
+        _require_unitary(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -101,15 +99,27 @@ class ProjectorSpec:
 
     def __post_init__(self):
         vec = np.array(self.phi, dtype=complex).reshape(-1)
-        defect = abs(np.sum(np.abs(vec) ** 2) - 1.0)
-        if not defect <= UNITARY_ATOL:
-            raise ValueError(f"projector vector is not normalized (defect {defect:.3e})")
+        _require_normalized(vec)
         vec.setflags(write=False)
         object.__setattr__(self, "phi", vec)
 
     @property
     def modes(self) -> int:
         return len(self.phi)
+
+
+def _require_unitary(mats: np.ndarray):
+    """Raise unless every matrix of a (..., m, m) stack is unitary within UNITARY_ATOL."""
+    defect = np.max(np.abs(mats @ mats.conj().swapaxes(-1, -2) - np.eye(mats.shape[-1])))
+    if not defect <= UNITARY_ATOL:
+        raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
+
+
+def _require_normalized(vecs: np.ndarray):
+    """Raise unless every vector of a (..., m) stack has unit norm within UNITARY_ATOL."""
+    defect = abs(np.sum(np.abs(vecs) ** 2, axis=-1) - 1.0).max()
+    if not defect <= UNITARY_ATOL:
+        raise ValueError(f"projector vector is not normalized (defect {defect:.3e})")
 
 
 def identity(m: int) -> ModeUnitary:
@@ -142,12 +152,17 @@ def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> Mo
 def _coupler_matrix(m: int, i: int, j: int, theta: float, phase: float) -> np.ndarray:
     """The beamsplitter matrix, built without checks for hot loops."""
     mat = np.eye(m, dtype=complex)
+    _set_coupler(mat, i, j, theta, phase)
+    return mat
+
+
+def _set_coupler(mat: np.ndarray, i: int, j: int, theta: float, phase: float):
+    """Write the coupler block on (i, j) into mat, which holds the identity there."""
     c, s = math.cos(theta), math.sin(theta)
     mat[i, i] = c
     mat[i, j] = np.exp(1j * phase) * s
     mat[j, i] = -np.exp(-1j * phase) * s
     mat[j, j] = c
-    return mat
 
 
 def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
@@ -189,11 +204,19 @@ def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
 def haar_from_rng(m: int, rng: np.random.Generator) -> ModeUnitary:
     if m < 1:
         raise ValueError("mode count must be positive")
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return ModeUnitary(m, q)
+    return ModeUnitary(m, _haar_from_normals(rng.standard_normal((m, m)), rng.standard_normal((m, m))))
+
+
+def _haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the real and imaginary standard normals of (..., m, m) stacks.
+
+    QR of the complex Ginibre matrices, with the phases of diag(R) moved
+    into Q (Mezzadri, arXiv:math-ph/0609050). Each matrix of a stack gets
+    the bits it would get alone.
+    """
+    q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_projector(m: int, rng: np.random.Generator) -> ProjectorSpec:

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fockjoin import nogo
 from fockjoin.nogo import (
     RANK_THRESHOLD,
     VERDICT_COUNTEREXAMPLE,
@@ -17,7 +21,7 @@ from fockjoin.nogo import (
     symmetrized_modes,
     unitary_from_angles,
 )
-from fockjoin.optics import ProjectorSpec, haar_random_unitary, identity, random_projector
+from fockjoin.optics import ProjectorSpec, haar_from_rng, haar_random_unitary, identity, random_projector
 
 
 def normalized_phi(rng, m):
@@ -207,3 +211,175 @@ def test_adversarial_search_rejects_empty_budgets():
             adversarial_search(4, restarts=restarts, iterations=10)
     with pytest.raises(ValueError, match="iterations must be at least 1"):
         adversarial_search(4, restarts=1, iterations=0)
+
+
+def test_scans_reject_fewer_than_four_modes():
+    for scan in (rank_scan, rank_scan_control):
+        for m in (1, 3):
+            with pytest.raises(ValueError, match="need at least four modes"):
+                scan(m, trials=10)
+
+
+@pytest.mark.parametrize("singular_index", [7, 4, -1])
+def test_adversarial_search_rejects_singular_index_out_of_range(singular_index):
+    with pytest.raises(ValueError, match=f"singular_index must be in 0..3, got {singular_index}"):
+        adversarial_search(4, restarts=1, iterations=10, singular_index=singular_index)
+
+
+# --- per-trial references for the stacked scans ---------------------------------
+#
+# The scans draw per trial and stack the linear algebra; these loops are the
+# per-trial form they replace. Certificates must be equal, not close. They are
+# compared in-process: LAPACK bits may differ between builds.
+
+
+def reference_haar_sigmas(m, trials, seed):
+    sigmas = []
+    for i in range(trials):
+        rng = np.random.default_rng(seed + i)
+        u = haar_from_rng(m, rng)
+        phi = random_projector(m, rng)
+        sigmas.append(symmetrized_modes(u, phi).sigma_min())
+    return sigmas
+
+
+def reference_control_sigmas(m, trials, seed):
+    sigmas = []
+    for i in range(trials):
+        rng = np.random.default_rng(seed + i)
+        rows = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        sigmas.append(float(np.linalg.svd(rows, compute_uv=False)[-1]))
+    return sigmas
+
+
+def reference_certificate(sigmas, seed):
+    """The per-trial max reduction: only a strictly larger sigma wins."""
+    best, best_seed = -1.0, seed
+    for i, sigma in enumerate(sigmas):
+        if sigma > best:
+            best, best_seed = sigma, seed + i
+    verdict = VERDICT_COUNTEREXAMPLE if best > RANK_THRESHOLD else VERDICT_RANK_DEFICIENT
+    return len(sigmas), best, best_seed, verdict
+
+
+def certificate_fields(cert):
+    return cert.trials, cert.max_sigma_min, cert.argmax_seed, cert.verdict
+
+
+SCAN_REFERENCES = ((rank_scan, reference_haar_sigmas), (rank_scan_control, reference_control_sigmas))
+
+
+@pytest.mark.parametrize("m, seed", [(4, 1201), (5, 0), (6, 93_417)])
+def test_scans_match_per_trial_reference_across_chunks(m, seed):
+    chunk = nogo._chunk_trials(m)
+    counts = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7)
+    for scan, reference in SCAN_REFERENCES:
+        sigmas = reference(m, max(counts), seed)
+        for trials in counts:
+            expected = reference_certificate(sigmas[:trials], seed)
+            assert certificate_fields(scan(m, trials, seed=seed)) == expected, (scan.__name__, trials)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_scans_match_per_trial_reference_with_tiny_chunks(monkeypatch, m):
+    # Chunks of three trials put many chunk boundaries into small budgets.
+    monkeypatch.setattr(nogo, "_CHUNK_ENTRIES", 3 * m * m)
+    assert nogo._chunk_trials(m) == 3
+    for seed in (0, 7, 2 ** 40):
+        for scan, reference in SCAN_REFERENCES:
+            sigmas = reference(m, 17, seed)
+            for trials in (1, 2, 3, 4, 17):
+                expected = reference_certificate(sigmas[:trials], seed)
+                assert certificate_fields(scan(m, trials, seed=seed)) == expected, (scan.__name__, seed, trials)
+
+
+def test_haar_from_rng_matches_qr_recipe():
+    for m in (1, 2, 4, 7):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diagonal(r)
+            assert np.array_equal(haar_from_rng(m, np.random.default_rng(seed)).matrix, q * (d / np.abs(d)))
+
+
+def test_scan_ties_keep_the_first_trial_across_chunks(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv=True: np.full(a.shape[:-1], 0.5))
+    for scan in (rank_scan, rank_scan_control):
+        cert = scan(4, 2 * nogo._chunk_trials(4) + 1, seed=40)
+        assert (cert.max_sigma_min, cert.argmax_seed) == (0.5, 40)
+
+
+def test_scan_raises_on_non_finite_singular_value(monkeypatch):
+    svd = np.linalg.svd
+
+    def nan_at_trial_5(a, compute_uv=True):
+        s = svd(a, compute_uv=compute_uv)
+        s[5, -1] = np.nan
+        return s
+
+    monkeypatch.setattr(np.linalg, "svd", nan_at_trial_5)
+    for scan in (rank_scan, rank_scan_control):
+        with pytest.raises(ValueError, match="non-finite singular value in trial seed 105"):
+            scan(4, 10, seed=100)
+
+
+def test_rank_scan_checks_unitaries_and_detections(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(nogo, "_haar_from_normals", lambda re, im: 1.5 * (re + 1j * im))
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            rank_scan(4, 3)
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kwargs: 2.0 * norm(x, *args, **kwargs))
+    with pytest.raises(ValueError, match="projector vector is not normalized"):
+        rank_scan(4, 3)
+
+
+def test_rank_scan_memory_does_not_grow_with_trials():
+    m = 6
+    chunk = nogo._chunk_trials(m)
+    chunk_buffer = chunk * m * m * np.dtype(complex).itemsize
+    rank_scan(m, 2)
+    tracemalloc.start()
+    try:
+        rank_scan(m, 4 * chunk, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One chunk peaks near 5.5 such buffers; four chunks at once would need 20.
+    assert peak < 8 * chunk_buffer
+
+
+# --- unitary_from_angles against its fresh-coupler form -------------------------
+
+
+def fresh_coupler_unitary_from_angles(params, m):
+    params = np.asarray(params, dtype=float)
+    mat = np.eye(m, dtype=complex)
+    idx = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            coupler = np.eye(m, dtype=complex)
+            c, s = math.cos(params[idx]), math.sin(params[idx])
+            coupler[i, i] = c
+            coupler[i, j] = np.exp(1j * params[idx + 1]) * s
+            coupler[j, i] = -np.exp(-1j * params[idx + 1]) * s
+            coupler[j, j] = c
+            mat = mat @ coupler
+            idx += 2
+    return mat @ np.diag(np.exp(1j * params[idx:]))
+
+
+def test_unitary_from_angles_matches_fresh_coupler_product():
+    rng = np.random.default_rng(88)
+    for k in range(2400):
+        m = 2 + k % 5
+        params = rng.uniform(-4.0, 4.0, m * m)
+        assert np.array_equal(unitary_from_angles(params, m), fresh_coupler_unitary_from_angles(params, m)), k
+
+
+def test_adversarial_search_unchanged_by_coupler_reuse(monkeypatch):
+    reused = adversarial_search(4, restarts=2, iterations=200, seed=89)
+    monkeypatch.setattr(nogo, "unitary_from_angles", fresh_coupler_unitary_from_angles)
+    assert adversarial_search(4, restarts=2, iterations=200, seed=89) == reused
