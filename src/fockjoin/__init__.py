@@ -29,7 +29,6 @@ from .fock import (
     state_from_dict,
     state_to_dict,
     tensor,
-    vacuum_state,
     zero_state,
 )
 from .gates import (

@@ -208,7 +208,7 @@ def _parse_cnot(line: _Line, tokens):
         return None
     eta = complex(extras[0], extras[1]) if len(extras) >= 2 else 1 + 0j
     etap = complex(extras[2], extras[3]) if len(extras) >= 4 else 1 + 0j
-    if abs(eta) > 1 + 1e-12 or abs(etap) > 1 + 1e-12:
+    if not (abs(eta) <= 1 + 1e-12 and abs(etap) <= 1 + 1e-12):
         return line.reject("vacuum-port amplitudes cannot exceed unit magnitude")
     return (*quads, eta, etap)
 

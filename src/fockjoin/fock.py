@@ -38,9 +38,9 @@ class FockState:
     ``terms`` maps occupation tuples (length ``modes``, entries >= 0) to
     complex amplitudes; it is a read-only view of a private copy. An empty
     map is the zero state, which is how a failed projection is flagged.
-    Construction checks every occupation; operations inside this package
-    build their results through ``_trusted`` instead, since they only
-    rearrange occupations that were checked on the way in.
+    Construction checks every occupation and amplitude; operations inside
+    this package build their results through ``_trusted`` instead, since
+    they only rearrange occupations that were checked on the way in.
     """
 
     modes: int
@@ -49,8 +49,9 @@ class FockState:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"mode count must be positive, got {self.modes}")
-        for occ in self.terms:
+        for occ, amp in self.terms.items():
             _check_occupation(self.modes, occ)
+            _check_amplitude(occ, complex(amp))
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @property
@@ -66,6 +67,11 @@ def _check_occupation(modes: int, occ: Occupation):
         raise ValueError(f"occupation {occ} has length {len(occ)}, expected {modes}")
     if any(n < 0 for n in occ):
         raise ValueError(f"negative occupation in {occ}")
+
+
+def _check_amplitude(occ: Occupation, amp: complex):
+    if not cmath.isfinite(amp):
+        raise ValueError(f"amplitude {amp} of occupation {occ} is not finite")
 
 
 def _trusted(modes: int, terms: dict[Occupation, complex]) -> FockState:
@@ -96,8 +102,7 @@ def make_state(modes: int, terms) -> FockState:
         occ = tuple(int(n) for n in occ)
         _check_occupation(modes, occ)
         amp = complex(amp)
-        if not cmath.isfinite(amp):
-            raise ValueError(f"amplitude {amp} of occupation {occ} is not finite")
+        _check_amplitude(occ, amp)
         merged[occ] = merged.get(occ, 0j) + amp
     return _pruned(modes, merged)
 
@@ -108,10 +113,6 @@ def basis_state(modes: int, occ) -> FockState:
 
 def zero_state(modes: int) -> FockState:
     return FockState(modes, {})
-
-
-def vacuum_state(modes: int) -> FockState:
-    return basis_state(modes, (0,) * modes)
 
 
 def norm(s: FockState) -> float:

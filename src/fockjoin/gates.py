@@ -67,7 +67,7 @@ class CnotSpec:
         all_modes = self.control.modes + self.target.modes
         if len(set(all_modes)) != 4:
             raise ValueError("control and target pairs must use four distinct modes")
-        if abs(self.eta) > 1 + 1e-12 or abs(self.eta_prime) > 1 + 1e-12:
+        if not (abs(self.eta) <= 1 + 1e-12 and abs(self.eta_prime) <= 1 + 1e-12):
             raise ValueError("vacuum-port amplitudes cannot exceed unit magnitude")
 
 

@@ -146,14 +146,9 @@ def compose(*elements: ModeUnitary) -> ModeUnitary:
 def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> ModeUnitary:
     """Two-mode coupler: block [[cos, e^{i p} sin], [-e^{-i p} sin, cos]] on (i, j)."""
     _check_pair(m, i, j)
-    return ModeUnitary(m, _coupler_matrix(m, i, j, theta, phase))
-
-
-def _coupler_matrix(m: int, i: int, j: int, theta: float, phase: float) -> np.ndarray:
-    """The beamsplitter matrix, built without checks for hot loops."""
     mat = np.eye(m, dtype=complex)
     _set_coupler(mat, i, j, theta, phase)
-    return mat
+    return ModeUnitary(m, mat)
 
 
 def _set_coupler(mat: np.ndarray, i: int, j: int, theta: float, phase: float):
@@ -222,19 +217,6 @@ def _haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def random_projector(m: int, rng: np.random.Generator) -> ProjectorSpec:
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return ProjectorSpec(v / np.linalg.norm(v))
-
-
-def unitary_to_dict(u: ModeUnitary) -> dict:
-    return {"dim": u.dim, "re": u.matrix.real.tolist(), "im": u.matrix.imag.tolist()}
-
-
-def unitary_from_dict(data: dict) -> ModeUnitary:
-    try:
-        dim = int(data["dim"])
-        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed unitary object: {exc}") from exc
-    return ModeUnitary(dim, mat)
 
 
 def _check_pair(m: int, i: int, j: int):

@@ -6,15 +6,19 @@ projective variant (two CNOTs plus an erasing projection, succeeding on
 half the branches, with a feed-forward correction recovering the other
 half) and a deterministic variant (four CNOTs, no projection).
 
-Mode layout conventions (fixed so test vectors are bit-exact):
+Mode layout, one for every variant (fixed so test vectors are bit-exact):
 
 * two-qubit input: 4 modes, first qubit on (0, 1), second on (2, 3);
   basis amplitudes are indexed a0..a3 with a_k for logical k = 2*q0 + q1.
-* unfolded register: 6 modes, t1 = (0, 1), t2 = (2, 3), c = (4, 5);
-  unfolding maps the first qubit's |10> -> |1000| and |01> -> |0010>
-  (an empty mode is inserted after each original rail, at UNFOLD_GAPS).
-* splitting register: 6 modes, c1 = (0, 1), c2 = (2, 3), t = (4, 5);
-  split outputs live on 4 modes with the c qubit on (0, 1), t on (2, 3).
+* 6-mode register: the photon's halves on (0, 1) and (2, 3), the carrier
+  qubit on (4, 5). Joining unfolds the input (an empty mode after each
+  original rail, at UNFOLD_GAPS: |10> -> |1000>, |01> -> |0010> for the
+  first qubit), so the second qubit becomes the carrier; splitting
+  appends a carrier in |10>, which leaves on (2, 3) of the 4-mode output.
+* two CNOT fans: fan-in, carrier -> each half (eta); fan-out, each half
+  -> carrier (eta_prime). Projective joining is the fan-in, deterministic
+  joining fan-in then fan-out; projective splitting is the fan-out,
+  deterministic splitting fan-out then fan-in.
 
 Branch selection is explicit: callers force "plus"/"minus" or ask for a
 seeded sample. Probabilities are always computed exactly; sampling only
@@ -42,15 +46,16 @@ from .gates import CnotSpec, DualRailQubit, apply_cnot, apply_reversed_cnot, log
 from .optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
 
 UNFOLD_GAPS = (1, 3)
-UNFOLDED_T1 = DualRailQubit(0, 1)
-UNFOLDED_T2 = DualRailQubit(2, 3)
-UNFOLDED_C = DualRailQubit(4, 5)
-
-SPLIT_C1 = DualRailQubit(0, 1)
-SPLIT_C2 = DualRailQubit(2, 3)
-SPLIT_T = DualRailQubit(4, 5)
-# Balanced mixers on the two control rail pairs after the splitting CNOTs.
-_SPLIT_RAIL_MIXERS = (hadamard_pair(6, 0, 1), hadamard_pair(6, 2, 3))
+# The photon's two rail pairs, and the qubit that enters on a join or
+# leaves on a split; _PARKED is that qubit in |10>.
+_HALVES = (DualRailQubit(0, 1), DualRailQubit(2, 3))
+_CARRIER = DualRailQubit(4, 5)
+_PARKED = basis_state(2, (1, 0))
+# The carrier projections onto (|10> +/- |01>)/sqrt2 that erase it in join_projective.
+_ROOT_HALF = 1.0 / np.sqrt(2.0)
+_JOIN_ERASERS = tuple(ProjectorSpec([0, 0, 0, 0, _ROOT_HALF, sign * _ROOT_HALF]) for sign in (1.0, -1.0))
+# Balanced mixers on the two halves after the splitting CNOTs.
+_SPLIT_RAIL_MIXERS = tuple(hadamard_pair(6, *half.modes) for half in _HALVES)
 
 _TWO_QUBIT_BASIS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 _QUQUART_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -167,26 +172,32 @@ def ququart_coefficients(q: FockState) -> np.ndarray:
 
 
 def unfold_target(s: FockState) -> FockState:
-    """Spread the first qubit over four modes, c pair moving to (4, 5)."""
+    """Spread the first qubit over four modes; the second becomes the carrier on (4, 5)."""
     input_coefficients(s)
     return add_vacuum_modes(s, UNFOLD_GAPS)
 
 
 def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
-    """The two CNOTs of the joining pipeline on the unfolded register."""
-    state = apply_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T1, eta=etas[0]))
-    return apply_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T2, eta=etas[1]))
+    """The fan-in: one CNOT from the carrier onto each half, vacuum amplitude eta."""
+    for half, eta in zip(_HALVES, etas, strict=True):
+        state = apply_cnot(state, CnotSpec(_CARRIER, half, eta=eta))
+    return state
+
+
+def _fan_out(state: FockState, eta_primes=(1.0, 1.0)) -> FockState:
+    """One CNOT from each half onto the carrier, vacuum amplitude eta_prime."""
+    for half, eta_prime in zip(_HALVES, eta_primes, strict=True):
+        state = apply_reversed_cnot(state, CnotSpec(_CARRIER, half, eta_prime=eta_prime))
+    return state
 
 
 def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> FockState:
-    """The four CNOTs of deterministic joining on the unfolded register.
+    """Unfold the qubits on modes 0-3 (later modes shift by two), fan in, fan out.
 
-    Afterwards the control photon is parked in |10> on modes (4, 5),
-    disentangled from the joined photon on modes 0-3.
+    The carrier photon ends parked in |10> on modes (4, 5), disentangled
+    from the joined photon on modes 0-3.
     """
-    state = joining_cnot_pass(state, etas=etas)
-    state = apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T1, eta_prime=eta_primes[0]))
-    return apply_reversed_cnot(state, CnotSpec(UNFOLDED_C, UNFOLDED_T2, eta_prime=eta_primes[1]))
+    return _fan_out(joining_cnot_pass(add_vacuum_modes(state, UNFOLD_GAPS), etas), eta_primes)
 
 
 def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
@@ -217,20 +228,18 @@ def join_projective(
 ) -> SchemeReport:
     """Join two dual-rail qubits via two CNOTs and an erasing projection.
 
-    The control photon is projected onto (|10> + |01>)/sqrt2 ("plus") or
-    the minus combination; the minus branch is folded back onto the
-    target by phase flips on both unfolded rails when feed_forward is on.
+    After the fan-in, the carrier photon is projected onto
+    (|10> + |01>)/sqrt2 ("plus") or the minus combination; the minus
+    branch is folded back onto the target by phase flips on both halves
+    when feed_forward is on.
     """
     alphas = input_coefficients(s)
     state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
-
-    root_half = 1.0 / np.sqrt(2.0)
-    plus, p_plus = apply_projector(state, ProjectorSpec([0, 0, 0, 0, root_half, root_half]))
-    minus, p_minus = apply_projector(state, ProjectorSpec([0, 0, 0, 0, root_half, -root_half]))
+    (plus, p_plus), (minus, p_minus) = (apply_projector(state, eraser) for eraser in _JOIN_ERASERS)
     return _projective_report(
-        (discard_empty_modes(plus, (4, 5)), p_plus),
-        (discard_empty_modes(minus, (4, 5)), p_minus),
-        lambda out: logical_phase_flip(logical_phase_flip(out, UNFOLDED_T1), UNFOLDED_T2),
+        (discard_empty_modes(plus, _CARRIER.modes), p_plus),
+        (discard_empty_modes(minus, _CARRIER.modes), p_minus),
+        lambda out: logical_phase_flip(logical_phase_flip(out, _HALVES[0]), _HALVES[1]),
         branch,
         feed_forward,
         seed,
@@ -239,14 +248,14 @@ def join_projective(
 
 
 def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> SchemeReport:
-    """Joining without projection: two CNOTs then two reversed CNOTs.
+    """Joining without projection: the fan-in then the fan-out.
 
-    The output keeps all six modes; the control photon factors out in
+    The output keeps all six modes; the carrier photon factors out in
     |10> on modes (4, 5), which the report's expected state includes.
     """
     alphas = input_coefficients(s)
-    state = deterministic_joining_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas, eta_primes)
-    expected = tensor(joined_ququart(alphas), basis_state(2, (1, 0)))
+    state = deterministic_joining_pass(s, etas, eta_primes)
+    expected = tensor(joined_ququart(alphas), _PARKED)
     return SchemeReport(
         output=state,
         success_probability=1.0,
@@ -257,23 +266,16 @@ def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> 
 
 
 def drop_control_photon(state: FockState) -> FockState:
-    """Remove the control photon that deterministic joining parks in |10> on modes (4, 5)."""
+    """Remove the carrier photon that deterministic joining parks in |10> on modes (4, 5)."""
     projector = np.zeros(state.modes)
-    projector[4] = 1.0
+    projector[_CARRIER.mode0] = 1.0
     reduced, prob = apply_projector(state, ProjectorSpec(projector))
     if not abs(prob - 1.0) <= 1e-9:
         raise EncodingViolationError(f"control photon is not parked in mode 4 (weight {prob:.6g})")
-    return discard_empty_modes(reduced, (4, 5))
+    return discard_empty_modes(reduced, _CARRIER.modes)
 
 
 # --- splitting ----------------------------------------------------------------
-
-
-def splitting_cnot_pass(q: FockState) -> FockState:
-    """Append the fresh target photon and run the two splitting CNOTs."""
-    state = tensor(q, basis_state(2, (1, 0)))
-    state = apply_cnot(state, CnotSpec(SPLIT_C1, SPLIT_T))
-    return apply_cnot(state, CnotSpec(SPLIT_C2, SPLIT_T))
 
 
 def split_projective(
@@ -282,14 +284,14 @@ def split_projective(
     feed_forward: bool = True,
     seed: int | None = None,
 ) -> SchemeReport:
-    """Split a ququart photon via two CNOTs, rail mixers and a vacuum check.
+    """Split a ququart photon via a fresh carrier, the fan-out, rail mixers and a vacuum check.
 
     Success ("plus") means no photon exits the two minus rails; the
-    complementary branch is recovered by a phase flip on the target qubit
-    when feed_forward is on. Surviving control rails merge into one pair.
+    complementary branch is recovered by a phase flip on the carrier
+    when feed_forward is on. Surviving rails of the halves merge into one pair.
     """
     alphas = ququart_coefficients(q)
-    state = splitting_cnot_pass(q)
+    state = _fan_out(tensor(q, _PARKED))
     for mixer in _SPLIT_RAIL_MIXERS:
         state = apply_unitary(state, mixer)
     plus, p_plus = postselect_vacuum(state, (1, 3))
@@ -297,7 +299,7 @@ def split_projective(
     return _projective_report(
         (discard_empty_modes(plus, (1, 3)), p_plus),
         (discard_empty_modes(minus, (0, 2)), p_minus),
-        lambda out: logical_phase_flip(out, DualRailQubit(2, 3)),  # the target qubit
+        lambda out: logical_phase_flip(out, _HALVES[1]),  # the carrier, now on modes (2, 3)
         branch,
         feed_forward,
         seed,
@@ -306,16 +308,14 @@ def split_projective(
 
 
 def split_deterministic(q: FockState) -> SchemeReport:
-    """Splitting without the vacuum check: two CNOTs then two reversed CNOTs.
+    """Splitting without the vacuum check: the fan-out then the fan-in.
 
-    The second and fourth control modes end exactly empty and are
-    discarded; a photon there signals an implementation bug and raises
+    The second and fourth modes end exactly empty and are discarded; a
+    photon there signals an implementation bug and raises
     NonEmptyModeError.
     """
     alphas = ququart_coefficients(q)
-    state = splitting_cnot_pass(q)
-    state = apply_reversed_cnot(state, CnotSpec(SPLIT_C1, SPLIT_T))
-    state = apply_reversed_cnot(state, CnotSpec(SPLIT_C2, SPLIT_T))
+    state = joining_cnot_pass(_fan_out(tensor(q, _PARKED)))
     output = discard_empty_modes(state, (1, 3))
     expected = two_qubit_input(alphas)
     return SchemeReport(

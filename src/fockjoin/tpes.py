@@ -20,9 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from .fock import FockState, add_vacuum_modes, fidelity, make_state, norm, normalize, partial_inner, tensor
+from .fock import FockState, fidelity, make_state, norm, normalize, partial_inner, tensor
 from .optics import ModeUnitary, apply_unitary
-from .schemes import UNFOLD_GAPS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
+from .schemes import SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
 
 H, V = 0, 1
 UP, DOWN = 0, 1
@@ -59,24 +59,14 @@ class PhotonRegister:
         return 4 * (photon - 1) + pol + 2 * path
 
 
-def _pol_terms(kind: str):
-    """(pol_first, pol_second, coefficient) pairs of a polarization Bell state."""
+def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
+    """(first, second, coefficient) pairs of a Bell state; H = u = 0 and V = d = 1."""
+    if kind not in kinds:
+        raise ValueError(f"unknown Bell kind {kind!r}; expected one of {', '.join(kinds)}")
     sign = 1.0 if kind.endswith("+") else -1.0
-    if kind.startswith("Psi"):
-        return ((H, H, _ROOT_HALF), (V, V, sign * _ROOT_HALF))
-    if kind.startswith("Phi"):
-        return ((H, V, _ROOT_HALF), (V, H, sign * _ROOT_HALF))
-    raise ValueError(f"unknown polarization Bell kind {kind!r}")
-
-
-def _path_terms(kind: str):
-    """(path_first, path_second, coefficient) pairs of a path Bell state."""
-    sign = 1.0 if kind.endswith("+") else -1.0
-    if kind.startswith("psi"):
-        return ((UP, UP, _ROOT_HALF), (DOWN, DOWN, sign * _ROOT_HALF))
-    if kind.startswith("phi"):
-        return ((UP, DOWN, _ROOT_HALF), (DOWN, UP, sign * _ROOT_HALF))
-    raise ValueError(f"unknown path Bell kind {kind!r}")
+    if kind[:3].lower() == "psi":
+        return ((0, 0, _ROOT_HALF), (1, 1, sign * _ROOT_HALF))
+    return ((0, 1, _ROOT_HALF), (1, 0, sign * _ROOT_HALF))
 
 
 def bell_pair(kind: str) -> FockState:
@@ -85,23 +75,16 @@ def bell_pair(kind: str) -> FockState:
     Polarization flavors ride on paths u, u; path flavors on polarizations
     H, H, matching the maximally entangled basis used for measurements.
     """
-    reg = PhotonRegister(2)
+    # Mode index is pol + 2 * path, so a polarization qubit has stride 1
+    # and a path qubit stride 2.
+    stride = 1 if kind in POL_BELL_KINDS else 2
     terms = []
-    if kind in POL_BELL_KINDS:
-        for pa, pb, coeff in _pol_terms(kind):
-            occ = [0] * reg.modes
-            occ[reg.mode_index(1, pa, UP)] = 1
-            occ[reg.mode_index(2, pb, UP)] = 1
-            terms.append((tuple(occ), coeff))
-    elif kind in PATH_BELL_KINDS:
-        for wa, wb, coeff in _path_terms(kind):
-            occ = [0] * reg.modes
-            occ[reg.mode_index(1, H, wa)] = 1
-            occ[reg.mode_index(2, H, wb)] = 1
-            terms.append((tuple(occ), coeff))
-    else:
-        raise ValueError(f"unknown Bell kind {kind!r}")
-    return make_state(reg.modes, terms)
+    for a, b, coeff in _bell_terms(kind):
+        occ = [0] * 8
+        occ[stride * a] = 1
+        occ[4 + stride * b] = 1
+        terms.append((tuple(occ), coeff))
+    return make_state(8, terms)
 
 
 def build_tpes(pol_kind: str, path_kind: str) -> FockState:
@@ -112,8 +95,8 @@ def build_tpes(pol_kind: str, path_kind: str) -> FockState:
     """
     reg = PhotonRegister(3)
     terms = []
-    for p1, p2, cp in _pol_terms(pol_kind):
-        for w1, w3, cw in _path_terms(path_kind):
+    for p1, p2, cp in _bell_terms(pol_kind, POL_BELL_KINDS):
+        for w1, w3, cw in _bell_terms(path_kind, PATH_BELL_KINDS):
             occ = [0] * reg.modes
             occ[reg.mode_index(1, p1, w1)] = 1
             occ[reg.mode_index(2, p2, UP)] = 1
@@ -134,16 +117,15 @@ def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
     # on 4-7 and photon 3 on 8-11. The joined photon lands on modes 0-3,
     # so the result is already ordered [photon 1, photon 2, photon 3].
     terms = []
-    for p2, p4, cp in _pol_terms(pol_kind):
-        for w3, w5, cw in _path_terms(path_kind):
+    for p2, p4, cp in _bell_terms(pol_kind, POL_BELL_KINDS):
+        for w3, w5, cw in _bell_terms(path_kind, PATH_BELL_KINDS):
             occ = [0] * 12
             occ[w5] = 1
             occ[2 + p4] = 1
             occ[4 + p2] = 1
             occ[8 + 2 * w3] = 1
             terms.append((tuple(occ), cp * cw))
-    state = add_vacuum_modes(make_state(12, terms), UNFOLD_GAPS)
-    return drop_control_photon(deterministic_joining_pass(state))
+    return drop_control_photon(deterministic_joining_pass(make_state(12, terms)))
 
 
 def _input_qubits_state(alpha: complex, beta: complex, gamma: complex, delta: complex) -> FockState:

@@ -354,6 +354,21 @@ def test_run_parse_diagnostic_stderr_is_exact(tmp_path, capsys):
     assert not report.exists()
 
 
+
+@pytest.mark.parametrize("amplitudes", ["nan 0", "1 0 0 nan"])
+def test_run_rejects_a_nan_vacuum_amplitude(tmp_path, capsys, amplitudes):
+    # A NaN eta used to pass the magnitude check; the NaN term was then
+    # pruned and the run reported an empty output with "probability": 1.
+    circuit, state, report = tmp_path / "nan.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text(f"modes 4\ncnot 0 1 2 3 {amplitudes}\n")
+    state.write_text('{"modes": 4, "terms": [{"occ": [1, 0, 0, 0], "re": 1.0, "im": 0.0}]}')
+    argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{circuit}:2:1: vacuum-port amplitudes cannot exceed unit magnitude\n"
+    assert captured.out == ""
+    assert not report.exists()
+
 @pytest.mark.parametrize(
     "circuit_text, state_text, message",
     [

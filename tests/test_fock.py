@@ -67,6 +67,8 @@ def test_make_state_rejects_bad_occupations():
 def test_make_state_rejects_non_finite_amplitudes(amp):
     with pytest.raises(ValueError, match=r"occupation \(0, 1\) is not finite"):
         make_state(2, [((1, 0), 1.0), ((0, 1), amp)])
+    with pytest.raises(ValueError, match=r"occupation \(0, 1\) is not finite"):
+        FockState(2, {(1, 0): 1.0, (0, 1): amp})
     data = {"modes": 2, "terms": [{"occ": [0, 1], "re": amp.real, "im": amp.imag}]}
     with pytest.raises(ValueError, match="not finite"):
         state_from_dict(data)

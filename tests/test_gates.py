@@ -189,6 +189,14 @@ def test_qubit_and_quart_validation():
         CnotSpec(CONTROL, TARGET, eta=2.0)
 
 
+@pytest.mark.parametrize("amp", [float("nan"), complex(0.0, float("nan")), float("inf")])
+@pytest.mark.parametrize("port", ["eta", "eta_prime"])
+def test_cnot_rejects_non_finite_vacuum_amplitudes(port, amp):
+    # abs(nan) > 1 is False, so a magnitude check written with ">" lets NaN through.
+    with pytest.raises(ValueError, match="vacuum-port amplitudes"):
+        CnotSpec(CONTROL, TARGET, **{port: amp})
+
+
 # --- physical post-selected network ------------------------------------------
 
 

@@ -22,7 +22,7 @@ from fockjoin.optics import (
     mode_permutation,
     phase_shifter,
 )
-from fockjoin.optics import _expand, _expand_arrays, _splice_arrays, unitary_from_dict, unitary_to_dict
+from fockjoin.optics import _expand, _expand_arrays, _splice_arrays
 from fockjoin.permanent import permanent, transition_amplitude
 
 
@@ -239,13 +239,6 @@ def test_apply_unitary_matches_permanent_oracle_property(case):
         assert abs(weight_out - weight_in) < 1e-10
     assert all(sum(occ) <= 3 for occ in out.terms)
     assert abs(norm(out) - 1.0) < 1e-10
-
-
-def test_unitary_json_roundtrip():
-    u = haar_random_unitary(4, 21)
-    back = unitary_from_dict(unitary_to_dict(u))
-    assert back.dim == 4
-    assert np.array_equal(back.matrix, u.matrix)
 
 
 def test_mode_unitary_keeps_a_private_read_only_copy():

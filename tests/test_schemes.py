@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -322,6 +323,71 @@ def test_join_with_unequal_eta_is_damaged():
     s = random_input(rng)
     report = join_projective(s, branch="plus", etas=(1.0, 1.0j))
     assert report.fidelity_to_expected < 0.999
+
+
+# --- bit-identity pins ------------------------------------------------------------
+
+
+def _reports_sha256(reports):
+    # repr of each output's (occupation, amplitude, amplitude type) items in
+    # insertion order, with the report's exact probability and fidelity.
+    items = [
+        (
+            [(occ, complex(amp), type(amp).__name__) for occ, amp in r.output.terms.items()],
+            float(r.success_probability),
+            float(r.fidelity_to_expected),
+            r.branch,
+            r.feed_forward_applied,
+        )
+        for r in reports
+    ]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def _seeded(make):
+    return [make(np.random.default_rng(2024 + k)) for k in range(6)]
+
+
+def test_join_projective_terms_are_pinned():
+    reports = []
+    for s in _seeded(random_input):
+        for branch in ("plus", "minus"):
+            for feed_forward in (True, False):
+                reports.append(join_projective(s, branch=branch, feed_forward=feed_forward))
+        reports.append(join_projective(s, branch="sample", seed=7))
+        reports.append(join_projective(s, branch="minus", etas=(np.exp(0.37j), 0.8 - 0.1j)))
+        reports.append(join_projective(s, branch="plus", feed_forward=False, etas=(1.0, 1.0j)))
+    assert _reports_sha256(reports) == "f908e31e472f41d7f4ae090fae61224a1c25be0a046cfd545b5bf1a70105206a"
+
+
+def test_join_deterministic_terms_are_pinned():
+    reports = []
+    for s in _seeded(random_input):
+        reports.append(join_deterministic(s))
+        reports.append(join_deterministic(s, etas=(np.exp(0.37j), np.exp(2.1j)), eta_primes=(1j, np.exp(-1.1j))))
+    assert _reports_sha256(reports) == "c40f883ba1c20794be784c58a3e03c1cc7a89d1a52133e869efb656b5c2821fd"
+
+
+def test_split_terms_are_pinned():
+    reports = []
+    for q in _seeded(random_ququart):
+        for branch in ("plus", "minus"):
+            for feed_forward in (True, False):
+                reports.append(split_projective(q, branch=branch, feed_forward=feed_forward))
+        reports.append(split_projective(q, branch="sample", seed=7))
+        reports.append(split_deterministic(q))
+    assert _reports_sha256(reports) == "0c3985a514ed1a0b4cf528dcff92be32100390614af4dc0063a413c033a27f0d"
+
+
+@pytest.mark.parametrize("etas", [(1.0,), (1, 1, 1)])
+def test_joining_rejects_wrong_number_of_etas(etas):
+    s = two_qubit_input([0.6, 0, 0, 0.8])
+    with pytest.raises(ValueError):
+        join_projective(s, etas=etas)
+    with pytest.raises(ValueError):
+        join_deterministic(s, etas=etas)
+    with pytest.raises(ValueError):
+        join_deterministic(s, eta_primes=etas)
 
 
 # --- probability model ----------------------------------------------------------

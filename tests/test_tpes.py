@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -94,6 +95,24 @@ def test_all_sixteen_variants_are_orthonormal():
 @pytest.mark.parametrize("pol,path", [("Phi-", "phi-"), ("Psi+", "psi+"), ("Phi+", "psi-"), ("Psi-", "phi+")])
 def test_tpes_via_joining_matches_direct_build(pol, path):
     assert fidelity(tpes_via_joining(pol, path), build_tpes(pol, path)) >= 1 - 1e-10
+
+
+def _states_sha256(states):
+    # repr of each state's (occupation, amplitude, amplitude type) items in
+    # insertion order.
+    items = [[(occ, complex(amp), type(amp).__name__) for occ, amp in s.terms.items()] for s in states]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def test_tpes_via_joining_terms_are_pinned():
+    states = [tpes_via_joining(pol, path) for pol, path in ALL_BELL_OUTCOMES]
+    assert _states_sha256(states) == "e17937225bbc6a8826b9c7bf4c358259681253e02234846f3512c46b27340e17"
+
+
+def test_bell_pairs_and_direct_tpes_terms_are_pinned():
+    states = [bell_pair(kind) for kind in POL_BELL_KINDS + PATH_BELL_KINDS]
+    states += [build_tpes(pol, path) for pol, path in ALL_BELL_OUTCOMES]
+    assert _states_sha256(states) == "438a40d7af46c6a69e457f347a39ea8d76e380bfdec142f430585d9031c9f478"
 
 
 def test_expansion_weights_and_completeness():
