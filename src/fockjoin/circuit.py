@@ -31,7 +31,15 @@ from typing import Callable
 import numpy as np
 
 from .fock import FockState, is_normalized, norm, postselect_vacuum
-from .gates import CnotSpec, DualRailQubit, IllegalPatternError, apply_cnot, apply_reversed_cnot, logical_phase_flip
+from .gates import (
+    CnotSpec,
+    DualRailQubit,
+    IllegalPatternError,
+    _vacuum_port_problem,
+    apply_cnot,
+    apply_reversed_cnot,
+    logical_phase_flip,
+)
 from .optics import ProjectorSpec, apply_projector, apply_unitary, beamsplitter, hadamard_pair, mode_permutation, phase_shifter
 
 _TOKEN = re.compile(r"\S+")
@@ -208,8 +216,9 @@ def _parse_cnot(line: _Line, tokens):
         return None
     eta = complex(extras[0], extras[1]) if len(extras) >= 2 else 1 + 0j
     etap = complex(extras[2], extras[3]) if len(extras) >= 4 else 1 + 0j
-    if not (abs(eta) <= 1 + 1e-12 and abs(etap) <= 1 + 1e-12):
-        return line.reject("vacuum-port amplitudes cannot exceed unit magnitude")
+    problem = _vacuum_port_problem(eta, etap)
+    if problem is not None:
+        return line.reject(problem)
     return (*quads, eta, etap)
 
 

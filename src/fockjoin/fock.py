@@ -333,6 +333,10 @@ def state_from_dict(data: dict) -> FockState:
         pairs = [(tuple(t["occ"]), complex(t["re"], t["im"])) for t in data["terms"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
+    for occ, amp in pairs:
+        # make_state would prune these away without a trace; exact zeros are fine.
+        if 0.0 < abs(amp) <= PRUNE_TOL:
+            raise ValueError(f"amplitude {amp} of occupation {occ} is at or below the pruning tolerance {PRUNE_TOL:g}")
     if not pairs:
         return zero_state(modes)
     return make_state(modes, pairs)

@@ -15,6 +15,7 @@ post-selected behavior. Protocol pipelines use the logical gate only.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,8 +68,18 @@ class CnotSpec:
         all_modes = self.control.modes + self.target.modes
         if len(set(all_modes)) != 4:
             raise ValueError("control and target pairs must use four distinct modes")
-        if not (abs(self.eta) <= 1 + 1e-12 and abs(self.eta_prime) <= 1 + 1e-12):
-            raise ValueError("vacuum-port amplitudes cannot exceed unit magnitude")
+        problem = _vacuum_port_problem(self.eta, self.eta_prime)
+        if problem is not None:
+            raise ValueError(problem)
+
+
+def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
+    """Why (eta, eta_prime) are not vacuum-port amplitudes, or None if they are."""
+    if not (cmath.isfinite(eta) and cmath.isfinite(eta_prime)):
+        return "vacuum-port amplitudes must be finite"
+    if abs(eta) > 1 + 1e-12 or abs(eta_prime) > 1 + 1e-12:
+        return "vacuum-port amplitudes cannot exceed unit magnitude"
+    return None
 
 
 def _pair_pattern(occ: Occupation, q: DualRailQubit) -> tuple[int, int]:

@@ -21,6 +21,16 @@ memory does not grow with the trial budget. Each trial's arithmetic is
 the one it would get alone (LAPACK factors each matrix of a stack
 separately, and the detection is normalized per trial), so certificates
 are bit-identical to a per-trial loop and independent of the chunking.
+
+The adversarial search's objective avoids numpy's per-call cost on 4 x 4
+arrays: one Givens routine builds the rows of the parameterized unitary
+in Python complex scalars, coupler by coupler, and the same scalars give
+the detection and the four symmetrized rows, so only the SVD runs in
+numpy. unitary_from_angles and projector_from_params are numpy arrays of
+those same routines, so the parameterization has one definition. The
+scalar products agree with the matrix products of earlier versions to
+about 1e-15 of sigma_max but not bit for bit, so search certificates
+differ from theirs in the last bits and never in the verdict.
 """
 from __future__ import annotations
 
@@ -37,7 +47,6 @@ from .optics import (
     _haar_from_normals,
     _require_normalized,
     _require_unitary,
-    _set_coupler,
     apply_projector,
     apply_unitary,
 )
@@ -285,45 +294,79 @@ def rank_scan_control(m: int, trials: int, seed: int = 0) -> NogoCertificate:
     return _scan(_control_trial_sigmas, 8 * m, m, trials, seed)
 
 
-def unitary_from_angles(params, m: int) -> np.ndarray:
-    """Unitary from m*m real parameters: Givens rotations plus phases."""
-    params = np.asarray(params, dtype=float)
-    if params.size != m * m:
-        raise ValueError(f"expected {m * m} parameters, got {params.size}")
-    mat = np.eye(m, dtype=complex)
-    # One coupler buffer, reset to the identity after each product.
-    coupler = np.eye(m, dtype=complex)
+def _finite_params(params, size: int) -> list[float]:
+    params = np.asarray(params, dtype=float).reshape(-1)
+    if params.size != size:
+        raise ValueError(f"expected {size} parameters, got {params.size}")
+    if not np.isfinite(params).all():
+        raise ValueError("parameters must be finite")
+    return params.tolist()
+
+
+def _givens_rows(params: list[float], m: int, rows) -> list[list[complex]]:
+    """Rows of the parameterized unitary, as lists of Python complex scalars.
+
+    params holds a (theta, phase) pair per coupler (i, j), i < j in
+    row-major order, then m final phases. The unitary is the product of
+    the couplers in that order times diag(exp(1j * phases)), so row r is
+    the unit vector e_r pushed through the couplers one at a time, each
+    updating entries i and j, and then scaled entry by entry.
+    """
+    couplers = []
     idx = 0
     for i in range(m):
         for j in range(i + 1, m):
-            _set_coupler(coupler, i, j, params[idx], params[idx + 1])
-            mat = mat @ coupler
-            coupler[i, i] = coupler[j, j] = 1.0
-            coupler[i, j] = coupler[j, i] = 0.0
+            c, s = math.cos(params[idx]), math.sin(params[idx])
+            cp, sp = math.cos(params[idx + 1]), math.sin(params[idx + 1])
+            # Block [[c, e^{i phase} s], [-e^{-i phase} s, c]] on rows and columns (i, j).
+            couplers.append((i, j, c, complex(cp * s, sp * s), complex(-cp * s, sp * s)))
             idx += 2
-    return mat @ np.diag(np.exp(1j * params[idx:]))
+    phases = [complex(math.cos(p), math.sin(p)) for p in params[idx:]]
+    out = []
+    for r in rows:
+        v = [0j] * m
+        v[r] = 1 + 0j
+        for i, j, c, upper, lower in couplers:
+            vi, vj = v[i], v[j]
+            v[i] = c * vi + lower * vj
+            v[j] = upper * vi + c * vj
+        out.append([a * p for a, p in zip(v, phases)])
+    return out
+
+
+def _detection(params: list[float], m: int) -> list[complex]:
+    """Normalized detection from m real then m imaginary parts; e_0 if their norm is below 1e-12."""
+    n = math.hypot(*params)
+    if n < 1e-12:
+        return [1 + 0j] + [0j] * (m - 1)
+    return [complex(re / n, im / n) for re, im in zip(params[:m], params[m:])]
+
+
+def unitary_from_angles(params, m: int) -> np.ndarray:
+    """Unitary from m*m finite real parameters: Givens rotations plus phases."""
+    return np.array(_givens_rows(_finite_params(params, m * m), m, range(m)))
 
 
 def projector_from_params(params, m: int) -> np.ndarray:
-    """Normalized detection vector from 2m unconstrained reals."""
-    params = np.asarray(params, dtype=float)
-    if params.size != 2 * m:
-        raise ValueError(f"expected {2 * m} parameters, got {params.size}")
-    vec = params[:m] + 1j * params[m:]
-    n = np.linalg.norm(vec)
-    if n < 1e-12:
-        vec = np.zeros(m, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    return vec / n
+    """Normalized detection vector from 2m finite, otherwise unconstrained reals."""
+    return np.array(_detection(_finite_params(params, 2 * m), m))
 
 
-def _objective_sigma(x, m: int, singular_index: int) -> float:
-    u = unitary_from_angles(x[: m * m], m)
-    # Unchecked builders: constructor validation would dominate the
-    # optimizer's inner loop.
-    rows = _symmetrized_rows(u, np.conj(projector_from_params(x[m * m :], m)), (0, 1, 2, 3))
-    return float(np.linalg.svd(rows, compute_uv=False)[singular_index])
+_OBJECTIVE_PAIRS = _mode_pairs((0, 1, 2, 3))
+
+
+def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
+    """One singular value of the symmetrized rows on logical modes 0-3.
+
+    Built in Python scalars from the same routines as unitary_from_angles
+    and projector_from_params, and unchecked: numpy calls on 4 x 4 arrays
+    and constructor validation would dominate the optimizer's inner loop.
+    """
+    params = x.tolist()
+    u = _givens_rows(params[: m * m], m, range(4))
+    pc = [z.conjugate() for z in _detection(params[m * m :], m)]
+    rows = [[pc[b] * ua + pc[a] * ub for ua, ub in zip(u[a], u[b])] for a, b in _OBJECTIVE_PAIRS]
+    return float(np.linalg.svd(np.array(rows), compute_uv=False)[singular_index])
 
 
 def adversarial_search(
@@ -337,7 +380,17 @@ def adversarial_search(
 
     Maximizing sigma_min (singular_index 3) hunts for a counterexample
     and comes back empty; maximizing the third singular value instead
-    confirms the optimizer has traction (rank 3 is generic).
+    confirms the optimizer has traction (rank 3 is generic). Each restart
+    runs Nelder-Mead from a uniform draw of default_rng(seed), for at most
+    `iterations` iterations. A NaN objective value raises ValueError
+    rather than being skipped by the max.
+
+    The objective is built in Python complex scalars (see the module
+    docstring). It is the matrix-product objective of earlier versions to
+    about 1e-15 of sigma_max, so verdicts are unchanged, but the optimizer
+    follows those rounding differences: max_sigma_min, argmax_seed and
+    optimizer_iterations differ in their bits from earlier versions, and
+    repeat exactly for a given seed.
     """
     if m < 4:
         raise ValueError("need at least four modes")
@@ -359,8 +412,10 @@ def adversarial_search(
         x0 = rng.uniform(-math.pi, math.pi, dim)
         tracker = {"best": -1.0}
 
-        def fun(x, tracker=tracker):
+        def fun(x, tracker=tracker, restart=seed + r):
             val = _objective_sigma(x, m, singular_index)
+            if math.isnan(val):
+                raise ValueError(f"NaN objective value in restart {restart}")
             if val > tracker["best"]:
                 tracker["best"] = val
             return -val

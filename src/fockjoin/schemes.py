@@ -177,16 +177,23 @@ def unfold_target(s: FockState) -> FockState:
     return add_vacuum_modes(s, UNFOLD_GAPS)
 
 
+def _one_per_half(name: str, amplitudes) -> tuple:
+    amplitudes = tuple(amplitudes)
+    if len(amplitudes) != len(_HALVES):
+        raise ValueError(f"{name} must have {len(_HALVES)} entries, got {len(amplitudes)}")
+    return amplitudes
+
+
 def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
     """The fan-in: one CNOT from the carrier onto each half, vacuum amplitude eta."""
-    for half, eta in zip(_HALVES, etas, strict=True):
+    for half, eta in zip(_HALVES, _one_per_half("etas", etas)):
         state = apply_cnot(state, CnotSpec(_CARRIER, half, eta=eta))
     return state
 
 
 def _fan_out(state: FockState, eta_primes=(1.0, 1.0)) -> FockState:
     """One CNOT from each half onto the carrier, vacuum amplitude eta_prime."""
-    for half, eta_prime in zip(_HALVES, eta_primes, strict=True):
+    for half, eta_prime in zip(_HALVES, _one_per_half("eta_primes", eta_primes)):
         state = apply_reversed_cnot(state, CnotSpec(_CARRIER, half, eta_prime=eta_prime))
     return state
 
@@ -197,6 +204,7 @@ def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.
     The carrier photon ends parked in |10> on modes (4, 5), disentangled
     from the joined photon on modes 0-3.
     """
+    eta_primes = _one_per_half("eta_primes", eta_primes)  # before the fan-in runs
     return _fan_out(joining_cnot_pass(add_vacuum_modes(state, UNFOLD_GAPS), etas), eta_primes)
 
 

@@ -365,7 +365,7 @@ def test_run_rejects_a_nan_vacuum_amplitude(tmp_path, capsys, amplitudes):
     argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"{circuit}:2:1: vacuum-port amplitudes cannot exceed unit magnitude\n"
+    assert captured.err == f"{circuit}:2:1: vacuum-port amplitudes must be finite\n"
     assert captured.out == ""
     assert not report.exists()
 
@@ -402,12 +402,27 @@ def test_run_rejects_a_non_normalized_input(tmp_path, capsys):
     circuit, state, report = tmp_path / "c.pc", tmp_path / "s.json", tmp_path / "report.json"
     circuit.write_text("modes 2\nbs 0 1 0.5 0\n")
     state.write_text(
-        '{"modes": 2, "terms": [{"occ": [1, 0], "re": 3.0, "im": 0.0}, {"occ": [0, 1], "re": 1e-13, "im": 0.0}]}'
+        '{"modes": 2, "terms": [{"occ": [1, 0], "re": 3.0, "im": 0.0}, {"occ": [0, 1], "re": 0.0, "im": 0.0}]}'
     )
     argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: input state must be normalized (norm=3)\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
+def test_run_rejects_an_input_amplitude_it_would_prune(tmp_path, capsys):
+    # (1, 1e-13) used to load as the single term (1, 0), with no word of the drop.
+    circuit, state, report = tmp_path / "c.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text("modes 2\nbs 0 1 0.5 0\n")
+    state.write_text(
+        '{"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}, {"occ": [0, 1], "re": 0.0, "im": 1e-13}]}'
+    )
+    argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: amplitude 1e-13j of occupation (0, 1) is at or below the pruning tolerance 1e-12\n"
     assert captured.out == ""
     assert not report.exists()
 

@@ -74,6 +74,18 @@ def test_make_state_rejects_non_finite_amplitudes(amp):
         state_from_dict(data)
 
 
+@pytest.mark.parametrize("re, im", [(1e-13, 0.0), (0.0, -1e-12), (5e-324, 0.0)])
+def test_state_from_dict_rejects_amplitudes_it_would_prune(re, im):
+    data = {"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}, {"occ": [0, 1], "re": re, "im": im}]}
+    with pytest.raises(ValueError, match=r"occupation \(0, 1\) is at or below the pruning tolerance 1e-12"):
+        state_from_dict(data)
+
+
+def test_state_from_dict_still_drops_exact_zeros():
+    data = {"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}, {"occ": [0, 1], "re": 0.0, "im": -0.0}]}
+    assert dict(state_from_dict(data).terms) == {(1, 0): 1 + 0j}
+
+
 def test_terms_are_read_only():
     s = make_state(2, [((1, 0), 0.6), ((0, 1), 0.8)])
     with pytest.raises(TypeError):

@@ -193,7 +193,7 @@ def test_qubit_and_quart_validation():
 @pytest.mark.parametrize("port", ["eta", "eta_prime"])
 def test_cnot_rejects_non_finite_vacuum_amplitudes(port, amp):
     # abs(nan) > 1 is False, so a magnitude check written with ">" lets NaN through.
-    with pytest.raises(ValueError, match="vacuum-port amplitudes"):
+    with pytest.raises(ValueError, match="vacuum-port amplitudes must be finite"):
         CnotSpec(CONTROL, TARGET, **{port: amp})
 
 

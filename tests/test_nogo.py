@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fockjoin import nogo
 from fockjoin.nogo import (
@@ -351,7 +353,11 @@ def test_rank_scan_memory_does_not_grow_with_trials():
     assert peak < 8 * chunk_buffer
 
 
-# --- unitary_from_angles against its fresh-coupler form -------------------------
+# --- the scalar objective against its matrix-product form -----------------------
+#
+# unitary_from_angles, projector_from_params and the search objective are built
+# in Python complex scalars. These are the numpy matrix products they replace.
+# Rounding differs, so agreement is checked to a tolerance, not bit for bit.
 
 
 def fresh_coupler_unitary_from_angles(params, m):
@@ -371,15 +377,97 @@ def fresh_coupler_unitary_from_angles(params, m):
     return mat @ np.diag(np.exp(1j * params[idx:]))
 
 
+def reference_projector_from_params(params, m):
+    vec = params[:m] + 1j * params[m:]
+    n = np.linalg.norm(vec)
+    if n < 1e-12:
+        vec = np.zeros(m, dtype=complex)
+        vec[0] = 1.0
+        return vec
+    return vec / n
+
+
+def reference_singular_values(x, m):
+    """All four singular values the search objective picks from, by matrix products."""
+    u = fresh_coupler_unitary_from_angles(x[: m * m], m)
+    pc = np.conj(reference_projector_from_params(x[m * m :], m))
+    return np.linalg.svd(nogo._symmetrized_rows(u, pc, (0, 1, 2, 3)), compute_uv=False)
+
+
+def assert_objective_matches_reference(x, m):
+    """Each of the four singular values within 2e-15 sigma_max of the reference.
+
+    The limit scales with sigma_max, not with each value: sigma_min is rounding
+    noise around an exact zero.
+    """
+    reference = reference_singular_values(x, m)
+    for k in range(4):
+        gap = abs(nogo._objective_sigma(x, m, k) - reference[k])
+        assert gap <= 2e-15 * reference[0], (k, gap, reference[0])
+
+
 def test_unitary_from_angles_matches_fresh_coupler_product():
     rng = np.random.default_rng(88)
     for k in range(2400):
         m = 2 + k % 5
         params = rng.uniform(-4.0, 4.0, m * m)
-        assert np.array_equal(unitary_from_angles(params, m), fresh_coupler_unitary_from_angles(params, m)), k
+        gap = np.max(np.abs(unitary_from_angles(params, m) - fresh_coupler_unitary_from_angles(params, m)))
+        assert gap <= 1e-15, (k, gap)
 
 
-def test_adversarial_search_unchanged_by_coupler_reuse(monkeypatch):
-    reused = adversarial_search(4, restarts=2, iterations=200, seed=89)
-    monkeypatch.setattr(nogo, "unitary_from_angles", fresh_coupler_unitary_from_angles)
-    assert adversarial_search(4, restarts=2, iterations=200, seed=89) == reused
+def test_projector_from_params_matches_numpy_form():
+    rng = np.random.default_rng(90)
+    for m in (4, 5, 6):
+        for scale in (1e-13, 1e-6, 1.0, 1e6):
+            params = scale * rng.standard_normal(2 * m)
+            gap = np.max(np.abs(projector_from_params(params, m) - reference_projector_from_params(params, m)))
+            assert gap <= 1e-15, (m, scale, gap)
+
+
+def test_objective_matches_matrix_product_reference():
+    rng = np.random.default_rng(91)
+    for k in range(3000):
+        m = 4 + k % 3
+        assert_objective_matches_reference(rng.uniform(-4.0, 4.0, m * m + 2 * m), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 6).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.floats(-10.0, 10.0), min_size=m * m, max_size=m * m),
+            st.lists(st.floats(-10.0, 10.0), min_size=2 * m, max_size=2 * m),
+        )
+    )
+)
+def test_objective_matches_reference_on_any_finite_parameters(case):
+    m, angles, detection = case
+    # Away from the fallback threshold, where two norms a rounding apart could take different branches.
+    assume(math.hypot(*detection) > 1e-9)
+    assert_objective_matches_reference(np.array(angles + detection), m)
+
+
+def test_seeded_adversarial_search_repeats():
+    first = adversarial_search(4, restarts=2, iterations=200, seed=89)
+    assert adversarial_search(4, restarts=2, iterations=200, seed=89) == first
+    assert first.verdict == VERDICT_RANK_DEFICIENT
+    assert first.optimizer_iterations == 400
+
+
+@pytest.mark.parametrize("builder, size", [(unitary_from_angles, 16), (projector_from_params, 8)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parameterizations_reject_non_finite_parameters(builder, size, bad):
+    params = np.zeros(size)
+    params[size // 2] = bad
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        builder(params, 4)
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        builder([bad] * size, 4)
+
+
+def test_adversarial_search_raises_on_nan_objective(monkeypatch):
+    # max() and ">" skip NaN, which would read as rank deficiency.
+    monkeypatch.setattr(nogo, "_objective_sigma", lambda x, m, k: math.nan)
+    with pytest.raises(ValueError, match="NaN objective value in restart 81"):
+        adversarial_search(4, restarts=2, iterations=10, seed=81)

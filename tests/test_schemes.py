@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fockjoin import schemes
 from fockjoin.fock import (
     add,
     add_vacuum_modes,
@@ -382,12 +383,21 @@ def test_split_terms_are_pinned():
 @pytest.mark.parametrize("etas", [(1.0,), (1, 1, 1)])
 def test_joining_rejects_wrong_number_of_etas(etas):
     s = two_qubit_input([0.6, 0, 0, 0.8])
-    with pytest.raises(ValueError):
+    message = f"must have 2 entries, got {len(etas)}"
+    with pytest.raises(ValueError, match=f"^etas {message}"):
         join_projective(s, etas=etas)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^etas {message}"):
         join_deterministic(s, etas=etas)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^eta_primes {message}"):
         join_deterministic(s, eta_primes=etas)
+
+
+def test_wrong_number_of_eta_primes_raises_before_any_cnot(monkeypatch):
+    calls = []
+    monkeypatch.setattr(schemes, "apply_cnot", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^eta_primes must have 2 entries, got 3"):
+        join_deterministic(two_qubit_input([0.6, 0, 0, 0.8]), eta_primes=(1, 1, 1))
+    assert calls == []
 
 
 # --- probability model ----------------------------------------------------------
