@@ -271,6 +271,8 @@ def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
     (for a normalized input, the probability of seeing vacuum there).
     """
     positions = set(int(p) for p in positions)
+    if any(p < 0 or p >= s.modes for p in positions):
+        raise ValueError(f"positions {sorted(positions)} out of range for {s.modes} modes")
     kept = {occ: amp for occ, amp in s.terms.items() if all(occ[p] == 0 for p in positions)}
     weight = sum(abs(a) ** 2 for a in kept.values())
     total = sum(abs(a) ** 2 for a in s.terms.values())

@@ -130,9 +130,17 @@ def logical_phase_flip(s: FockState, q: DualRailQubit) -> FockState:
 
 
 # --- physical post-selected network -----------------------------------------
-#
-# Mode layout: 0 ancilla, 1 control-0 rail, 2 control-1 rail,
-#              3 target-0 rail, 4 target-1 rail, 5 ancilla.
+# The network's ports: an ancilla on each side of the control and target pairs.
+_NETWORK_MODES = 6
+_NETWORK_CONTROL = DualRailQubit(1, 2)
+_NETWORK_TARGET = DualRailQubit(3, 4)
+_NETWORK_ANCILLAS = (0, 5)
+
+
+def _port_photons(occ: Occupation) -> tuple[int, int, int]:
+    """Photons on the control pair, the target pair and the ancillas."""
+    ports = (_NETWORK_CONTROL.modes, _NETWORK_TARGET.modes, _NETWORK_ANCILLAS)
+    return tuple(sum(occ[m] for m in modes) for modes in ports)
 
 
 def build_postselected_cnot_network() -> ModeUnitary:
@@ -144,30 +152,27 @@ def build_postselected_cnot_network() -> ModeUnitary:
     pair yields the CNOT truth table with amplitude 1/3.
     """
     theta = math.acos(1.0 / math.sqrt(3.0))
-    mixer = hadamard_pair(6, 3, 4)
+    first, last = _NETWORK_ANCILLAS
+    mixer = hadamard_pair(_NETWORK_MODES, *_NETWORK_TARGET.modes)
     core = compose(
-        beamsplitter(6, 0, 1, theta),
-        beamsplitter(6, 2, 4, theta),
-        beamsplitter(6, 3, 5, theta),
+        beamsplitter(_NETWORK_MODES, first, _NETWORK_CONTROL.mode0, theta),
+        beamsplitter(_NETWORK_MODES, _NETWORK_CONTROL.mode1, _NETWORK_TARGET.mode1, theta),
+        beamsplitter(_NETWORK_MODES, _NETWORK_TARGET.mode0, last, theta),
     )
     return compose(mixer, core, mixer)
 
 
 def network_input(control_pattern, target_pattern) -> FockState:
-    occ = [0] * 6
-    occ[1], occ[2] = control_pattern
-    occ[3], occ[4] = target_pattern
-    return basis_state(6, occ)
+    occ = [0] * _NETWORK_MODES
+    occ[_NETWORK_CONTROL.mode0], occ[_NETWORK_CONTROL.mode1] = control_pattern
+    occ[_NETWORK_TARGET.mode0], occ[_NETWORK_TARGET.mode1] = target_pattern
+    return basis_state(_NETWORK_MODES, occ)
 
 
 def postselect_rail_pairs(s: FockState) -> FockState:
     """Unnormalized branch with exactly one photon on each rail pair."""
-    kept = {
-        occ: amp
-        for occ, amp in s.terms.items()
-        if occ[1] + occ[2] == 1 and occ[3] + occ[4] == 1 and occ[0] == 0 and occ[5] == 0
-    }
-    return _pruned(6, kept)
+    kept = {occ: amp for occ, amp in s.terms.items() if _port_photons(occ) == (1, 1, 0)}
+    return _pruned(_NETWORK_MODES, kept)
 
 
 @dataclass(frozen=True)
@@ -202,17 +207,14 @@ def _classify_case(u: ModeUnitary, label, control_pattern, target_pattern) -> Va
     weights = {occ: abs(a) ** 2 for occ, a in evolved.terms.items()}
     intact_occ = next(iter(state.terms))
     intact_amplitude = evolved.terms.get(intact_occ, 0j)
+    intact_ports = _port_photons(intact_occ)
 
-    control_intact = 0.0
-    target_leak = 0.0
-    ancilla_leak = 0.0
+    control_intact = target_leak = ancilla_leak = 0.0
     for occ, w in weights.items():
-        in_control = occ[1] + occ[2]
-        in_target = occ[3] + occ[4]
-        in_ancilla = occ[0] + occ[5]
-        if in_control == sum(control_pattern) and in_target == sum(target_pattern) and in_ancilla == 0:
+        in_control, in_target, in_ancilla = _port_photons(occ)
+        if (in_control, in_target, in_ancilla) == intact_ports:
             control_intact += w
-        if sum(target_pattern) == 0 and in_target > 0:
+        if intact_ports[1] == 0 and in_target > 0:
             target_leak += w
         if in_ancilla > 0:
             ancilla_leak += w

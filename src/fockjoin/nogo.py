@@ -58,34 +58,30 @@ RANK_THRESHOLD = 1e-8
 VERDICT_RANK_DEFICIENT = "rank-deficient"
 VERDICT_COUNTEREXAMPLE = "counterexample-found"
 
-# Core 4x4 pattern: entry (r, c) holds the index of the conjugated
-# detection component appearing there, or None for a structural zero.
-_CORE_PATTERN = (
-    (2, None, 0, None),
-    (3, None, None, 0),
-    (None, 2, 1, None),
-    (None, 3, None, 1),
-)
+
+def _mode_pairs(logical_modes):
+    """The four (first-qubit, second-qubit) logical mode pairs, in row order."""
+    la, lb, lc, ld = logical_modes
+    return ((la, lc), (la, ld), (lb, lc), (lb, ld))
 
 
-@dataclass(frozen=True)
-class SymmetrizedModeSet:
-    """Coefficients of the four symmetrized output modes over physical modes."""
-
-    coeffs: np.ndarray
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.coeffs, compute_uv=False)
-
-    def sigma_min(self) -> float:
-        return float(self.singular_values()[-1])
-
-    def rank(self, tol: float = 1e-9) -> int:
-        return int(np.sum(self.singular_values() > tol))
+# The pairs of logical modes 0-3, which the core, the scans and the search use.
+_CORE_PAIRS = _mode_pairs((0, 1, 2, 3))
+# Entry (r, c) of the core: the index of the conjugated detection component
+# there, or None for a structural zero. Row r, for pair (x, y), is
+# pc[y] * u[x] + pc[x] * u[y], so with u = 1 it holds pc[y] at x and pc[x] at y.
+_CORE_PATTERN = tuple(tuple({x: y, y: x}.get(c) for c in range(4)) for x, y in _CORE_PAIRS)
 
 
 @dataclass(frozen=True)
 class NogoCertificate:
+    """Result of a scan or a search.
+
+    A scan's argmax_seed replays its best trial: trial i draws from
+    default_rng(seed + i). A search's is seed + r for its best restart r,
+    which that seed does not replay: all restarts draw from default_rng(seed).
+    """
+
     trials: int
     max_sigma_min: float
     argmax_seed: int
@@ -168,8 +164,8 @@ def max_abs_core_determinant(samples: int, seed: int) -> float:
     return float(np.max(np.abs(np.linalg.det(_core_matrices(np.conj(phis))))))
 
 
-def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2, 3)) -> SymmetrizedModeSet:
-    """Expand the four surviving output modes over the physical modes.
+def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2, 3)) -> np.ndarray:
+    """The 4 x m coefficients of the four surviving output modes over the physical modes.
 
     For logical modes (a, b) holding one qubit and (c, d) the other, the
     four modes pair up as (a,c), (a,d), (b,c), (b,d): detecting one photon
@@ -182,13 +178,7 @@ def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2
     m = u.dim
     if phi.modes != m or max(la, lb, lc, ld) >= m or min(la, lb, lc, ld) < 0:
         raise ValueError("dimension mismatch between unitary, detection and logical modes")
-    return SymmetrizedModeSet(_symmetrized_rows(u.matrix, np.conj(phi.phi), (la, lb, lc, ld)))
-
-
-def _mode_pairs(logical_modes):
-    """The four (first-qubit, second-qubit) logical mode pairs, in row order."""
-    la, lb, lc, ld = logical_modes
-    return ((la, lc), (la, ld), (lb, lc), (lb, ld))
+    return _symmetrized_rows(u.matrix, np.conj(phi.phi), (la, lb, lc, ld))
 
 
 def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarray:
@@ -352,9 +342,6 @@ def projector_from_params(params, m: int) -> np.ndarray:
     return np.array(_detection(_finite_params(params, 2 * m), m))
 
 
-_OBJECTIVE_PAIRS = _mode_pairs((0, 1, 2, 3))
-
-
 def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
     """One singular value of the symmetrized rows on logical modes 0-3.
 
@@ -365,7 +352,7 @@ def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
     params = x.tolist()
     u = _givens_rows(params[: m * m], m, range(4))
     pc = [z.conjugate() for z in _detection(params[m * m :], m)]
-    rows = [[pc[b] * ua + pc[a] * ub for ua, ub in zip(u[a], u[b])] for a, b in _OBJECTIVE_PAIRS]
+    rows = [[pc[b] * ua + pc[a] * ub for ua, ub in zip(u[a], u[b])] for a, b in _CORE_PAIRS]
     return float(np.linalg.svd(np.array(rows), compute_uv=False)[singular_index])
 
 
@@ -383,7 +370,8 @@ def adversarial_search(
     confirms the optimizer has traction (rank 3 is generic). Each restart
     runs Nelder-Mead from a uniform draw of default_rng(seed), for at most
     `iterations` iterations. A NaN objective value raises ValueError
-    rather than being skipped by the max.
+    rather than being skipped by the max. argmax_seed is seed + r for the
+    best restart r, and does not replay it (see NogoCertificate).
 
     The objective is built in Python complex scalars (see the module
     docstring). It is the matrix-product objective of earlier versions to
@@ -471,5 +459,5 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
         else:
             extra = max(extra, abs(amp) * scale)
 
-    analytic = alpha @ symmetrized_modes(u, phi, logical_modes).coeffs
+    analytic = alpha @ symmetrized_modes(u, phi, logical_modes)
     return float(max(np.max(np.abs(simulated - analytic)), extra))

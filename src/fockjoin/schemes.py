@@ -45,17 +45,30 @@ from .fock import (
 from .gates import CnotSpec, DualRailQubit, apply_cnot, apply_reversed_cnot, logical_phase_flip
 from .optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
 
-UNFOLD_GAPS = (1, 3)
 # The photon's two rail pairs, and the qubit that enters on a join or
-# leaves on a split; _PARKED is that qubit in |10>.
+# leaves on a split, on the last two modes; _PARKED is that qubit in |10>.
 _HALVES = (DualRailQubit(0, 1), DualRailQubit(2, 3))
 _CARRIER = DualRailQubit(4, 5)
+_REGISTER_MODES = 1 + max(_CARRIER.modes)
 _PARKED = basis_state(2, (1, 0))
+# The halves' logical-0 and logical-1 rails: unfolding leaves the logical-1
+# rails empty, and after the splitting mixers they are the minus rails.
+_RAILS0, _RAILS1 = zip(*(half.modes for half in _HALVES))
+UNFOLD_GAPS = _RAILS1
+
+
+def _carrier_detection(modes: int, amplitudes) -> ProjectorSpec:
+    """A detection with the given amplitudes on the carrier rails, zero elsewhere."""
+    phi = np.zeros(modes)
+    phi[list(_CARRIER.modes)] = amplitudes
+    return ProjectorSpec(phi)
+
+
 # The carrier projections onto (|10> +/- |01>)/sqrt2 that erase it in join_projective.
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
-_JOIN_ERASERS = tuple(ProjectorSpec([0, 0, 0, 0, _ROOT_HALF, sign * _ROOT_HALF]) for sign in (1.0, -1.0))
+_JOIN_ERASERS = tuple(_carrier_detection(_REGISTER_MODES, (_ROOT_HALF, sign * _ROOT_HALF)) for sign in (1.0, -1.0))
 # Balanced mixers on the two halves after the splitting CNOTs.
-_SPLIT_RAIL_MIXERS = tuple(hadamard_pair(6, *half.modes) for half in _HALVES)
+_SPLIT_RAIL_MIXERS = tuple(hadamard_pair(_REGISTER_MODES, *half.modes) for half in _HALVES)
 
 _TWO_QUBIT_BASIS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 _QUQUART_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -192,8 +205,8 @@ def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
 
 
 def _fan_out(state: FockState, eta_primes=(1.0, 1.0)) -> FockState:
-    """One CNOT from each half onto the carrier, vacuum amplitude eta_prime."""
-    for half, eta_prime in zip(_HALVES, _one_per_half("eta_primes", eta_primes)):
+    """One CNOT from each half onto the carrier, vacuum amplitude eta_prime (count checked by the caller)."""
+    for half, eta_prime in zip(_HALVES, eta_primes):
         state = apply_reversed_cnot(state, CnotSpec(_CARRIER, half, eta_prime=eta_prime))
     return state
 
@@ -275,11 +288,9 @@ def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> 
 
 def drop_control_photon(state: FockState) -> FockState:
     """Remove the carrier photon that deterministic joining parks in |10> on modes (4, 5)."""
-    projector = np.zeros(state.modes)
-    projector[_CARRIER.mode0] = 1.0
-    reduced, prob = apply_projector(state, ProjectorSpec(projector))
+    reduced, prob = apply_projector(state, _carrier_detection(state.modes, (1.0, 0.0)))
     if not abs(prob - 1.0) <= 1e-9:
-        raise EncodingViolationError(f"control photon is not parked in mode 4 (weight {prob:.6g})")
+        raise EncodingViolationError(f"control photon is not parked in mode {_CARRIER.mode0} (weight {prob:.6g})")
     return discard_empty_modes(reduced, _CARRIER.modes)
 
 
@@ -302,11 +313,11 @@ def split_projective(
     state = _fan_out(tensor(q, _PARKED))
     for mixer in _SPLIT_RAIL_MIXERS:
         state = apply_unitary(state, mixer)
-    plus, p_plus = postselect_vacuum(state, (1, 3))
-    minus, p_minus = postselect_vacuum(state, (0, 2))
+    plus, p_plus = postselect_vacuum(state, _RAILS1)
+    minus, p_minus = postselect_vacuum(state, _RAILS0)
     return _projective_report(
-        (discard_empty_modes(plus, (1, 3)), p_plus),
-        (discard_empty_modes(minus, (0, 2)), p_minus),
+        (discard_empty_modes(plus, _RAILS1), p_plus),
+        (discard_empty_modes(minus, _RAILS0), p_minus),
         lambda out: logical_phase_flip(out, _HALVES[1]),  # the carrier, now on modes (2, 3)
         branch,
         feed_forward,
@@ -324,7 +335,7 @@ def split_deterministic(q: FockState) -> SchemeReport:
     """
     alphas = ququart_coefficients(q)
     state = joining_cnot_pass(_fan_out(tensor(q, _PARKED)))
-    output = discard_empty_modes(state, (1, 3))
+    output = discard_empty_modes(state, _RAILS1)
     expected = two_qubit_input(alphas)
     return SchemeReport(
         output=output,

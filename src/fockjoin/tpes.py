@@ -2,7 +2,7 @@
 
 Each photon occupies four modes combining a polarization pair (H, V) and
 a path pair (u, d); within a photon the mode order is Hu, Vu, Hd, Vd
-(index = pol + 2 * path). The resource state entangles an intermediate
+(see _mode). The resource state entangles an intermediate
 photon 1 with photon 2 in polarization and with photon 3 in path, one
 Bell flavor per link, for 16 orthogonal variants.
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .fock import FockState, fidelity, make_state, norm, normalize, partial_inner, tensor
 from .optics import ModeUnitary, apply_unitary
-from .schemes import SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
+from .schemes import _TWO_QUBIT_BASIS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
 
 H, V = 0, 1
 UP, DOWN = 0, 1
@@ -43,20 +43,25 @@ _PAULI = {
 _PAULI_ORDER = ("I", "Z", "X", "XZ")
 
 
-@dataclass(frozen=True)
-class PhotonRegister:
-    """Mode bookkeeping for n photons with four modes each."""
+def _mode(slot: int, pol: int = H, path: int = UP) -> int:
+    """The one mode rule: photon slot k, polarization pol and path w sit on mode 4k + pol + 2w.
 
-    n_photons: int
+    The defaults put a polarization qubit on path u and a path qubit on H.
+    """
+    return 4 * slot + pol + 2 * path
 
-    @property
-    def modes(self) -> int:
-        return 4 * self.n_photons
 
-    def mode_index(self, photon: int, pol: int, path: int) -> int:
-        if not 1 <= photon <= self.n_photons:
-            raise ValueError(f"photon label {photon} out of range 1..{self.n_photons}")
-        return 4 * (photon - 1) + pol + 2 * path
+def _occupied(n_photons: int, *modes: int) -> tuple[int, ...]:
+    """Occupation of n photon slots (the modes below _mode(n)), one photon on each listed mode."""
+    occ = [0] * _mode(n_photons)
+    for mode in modes:
+        occ[mode] = 1
+    return tuple(occ)
+
+
+def _photon_modes(*slots: int) -> tuple[int, ...]:
+    """Every mode of the given photon slots, in ascending order."""
+    return tuple(_mode(k, pol, path) for k in slots for path in (UP, DOWN) for pol in (H, V))
 
 
 def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
@@ -75,16 +80,12 @@ def bell_pair(kind: str) -> FockState:
     Polarization flavors ride on paths u, u; path flavors on polarizations
     H, H, matching the maximally entangled basis used for measurements.
     """
-    # Mode index is pol + 2 * path, so a polarization qubit has stride 1
-    # and a path qubit stride 2.
-    stride = 1 if kind in POL_BELL_KINDS else 2
-    terms = []
-    for a, b, coeff in _bell_terms(kind):
-        occ = [0] * 8
-        occ[stride * a] = 1
-        occ[4 + stride * b] = 1
-        terms.append((tuple(occ), coeff))
-    return make_state(8, terms)
+    field = "pol" if kind in POL_BELL_KINDS else "path"
+    terms = [
+        (_occupied(2, _mode(0, **{field: a}), _mode(1, **{field: b})), coeff)
+        for a, b, coeff in _bell_terms(kind)
+    ]
+    return make_state(_mode(2), terms)
 
 
 def build_tpes(pol_kind: str, path_kind: str) -> FockState:
@@ -93,16 +94,12 @@ def build_tpes(pol_kind: str, path_kind: str) -> FockState:
     The polarization link pairs photons (1, 2) with photon 3 fixed to H;
     the path link pairs photons (1, 3) with photon 2 fixed to u.
     """
-    reg = PhotonRegister(3)
-    terms = []
-    for p1, p2, cp in _bell_terms(pol_kind, POL_BELL_KINDS):
-        for w1, w3, cw in _bell_terms(path_kind, PATH_BELL_KINDS):
-            occ = [0] * reg.modes
-            occ[reg.mode_index(1, p1, w1)] = 1
-            occ[reg.mode_index(2, p2, UP)] = 1
-            occ[reg.mode_index(3, H, w3)] = 1
-            terms.append((tuple(occ), cp * cw))
-    return make_state(reg.modes, terms)
+    terms = [
+        (_occupied(3, _mode(0, p1, w1), _mode(1, pol=p2), _mode(2, path=w3)), cp * cw)
+        for p1, p2, cp in _bell_terms(pol_kind, POL_BELL_KINDS)
+        for w1, w3, cw in _bell_terms(path_kind, PATH_BELL_KINDS)
+    ]
+    return make_state(_mode(3), terms)
 
 
 def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
@@ -112,25 +109,20 @@ def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
     path flavor; the deterministic joining pass fuses the photon-5 path
     qubit and the photon-4 polarization qubit into a fresh photon 1.
     """
-    # Register: photon-5 path rails 0-1 and photon-4 polarization rails
-    # 2-3 (the two qubits to join, in joining input order), then photon 2
-    # on 4-7 and photon 3 on 8-11. The joined photon lands on modes 0-3,
-    # so the result is already ordered [photon 1, photon 2, photon 3].
-    terms = []
-    for p2, p4, cp in _bell_terms(pol_kind, POL_BELL_KINDS):
-        for w3, w5, cw in _bell_terms(path_kind, PATH_BELL_KINDS):
-            occ = [0] * 12
-            occ[w5] = 1
-            occ[2 + p4] = 1
-            occ[4 + p2] = 1
-            occ[8 + 2 * w3] = 1
-            terms.append((tuple(occ), cp * cw))
-    return drop_control_photon(deterministic_joining_pass(make_state(12, terms)))
+    # The qubits to join (photon-5 path, then photon-4 polarization) take the
+    # first four modes in the joining input layout, and photons 2 and 3 follow.
+    # The joined photon lands there: the result is [photon 1, photon 2, photon 3].
+    terms = [
+        (_TWO_QUBIT_BASIS[2 * w5 + p4] + _occupied(2, _mode(0, pol=p2), _mode(1, path=w3)), cp * cw)
+        for p2, p4, cp in _bell_terms(pol_kind, POL_BELL_KINDS)
+        for w3, w5, cw in _bell_terms(path_kind, PATH_BELL_KINDS)
+    ]
+    return drop_control_photon(deterministic_joining_pass(make_state(_mode(3), terms)))
 
 
 def _input_qubits_state(alpha: complex, beta: complex, gamma: complex, delta: complex) -> FockState:
-    psi4 = make_state(4, [((1, 0, 0, 0), alpha), ((0, 1, 0, 0), beta)])
-    psi5 = make_state(4, [((1, 0, 0, 0), gamma), ((0, 0, 1, 0), delta)])
+    psi4 = make_state(_mode(1), [(_occupied(1, _mode(0, pol=p)), a) for p, a in ((H, alpha), (V, beta))])
+    psi5 = make_state(_mode(1), [(_occupied(1, _mode(0, path=w)), a) for w, a in ((UP, gamma), (DOWN, delta))])
     return tensor(psi4, psi5)
 
 
@@ -141,8 +133,8 @@ def joined_reference(alpha, beta, gamma, delta) -> FockState:
 
 # Bell-measured modes: photons 2 and 4 of the five-photon register, then
 # photons 3 and 5 of the survivors [photon 1, photon 3, photon 5].
-_PAIR_24 = (4, 5, 6, 7, 12, 13, 14, 15)
-_PAIR_35 = (4, 5, 6, 7, 8, 9, 10, 11)
+_PAIR_24 = _photon_modes(1, 3)
+_PAIR_35 = _photon_modes(1, 2)
 
 
 def _five_photon_state(alpha, beta, gamma, delta, resource) -> FockState:
@@ -181,7 +173,7 @@ class CorrectionEntry:
 
 
 def _correction_matrix(pol_op: str, path_op: str) -> np.ndarray:
-    # Mode index is pol + 2 * path, so polarization is the fast index.
+    # In the mode rule polarization is the fast index.
     return np.kron(_PAULI[path_op], _PAULI[pol_op])
 
 

@@ -272,6 +272,14 @@ def test_postselect_vacuum_probability():
     assert kept.terms[(1, 0)] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("positions", [[-1], [5], [0, 3]])
+def test_postselect_vacuum_rejects_positions_out_of_range(positions):
+    # A negative position must not count from the end, and one past the end
+    # must not surface as a bare IndexError.
+    with pytest.raises(ValueError, match=r"positions \[.*\] out of range for 3 modes"):
+        postselect_vacuum(basis_state(3, (0, 0, 1)), positions)
+
+
 def test_partial_inner_contracts_a_factor():
     rng = np.random.default_rng(6)
     x, y = random_state(2, 3, rng), random_state(3, 4, rng)

@@ -19,7 +19,6 @@ from fockjoin.tpes import (
     ALL_BELL_OUTCOMES,
     PATH_BELL_KINDS,
     POL_BELL_KINDS,
-    PhotonRegister,
     bell_pair,
     build_tpes,
     derive_correction_table,
@@ -64,13 +63,16 @@ def test_bell_kinds_are_orthonormal():
 
 def test_build_tpes_reference_variant_display():
     state = build_tpes("Phi-", "phi-")
-    reg = PhotonRegister(3)
+
+    def mode(photon, pol, path):
+        # Photon slot k = photon - 1, polarization p and path w: mode 4k + p + 2w.
+        return 4 * (photon - 1) + pol + 2 * path
 
     def occ(p1, w1, p2, w3):
         out = [0] * 12
-        out[reg.mode_index(1, p1, w1)] = 1
-        out[reg.mode_index(2, p2, 0)] = 1
-        out[reg.mode_index(3, 0, w3)] = 1
+        out[mode(1, p1, w1)] = 1
+        out[mode(2, p2, 0)] = 1
+        out[mode(3, 0, w3)] = 1
         return tuple(out)
 
     # (1/2)(H1 V2 - V1 H2) H3 (u1 d3 - d1 u3) u2, expanded term by term.
