@@ -33,6 +33,7 @@ from .tpes import build_tpes, resolve_outcome, teleport_join, tpes_via_joining
 
 # Encoding, pattern and JSON errors are ValueErrors too.
 _DATA_ERRORS = (CircuitError, ValueError, OSError)
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 class UsageError(Exception):
@@ -47,34 +48,44 @@ class _Parser(argparse.ArgumentParser):
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats."""
     pieces: list[str] = []
-    _emit(obj, pieces)
+    _emit(obj, pieces.append)
     return "".join(pieces)
 
 
-def _emit(obj, pieces: list[str]):
-    if obj is None or isinstance(obj, bool):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        pieces.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if k:
-                pieces.append(",")
-            pieces.append(json.dumps(str(key)) + ":")
-            _emit(obj[key], pieces)
-        pieces.append("}")
+def _emit(obj, write):
+    # Containers first, as the most frequent; bool before int. Strings and
+    # keys are encoded as json.dumps encodes a str.
+    if isinstance(obj, dict):
+        sep = "{"
+        for key in sorted(obj):
+            value = obj[key]
+            if type(value) is float:  # the common leaf, without a call
+                write(sep + _encode_str(str(key)) + ":" + format(value, ".17g"))
+            else:
+                write(sep + _encode_str(str(key)) + ":")
+                _emit(value, write)
+            sep = ","
+        write("}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                pieces.append(",")
-            _emit(item, pieces)
-        pieces.append("]")
+        if all(type(item) is int for item in obj):
+            write("[" + ",".join(map(str, obj)) + "]")
+            return
+        sep = "["
+        for item in obj:
+            write(sep)
+            _emit(item, write)
+            sep = ","
+        write("]")
+    elif isinstance(obj, float):
+        write(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, bool):
+        write("true" if obj else "false")
+    elif isinstance(obj, int):
+        write(str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

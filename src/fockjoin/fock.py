@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -50,7 +51,7 @@ class FockState:
         if self.modes < 1:
             raise ValueError(f"mode count must be positive, got {self.modes}")
         for occ, amp in self.terms.items():
-            _check_occupation(self.modes, occ)
+            _indices(occ, "occupation", count=self.modes)
             _check_amplitude(occ, complex(amp))
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
@@ -62,11 +63,25 @@ class FockState:
         return self.terms.get(tuple(occ), 0j)
 
 
-def _check_occupation(modes: int, occ: Occupation):
-    if len(occ) != modes:
-        raise ValueError(f"occupation {occ} has length {len(occ)}, expected {modes}")
-    if any(n < 0 for n in occ):
-        raise ValueError(f"negative occupation in {occ}")
+def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple[int, ...]:
+    """values as non-negative ints (operator.index) below bound, or a ValueError naming them.
+
+    Bools, fractions and, as asked, repeats or a length other than count are rejected too.
+    """
+    values = tuple(values)
+    try:
+        out = tuple(map(operator.index, values))
+    except TypeError:
+        out = None
+    if out is None or bool in map(type, values):
+        raise ValueError(f"{name} {list(values)} must hold integers")
+    if out and (min(out) < 0 or (bound is not None and max(out) >= bound)):
+        raise ValueError(f"{name} {list(out)} out of range" + ("" if bound is None else f" for {bound} modes"))
+    if distinct and len(set(out)) != len(out):
+        raise ValueError(f"{name} {list(out)} has a repeated entry")
+    if count is not None and len(out) != count:
+        raise ValueError(f"{name} {list(out)} should have {count} entries")
+    return out
 
 
 def _check_amplitude(occ: Occupation, amp: complex):
@@ -99,8 +114,7 @@ def make_state(modes: int, terms) -> FockState:
         raise ValueError(f"mode count must be positive, got {modes}")
     merged: dict[Occupation, complex] = {}
     for occ, amp in terms:
-        occ = tuple(int(n) for n in occ)
-        _check_occupation(modes, occ)
+        occ = _indices(occ, "occupation", count=modes)
         amp = complex(amp)
         _check_amplitude(occ, amp)
         merged[occ] = merged.get(occ, 0j) + amp
@@ -186,9 +200,7 @@ class Bipartition:
 
 
 def bipartition(modes: int, left) -> Bipartition:
-    left = tuple(sorted(left))
-    if any(i < 0 or i >= modes for i in left):
-        raise ValueError(f"left set {left} out of range for {modes} modes")
+    left = tuple(sorted(_indices(left, "left set", modes, distinct=True)))
     right = tuple(i for i in range(modes) if i not in set(left))
     return Bipartition(left, right)
 
@@ -219,13 +231,9 @@ def schmidt_rank(s: FockState, cut: Bipartition, tol: float = 1e-9) -> int:
 
 def add_vacuum_modes(s: FockState, positions) -> FockState:
     """Insert empty modes so they land at the given indices of the result."""
-    positions = sorted(int(p) for p in positions)
-    new_modes = s.modes + len(positions)
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"duplicate insertion positions {positions}")
-    if positions and (positions[0] < 0 or positions[-1] >= new_modes):
-        raise ValueError(f"insertion positions {positions} out of range for {new_modes} result modes")
-    pos_set = set(positions)
+    positions = tuple(positions)
+    pos_set = set(_indices(positions, "insertion positions", s.modes + len(positions), distinct=True))
+    new_modes = s.modes + len(pos_set)
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
         it = iter(occ)
@@ -236,9 +244,7 @@ def add_vacuum_modes(s: FockState, positions) -> FockState:
 
 def discard_empty_modes(s: FockState, positions) -> FockState:
     """Drop the listed modes; every term must be empty there."""
-    positions = set(int(p) for p in positions)
-    if any(p < 0 or p >= s.modes for p in positions):
-        raise ValueError(f"positions {sorted(positions)} out of range for {s.modes} modes")
+    positions = set(_indices(positions, "positions", s.modes))
     if len(positions) == s.modes:
         raise ValueError("cannot discard every mode; at least one must remain")
     out: dict[Occupation, complex] = {}
@@ -252,9 +258,7 @@ def discard_empty_modes(s: FockState, positions) -> FockState:
 
 def permute_modes(s: FockState, perm) -> FockState:
     """Relabel modes: the photon count of mode i moves to index perm[i]."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(s.modes)):
-        raise ValueError(f"{perm} is not a permutation of 0..{s.modes - 1}")
+    perm = _indices(perm, "permutation", s.modes, distinct=True, count=s.modes)
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
         new_occ = [0] * s.modes
@@ -270,9 +274,7 @@ def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
     Returns the renormalized surviving state and the branch weight
     (for a normalized input, the probability of seeing vacuum there).
     """
-    positions = set(int(p) for p in positions)
-    if any(p < 0 or p >= s.modes for p in positions):
-        raise ValueError(f"positions {sorted(positions)} out of range for {s.modes} modes")
+    positions = set(_indices(positions, "positions", s.modes))
     kept = {occ: amp for occ, amp in s.terms.items() if all(occ[p] == 0 for p in positions)}
     weight = sum(abs(a) ** 2 for a in kept.values())
     total = sum(abs(a) ** 2 for a in s.terms.values())
@@ -298,11 +300,7 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
     lives on the remaining ket modes, in their original order, and is not
     normalized (its squared norm is the projection weight).
     """
-    positions = [int(p) for p in positions]
-    if len(positions) != bra.modes:
-        raise ValueError(f"expected {bra.modes} positions, got {len(positions)}")
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= ket.modes for p in positions):
-        raise ValueError(f"invalid mode selection {positions} for {ket.modes} modes")
+    positions = _indices(positions, "positions", ket.modes, distinct=True, count=bra.modes)
     taken = set(positions)
     rest = [j for j in range(ket.modes) if j not in taken]
     if not rest:
@@ -331,7 +329,7 @@ def state_to_dict(s: FockState) -> dict:
 
 def state_from_dict(data: dict) -> FockState:
     try:
-        modes = int(data["modes"])
+        (modes,) = _indices([data["modes"]], "modes")
         pairs = [(tuple(t["occ"]), complex(t["re"], t["im"])) for t in data["terms"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fock import FockState, Occupation, _pruned, basis_state
+from .fock import FockState, Occupation, _indices, _pruned, basis_state
 from .optics import ModeUnitary, apply_unitary, beamsplitter, compose, hadamard_pair
 
 # Post-selected success amplitude of the physical network on logical inputs.
@@ -40,10 +40,7 @@ class DualRailQubit:
     mode1: int
 
     def __post_init__(self):
-        if self.mode0 == self.mode1:
-            raise ValueError("rail modes must differ")
-        if self.mode0 < 0 or self.mode1 < 0:
-            raise ValueError("rail modes must be non-negative")
+        _indices(self.modes, "rail modes", distinct=True)
 
     @property
     def modes(self) -> tuple[int, int]:

@@ -40,7 +40,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .fock import make_state
+from .fock import _indices, make_state
 from .optics import (
     ModeUnitary,
     ProjectorSpec,
@@ -172,13 +172,10 @@ def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2
     of the pair leaves the other in either member, weighted by the
     conjugated detection amplitude of its partner.
     """
-    la, lb, lc, ld = (int(i) for i in logical_modes)
-    if len({la, lb, lc, ld}) != 4:
-        raise ValueError("logical modes must be distinct")
-    m = u.dim
-    if phi.modes != m or max(la, lb, lc, ld) >= m or min(la, lb, lc, ld) < 0:
-        raise ValueError("dimension mismatch between unitary, detection and logical modes")
-    return _symmetrized_rows(u.matrix, np.conj(phi.phi), (la, lb, lc, ld))
+    logical_modes = _indices(logical_modes, "logical modes", u.dim, distinct=True, count=4)
+    if phi.modes != u.dim:
+        raise ValueError("dimension mismatch between unitary and detection")
+    return _symmetrized_rows(u.matrix, np.conj(phi.phi), logical_modes)
 
 
 def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarray:

@@ -9,19 +9,18 @@ superposition phi is the operator sum_h conj(phi[h]) a_h.
 The expansion only runs over the modes a unitary mixes: mode i is active
 unless row i and column i are both the unit vector e_i, and photons on
 the other (passive) modes stay where they are. Within one call, each
-distinct occupation of the active modes is expanded once and spliced
-back into every term that carries it. A beamsplitter on (8, 4) states
-expands at most 15 sub-occupations for 330 terms; phase shifters and
-permutations, with one nonzero entry per row, expand each sub-occupation
-into a single monomial. Dense unitaries take the same path with every
-mode active.
+distinct occupation of the active modes is expanded once; a beamsplitter
+on (8, 4) states expands at most 15 sub-occupations for 330 terms. Dense
+unitaries take the same path with every mode active.
 
-Each sub-occupation is expanded either by a dict loop in Python complex
-arithmetic or, where its expansion may reach _ARRAY_MIN_MONOMIALS
-monomials and stays exact in int64, by a numpy path that repeats the dict
-loop's floating-point operations in the same order (see apply_unitary).
-Output keys, term order and amplitude bits do not depend on the path,
-and no option selects it.
+Small states are spliced by a dict loop in Python complex arithmetic,
+large ones by one numpy pass over every (term, monomial) candidate that
+repeats the dict loop's floating-point operations in its order (see
+apply_unitary). Under phase shifters and permutations, whose rows hold
+one nonzero entry each, that pass expands all terms at once; expansions
+that may reach _ARRAY_MIN_MONOMIALS monomials run in numpy too. Output
+keys, term order and amplitude bits do not depend on the path, and no
+option selects it.
 
 All functions are pure; unitaries and projectors validate themselves on
 construction and keep a private read-only copy of their array.
@@ -31,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import compress
-from operator import itemgetter
+from itertools import accumulate, chain, compress
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PRUNE_TOL, FockState, Occupation, _picker, _trusted, _pruned, norm, zero_state
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _picker, _trusted, _pruned, norm, zero_state
 
 UNITARY_ATOL = 1e-10
 
@@ -61,15 +60,14 @@ class ModeUnitary:
     def _expansion_plan(self):
         """What apply_unitary needs of the matrix, read once per unitary.
 
-        Returns (pick_active, pick_passive, layout, rows, columns,
+        Returns (pick_active, pick_passive, layout, rows, active,
         array_photons): pickers for the active and passive entries of an
         occupation; the reordering that puts passive + active entries back
-        in mode order (tuple when that order is already the mode order),
-        as a callable and as column indices (None for the mode order); the
-        active rows restricted to the active columns (the only columns
+        in mode order (tuple when that order is already the mode order);
+        the active rows restricted to the active columns (the only columns
         where they are nonzero) as (active index, entry) pairs of their
-        nonzero entries; and the active photon numbers whose expansion
-        takes the numpy path.
+        nonzero entries; the active modes; and the active photon numbers
+        whose expansion takes the numpy path.
         """
         m = self.dim
         rows = self.matrix.tolist()
@@ -81,14 +79,11 @@ class ModeUnitary:
             (active if rows[i] != unit or cols[i] != tuple(unit) else passive).append(i)
             unit[i] = 0j
         order = passive + active
-        layout, columns = tuple, None
-        if order != list(range(m)):
-            columns = sorted(range(m), key=order.__getitem__)
-            layout = itemgetter(*columns)
+        layout = tuple if order == list(range(m)) else itemgetter(*sorted(range(m), key=order.__getitem__))
         pick_active = _picker(active)
         nonzero = [[(b, c) for b, c in enumerate(pick_active(rows[i])) if c] for i in active]
         densest = max(map(len, nonzero), default=0)
-        return pick_active, _picker(passive), layout, nonzero, columns, _array_photons(len(active), densest)
+        return pick_active, _picker(passive), layout, nonzero, active, _array_photons(len(active), densest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +156,7 @@ def _set_coupler(mat: np.ndarray, i: int, j: int, theta: float, phase: float):
 
 
 def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
-    if i < 0 or i >= m:
-        raise ValueError(f"mode {i} out of range for {m} modes")
+    (i,) = _indices([i], "mode", m)
     mat = np.eye(m, dtype=complex)
     mat[i, i] = np.exp(1j * phase)
     return ModeUnitary(m, mat)
@@ -182,11 +176,8 @@ def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
 
 def mode_permutation(m: int, perm) -> ModeUnitary:
     """Routing unitary sending the photon in mode i to perm[i]."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"{perm} is not a permutation of 0..{m - 1}")
     mat = np.zeros((m, m), dtype=complex)
-    for i, p in enumerate(perm):
+    for i, p in enumerate(_indices(perm, "permutation", m, distinct=True, count=m)):
         mat[i, p] = 1.0
     return ModeUnitary(m, mat)
 
@@ -220,21 +211,20 @@ def random_projector(m: int, rng: np.random.Generator) -> ProjectorSpec:
 
 
 def _check_pair(m: int, i: int, j: int):
-    if i == j:
-        raise ValueError("the two modes must differ")
-    for k in (i, j):
-        if k < 0 or k >= m:
-            raise ValueError(f"mode {k} out of range for {m} modes")
+    _indices((i, j), "modes", m, distinct=True)
 
 
-# Sub-occupations whose expansion may reach this many monomials take the
-# numpy path, and output maps of at least this many terms are pruned and
-# wrapped with numpy; below these sizes the Python loops are faster.
+# Sub-occupations whose expansion may reach this many monomials are
+# expanded with numpy; apply_unitary gives the array pass's crossovers.
+# Dict-loop outputs of at least _ARRAY_MIN_TERMS terms are pruned with numpy.
 _ARRAY_MIN_MONOMIALS = 64
+_ARRAY_MIN_CANDIDATES = 160
+_ROUTED_MIN_TERMS = 32
 _ARRAY_MIN_TERMS = 16
-# The numpy path keeps exponent vectors as int64 keys and monomial
-# factorial products as int64, exact up to 20!.
+# The array pass packs occupations as int64 keys and takes factorial
+# products in int64, exact up to 20!.
 _ARRAY_MAX_PHOTONS = 20
+_FACTORIALS = np.array([math.factorial(k) for k in range(_ARRAY_MAX_PHOTONS + 1)], dtype=np.int64)
 
 
 def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
@@ -247,58 +237,177 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     preserved. Amplitudes at or below PRUNE_TOL are dropped, the rest are
     np.complex128, and a photon-free input term passes through unchanged.
 
-    A sub-occupation takes the numpy path when its expansion may reach
-    _ARRAY_MIN_MONOMIALS monomials, a bound read from its photon number,
-    the active mode count and the densest active row, and its keys and
-    factorial products fit int64; otherwise the dict loop. The numpy path
-    keeps the dict loop's roundings: each complex product is two real
-    ufunc expressions, re = ar*br - ai*bi and im = ar*bi + ai*br, as
-    CPython computes it (numpy's complex multiply rounds differently);
-    sums start from 0.0 and add in the dict loop's order; and a complex
-    times a float x is taken as CPython 3.10-3.13 does it, by promoting x
-    to complex(x, 0.0), so re*x - im*0.0 and re*0.0 + im*x, which keeps
-    the signs of zero. Keys, term order and every amplitude bit are the
-    same on either path.
+    Splices of _ARRAY_MIN_CANDIDATES (term, monomial) candidates or more,
+    or with a numpy expansion, run as one array pass (_array_splice) when
+    the occupations pack into int64 keys, the rest in the dict loop. Rows
+    of one nonzero entry each (phase shifters, permutations) expand states
+    of _ROUTED_MIN_TERMS terms or more all at once (_routed). The array
+    pass overtook the dict loop at about 150 candidates under couplers, 8
+    terms under permutations and 30 under phase shifters (2-core VM,
+    Python 3.11, numpy 2.4). Keys, term order and every amplitude bit are
+    the same on either path.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
-    pick_active, pick_passive, layout, rows, columns, array_photons = u._expansion_plan
-    expansions: dict[Occupation, tuple] = {}
-    out: dict[Occupation, complex] = {}
-    for occ, amp in s.terms.items():
-        sub = pick_active(occ)
-        expansion = expansions.get(sub)
-        if expansion is None:
-            expand = _expand_arrays if sum(sub) in array_photons else _expand
-            expansion = expansions[sub] = expand(sub, rows)
-        passive = pick_passive(occ)
-        passive_fact = math.prod(map(math.factorial, passive))
-        # amp * coeff * out_norm / in_norm in Python complex arithmetic,
-        # which rounds as np.complex128 scalars do; numpy divides a complex
-        # by a float through the float's reciprocal.
-        inv_norm = 1.0 / math.sqrt(passive_fact * expansion[0])
-        amp = complex(amp)
-        if type(expansion) is _ArrayExpansion:
-            keys, amps = _splice_arrays(expansion, amp, passive, passive_fact, inv_norm, columns)
-            if len(s.terms) == 1:
-                # One term's keys are distinct, so each sum is 0j + value;
-                # the term holds photons, so there is no photon-free term.
-                return _trusted(s.modes, _complex128_terms(keys, amps + 0.0))
-            for key, value in zip(keys, amps.tolist()):
-                out[key] = out.get(key, 0j) + value
-            continue
-        for expo, coeff, expo_fact in expansion[1]:
-            key = layout(passive + expo)
-            out[key] = out.get(key, 0j) + amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm
-    if len(out) < _ARRAY_MIN_TERMS:
-        terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
+    pick_active, pick_passive, layout, rows, active, array_photons = u._expansion_plan
+    routed = len(s.terms) >= _ROUTED_MIN_TERMS and all(len(row) == 1 for row in rows)
+    occ = _occupations(s) if routed else None
+    bits = _key_bits(s, occ) if routed or array_photons else 0
+    if routed and bits:
+        terms = _array_splice(s, occ, bits, *_routed(occ, rows, active, bits))
     else:
-        terms = _complex128_terms(out, np.fromiter(out.values(), dtype=complex, count=len(out)))
+        subs = list(map(pick_active, s.terms))
+        expansions = dict.fromkeys(subs)
+        # One numpy expansion takes every sub-occupation to numpy.
+        dense = bits and any(sum(sub) in array_photons for sub in expansions)
+        for sub in expansions:
+            expansions[sub] = _expand_arrays(sub, rows, tuple(active), bits, s.modes) if dense else _expand(sub, rows)
+        # Each term gives at least one candidate; len(e[1]) counts either kind's monomials.
+        large = dense or len(subs) >= _ARRAY_MIN_CANDIDATES
+        large = large or sum(len(expansions[sub][1]) for sub in subs) >= _ARRAY_MIN_CANDIDATES
+        if large:
+            occ = _occupations(s) if occ is None else occ
+            bits = bits or _key_bits(s, occ)
+        if large and bits:
+            terms = _array_splice(s, occ, bits, *_expanded(occ, subs, expansions, active, bits))
+        else:
+            out: dict[Occupation, complex] = {}
+            for (occ, amp), sub in zip(s.terms.items(), subs):
+                sub_fact, monomials = expansions[sub]
+                passive = pick_passive(occ)
+                passive_fact = math.prod(map(math.factorial, passive))
+                # Python complex arithmetic rounds as np.complex128 scalars do;
+                # numpy divides a complex by a float through the float's reciprocal.
+                inv_norm = 1.0 / math.sqrt(passive_fact * sub_fact)
+                amp = complex(amp)
+                for expo, coeff, expo_fact in monomials:
+                    key = layout(passive + expo)
+                    out[key] = out.get(key, 0j) + amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm
+            if len(out) < _ARRAY_MIN_TERMS:
+                terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
+            else:
+                terms = _complex128_terms(out, np.fromiter(out.values(), dtype=complex, count=len(out)))
     vacuum = (0,) * s.modes
     if vacuum in terms:
         # The photon-free term passes through with its amplitude's own type.
         terms[vacuum] = 0j + s.terms[vacuum]
     return _trusted(s.modes, terms)
+
+
+def _key_bits(s: FockState, occ) -> int:
+    """Bits per mode of int64 occupation keys for s (its _occupations or None), or 0 if they do not fit."""
+    photons = max(map(sum, s.terms), default=0) if occ is None else int(occ.sum(axis=1).max())
+    bits = photons.bit_length()
+    return bits if photons <= _ARRAY_MAX_PHOTONS and bits * s.modes <= 63 else 0
+
+
+def _occupations(s: FockState) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(s.terms), np.int64, len(s.terms) * s.modes).reshape(len(s.terms), s.modes)
+
+
+def _routed(occ: np.ndarray, rows, active, bits: int):
+    """The candidates of every term under rows of one nonzero entry each.
+
+    _expand's steps coeff -> 0j + coeff * c for all terms at once, each
+    term stopping at its photon count in the row; the first row with c != 1
+    reads them from a table of powers, and rows with c == 1 are skipped
+    (see _array_splice). Each term's one output occupation permutes its
+    input occupation, so the keys are distinct.
+    """
+    dest = np.arange(occ.shape[1])
+    re, im = np.ones(len(occ)), np.zeros(len(occ))
+    fresh = True
+    for mode, ((b, c),) in zip(active, rows):
+        dest[mode] = active[b]
+        counts = occ[:, mode]
+        if c == 1:
+            continue
+        if fresh:
+            powers = np.array(list(accumulate([c] * counts.max(), mul, initial=1 + 0j)))
+            re, im, fresh = powers.real[counts], powers.imag[counts], False
+            continue
+        for step in range(counts.max()):
+            on = counts > step
+            re, im = np.where(on, re * c.real - im * c.imag, re), np.where(on, re * c.imag + im * c.real, im)
+    keys = occ @ np.left_shift(1, bits * dest)
+    return np.arange(len(occ)), keys, _FACTORIALS[occ].prod(axis=1), re, im, _occupation_tuples(keys, bits, len(dest))
+
+
+def _expanded(occ: np.ndarray, subs, expansions: dict, active, bits: int):
+    """The (term, monomial) candidates in term-major order, from all _expand's or all _expand_arrays' expansions."""
+    weights = np.left_shift(1, bits * np.arange(occ.shape[1], dtype=np.int64))
+    found = list(expansions.values())
+    dense = type(found[0]) is _ArrayExpansion
+    if dense:
+        keys, facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in list(zip(*found))[:4])
+    else:
+        expos, coeffs, facts = zip(*chain.from_iterable(e[1] for e in found))
+        keys = np.array(expos, dtype=np.int64).reshape(len(expos), len(active)) @ weights[active]
+        facts, coeffs = np.array(facts, dtype=np.int64), np.array(coeffs)
+        re, im = coeffs.real, coeffs.imag
+    if len(occ) == 1:
+        terms, monomials = np.zeros(1, dtype=np.intp), slice(None)  # broadcast over the one term's monomials
+    else:
+        index = {sub: k for k, sub in enumerate(expansions)}
+        term_sub = np.fromiter(map(index.__getitem__, subs), np.intp, len(subs))
+        sizes = np.array([len(e[1]) for e in found])
+        counts = sizes[term_sub]
+        ends = np.cumsum(counts)
+        terms = np.repeat(np.arange(len(occ)), counts)
+        monomials = np.arange(ends[-1]) + np.repeat((np.cumsum(sizes) - sizes)[term_sub] - ends + counts, counts)
+    passive = occ.copy()
+    passive[:, active] = 0
+    keys = (passive @ weights)[terms] + keys[monomials]
+    facts = _FACTORIALS[passive].prod(axis=1)[terms] * facts[monomials]
+    occupations = None  # the keys of several terms may repeat; one term's are distinct
+    if len(occ) == 1:
+        reuse = dense and not passive.any()
+        occupations = found[0].occupations if reuse else _occupation_tuples(keys, bits, occ.shape[1])
+    return terms, keys, facts, re[monomials], im[monomials], occupations
+
+
+def _array_splice(s: FockState, occ: np.ndarray, bits: int, terms, keys, facts, cre, cim, occupations) -> dict:
+    """The dict loop's output terms, from its candidates in term-major order.
+
+    Candidate k comes from input term terms[k]; keys[k] is its output
+    occupation, `bits` bits per mode, facts[k] that occupation's factorial
+    product, and (cre[k], cim[k]) its monomial coefficient. Keys known to
+    differ, as one term's monomials do, come with their occupation tuples;
+    otherwise occupations is None.
+
+    The values keep the dict loop's roundings: amp * coeff is re = ar*cr -
+    ai*ci and im = ar*ci + ai*cr, as CPython computes it (numpy's complex
+    multiply rounds differently), and the factorial products are exact, so
+    their square roots round as math.sqrt does. CPython 3.10-3.13 takes a
+    complex times a float x as times complex(x, 0.0), whose extra terms
+    re*0.0 and im*0.0 change at most the sign of a zero part; so do the
+    0j + steps that _routed skips. The sums erase those signs: keys are
+    numbered in order of first occurrence, the dict loop's insertion order,
+    and np.bincount adds their values in candidate order from +0.0, as
+    out.get(key, 0j) + value does.
+    """
+    amps = np.fromiter(s.terms.values(), complex, len(s.terms))
+    ar, ai = amps.real[terms], amps.imag[terms]
+    inv_norm = (1.0 / np.sqrt(_FACTORIALS[occ].prod(axis=1)))[terms]
+    scale = np.sqrt(facts)
+    re = (ar * cre - ai * cim) * scale * inv_norm
+    im = (ar * cim + ai * cre) * scale * inv_norm
+    if occupations is None:
+        keys, slot = _first_occurrences(keys)
+        re, im = np.bincount(slot, re, len(keys)), np.bincount(slot, im, len(keys))
+        occupations = _occupation_tuples(keys, bits, s.modes)
+    else:
+        re, im = re + 0.0, im + 0.0  # as 0j + value
+    sums = np.empty(len(keys), dtype=complex)
+    sums.real, sums.imag = re, im
+    return _complex128_terms(occupations, sums)
+
+
+def _occupation_tuples(keys: np.ndarray, bits: int, modes: int) -> list:
+    """The occupations packed in keys, as tuples of the Python ints that bytes yield (photon numbers are <= 20)."""
+    columns = (keys >> (bits * np.arange(modes, dtype=np.int64))[:, None]).astype(np.uint8)
+    columns &= (1 << bits) - 1
+    return list(zip(*map(bytes, columns)))
 
 
 def _complex128_terms(keys, amps: np.ndarray) -> dict:
@@ -308,6 +417,8 @@ def _complex128_terms(keys, amps: np.ndarray) -> dict:
     complex array does not.
     """
     keep = np.hypot(amps.real, amps.imag) > PRUNE_TOL
+    if keep.all():
+        return dict(zip(keys, amps))
     return dict(zip(compress(keys, keep.tolist()), amps[keep]))
 
 
@@ -354,21 +465,16 @@ def _expand(sub: Occupation, rows) -> tuple[int, list]:
 
 
 class _ArrayExpansion(NamedTuple):
-    """_expand's result as arrays, monomials in expansion order.
+    """_expand's monomials as arrays, in expansion order."""
 
-    sub_fact comes first, as in _expand's pair, so apply_unitary reads
-    expansion[0] from either.
-    """
-
-    sub_fact: int
-    expos: tuple  # per active mode, the tuple of its exponents
+    keys: np.ndarray  # exponent vectors as apply_unitary's occupation keys
+    facts: np.ndarray  # their factorial products, one per monomial as in _expand's list
     re: np.ndarray
     im: np.ndarray
-    facts: tuple  # the distinct monomial factorial products, as Python ints
-    fact_index: np.ndarray  # each monomial's position in facts
+    occupations: tuple  # the keys as occupation tuples, zero on passive modes
 
 
-def _expand_arrays(sub: Occupation, rows) -> _ArrayExpansion:
+def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int, modes: int) -> _ArrayExpansion:
     """_expand with numpy, bit for bit.
 
     Each photon step lists the candidates (monomial k, row entry b) in
@@ -383,43 +489,41 @@ def _expand_arrays(sub: Occupation, rows) -> _ArrayExpansion:
             cols, values = zip(*row)
             steps += [cols] * n
             entries += [(np.array([c.real for c in values]), np.array([c.imag for c in values]))] * n
-    slots, expos, facts, fact_index = _expansion_structure(len(sub), tuple(steps))
+    slots, keys, facts, occupations = _expansion_structure(tuple(steps), active, bits, modes)
     re, im = np.ones(1), np.zeros(1)
     for (slot, count), (br, bi) in zip(slots, entries):
         ar, ai = re[:, None], im[:, None]
         re = np.bincount(slot, (ar * br - ai * bi).ravel(), count)
         im = np.bincount(slot, (ar * bi + ai * br).ravel(), count)
-    return _ArrayExpansion(math.prod(map(math.factorial, sub)), expos, re, im, facts, fact_index)
+    return _ArrayExpansion(keys, facts, re, im, occupations)
 
 
 @lru_cache(maxsize=8)
-def _expansion_structure(width: int, steps: tuple) -> tuple:
+def _expansion_structure(steps: tuple, active: tuple, bits: int, modes: int) -> tuple:
     """Where each product of an expansion goes, from its sparsity pattern alone.
 
     `steps` holds, per photon, the active columns of its row's nonzero
-    entries. Returns, per step, each candidate's monomial slot and the
-    monomial count; then the final exponent vectors as per-mode tuples,
-    and their factorial products as distinct Python ints plus an index.
-    An exponent vector is an int64 key with len(steps).bit_length() bits
-    per mode, and the keys are numbered in order of first occurrence,
-    which is the dict loop's insertion order. Unitaries with the same
-    pattern, such as Haar draws of one size, share the result; the eight
-    most recent patterns are kept, each about as large as its output.
+    entries; exponents of active mode a sit at mode active[a] of an int64
+    occupation key of `modes` modes, `bits` bits each. Returns, per step,
+    each candidate's monomial slot and the monomial count; then the final
+    exponent keys, their factorial products and their occupation tuples.
+    The keys are numbered in order of first occurrence, which is the dict
+    loop's insertion order. Unitaries with the same pattern, such as Haar
+    draws of one size, share the result; the eight most recent patterns
+    are kept, each about as large as its output.
     """
-    bits = len(steps).bit_length()
-    shifts = bits * np.arange(width, dtype=np.int64)
+    shifts = bits * np.array(active, dtype=np.int64)
     keys = np.zeros(1, dtype=np.int64)
     slots = []
     for cols in steps:
         keys, slot = _first_occurrences((keys[:, None] + (1 << shifts[list(cols)])).ravel())
         slot.setflags(write=False)
         slots.append((slot, len(keys)))
-    expos = (keys >> shifts[:, None]) & ((1 << bits) - 1)
-    fact_table = np.array([math.factorial(k) for k in range(len(steps) + 1)], dtype=np.int64)
-    facts, fact_index = np.unique(fact_table[expos].prod(axis=0), return_inverse=True)
-    fact_index.setflags(write=False)
+    facts = _FACTORIALS[(keys[:, None] >> shifts) & ((1 << bits) - 1)].prod(axis=1)
     # Callers share the result, so it holds only tuples and read-only arrays.
-    return tuple(slots), tuple(map(tuple, expos.tolist())), tuple(facts.tolist()), fact_index
+    keys.setflags(write=False)
+    facts.setflags(write=False)
+    return tuple(slots), keys, facts, tuple(_occupation_tuples(keys, bits, modes))
 
 
 def _first_occurrences(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,30 +540,6 @@ def _first_occurrences(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slot = np.empty(len(perm), dtype=np.intp)
     slot[perm] = rank[new.cumsum() - 1]
     return candidates[is_first], slot
-
-
-def _splice_arrays(
-    expansion: _ArrayExpansion, amp: complex, passive, passive_fact: int, inv_norm: float, columns
-) -> tuple[list, np.ndarray]:
-    """The dict loop's splice of one term: its output keys and amplitudes.
-
-    amp * coeff * sqrt(passive_fact * expo_fact) * inv_norm is evaluated
-    left to right with CPython's roundings (see apply_unitary). The square
-    roots are taken in Python on exact integers, once per distinct
-    factorial product.
-    """
-    ar, ai = amp.real, amp.imag
-    re = ar * expansion.re - ai * expansion.im
-    im = ar * expansion.im + ai * expansion.re
-    scale = np.array([math.sqrt(passive_fact * f) for f in expansion.facts])[expansion.fact_index]
-    re, im = re * scale - im * 0.0, re * 0.0 + im * scale
-    amps = np.empty(len(re), dtype=complex)
-    amps.real = re * inv_norm - im * 0.0
-    amps.imag = re * 0.0 + im * inv_norm
-    occupations = [(n,) * len(re) for n in passive] + list(expansion.expos)
-    if columns is not None:
-        occupations = [occupations[c] for c in columns]
-    return list(zip(*occupations)), amps
 
 
 def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:

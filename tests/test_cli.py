@@ -4,7 +4,9 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockjoin import __version__
 from fockjoin.cli import canonical_json, cli_dispatch
@@ -492,3 +494,71 @@ def test_runs_that_sample_nothing_ignore_seed(tmp_path, argv):
         runs.append(out.read_bytes())
     assert runs[0] == runs[1] == runs[2]
     assert json.loads(runs[0])["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        '{"modes": 4, "terms": [{"occ": [1.9, 0, 1, 0], "re": 1.0, "im": 0.0}]}',
+        '{"modes": 4.6, "terms": [{"occ": [1, 0, 1, 0], "re": 1.0, "im": 0.0}]}',
+        '{"modes": 4, "terms": [{"occ": [true, false, true, false], "re": 1.0, "im": 0.0}]}',
+    ],
+)
+def test_non_integer_occupations_and_modes_exit_2(tmp_path, capsys, state):
+    # int(...) used to truncate these into a valid input and report fidelity 1.
+    path, report = tmp_path / "f.json", tmp_path / "report.json"
+    path.write_text(state)
+    argv = ["join", "--input", str(path), "--variant", "deterministic", "--report", str(report)]
+    assert cli_dispatch(argv) == 2
+    assert "must hold integers" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _mesh_circuit(modes, seed):
+    """A phase column, then brick-wall couplers with a mode permutation halfway, as circuit text."""
+    rng = np.random.default_rng(seed)
+    lines = [f"modes {modes}"] + [f"ps {i} {float(rng.uniform(-math.pi, math.pi))!r}" for i in range(modes)]
+    for layer in range(modes):
+        if layer == modes // 2:
+            lines.append("perm " + " ".join(str(int(p)) for p in rng.permutation(modes)))
+        for i in range(layer % 2, modes - 1, 2):
+            theta, phase = float(rng.uniform(0, math.pi / 2)), float(rng.uniform(-math.pi, math.pi))
+            lines.append(f"bs {i} {i + 1} {theta!r} {phase!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_mesh_run_report_bytes_are_pinned(tmp_path):
+    # An (8, 4) mesh whose output holds 330 terms: the array splice and the
+    # term-list emitter both run at full size.
+    circuit, state, report = tmp_path / "mesh.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text(_mesh_circuit(8, 2024))
+    state.write_text('{"modes": 8, "terms": [{"occ": [1, 0, 1, 0, 1, 0, 1, 0], "re": 1.0, "im": 0.0}]}')
+    assert cli_dispatch(["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]) == 0
+    assert len(json.loads(report.read_bytes())["output"]["terms"]) == 330
+    expected = "4cb68898bb9dc141ffdb43a20115948a88d4f5575f189019ba94638fec03b1fe"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == expected
+
+
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.text(max_size=8))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_TREES)
+def test_canonical_json_matches_sorted_compact_json_dumps(tree):
+    # Without floats, canonical JSON is json.dumps with sorted keys and no spaces.
+    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_json_floats_and_type_rules():
+    assert canonical_json({"b": [0.1, -0.0, 1e300], "a": (True, 1, None)}) == (
+        '{"a":[true,1,null],"b":[0.10000000000000001,-0,1.0000000000000001e+300]}'
+    )
+    assert canonical_json([[1, 2], [], {}]) == "[[1,2],[],{}]"
+    for bad in (np.int64(1), {1, 2}, [np.float32(0.5)], b"x"):
+        with pytest.raises(TypeError):
+            canonical_json(bad)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockjoin.fock import (
     FockState,
@@ -299,3 +300,47 @@ def test_json_roundtrip_is_exact():
     assert back.terms == s.terms
     occs = [tuple(t["occ"]) for t in state_to_dict(s)["terms"]]
     assert occs == sorted(occs)
+
+
+# Every mode position, permutation and count is read through one index
+# check: fractions, bools, negatives, out-of-range values and, where a
+# set is meant, repeats fail at the boundary with a ValueError naming the
+# argument, instead of being truncated by int(...).
+_BAD_INDEX_CALLS = {
+    "make_state fraction": lambda: make_state(4, [((1.9, 0, 1, 0), 1.0)]),
+    "make_state bool": lambda: make_state(4, [((True, False, True, False), 1.0)]),
+    "FockState fraction": lambda: FockState(2, {(0.5, 0): 1.0}),
+    "state_from_dict modes": lambda: state_from_dict({"modes": 4.6, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}]}),
+    "add_vacuum_modes fraction": lambda: add_vacuum_modes(basis_state(2, (1, 0)), (1.5,)),
+    "add_vacuum_modes repeat": lambda: add_vacuum_modes(basis_state(2, (1, 0)), (1, 1)),
+    "discard_empty_modes fraction": lambda: discard_empty_modes(basis_state(3, (1, 0, 0)), (1.7,)),
+    "permute_modes fraction": lambda: permute_modes(basis_state(2, (1, 0)), (1.0, 0)),
+    "permute_modes short": lambda: permute_modes(basis_state(3, (1, 0, 0)), (1, 0)),
+    "postselect_vacuum fraction": lambda: postselect_vacuum(basis_state(3, (0, 1, 0)), [1.9]),
+    "partial_inner fraction": lambda: partial_inner(basis_state(1, (1,)), basis_state(2, (1, 0)), [0.2]),
+    "partial_inner bool": lambda: partial_inner(basis_state(1, (1,)), basis_state(2, (1, 0)), [False]),
+    "bipartition repeat": lambda: bipartition(4, [0, 0, 1]),
+    "bipartition fraction": lambda: bipartition(4, [0.5]),
+    "bipartition negative": lambda: bipartition(4, [-1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INDEX_CALLS))
+def test_fractional_and_repeated_indices_fail_at_the_boundary(case):
+    with pytest.raises(ValueError, match=r"occupation|modes|positions|permutation|left set"):
+        _BAD_INDEX_CALLS[case]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda m: st.tuples(st.just(m), st.permutations(range(m)), st.sampled_from([np.int64, np.int32, np.uint8, int]))
+    )
+)
+def test_numpy_integer_indices_act_as_python_ints(case):
+    modes, perm, kind = case
+    s = make_state(modes, [(tuple(kind(n) for n in (1,) + (0,) * (modes - 1)), 0.6), ((0,) * (modes - 1) + (1,), 0.8)])
+    assert permute_modes(s, [kind(p) for p in perm]).terms == permute_modes(s, perm).terms
+    assert postselect_vacuum(s, np.array(perm[:1], dtype=kind))[1] == postselect_vacuum(s, perm[:1])[1]
+    assert bipartition(modes, np.array(perm[:2], dtype=kind)) == bipartition(modes, perm[:2])
+    assert all(type(n) is int for occ in s.terms for n in occ)

@@ -246,3 +246,9 @@ def test_vacuum_failure_demo_reports_inconsistency():
     sanity = by_label["control |10>, target |10> (sanity)"]
     assert sanity.consistent_with_scaled_identity
     assert report.demonstrates_failure
+
+
+@pytest.mark.parametrize("modes", [(0.5, 1), (True, 2), (-1, 0), (2, 2)])
+def test_rail_modes_must_be_distinct_non_negative_integers(modes):
+    with pytest.raises(ValueError, match="rail modes"):
+        DualRailQubit(*modes)

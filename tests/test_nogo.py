@@ -504,3 +504,9 @@ def test_adversarial_search_raises_on_nan_objective(monkeypatch):
     monkeypatch.setattr(nogo, "_objective_sigma", lambda x, m, k: math.nan)
     with pytest.raises(ValueError, match="NaN objective value in restart 81"):
         adversarial_search(4, restarts=2, iterations=10, seed=81)
+
+
+@pytest.mark.parametrize("logical", [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4)])
+def test_symmetrized_modes_rejects_bad_logical_modes(logical):
+    with pytest.raises(ValueError, match="logical modes"):
+        symmetrized_modes(identity(4), ProjectorSpec([1, 0, 0, 0]), logical)

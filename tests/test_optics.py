@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import math
 import pickle
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from fockjoin.optics import (
     mode_permutation,
     phase_shifter,
 )
-from fockjoin.optics import _expand, _expand_arrays, _splice_arrays
+from fockjoin import optics
+from fockjoin.optics import _expand, _expand_arrays
 from fockjoin.permanent import permanent, transition_amplitude
 
 
@@ -444,11 +447,15 @@ def _bytes(values):
 def _assert_same_expansion(sub, rows):
     """_expand_arrays gives _expand's monomials, in its order, with its bits."""
     sub_fact, monomials = _expand(sub, rows)
-    arrays = _expand_arrays(sub, rows)
-    assert arrays.sub_fact == sub_fact
-    assert [tuple(e[k] for e in arrays.expos) for k in range(len(arrays.re))] == [e for e, _, _ in monomials]
+    # The active modes sit at every other mode of the keys, with a passive mode after each.
+    bits, active = max(sum(sub), 1).bit_length(), tuple(range(0, 2 * len(sub), 2))
+    arrays = _expand_arrays(sub, rows, active, bits, 2 * len(sub))
+    expos = ((arrays.keys[:, None] >> (bits * np.array(active))) & ((1 << bits) - 1)).tolist()
+    assert [tuple(e) for e in expos] == [e for e, _, _ in monomials]
+    assert [occ[::2] for occ in arrays.occupations] == [e for e, _, _ in monomials]
+    assert all(not any(occ[1::2]) for occ in arrays.occupations)
     assert _bytes(complex(r, i) for r, i in zip(arrays.re, arrays.im)) == _bytes(c for _, c, _ in monomials)
-    assert [arrays.facts[k] for k in arrays.fact_index] == [f for _, _, f in monomials]
+    assert arrays.facts.tolist() == [f for _, _, f in monomials]
     return arrays
 
 
@@ -465,6 +472,35 @@ def _dict_loop_splice(u, occ, amp):
     ]
 
 
+def _dict_loop(state, u):
+    """apply_unitary's terms as the dict loop builds them, term by term in Python complex arithmetic."""
+    out = {}
+    for occ, amp in state.terms.items():
+        for key, value in _dict_loop_splice(u, occ, complex(amp)):
+            out[key] = out.get(key, 0j) + value
+    terms = {key: np.complex128(value) for key, value in out.items() if abs(value) > PRUNE_TOL}
+    vacuum = (0,) * state.modes
+    if vacuum in terms:
+        terms[vacuum] = 0j + state.terms[vacuum]
+    return terms
+
+
+def _crossovers(n):
+    """Both array-pass crossovers of apply_unitary set to n: 1 forces the array pass, 10**9 the dict loop."""
+    stack = contextlib.ExitStack()
+    for name in ("_ARRAY_MIN_CANDIDATES", "_ROUTED_MIN_TERMS"):
+        stack.enter_context(mock.patch.object(optics, name, n))
+    return stack
+
+
+def _assert_matches_dict_loop(state, u):
+    """Keys, their order, amplitude bits and amplitude types all equal the dict loop's."""
+    out, expected = apply_unitary(state, u).terms, _dict_loop(state, u)
+    assert list(out) == list(expected)
+    assert _bytes(out.values()) == _bytes(expected.values())
+    assert [type(a) for a in out.values()] == [type(a) for a in expected.values()]
+
+
 def _assert_lone_term_matches_dict_loop(u, occ, amp):
     """apply_unitary on the single term: each amplitude is 0j + value, then pruned."""
     kept = [(key, 0j + value) for key, value in _dict_loop_splice(u, occ, amp) if abs(0j + value) > PRUNE_TOL]
@@ -477,30 +513,27 @@ def _assert_lone_term_matches_dict_loop(u, occ, amp):
 @given(_unitaries_with_zeros_and_terms())
 def test_numpy_expansion_and_splice_match_the_dict_loop_bit_for_bit(case):
     u, terms = case
-    pick_active, pick_passive, _, rows, columns, _ = u._expansion_plan
+    pick_active = u._expansion_plan[0]
     for occ, amp in terms:
-        sub, passive = pick_active(occ), pick_passive(occ)
-        arrays = _assert_same_expansion(sub, rows)
-        passive_fact = math.prod(map(math.factorial, passive))
-        inv_norm = 1.0 / math.sqrt(passive_fact * arrays.sub_fact)
-        keys, amps = _splice_arrays(arrays, amp, passive, passive_fact, inv_norm, columns)
-        expected = _dict_loop_splice(u, occ, amp)
-        assert keys == [key for key, _ in expected]
-        assert _bytes(amps.tolist()) == _bytes(value for _, value in expected)
+        _assert_same_expansion(pick_active(occ), u._expansion_plan[3])
         if sum(occ) and abs(amp) > PRUNE_TOL:
             _assert_lone_term_matches_dict_loop(u, occ, amp)
+    # The whole state, as one array pass and through the dict loop.
+    state = FockState(u.dim, dict(terms))
+    for crossover in (1, 10**9):
+        with _crossovers(crossover):
+            _assert_matches_dict_loop(state, u)
 
 
 def test_lone_term_on_the_numpy_path_adds_each_amplitude_to_0j():
     # A real orthogonal block and amplitude -0.6 - 0.0j leave -0.0
-    # imaginary parts after the splice; the dict loop's 0j + value turns
-    # them into +0.0, and so must the numpy path.
+    # imaginary parts in the dict loop's values; its 0j + value turns them
+    # into +0.0, and so must the numpy path.
     mat = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0].astype(complex)
     u, occ, amp = ModeUnitary(6, mat), (1, 1, 1, 1, 0, 0), complex(-0.6, -0.0)
-    _, _, _, rows, _, array_photons = u._expansion_plan
-    assert sum(occ) in array_photons
-    _, spliced = _splice_arrays(_expand_arrays(occ, rows), amp, (), 1, 1.0, None)
-    assert np.any(np.signbit(spliced.imag) & (spliced.imag == 0))
+    assert sum(occ) in u._expansion_plan[5]
+    values = np.array([value for _, value in _dict_loop_splice(u, occ, amp)])
+    assert np.any(np.signbit(values.imag) & (values.imag == 0))
     _assert_lone_term_matches_dict_loop(u, occ, amp)
 
 
@@ -513,6 +546,82 @@ def test_numpy_path_holds_up_to_twenty_photons():
     for sub in ((16, 0, 0), (7, 7, 6), (0, 20, 0)):
         _assert_same_expansion(sub, rows)
     _assert_lone_term_matches_dict_loop(u, (7, 7, 6), 1.0 + 0j)
+
+
+def test_lone_dense_term_keeps_its_passive_photons():
+    # Modes 0-5 expand in numpy. Without passive photons the output keys
+    # are the expansion's own occupations; with one, they must not be.
+    mat = np.eye(8, dtype=complex)
+    mat[:6, :6] = haar_random_unitary(6, 5).matrix
+    for occ in ((1, 1, 1, 1, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 2, 0), (0, 2, 1, 1, 0, 0, 0, 1)):
+        _assert_matches_dict_loop(FockState(8, {occ: 0.6 - 0.8j}), ModeUnitary(8, mat))
+
+
+@pytest.mark.parametrize("modes", [3, 8])
+def test_identity_element_returns_the_terms_bit_for_bit(modes):
+    # No mode is active, so every term routes to itself. With one photon at
+    # most per mode and no zero parts, amp * (1+0j) * 1.0 * 1.0 is amp.
+    rng = np.random.default_rng(modes)
+    occs = [occ for occ in enumerate_occupations(modes + 2, 4) if max(occ, default=0) <= 1][:200]
+    state = FockState(modes + 2, {occ: complex(*rng.uniform(0.1, 1.0, 2) * rng.choice([-1, 1], 2)) for occ in occs})
+    assert len(state.terms) >= 16
+    for crossover in (1, 10**9):
+        with _crossovers(crossover):
+            out = apply_unitary(state, mode_permutation(modes + 2, range(modes + 2)))
+            assert list(out.terms) == list(state.terms)
+            assert _bytes(out.terms.values()) == _bytes(state.terms.values())
+
+
+_ELEMENT_KINDS = ["bs", "had", "ps", "perm", "identity", "haar"]
+
+
+@st.composite
+def _large_states_under_elements(draw):
+    """16 to 60 terms on at most 8 modes and 4 photons, with signed-zero parts, and one element of any kind."""
+    modes = draw(st.integers(3, 8))
+    occs = enumerate_occupations(modes, 4)
+    picks = draw(st.lists(st.sampled_from(occs[1:]), min_size=16, max_size=60, unique=True))
+    if draw(st.booleans()):
+        picks.append(occs[0])
+    terms = {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks}
+    pair = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    kind = draw(st.sampled_from(_ELEMENT_KINDS))
+    if kind == "bs":
+        element = beamsplitter(modes, *pair, draw(angle), draw(angle))
+    elif kind == "had":
+        element = hadamard_pair(modes, *pair)
+    elif kind == "ps":
+        element = phase_shifter(modes, pair[0], draw(angle))
+    elif kind == "perm":
+        element = mode_permutation(modes, draw(st.permutations(range(modes))))
+    elif kind == "identity":
+        element = mode_permutation(modes, range(modes))
+    else:
+        subset = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=modes, unique=True))
+        element = _embedded_haar(modes, subset, draw(st.integers(0, 2**32 - 1)))
+    return FockState(modes, terms), element, draw(st.sampled_from([1, 32, 10**9]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_large_states_under_elements())
+def test_large_states_match_the_dict_loop_bit_for_bit(case):
+    state, u, crossover = case
+    with _crossovers(crossover):
+        _assert_matches_dict_loop(state, u)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_large_states_under_elements())
+def test_large_states_match_the_permanent_oracle(case):
+    # A few draws only, on the first output terms and on occupations absent from the output.
+    state, u, crossover = case
+    with _crossovers(crossover):
+        out = apply_unitary(state, u)
+    absent = [occ for occ in enumerate_occupations(state.modes, 4) if occ not in out.terms]
+    for occ_out in list(out.terms)[:24] + absent[:12]:
+        expected = sum(amp * transition_amplitude(u.matrix, occ_in, occ_out) for occ_in, amp in state.terms.items())
+        assert abs(out.amplitude(occ_out) - expected) < 1e-10
 
 
 def test_mode_unitary_and_projector_compare_by_identity():
@@ -528,3 +637,19 @@ def test_non_finite_matrices_and_projectors_are_rejected():
         ModeUnitary(2, np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError, match="not normalized"):
         ProjectorSpec([np.nan, 0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: beamsplitter(4, 0.5, 1, 0.3),
+        lambda: beamsplitter(4, True, 2, 0.3),
+        lambda: hadamard_pair(4, 1, 1),
+        lambda: phase_shifter(4, 2.5, 0.3),
+        lambda: mode_permutation(3, (1.0, 0, 2)),
+        lambda: mode_permutation(3, (1, 0)),
+    ],
+)
+def test_element_modes_must_be_integers_in_range(build):
+    with pytest.raises(ValueError, match="modes|mode|permutation"):
+        build()
