@@ -13,11 +13,12 @@ effect. A run that samples a branch or a Bell outcome uses --seed, or 0
 when it is omitted, and reports that seed; a run that samples nothing
 reports null, whether or not --seed was given. So identical invocations
 produce byte-identical files, and so do deterministic runs that differ
-only in --seed.
+only in --seed. The argparse parser is built once per process, on first use.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -103,7 +104,11 @@ def _envelope(verb: str, seed, digest_chunks) -> dict:
 def _load_state(path: str):
     with open(path, "rb") as fh:
         raw = fh.read()
-    return state_from_dict(json.loads(raw.decode("utf-8"))), raw
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"malformed state: {path} is nested too deeply") from None
+    return state_from_dict(data), raw
 
 
 def _write_report(report: dict, path: str | None):
@@ -126,6 +131,7 @@ def _scheme_args(sub, name: str, help_text: str, projective, deterministic):
     p.add_argument("--report", default=None, help="report JSON path (stdout if omitted)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fockjoin", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fockjoin {__version__}")

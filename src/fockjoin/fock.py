@@ -130,11 +130,19 @@ def zero_state(modes: int) -> FockState:
 
 
 def norm(s: FockState) -> float:
-    return math.sqrt(sum(abs(a) ** 2 for a in s.terms.values()))
+    try:
+        return math.sqrt(sum(abs(a) ** 2 for a in s.terms.values()))
+    except OverflowError:  # a finite amplitude above about 1.3e154
+        occ, amp = max(s.terms.items(), key=lambda term: abs(term[1]))
+        raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square") from None
 
 
 def is_normalized(s: FockState, atol: float = NORM_ATOL) -> bool:
-    return abs(sum(abs(a) ** 2 for a in s.terms.values()) - 1.0) <= atol
+    try:
+        return abs(sum(abs(a) ** 2 for a in s.terms.values()) - 1.0) <= atol
+    except OverflowError:
+        norm(s)  # overflows too, and raises the ValueError that names the amplitude
+        raise
 
 
 def normalize(s: FockState) -> FockState:

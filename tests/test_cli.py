@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockjoin import __version__
+from fockjoin import __version__, cli
 from fockjoin.cli import canonical_json, cli_dispatch
 from fockjoin.fock import state_from_dict, state_to_dict
 from fockjoin.schemes import two_qubit_input, joined_ququart
@@ -130,6 +132,20 @@ def test_malformed_json_exits_two(tmp_path):
     assert cli_dispatch(["join", "--input", str(bad)]) == 2
 
 
+def test_overflowing_amplitude_exits_two(tmp_path, capsys):
+    bad = tmp_path / "big.json"
+    bad.write_text('{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 1e200, "im": 0.0}]}')
+    assert cli_dispatch(["join", "--input", str(bad)]) == 2
+    assert "amplitude (1e+200+0j) of occupation (1, 0, 1, 0) is too large to square" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert cli_dispatch(["join", "--input", str(bad)]) == 2
+    assert f"malformed state: {bad} is nested too deeply" in capsys.readouterr().err
+
+
 def test_nogo_scan_verb(tmp_path):
     out = tmp_path / "cert.json"
     code = cli_dispatch(["nogo-scan", "--modes", "4", "--trials", "300", "--seed", "7", "--out", str(out)])
@@ -239,6 +255,59 @@ def test_console_entry_point_runs():
 def test_verb_level_help_exits_zero(capsys):
     assert cli_dispatch(["join", "--help"]) == 0
     assert "--variant" in capsys.readouterr().out
+
+
+def test_cached_parser_reports_match_a_fresh_parser(two_qubit_file, tmp_path, monkeypatch):
+    # One parser serves every call: no flag, default or exclusive-group choice may carry over.
+    circuit, state, cert = tmp_path / "hom.pc", tmp_path / "fock11.json", tmp_path / "cert.json"
+    circuit.write_text("modes 2\nbs 0 1 0.7853981633974483 0\n")
+    state.write_text(json.dumps({"modes": 2, "terms": [{"occ": [1, 1], "re": 1.0, "im": 0.0}]}))
+    amplitudes = ["--alpha", "0.6", "--beta", "0.8j", "--gamma", "1", "--delta", "0"]
+    calls = [
+        ["teleport-join", *amplitudes, "--outcome", "3"],
+        ["teleport-join", *amplitudes, "--sample", "--seed", "5"],
+        ["teleport-join", *amplitudes],
+        ["join", "--input", str(two_qubit_file), "--branch", "sample", "--seed", "9", "--no-feed-forward"],
+        ["join", "--input", str(two_qubit_file)],
+        ["join", "--input", str(two_qubit_file), "--branch", "minus"],
+        ["nogo-scan", "--trials", "50", "--seed", "7", "--out", str(cert)],
+        ["run", "--circuit", str(circuit), "--input", str(state)],
+    ]
+
+    def reports():
+        """(stdout, --out file bytes or None) of each call, in order."""
+        out = []
+        for argv in calls:
+            cert.unlink(missing_ok=True)
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert cli_dispatch(argv) == 0, argv
+            out.append((stdout.getvalue(), cert.read_bytes() if cert.exists() else None))
+        return out
+
+    cached = reports()
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = reports()
+    assert cached == fresh
+    assert [text == "" for text, _ in fresh] == [False] * 6 + [True, False]
+    assert [json.loads(text or data)["seed"] for text, data in fresh] == [None, 5, 0, 9, None, None, 7, None]
+    assert [json.loads(text)["branch"] for text, _ in fresh[4:6]] == ["plus", "minus"]
+    assert json.loads(fresh[5][0])["feed_forward_applied"]
+
+
+def test_cached_parser_keeps_exit_codes_and_stdout(two_qubit_file, capsys):
+    assert cli_dispatch(["join", "--input", str(two_qubit_file)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["join", "--branch", "sample"]) == 1
+    argv = ["teleport-join", "--alpha", "1", "--beta", "0", "--gamma", "1", "--delta", "0", "--outcome", "3", "--sample"]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.count("usage error") == 2
+    for argv, expected in ((["--help"], "usage: fockjoin"), (["--version"], f"fockjoin {__version__}\n")):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli_dispatch(argv) == 0
+        assert expected in stdout.getvalue()
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -75,6 +75,15 @@ def test_make_state_rejects_non_finite_amplitudes(amp):
         state_from_dict(data)
 
 
+def test_norm_names_an_amplitude_too_large_to_square():
+    # Finite, but abs(a) ** 2 overflows a float above about 1.3e154.
+    s = FockState(4, {(0, 1, 0, 1): 0.5, (1, 0, 1, 0): -1e200j})
+    for check in (norm, is_normalized):
+        with pytest.raises(ValueError, match=r"\(-0-1e\+200j\) of occupation \(1, 0, 1, 0\) is too large to square"):
+            check(s)
+    assert norm(FockState(1, {(1,): 1e154})) == abs(1e154 + 0j)
+
+
 @pytest.mark.parametrize("re, im", [(1e-13, 0.0), (0.0, -1e-12), (5e-324, 0.0)])
 def test_state_from_dict_rejects_amplitudes_it_would_prune(re, im):
     data = {"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}, {"occ": [0, 1], "re": re, "im": im}]}
