@@ -15,6 +15,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -131,10 +132,13 @@ def zero_state(modes: int) -> FockState:
 
 def norm(s: FockState) -> float:
     try:
-        return math.sqrt(sum(abs(a) ** 2 for a in s.terms.values()))
+        total = sum(abs(a) ** 2 for a in s.terms.values())
     except OverflowError:  # a finite amplitude above about 1.3e154
+        total = math.inf
+    if total == math.inf:  # or finite squares whose sum passes the largest float
         occ, amp = max(s.terms.items(), key=lambda term: abs(term[1]))
-        raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square") from None
+        raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square")
+    return math.sqrt(total)
 
 
 def is_normalized(s: FockState, atol: float = NORM_ATOL) -> bool:
@@ -309,11 +313,7 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
     normalized (its squared norm is the projection weight).
     """
     positions = _indices(positions, "positions", ket.modes, distinct=True, count=bra.modes)
-    taken = set(positions)
-    rest = [j for j in range(ket.modes) if j not in taken]
-    if not rest:
-        raise ValueError("cannot contract every mode; at least one must remain")
-    pick_sub, pick_rest = _picker(positions), _picker(rest)
+    pick_sub, pick_rest, rest_modes = _contraction(ket.modes, positions)
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.terms.items():
         bra_amp = bra.terms.get(pick_sub(occ))
@@ -321,7 +321,17 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
             continue
         rest_occ = pick_rest(occ)
         out[rest_occ] = out.get(rest_occ, 0j) + np.conj(bra_amp) * amp
-    return _pruned(len(rest), out)
+    return _pruned(rest_modes, out)
+
+
+@lru_cache(maxsize=64)
+def _contraction(modes: int, positions: tuple[int, ...]):
+    """Pickers of checked positions and of the remaining modes, and how many remain; built once per layout."""
+    taken = set(positions)
+    rest = [j for j in range(modes) if j not in taken]
+    if not rest:
+        raise ValueError("cannot contract every mode; at least one must remain")
+    return _picker(positions), _picker(rest), len(rest)
 
 
 def state_to_dict(s: FockState) -> dict:

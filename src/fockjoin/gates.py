@@ -79,19 +79,15 @@ def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
     return None
 
 
-def _pair_pattern(occ: Occupation, q: DualRailQubit) -> tuple[int, int]:
-    pattern = (occ[q.mode0], occ[q.mode1])
-    if pattern not in _LEGAL_PATTERNS:
-        raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
-    return pattern
-
-
 def apply_cnot(s: FockState, g: CnotSpec) -> FockState:
     """Term-wise logical CNOT with vacuum-port semantics."""
+    (c0, c1), (t0, t1) = g.control.modes, g.target.modes
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
-        pc = _pair_pattern(occ, g.control)
-        pt = _pair_pattern(occ, g.target)
+        pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
+        if pc not in _LEGAL_PATTERNS or pt not in _LEGAL_PATTERNS:
+            pattern, q = (pc, g.control) if pc not in _LEGAL_PATTERNS else (pt, g.target)
+            raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
         if pc == (0, 0) and pt == (0, 0):
             new_occ, new_amp = occ, amp
         elif pt == (0, 0):
@@ -100,10 +96,7 @@ def apply_cnot(s: FockState, g: CnotSpec) -> FockState:
             new_occ, new_amp = occ, amp * g.eta_prime
         elif pc == (0, 1):
             swapped = list(occ)
-            swapped[g.target.mode0], swapped[g.target.mode1] = (
-                occ[g.target.mode1],
-                occ[g.target.mode0],
-            )
+            swapped[t0], swapped[t1] = occ[t1], occ[t0]
             new_occ, new_amp = tuple(swapped), amp
         else:
             new_occ, new_amp = occ, amp

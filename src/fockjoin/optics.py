@@ -102,6 +102,11 @@ class ProjectorSpec:
     def modes(self) -> int:
         return len(self.phi)
 
+    @cached_property
+    def _support(self) -> tuple:
+        """(mode, conjugated entry) for each nonzero entry, ascending, read once per projector."""
+        return tuple((h, c) for h, c in enumerate(np.conj(self.phi)) if c != 0)
+
 
 def _require_unitary(mats: np.ndarray):
     """Raise unless every matrix of a (..., m, m) stack is unitary within UNITARY_ATOL."""
@@ -552,14 +557,13 @@ def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:
     """
     if p.modes != s.modes:
         raise ValueError(f"projector length {p.modes} does not match state modes {s.modes}")
-    phi_conj = np.conj(p.phi)
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
-        for h, n in enumerate(occ):
-            if n == 0 or phi_conj[h] == 0:
-                continue
-            lowered = occ[:h] + (n - 1,) + occ[h + 1 :]
-            out[lowered] = out.get(lowered, 0j) + amp * phi_conj[h] * math.sqrt(n)
+        for h, c in p._support:
+            n = occ[h]
+            if n:
+                lowered = occ[:h] + (n - 1,) + occ[h + 1 :]
+                out[lowered] = out.get(lowered, 0j) + amp * c * math.sqrt(n)
     projected = _pruned(s.modes, out)
     weight = norm(projected) ** 2
     if weight == 0.0:

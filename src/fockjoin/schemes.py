@@ -26,23 +26,25 @@ picks which exactly-weighted branch a report describes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .fock import (
     FockState,
+    _check_amplitude,
+    _pruned,
     add_vacuum_modes,
     basis_state,
     discard_empty_modes,
     fidelity,
     is_normalized,
-    make_state,
     postselect_vacuum,
     tensor,
 )
-from .gates import CnotSpec, DualRailQubit, apply_cnot, apply_reversed_cnot, logical_phase_flip
+from .gates import CnotSpec, DualRailQubit, apply_cnot, logical_phase_flip
 from .optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
 
 # The photon's two rail pairs, and the qubit that enters on a join or
@@ -55,10 +57,14 @@ _PARKED = basis_state(2, (1, 0))
 # rails empty, and after the splitting mixers they are the minus rails.
 _RAILS0, _RAILS1 = zip(*(half.modes for half in _HALVES))
 UNFOLD_GAPS = _RAILS1
+# The fan-in and fan-out CNOTs at unit vacuum-port amplitudes, built once.
+_FAN_IN = tuple(CnotSpec(_CARRIER, half) for half in _HALVES)
+_FAN_OUT = tuple(CnotSpec(half, _CARRIER) for half in _HALVES)
 
 
+@lru_cache(maxsize=16)
 def _carrier_detection(modes: int, amplitudes) -> ProjectorSpec:
-    """A detection with the given amplitudes on the carrier rails, zero elsewhere."""
+    """A detection with the given amplitudes on the carrier rails, zero elsewhere; shared per register size."""
     phi = np.zeros(modes)
     phi[list(_CARRIER.modes)] = amplitudes
     return ProjectorSpec(phi)
@@ -140,11 +146,16 @@ def compose_success_probability(model: ProbabilityModel):
 
 
 def _encode(basis, alphas) -> FockState:
-    """Four amplitudes on the four basis occupations of an encoding (normalized by caller)."""
+    """Four amplitudes on an encoding's four basis occupations (normalized by caller), as make_state builds them."""
     alphas = [complex(a) for a in alphas]
     if len(alphas) != 4:
         raise EncodingViolationError("expected four amplitudes")
-    return make_state(4, [(occ, a) for occ, a in zip(basis, alphas) if a != 0])
+    terms = [(occ, a) for occ, a in zip(basis, alphas) if a != 0]
+    if not terms:
+        raise ValueError("at least one term is required")
+    for occ, a in terms:
+        _check_amplitude(occ, a)
+    return _pruned(4, {occ: 0j + a for occ, a in terms})
 
 
 def _decode(s: FockState, basis, what: str, pattern: str) -> np.ndarray:
@@ -197,17 +208,22 @@ def _one_per_half(name: str, amplitudes) -> tuple:
     return amplitudes
 
 
+def _fan_spec(unit: CnotSpec, field: str, value) -> CnotSpec:
+    """unit for the default float 1.0; any other value or type gets its own checked spec."""
+    return unit if type(value) is float and value == 1.0 else replace(unit, **{field: value})
+
+
 def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
     """The fan-in: one CNOT from the carrier onto each half, vacuum amplitude eta."""
-    for half, eta in zip(_HALVES, _one_per_half("etas", etas)):
-        state = apply_cnot(state, CnotSpec(_CARRIER, half, eta=eta))
+    for unit, eta in zip(_FAN_IN, _one_per_half("etas", etas)):
+        state = apply_cnot(state, _fan_spec(unit, "eta", eta))
     return state
 
 
 def _fan_out(state: FockState, eta_primes=(1.0, 1.0)) -> FockState:
     """One CNOT from each half onto the carrier, vacuum amplitude eta_prime (count checked by the caller)."""
-    for half, eta_prime in zip(_HALVES, eta_primes):
-        state = apply_reversed_cnot(state, CnotSpec(_CARRIER, half, eta_prime=eta_prime))
+    for unit, eta_prime in zip(_FAN_OUT, eta_primes):
+        state = apply_cnot(state, _fan_spec(unit, "eta_prime", eta_prime))
     return state
 
 

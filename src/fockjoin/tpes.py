@@ -14,13 +14,14 @@ The correction table is derived numerically, not transcribed.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
 
-from .fock import FockState, fidelity, make_state, norm, normalize, partial_inner, tensor
+from .fock import FockState, _indices, _pruned, fidelity, make_state, norm, normalize, partial_inner, tensor
 from .optics import ModeUnitary, apply_unitary
 from .schemes import _TWO_QUBIT_BASIS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
 
@@ -30,6 +31,9 @@ UP, DOWN = 0, 1
 POL_BELL_KINDS = ("Phi+", "Phi-", "Psi+", "Psi-")
 PATH_BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 ALL_BELL_OUTCOMES = tuple(product(POL_BELL_KINDS, PATH_BELL_KINDS))
+# Generator.choice(16, p=uniform) returns bisect_right(cdf, rng.random()) for the cumsum of p
+# over its last entry (here exactly 1.0); drawing the same way keeps each seed's outcome.
+_OUTCOME_CDF = np.full(16, 1 / 16).cumsum().tolist()
 
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -74,11 +78,13 @@ def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
     return ((0, 1, _ROOT_HALF), (1, 0, sign * _ROOT_HALF))
 
 
+@cache
 def bell_pair(kind: str) -> FockState:
     """Two-photon Bell state on an 8-mode register (first photon, second photon).
 
     Polarization flavors ride on paths u, u; path flavors on polarizations
     H, H, matching the maximally entangled basis used for measurements.
+    Built once per kind and shared: its terms are read-only.
     """
     field = "pol" if kind in POL_BELL_KINDS else "path"
     terms = [
@@ -88,11 +94,13 @@ def bell_pair(kind: str) -> FockState:
     return make_state(_mode(2), terms)
 
 
+@cache
 def build_tpes(pol_kind: str, path_kind: str) -> FockState:
     """Resource state on photons 1..3: photon 1 doubly entangled.
 
     The polarization link pairs photons (1, 2) with photon 3 fixed to H;
     the path link pairs photons (1, 3) with photon 2 fixed to u.
+    Built once per pair of kinds and shared, like bell_pair.
     """
     terms = [
         (_occupied(3, _mode(0, p1, w1), _mode(1, pol=p2), _mode(2, path=w3)), cp * cw)
@@ -120,9 +128,16 @@ def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
     return drop_control_photon(deterministic_joining_pass(make_state(_mode(3), terms)))
 
 
+# One photon on each rail of the photon-4 polarization qubit, then of the photon-5 path qubit.
+_INPUT_RAILS = tuple(tuple(_occupied(1, _mode(0, **{field: r})) for r in (0, 1)) for field in ("pol", "path"))
+
+
 def _input_qubits_state(alpha: complex, beta: complex, gamma: complex, delta: complex) -> FockState:
-    psi4 = make_state(_mode(1), [(_occupied(1, _mode(0, pol=p)), a) for p, a in ((H, alpha), (V, beta))])
-    psi5 = make_state(_mode(1), [(_occupied(1, _mode(0, path=w)), a) for w, a in ((UP, gamma), (DOWN, delta))])
+    """The input qubits' tensor product, bit for bit as from make_state and tensor for finite amplitudes."""
+    psi4, psi5 = (
+        _pruned(_mode(1), {occ: complex(a) for occ, a in zip(rails, amps)})
+        for rails, amps in zip(_INPUT_RAILS, ((alpha, beta), (gamma, delta)))
+    )
     return tensor(psi4, psi5)
 
 
@@ -229,12 +244,14 @@ def derive_correction_table(resource=("Phi-", "phi-")) -> dict:
 
 
 def resolve_outcome(outcome) -> tuple[str, str]:
-    """Accept an (pol, path) pair or a canonical index 0..15."""
-    if isinstance(outcome, int):
-        if not 0 <= outcome < 16:
-            raise ValueError(f"outcome index {outcome} out of range 0..15")
-        return ALL_BELL_OUTCOMES[outcome]
-    pol_kind, path_kind = outcome
+    """Accept an (pol, path) pair or a canonical index 0..15 (any integer type but bool)."""
+    try:
+        pol_kind, path_kind = outcome
+    except TypeError:  # not a pair, so an index
+        (index,) = _indices([outcome], "outcome index")
+        if not index < 16:
+            raise ValueError(f"outcome index {index} out of range 0..15") from None
+        return ALL_BELL_OUTCOMES[index]
     if pol_kind not in POL_BELL_KINDS or path_kind not in PATH_BELL_KINDS:
         raise ValueError(f"unknown Bell outcome {outcome!r}")
     return (pol_kind, path_kind)
@@ -258,8 +275,7 @@ def teleport_join(
     gamma, delta = (complex(x) for x in gamma_delta)
     full = _five_photon_state(alpha, beta, gamma, delta, resource)
     if outcome == "sample":
-        rng = np.random.default_rng(seed)
-        picked_outcome = ALL_BELL_OUTCOMES[int(rng.choice(16, p=np.full(16, 1 / 16)))]
+        picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, np.random.default_rng(seed).random())]
     else:
         picked_outcome = resolve_outcome(outcome)
     conditional, weight = _bell_branch(full, picked_outcome)

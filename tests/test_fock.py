@@ -84,6 +84,17 @@ def test_norm_names_an_amplitude_too_large_to_square():
     assert norm(FockState(1, {(1,): 1e154})) == abs(1e154 + 0j)
 
 
+def test_norm_names_the_largest_amplitude_when_the_squares_sum_past_the_largest_float():
+    # Each square is finite (1e308, 1.44e308), their sum is not: normalize used to divide by inf.
+    s = FockState(2, {(1, 0): 1e154, (0, 1): -1.2e154})
+    for check in (norm, normalize):
+        with pytest.raises(ValueError, match=r"^amplitude -1.2e\+154 of occupation \(0, 1\) is too large to square$"):
+            check(s)
+    with pytest.raises(ValueError, match=r"^amplitude 1e\+154 of occupation \(1, 0\) is too large to square$"):
+        normalize(FockState(2, {(1, 0): 1e154, (0, 1): 1e154}))
+    assert norm(FockState(2, {(1, 0): 1e154, (0, 1): 1e153})) == pytest.approx(1e154 * 1.01**0.5, rel=1e-15)
+
+
 @pytest.mark.parametrize("re, im", [(1e-13, 0.0), (0.0, -1e-12), (5e-324, 0.0)])
 def test_state_from_dict_rejects_amplitudes_it_would_prune(re, im):
     data = {"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}, {"occ": [0, 1], "re": re, "im": im}]}

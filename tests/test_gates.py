@@ -73,6 +73,16 @@ def test_cnot_rejects_illegal_patterns():
         apply_cnot(two_pair_state((1, 0), (2, 0)), GATE)
 
 
+def test_cnot_names_the_first_illegal_pair():
+    with pytest.raises(IllegalPatternError, match=r"^pattern \(1, 1\) on modes \(0, 1\) in term \(1, 1, 2, 0\)$"):
+        apply_cnot(two_pair_state((1, 1), (2, 0)), GATE)
+    with pytest.raises(IllegalPatternError, match=r"^pattern \(2, 0\) on modes \(2, 3\) in term \(1, 0, 2, 0\)$"):
+        apply_cnot(two_pair_state((1, 0), (2, 0)), GATE)
+    # The reversed CNOT controls on GATE's target pair, so that pair is read first.
+    with pytest.raises(IllegalPatternError, match=r"^pattern \(0, 2\) on modes \(2, 3\) in term \(1, 0, 0, 2\)$"):
+        apply_reversed_cnot(two_pair_state((1, 0), (0, 2)), GATE)
+
+
 def test_cnot_involution_on_legal_subspace():
     rng = np.random.default_rng(20)
     patterns = [(1, 0), (0, 1), (0, 0)]

@@ -159,6 +159,20 @@ def test_projector_zero_branch_is_flagged_null():
     assert state.is_zero
 
 
+def test_projector_keeps_numpy_entries_and_skips_zero_ones():
+    phi = np.array([0.6, 0.0, -0.8j])
+    p = ProjectorSpec(phi)
+    s = make_state(3, [((1, 1, 0), 0.6), ((0, 2, 1), 0.8j), ((0, 1, 0), -0.0)])
+    state, prob = apply_projector(s, p)
+    assert p._support == ((0, np.conj(phi[0])), (2, np.conj(phi[2])))
+    assert all(type(c) is np.complex128 for _, c in p._support)
+    raw = {(0, 1, 0): (0.6 + 0j) * np.complex128(0.6), (0, 2, 0): 0.8j * np.complex128(0.8j)}
+    assert prob == pytest.approx(0.36**2 + 0.64**2, rel=1e-15)
+    assert list(state.terms) == list(raw)
+    for occ, amp in state.terms.items():
+        assert type(amp) is np.complex128 and amp == raw[occ] / math.sqrt(prob)
+
+
 def test_projector_requires_normalized_vector():
     with pytest.raises(ValueError):
         ProjectorSpec([1, 1])

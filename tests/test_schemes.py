@@ -243,6 +243,25 @@ def test_encoders_require_four_amplitudes(encode, alphas):
         encode(alphas)
 
 
+def _bits(state):
+    return [(occ, repr(amp), type(amp)) for occ, amp in state.terms.items()]
+
+
+_SIGNED_ZERO_ALPHAS = [complex(-0.0, 0.6), complex(0.0, -0.0), np.complex128(complex(-0.8, -0.0)), np.float64(-0.0)]
+
+
+@pytest.mark.parametrize("encode, basis", [(two_qubit_input, schemes._TWO_QUBIT_BASIS), (joined_ququart, schemes._QUQUART_BASIS)])
+def test_encoders_build_what_make_state_builds(encode, basis):
+    # Signed zeros included: make_state adds each amplitude to 0j, which clears a -0.0 part.
+    for alphas in (_SIGNED_ZERO_ALPHAS, [1e-13, 1, 0, 0.5j], [0.6, 0, True, np.float32(0.8)]):
+        reference = make_state(4, [(occ, a) for occ, a in zip(basis, alphas) if complex(a) != 0])
+        assert _bits(encode(alphas)) == _bits(reference)
+    with pytest.raises(ValueError, match=r"^at least one term is required$"):
+        encode([0, 0.0, -0j, complex(-0.0, 0.0)])
+    with pytest.raises(ValueError, match=r"^amplitude \(nan\+0j\) of occupation \(.*\) is not finite$"):
+        encode([0, float("nan"), complex("inf"), 0])
+
+
 @pytest.mark.parametrize(
     "protocol, state, message",
     [
@@ -398,6 +417,42 @@ def test_wrong_number_of_eta_primes_raises_before_any_cnot(monkeypatch):
     with pytest.raises(ValueError, match="^eta_primes must have 2 entries, got 3"):
         join_deterministic(two_qubit_input([0.6, 0, 0, 0.8]), eta_primes=(1, 1, 1))
     assert calls == []
+
+
+def test_fan_cnots_share_a_spec_only_for_the_float_one(monkeypatch):
+    specs = []
+    real_cnot = schemes.apply_cnot
+    monkeypatch.setattr(schemes, "apply_cnot", lambda state, g: specs.append(g) or real_cnot(state, g))
+    s = two_qubit_input([0.5, 0.5j, -0.5, 0.5])
+    join_deterministic(s)
+    join_deterministic(s, etas=(1.0, 1.0), eta_primes=(1.0, 1.0))
+    assert specs[:4] == [*schemes._FAN_IN, *schemes._FAN_OUT] and specs[4:] == specs[:4]
+    assert all(a is b for a, b in zip(specs, schemes._FAN_IN + schemes._FAN_OUT + schemes._FAN_IN + schemes._FAN_OUT))
+    halves, carrier = schemes._HALVES, schemes._CARRIER
+    assert [(g.control, g.target, g.eta, g.eta_prime) for g in specs[:4]] == [
+        (carrier, halves[0], 1.0, 1.0),
+        (carrier, halves[1], 1.0, 1.0),
+        (halves[0], carrier, 1.0, 1.0),
+        (halves[1], carrier, 1.0, 1.0),
+    ]
+    for other in (1, True, np.float64(1.0), 1 + 0j, -1.0):
+        specs.clear()
+        join_deterministic(s, etas=(other, 1.0), eta_primes=(1.0, other))
+        assert specs[0] is not schemes._FAN_IN[0] and specs[0].eta is other and specs[0].target == halves[0]
+        assert specs[1] is schemes._FAN_IN[1] and specs[2] is schemes._FAN_OUT[0]
+        assert specs[3] is not schemes._FAN_OUT[1] and specs[3].eta_prime is other and specs[3].control == halves[1]
+    with pytest.raises(ValueError, match="^vacuum-port amplitudes must be finite$"):
+        join_deterministic(s, eta_primes=(float("nan"), 1.0))
+    with pytest.raises(ValueError, match="^vacuum-port amplitudes cannot exceed unit magnitude$"):
+        join_projective(s, etas=(1.0, 2.0))
+    assert [(g.eta, g.eta_prime) for g in schemes._FAN_IN + schemes._FAN_OUT] == [(1.0, 1.0)] * 4
+
+
+def test_control_photon_detector_is_built_once_per_register_size():
+    s = two_qubit_input([0.6, 0, 0, 0.8])
+    drop_control_photon(join_deterministic(s).output)
+    assert schemes._carrier_detection(6, (1.0, 0.0)) is schemes._carrier_detection(6, (1.0, 0.0))
+    assert schemes._carrier_detection(12, (1.0, 0.0)).modes == 12
 
 
 # --- probability model ----------------------------------------------------------

@@ -168,6 +168,26 @@ def test_expansion_reconstructs_the_five_photon_state():
         assert reconstructed.terms.get(occ, 0j) == pytest.approx(full.terms.get(occ, 0j), abs=1e-10)
 
 
+def test_input_qubits_are_built_as_make_state_builds_them():
+    from fockjoin.tpes import _input_qubits_state
+
+    def reference(alpha, beta, gamma, delta):
+        psi4 = make_state(4, [((1, 0, 0, 0), alpha), ((0, 1, 0, 0), beta)])
+        psi5 = make_state(4, [((1, 0, 0, 0), gamma), ((0, 0, 1, 0), delta)])
+        return tensor(psi4, psi5)
+
+    def bits(state):
+        return [(occ, repr(amp), type(amp)) for occ, amp in state.terms.items()]
+
+    # Signed zeros included: tensor adds each product to 0j, which clears a -0.0 part.
+    for amps in [
+        (complex(-0.0, 0.6), complex(0.8, -0.0), np.complex128(complex(-0.0, -1.0)), 0.0),
+        (np.float64(0.6), 0.8j, 1e-13, -1),
+        random_qubit_pair(np.random.default_rng(68)) + random_qubit_pair(np.random.default_rng(69)),
+    ]:
+        assert bits(_input_qubits_state(*amps)) == bits(reference(*amps))
+
+
 def _add(x, y):
     from fockjoin.fock import add
 
@@ -247,6 +267,75 @@ def test_resolve_outcome():
         resolve_outcome(16)
     with pytest.raises(ValueError):
         resolve_outcome(("Psi+", "Psi+"))
+
+
+def test_resolve_outcome_reads_the_index_as_an_integer():
+    assert resolve_outcome(np.int64(3)) == ALL_BELL_OUTCOMES[3]
+    assert teleport_join((1, 0), (0, 1), outcome=np.uint8(3)).branch == "/".join(ALL_BELL_OUTCOMES[3])
+    for bad in (True, False, 3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=r"^outcome index \[.*\] must hold integers$"):
+            resolve_outcome(bad)
+    with pytest.raises(ValueError, match=r"^outcome index 16 out of range 0\.\.15$"):
+        resolve_outcome(np.int64(16))
+    with pytest.raises(ValueError, match=r"^outcome index \[-1\] out of range$"):
+        resolve_outcome(-1)
+
+
+def _reports_sha256(reports):
+    # repr of each report's terms (with amplitude types), probability,
+    # fidelity, branch and feed-forward flag.
+    items = [
+        (
+            [(occ, complex(amp), type(amp).__name__) for occ, amp in r.output.terms.items()],
+            r.success_probability,
+            type(r.success_probability).__name__,
+            r.fidelity_to_expected,
+            type(r.fidelity_to_expected).__name__,
+            r.branch,
+            r.feed_forward_applied,
+        )
+        for r in reports
+    ]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+_PINNED_RESOURCES = (("Phi-", "phi-"), ("Psi+", "psi-"))
+
+
+def test_teleport_reports_are_pinned():
+    rng = np.random.default_rng(67)
+    ab, gd = random_qubit_pair(rng), random_qubit_pair(rng)
+    forced = [teleport_join(ab, gd, outcome=k, resource=r) for r in _PINNED_RESOURCES for k in range(16)]
+    assert _reports_sha256(forced) == "e1f507440a2addef34363a6f3f8c775143cf90b7731e15446f73c0de7284cb3b"
+    sampled = [teleport_join(ab, gd, outcome="sample", seed=s, resource=_PINNED_RESOURCES[s % 2]) for s in range(32)]
+    assert len({r.branch for r in sampled}) == 16
+    assert _reports_sha256(sampled) == "cceb124d65a8964bb31192ad64c81221be821d50369f96007b729a00ac1863b4"
+
+
+def test_sampled_outcome_is_the_one_generator_choice_draws():
+    uniform = np.full(16, 1 / 16)
+    for seed in range(1000):
+        drawn = ALL_BELL_OUTCOMES[int(np.random.default_rng(seed).choice(16, p=uniform))]
+        assert teleport_join((1, 0), (1, 0), outcome="sample", seed=seed).branch == "/".join(drawn)
+
+
+def test_bell_pairs_and_resources_are_shared_read_only():
+    for kind in POL_BELL_KINDS + PATH_BELL_KINDS:
+        assert bell_pair(kind) is bell_pair(kind)
+    for pol, path in ALL_BELL_OUTCOMES:
+        assert build_tpes(pol, path) is build_tpes(pol, path)
+    for state in (bell_pair("Phi-"), build_tpes("Psi+", "psi-")):
+        occ = next(iter(state.terms))
+        with pytest.raises(TypeError):
+            state.terms[occ] = 0j
+        with pytest.raises(TypeError):
+            del state.terms[occ]
+    with pytest.raises(ValueError, match=r"^unknown Bell kind 'Phi'; expected one of Phi\+, Phi-, Psi\+, Psi-, phi\+"):
+        bell_pair("Phi")
+    with pytest.raises(ValueError, match=r"^unknown Bell kind 'phi\+'; expected one of Phi\+, Phi-, Psi\+, Psi-$"):
+        build_tpes("phi+", "phi+")
+    with pytest.raises(ValueError, match=r"^unknown Bell kind 'Phi-'; expected one of phi\+, phi-, psi\+, psi-$"):
+        build_tpes("Phi-", "Phi-")
 
 
 def test_expansion_rejects_unnormalized_inputs():
