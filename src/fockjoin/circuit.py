@@ -154,13 +154,16 @@ def _parse_modes(line: _Line, tokens):
     return value
 
 
-def _numbers(line: _Line, tokens):
+def _numbers(line: _Line, tokens, finite=False):
     values = []
     for text, col in tokens:
         try:
             values.append(float(text))
         except ValueError:
             line.complain(col, "expected a numeric literal", text)
+            return None
+        if finite and not math.isfinite(values[-1]):
+            line.complain(col, f"{text} is not a finite number", text)
             return None
     return values
 
@@ -185,13 +188,13 @@ def _mode_args(line: _Line, tokens):
 
 
 def _fixed_arity(n_modes: int, n_numbers: int):
-    """Parser for exactly n_modes distinct modes followed by n_numbers numbers."""
+    """Parser for exactly n_modes distinct modes followed by n_numbers finite numbers (the angles of bs and ps)."""
 
     def parse(line: _Line, tokens):
         if len(tokens) != n_modes + n_numbers:
             return line.reject()
         modes = _mode_args(line, tokens[:n_modes])
-        numbers = _numbers(line, tokens[n_modes:])
+        numbers = _numbers(line, tokens[n_modes:], finite=True)
         if modes is None or numbers is None:
             return None
         return (*modes, *numbers)

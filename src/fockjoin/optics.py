@@ -16,11 +16,12 @@ unitaries take the same path with every mode active.
 Small states are spliced by a dict loop in Python complex arithmetic,
 large ones by one numpy pass over every (term, monomial) candidate that
 repeats the dict loop's floating-point operations in its order (see
-apply_unitary). Under phase shifters and permutations, whose rows hold
-one nonzero entry each, that pass expands all terms at once; expansions
-that may reach _ARRAY_MIN_MONOMIALS monomials run in numpy too. Output
-keys, term order and amplitude bits do not depend on the path, and no
-option selects it.
+apply_unitary). Under phase shifters and permutations (one nonzero entry
+per row) and two-mode couplers, that pass expands all terms at once;
+expansions that may reach _ARRAY_MIN_MONOMIALS monomials run in numpy
+too. A state built by the array pass keeps its int64 keys, so a chain of
+elements packs its occupation tuples once. Output keys, term order and
+amplitude bits do not depend on the path, and no option selects it.
 
 All functions are pure; unitaries and projectors validate themselves on
 construction and keep a private read-only copy of their array.
@@ -146,22 +147,18 @@ def compose(*elements: ModeUnitary) -> ModeUnitary:
 def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> ModeUnitary:
     """Two-mode coupler: block [[cos, e^{i p} sin], [-e^{-i p} sin, cos]] on (i, j)."""
     _check_pair(m, i, j)
+    _check_finite(theta=theta, phase=phase)
     mat = np.eye(m, dtype=complex)
-    _set_coupler(mat, i, j, theta, phase)
-    return ModeUnitary(m, mat)
-
-
-def _set_coupler(mat: np.ndarray, i: int, j: int, theta: float, phase: float):
-    """Write the coupler block on (i, j) into mat, which holds the identity there."""
     c, s = math.cos(theta), math.sin(theta)
-    mat[i, i] = c
+    mat[i, i] = mat[j, j] = c
     mat[i, j] = np.exp(1j * phase) * s
     mat[j, i] = -np.exp(-1j * phase) * s
-    mat[j, j] = c
+    return ModeUnitary(m, mat)
 
 
 def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
     (i,) = _indices([i], "mode", m)
+    _check_finite(phase=phase)
     mat = np.eye(m, dtype=complex)
     mat[i, i] = np.exp(1j * phase)
     return ModeUnitary(m, mat)
@@ -219,6 +216,12 @@ def _check_pair(m: int, i: int, j: int):
     _indices((i, j), "modes", m, distinct=True)
 
 
+def _check_finite(**angles):
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value!r} is not finite")
+
+
 # Sub-occupations whose expansion may reach this many monomials are
 # expanded with numpy; apply_unitary gives the array pass's crossovers.
 # Dict-loop outputs of at least _ARRAY_MIN_TERMS terms are pruned with numpy.
@@ -245,36 +248,41 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     Splices of _ARRAY_MIN_CANDIDATES (term, monomial) candidates or more,
     or with a numpy expansion, run as one array pass (_array_splice) when
     the occupations pack into int64 keys, the rest in the dict loop. Rows
-    of one nonzero entry each (phase shifters, permutations) expand states
-    of _ROUTED_MIN_TERMS terms or more all at once (_routed). The array
-    pass overtook the dict loop at about 150 candidates under couplers, 8
-    terms under permutations and 30 under phase shifters (2-core VM,
-    Python 3.11, numpy 2.4). Keys, term order and every amplitude bit are
-    the same on either path.
+    of one nonzero entry each (phase shifters, permutations) and couplers
+    (two active modes, four nonzero entries) expand states of
+    _ROUTED_MIN_TERMS terms or more all at once (_routed, _coupled). The
+    array pass overtook the dict loop at about 150 candidates under other
+    unitaries, 8 terms under permutations, 30 under phase shifters and
+    32-48 under couplers, 24 if the state carries its keys (2-core VM,
+    Python 3.11, numpy 2.4). Its output keeps its int64 keys for the next
+    call (_packed). Keys, term order and every amplitude bit are the same
+    on either path.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
     pick_active, pick_passive, layout, rows, active, array_photons = u._expansion_plan
-    routed = len(s.terms) >= _ROUTED_MIN_TERMS and all(len(row) == 1 for row in rows)
-    occ = _occupations(s) if routed else None
-    bits = _key_bits(s, occ) if routed or array_photons else 0
-    if routed and bits:
-        terms = _array_splice(s, occ, bits, *_routed(occ, rows, active, bits))
+    coupler = len(rows) == 2 and len(rows[0]) == len(rows[1]) == 2
+    batched = len(s.terms) >= _ROUTED_MIN_TERMS and (coupler or all(len(row) == 1 for row in rows))
+    bits, keys, facts = _packed(s) if batched else (0, None, None)
+    if bits:
+        kernel = _coupled if coupler else _routed
+        terms, packed = _array_splice(s, facts, bits, *kernel(keys, bits, facts, rows, active, s.modes))
     else:
         subs = list(map(pick_active, s.terms))
         expansions = dict.fromkeys(subs)
         # One numpy expansion takes every sub-occupation to numpy.
-        dense = bits and any(sum(sub) in array_photons for sub in expansions)
+        if array_photons and any(sum(sub) in array_photons for sub in expansions):
+            bits, keys, facts = _packed(s)
         for sub in expansions:
-            expansions[sub] = _expand_arrays(sub, rows, tuple(active), bits, s.modes) if dense else _expand(sub, rows)
+            expansions[sub] = _expand_arrays(sub, rows, tuple(active), bits, s.modes) if bits else _expand(sub, rows)
         # Each term gives at least one candidate; len(e[1]) counts either kind's monomials.
-        large = dense or len(subs) >= _ARRAY_MIN_CANDIDATES
-        large = large or sum(len(expansions[sub][1]) for sub in subs) >= _ARRAY_MIN_CANDIDATES
-        if large:
-            occ = _occupations(s) if occ is None else occ
-            bits = bits or _key_bits(s, occ)
-        if large and bits:
-            terms = _array_splice(s, occ, bits, *_expanded(occ, subs, expansions, active, bits))
+        # Couplers were decided above: below _ROUTED_MIN_TERMS terms the dict loop is as fast or faster.
+        large = not coupler and len(subs) >= _ARRAY_MIN_CANDIDATES
+        large = large or not coupler and sum(len(expansions[sub][1]) for sub in subs) >= _ARRAY_MIN_CANDIDATES
+        if large and not bits:
+            bits, keys, facts = _packed(s)
+        if bits:
+            terms, packed = _array_splice(s, facts, bits, *_expanded(keys, bits, facts, subs, expansions, active, s.modes))
         else:
             out: dict[Occupation, complex] = {}
             for (occ, amp), sub in zip(s.terms.items(), subs):
@@ -291,94 +299,152 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
             if len(out) < _ARRAY_MIN_TERMS:
                 terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
             else:
-                terms = _complex128_terms(out, np.fromiter(out.values(), dtype=complex, count=len(out)))
+                terms = _complex128_terms(out, np.fromiter(out.values(), dtype=complex, count=len(out)))[0]
     vacuum = (0,) * s.modes
     if vacuum in terms:
         # The photon-free term passes through with its amplitude's own type.
         terms[vacuum] = 0j + s.terms[vacuum]
-    return _trusted(s.modes, terms)
+    state = _trusted(s.modes, terms)
+    if bits:  # an array pass: the next call reads its packed keys instead of the tuples (_packed)
+        object.__setattr__(state, "_packed", packed)
+    return state
 
 
-def _key_bits(s: FockState, occ) -> int:
-    """Bits per mode of int64 occupation keys for s (its _occupations or None), or 0 if they do not fit."""
-    photons = max(map(sum, s.terms), default=0) if occ is None else int(occ.sum(axis=1).max())
+def _packed(s: FockState) -> tuple:
+    """(bits, keys, facts): s's occupations as int64 keys of `bits` bits each (0 if unfit), and factorial products."""
+    if (packed := getattr(s, "_packed", None)) is not None:  # set by apply_unitary on its array-pass outputs
+        return packed
+    occ = np.fromiter(chain.from_iterable(s.terms), np.int64, len(s.terms) * s.modes).reshape(len(s.terms), s.modes)
+    photons = int(occ.sum(axis=1).max(initial=0))
     bits = photons.bit_length()
-    return bits if photons <= _ARRAY_MAX_PHOTONS and bits * s.modes <= 63 else 0
+    if not bits or photons > _ARRAY_MAX_PHOTONS or bits * s.modes > 63:
+        return 0, None, None
+    return bits, occ @ np.left_shift(1, bits * np.arange(s.modes, dtype=np.int64)), _FACTORIALS[occ].prod(axis=1)
 
 
-def _occupations(s: FockState) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(s.terms), np.int64, len(s.terms) * s.modes).reshape(len(s.terms), s.modes)
+def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
+    """Photon numbers of each key on the listed modes, one row per mode."""
+    return (keys >> (bits * np.array(modes, dtype=np.int64))[:, None]) & ((1 << bits) - 1)
 
 
-def _routed(occ: np.ndarray, rows, active, bits: int):
+def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes: int):
     """The candidates of every term under rows of one nonzero entry each.
 
     _expand's steps coeff -> 0j + coeff * c for all terms at once, each
     term stopping at its photon count in the row; the first row with c != 1
     reads them from a table of powers, and rows with c == 1 are skipped
     (see _array_splice). Each term's one output occupation permutes its
-    input occupation, so the keys are distinct.
+    input occupation: the keys are distinct, the factorial products stay.
     """
-    dest = np.arange(occ.shape[1])
-    re, im = np.ones(len(occ)), np.zeros(len(occ))
-    fresh = True
-    for mode, ((b, c),) in zip(active, rows):
-        dest[mode] = active[b]
-        counts = occ[:, mode]
+    counts = _counts(keys, bits, active)
+    weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
+    re, im, fresh = np.ones(len(keys)), np.zeros(len(keys)), True
+    for n, ((b, c),) in zip(counts, rows):
         if c == 1:
             continue
         if fresh:
-            powers = np.array(list(accumulate([c] * counts.max(), mul, initial=1 + 0j)))
-            re, im, fresh = powers.real[counts], powers.imag[counts], False
+            powers = np.array(list(accumulate([c] * n.max(), mul, initial=1 + 0j)))
+            re, im, fresh = powers.real[n], powers.imag[n], False
             continue
-        for step in range(counts.max()):
-            on = counts > step
+        for step in range(n.max()):
+            on = n > step
             re, im = np.where(on, re * c.real - im * c.imag, re), np.where(on, re * c.imag + im * c.real, im)
-    keys = occ @ np.left_shift(1, bits * dest)
-    return np.arange(len(occ)), keys, _FACTORIALS[occ].prod(axis=1), re, im, _occupation_tuples(keys, bits, len(dest))
+    keys = keys + (weights[[b for ((b, _),) in rows]] - weights) @ counts
+    return np.arange(len(keys)), keys, facts, re, im, _occupation_tuples(keys, bits, modes)
 
 
-def _expanded(occ: np.ndarray, subs, expansions: dict, active, bits: int):
+def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes: int):
+    """The (term, monomial) candidates of every term under a coupler, in term-major order.
+
+    A term with a photons on the first active mode and b on the second
+    gives the a + b + 1 monomials of _coupler_coefficients' (a, b) entry.
+    """
+    weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
+    a, b = _counts(keys, bits, active)
+    top = int((a + b).max())
+    offsets, expos, expo_facts = _coupler_layout(top)
+    coeffs = np.array(_coupler_coefficients(rows, top))
+    terms, monomials = _spread(a + b + 1, offsets[a, b])
+    keys = (keys - a * weights[0] - b * weights[1])[terms] + (expos @ weights)[monomials]
+    facts = (facts // (_FACTORIALS[a] * _FACTORIALS[b]))[terms] * expo_facts[monomials]
+    return terms, keys, facts, coeffs.real[monomials], coeffs.imag[monomials], None
+
+
+def _spread(counts: np.ndarray, starts: np.ndarray):
+    """Term and monomial of each candidate, in term-major order, when term t has the counts[t] monomials from starts[t] on."""
+    ends = np.cumsum(counts)
+    return np.repeat(np.arange(len(counts)), counts), np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
+def _coupler_coefficients(rows, top: int) -> list:
+    """_expand's coefficients for every (a, b) with a + b <= top, a-major, in its Python complex arithmetic.
+
+    The polynomial after a photons of the first row is extended by b of the
+    second; each photon makes monomial k, by exponent k on the second active
+    mode as _expand orders them, (0j + old[k - 1] * c1) + old[k] * c0.
+    """
+
+    def step(old, row):
+        (_, c0), (_, c1) = row
+        return [0j + old[0] * c0] + [(0j + old[k - 1] * c1) + old[k] * c0 for k in range(1, len(old))] + [0j + old[-1] * c1]
+
+    out, poly = [], [1.0 + 0j]
+    for a in range(top + 1):
+        ext = poly = step(poly, rows[0]) if a else poly
+        for b in range(top - a + 1):
+            ext = step(ext, rows[1]) if b else ext
+            out += ext
+    return out
+
+
+@cache
+def _coupler_layout(top: int) -> tuple:
+    """Where _coupler_coefficients puts each (a, b), and its monomials' exponent pairs and factorial products."""
+    pairs = [(a, b) for a in range(top + 1) for b in range(top - a + 1)]
+    expos = np.array([(a + b - k, k) for a, b in pairs for k in range(a + b + 1)], dtype=np.int64)
+    offsets = np.zeros((top + 1, top + 1), dtype=np.intp)
+    offsets[tuple(zip(*pairs))] = np.cumsum([0] + [a + b + 1 for a, b in pairs[:-1]])
+    return _read_only(offsets, expos, _FACTORIALS[expos].prod(axis=1))
+
+
+def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: dict, active, modes: int):
     """The (term, monomial) candidates in term-major order, from all _expand's or all _expand_arrays' expansions."""
-    weights = np.left_shift(1, bits * np.arange(occ.shape[1], dtype=np.int64))
+    weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
     found = list(expansions.values())
     dense = type(found[0]) is _ArrayExpansion
     if dense:
-        keys, facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in list(zip(*found))[:4])
+        expo_keys, expo_facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in list(zip(*found))[:4])
     else:
-        expos, coeffs, facts = zip(*chain.from_iterable(e[1] for e in found))
-        keys = np.array(expos, dtype=np.int64).reshape(len(expos), len(active)) @ weights[active]
-        facts, coeffs = np.array(facts, dtype=np.int64), np.array(coeffs)
+        expos, coeffs, expo_facts = zip(*chain.from_iterable(e[1] for e in found))
+        expo_keys = np.array(expos, dtype=np.int64).reshape(len(expos), len(active)) @ weights
+        expo_facts, coeffs = np.array(expo_facts, dtype=np.int64), np.array(coeffs)
         re, im = coeffs.real, coeffs.imag
-    if len(occ) == 1:
+    if len(keys) == 1:
         terms, monomials = np.zeros(1, dtype=np.intp), slice(None)  # broadcast over the one term's monomials
     else:
         index = {sub: k for k, sub in enumerate(expansions)}
         term_sub = np.fromiter(map(index.__getitem__, subs), np.intp, len(subs))
         sizes = np.array([len(e[1]) for e in found])
-        counts = sizes[term_sub]
-        ends = np.cumsum(counts)
-        terms = np.repeat(np.arange(len(occ)), counts)
-        monomials = np.arange(ends[-1]) + np.repeat((np.cumsum(sizes) - sizes)[term_sub] - ends + counts, counts)
-    passive = occ.copy()
-    passive[:, active] = 0
-    keys = (passive @ weights)[terms] + keys[monomials]
-    facts = _FACTORIALS[passive].prod(axis=1)[terms] * facts[monomials]
+        terms, monomials = _spread(sizes[term_sub], (np.cumsum(sizes) - sizes)[term_sub])
+    counts = _counts(keys, bits, active)
+    passive = keys - weights @ counts
+    keys = passive[terms] + expo_keys[monomials]
+    facts = (facts // _FACTORIALS[counts].prod(axis=0))[terms] * expo_facts[monomials]
     occupations = None  # the keys of several terms may repeat; one term's are distinct
-    if len(occ) == 1:
-        reuse = dense and not passive.any()
-        occupations = found[0].occupations if reuse else _occupation_tuples(keys, bits, occ.shape[1])
+    if len(passive) == 1:
+        reuse = dense and not passive[0]
+        occupations = found[0].occupations if reuse else _occupation_tuples(keys, bits, modes)
     return terms, keys, facts, re[monomials], im[monomials], occupations
 
 
-def _array_splice(s: FockState, occ: np.ndarray, bits: int, terms, keys, facts, cre, cim, occupations) -> dict:
-    """The dict loop's output terms, from its candidates in term-major order.
+def _array_splice(s: FockState, in_facts: np.ndarray, bits: int, terms, keys, facts, cre, cim, occupations) -> tuple:
+    """The dict loop's output terms, from its candidates in term-major order, and their packed keys.
 
-    Candidate k comes from input term terms[k]; keys[k] is its output
-    occupation, `bits` bits per mode, facts[k] that occupation's factorial
-    product, and (cre[k], cim[k]) its monomial coefficient. Keys known to
-    differ, as one term's monomials do, come with their occupation tuples;
-    otherwise occupations is None.
+    Candidate k comes from input term terms[k] (factorial product in_facts);
+    keys[k] is its output occupation, `bits` bits per mode, facts[k] that
+    occupation's factorial product, and (cre[k], cim[k]) its monomial
+    coefficient. Keys known to differ, as one term's monomials do, come with
+    their occupation tuples; otherwise occupations is None.
 
     The values keep the dict loop's roundings: amp * coeff is re = ar*cr -
     ai*ci and im = ar*ci + ai*cr, as CPython computes it (numpy's complex
@@ -393,38 +459,44 @@ def _array_splice(s: FockState, occ: np.ndarray, bits: int, terms, keys, facts, 
     """
     amps = np.fromiter(s.terms.values(), complex, len(s.terms))
     ar, ai = amps.real[terms], amps.imag[terms]
-    inv_norm = (1.0 / np.sqrt(_FACTORIALS[occ].prod(axis=1)))[terms]
+    inv_norm = (1.0 / np.sqrt(in_facts))[terms]
     scale = np.sqrt(facts)
     re = (ar * cre - ai * cim) * scale * inv_norm
     im = (ar * cim + ai * cre) * scale * inv_norm
     if occupations is None:
-        keys, slot = _first_occurrences(keys)
+        keys, slot, first = _first_occurrences(keys)
+        facts = facts[first]
         re, im = np.bincount(slot, re, len(keys)), np.bincount(slot, im, len(keys))
         occupations = _occupation_tuples(keys, bits, s.modes)
     else:
         re, im = re + 0.0, im + 0.0  # as 0j + value
     sums = np.empty(len(keys), dtype=complex)
     sums.real, sums.imag = re, im
-    return _complex128_terms(occupations, sums)
+    terms, keep = _complex128_terms(occupations, sums)
+    return terms, (bits, *_read_only(keys[keep], facts[keep]))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _occupation_tuples(keys: np.ndarray, bits: int, modes: int) -> list:
     """The occupations packed in keys, as tuples of the Python ints that bytes yield (photon numbers are <= 20)."""
-    columns = (keys >> (bits * np.arange(modes, dtype=np.int64))[:, None]).astype(np.uint8)
-    columns &= (1 << bits) - 1
-    return list(zip(*map(bytes, columns)))
+    return list(zip(*map(bytes, _counts(keys, bits, range(modes)).astype(np.uint8))))
 
 
-def _complex128_terms(keys, amps: np.ndarray) -> dict:
-    """{key: np.complex128(amp)} over the amplitudes above PRUNE_TOL.
+def _complex128_terms(keys, amps: np.ndarray) -> tuple[dict, np.ndarray | slice]:
+    """{key: np.complex128(amp)} over the amplitudes above PRUNE_TOL, and the index of the kept ones.
 
     np.hypot gives abs() of a Python complex bit for bit; np.abs of a
     complex array does not.
     """
     keep = np.hypot(amps.real, amps.imag) > PRUNE_TOL
     if keep.all():
-        return dict(zip(keys, amps))
-    return dict(zip(compress(keys, keep.tolist()), amps[keep]))
+        return dict(zip(keys, amps)), slice(None)
+    return dict(zip(compress(keys, keep.tolist()), amps[keep])), keep
 
 
 @cache
@@ -521,30 +593,25 @@ def _expansion_structure(steps: tuple, active: tuple, bits: int, modes: int) -> 
     keys = np.zeros(1, dtype=np.int64)
     slots = []
     for cols in steps:
-        keys, slot = _first_occurrences((keys[:, None] + (1 << shifts[list(cols)])).ravel())
-        slot.setflags(write=False)
-        slots.append((slot, len(keys)))
-    facts = _FACTORIALS[(keys[:, None] >> shifts) & ((1 << bits) - 1)].prod(axis=1)
+        keys, slot, _ = _first_occurrences((keys[:, None] + (1 << shifts[list(cols)])).ravel())
+        slots.append((*_read_only(slot), len(keys)))
     # Callers share the result, so it holds only tuples and read-only arrays.
-    keys.setflags(write=False)
-    facts.setflags(write=False)
+    keys, facts = _read_only(keys, _FACTORIALS[_counts(keys, bits, active)].prod(axis=0))
     return tuple(slots), keys, facts, tuple(_occupation_tuples(keys, bits, modes))
 
 
-def _first_occurrences(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct candidates in order of first occurrence, and each candidate's index among them."""
+def _first_occurrences(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct candidates in order of first occurrence, each candidate's index among them, and the first-occurrence mask."""
     perm = candidates.argsort()
     ordered = candidates[perm]
-    new = np.empty(len(ordered), dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     first = np.minimum.reduceat(perm, np.flatnonzero(new))  # each distinct key's first candidate
     is_first = np.zeros(len(perm), dtype=bool)
     is_first[first] = True
     rank = (is_first.cumsum() - 1)[first]
     slot = np.empty(len(perm), dtype=np.intp)
     slot[perm] = rank[new.cumsum() - 1]
-    return candidates[is_first], slot
+    return candidates[is_first], slot, is_first
 
 
 def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:

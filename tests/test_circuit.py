@@ -51,6 +51,17 @@ def test_parse_non_numeric_literal():
     assert bad[0].token == "half"
 
 
+def test_parse_rejects_non_finite_angles_with_their_token():
+    text = "modes 3\nps 0 inf\nbs 0 1 nan 0\nps 1 1e400\nbs 2 1 0.3 -inf\nbs 0 2 NaN 0.1\nps 2 1e308\n"
+    assert _diagnostic_tuples(parse_circuit(text)) == [
+        (2, 6, "inf is not a finite number", "inf"),
+        (3, 8, "nan is not a finite number", "nan"),
+        (4, 6, "1e400 is not a finite number", "1e400"),
+        (5, 12, "-inf is not a finite number", "-inf"),
+        (6, 8, "NaN is not a finite number", "NaN"),
+    ]
+
+
 def test_parse_comments_and_blank_lines():
     program = parse_circuit("# header\n\nmodes 2\nhad 0 1  # inline\n")
     assert isinstance(program, CircuitProgram)

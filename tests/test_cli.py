@@ -441,6 +441,22 @@ def test_run_rejects_a_nan_vacuum_amplitude(tmp_path, capsys, amplitudes):
     assert not report.exists()
 
 @pytest.mark.parametrize(
+    "line, column, token", [("ps 0 inf", 6, "inf"), ("bs 0 1 nan 0", 8, "nan"), ("bs 1 0 0.3 1e400", 12, "1e400")]
+)
+def test_run_names_a_non_finite_angle(tmp_path, capsys, line, column, token):
+    # These used to reach numpy: a RuntimeWarning from np.exp, then "matrix is not unitary (max defect nan)".
+    circuit, state, report = tmp_path / "angle.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text(f"modes 2\n{line}\n")
+    state.write_text('{"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}]}')
+    argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{circuit}:2:{column}: {token} is not a finite number\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
     "circuit_text, state_text, message",
     [
         # OSError: the input file is missing.
@@ -605,6 +621,51 @@ def test_mesh_run_report_bytes_are_pinned(tmp_path):
     assert cli_dispatch(["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]) == 0
     assert len(json.loads(report.read_bytes())["output"]["terms"]) == 330
     expected = "4cb68898bb9dc141ffdb43a20115948a88d4f5575f189019ba94638fec03b1fe"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == expected
+
+
+def _mesh_input(modes, photons):
+    """The circuits bench's mesh input: one photon on each of the first `photons` even modes."""
+    occ = [1 if j < 2 * photons and j % 2 == 0 else 0 for j in range(modes)]
+    return json.dumps({"modes": modes, "terms": [{"occ": occ, "re": 1.0, "im": 0.0}]})
+
+
+# An 8-mode had/bs chain, pairs in either order, on an input with a
+# photon-free term, complex amplitudes and photons outside each pair.
+_CHAIN_CIRCUIT = (
+    "modes 8\nhad 0 1\nbs 2 1 0.7 0.3\nbs 3 4 1.1 -2.0\nhad 5 2\nbs 6 7 0.4 1.3\nbs 7 3 0.9 0.2\n"
+    "had 4 6\nbs 1 5 0.25 -0.8\nbs 0 7 1.3 2.9\nhad 3 2\nbs 5 6 0.6 0.0\nbs 4 0 0.8 -1.4\n"
+)
+_CHAIN_STATE = json.dumps(
+    {
+        "modes": 8,
+        "terms": [
+            {"occ": [0, 0, 0, 0, 0, 0, 0, 0], "re": 0.1, "im": 0.0},
+            {"occ": [1, 1, 1, 1, 0, 0, 0, 0], "re": 0.5, "im": 0.3},
+            {"occ": [0, 2, 0, 1, 0, 0, 1, 0], "re": 0.0, "im": -0.4},
+            {"occ": [1, 0, 1, 0, 1, 0, 1, 0], "re": 0.6, "im": 0.0},
+            {"occ": [1, 0, 0, 0, 0, 0, 0, 2], "re": 0.3, "im": -0.2},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "circuit_text, state_text, terms, expected",
+    [
+        (_mesh_circuit(8, 11), _mesh_input(8, 4), 330, "d8bb60161b68075030b8c7f6f174bc4e9029d17f469dd46bfa5adacdd83ded3f"),
+        (_mesh_circuit(6, 29), _mesh_input(6, 3), 56, "2433cf0275008be193813b6dc3d058229368959002d698e21c5e8806da359921"),
+        (_CHAIN_CIRCUIT, _CHAIN_STATE, 442, "1e88b0a7aad8f129bbd353f4603aac31279d696b81567594f3e72b6e4a4dee73"),
+    ],
+    ids=["mesh-8-4", "mesh-6-3", "had-bs-chain"],
+)
+def test_coupler_run_report_bytes_are_pinned(tmp_path, circuit_text, state_text, terms, expected):
+    # Pinned before couplers got their own array kernel; the bytes must not move.
+    circuit, state, report = tmp_path / "c.pc", tmp_path / "s.json", tmp_path / "report.json"
+    circuit.write_text(circuit_text)
+    state.write_text(state_text)
+    assert cli_dispatch(["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]) == 0
+    assert len(json.loads(report.read_bytes())["output"]["terms"]) == terms
     assert hashlib.sha256(report.read_bytes()).hexdigest() == expected
 
 

@@ -668,3 +668,89 @@ def test_non_finite_matrices_and_projectors_are_rejected():
 def test_element_modes_must_be_integers_in_range(build):
     with pytest.raises(ValueError, match="modes|mode|permutation"):
         build()
+
+
+@st.composite
+def _coupler_chains(draw):
+    """60 to 80 terms of up to 6 photons on 3 to 6 modes, signed-zero parts, then 2 to 6 couplers and Hadamards."""
+    modes = draw(st.integers(3, 6))
+    picks = draw(st.lists(st.sampled_from(enumerate_occupations(modes, 6)), min_size=60, max_size=80, unique=True))
+    state = FockState(modes, {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks})
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    elements = []
+    for _ in range(draw(st.integers(2, 6))):
+        i, j = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))  # i > j too
+        coupler = draw(st.booleans())
+        elements.append(beamsplitter(modes, i, j, draw(angle), draw(angle)) if coupler else hadamard_pair(modes, i, j))
+    return state, elements
+
+
+def _assert_carries_its_terms(state):
+    """A state's packed keys and factorial products, if it carries them, are its terms' in order, read-only."""
+    if getattr(state, "_packed", None) is None:
+        return False
+    bits, keys, facts = state._packed
+    assert optics._occupation_tuples(keys, bits, state.modes) == list(state.terms)
+    assert facts.tolist() == [math.prod(map(math.factorial, occ)) for occ in state.terms]
+    assert not keys.flags.writeable and not facts.flags.writeable
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(_coupler_chains())
+def test_coupler_chains_with_carried_keys_match_rebuilt_states_and_the_permanent_oracle(case):
+    state, elements = case
+    chained = rebuilt = state
+    for u in elements:
+        chained = apply_unitary(chained, u)
+        # Rebuilding through the constructor drops the carried keys.
+        rebuilt = apply_unitary(FockState(rebuilt.modes, dict(rebuilt.terms)), u)
+        assert list(chained.terms) == list(rebuilt.terms)
+        assert _bytes(chained.terms.values()) == _bytes(rebuilt.terms.values())
+        assert [type(a) for a in chained.terms.values()] == [type(a) for a in rebuilt.terms.values()]
+        _assert_carries_its_terms(chained)
+    mat = compose(*elements).matrix
+    absent = [occ for occ in enumerate_occupations(state.modes, 6) if occ not in chained.terms]
+    for occ_out in list(chained.terms)[:6] + absent[:3]:
+        expected = sum(amp * transition_amplitude(mat, occ_in, occ_out) for occ_in, amp in state.terms.items())
+        assert abs(chained.amplitude(occ_out) - expected) < 1e-10
+
+
+def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
+    # Two photons on modes 0 and 1 of every term, and up to three on modes 2-5; some zero parts are -0.0.
+    occs = [(a, 2 - a, *p) for p in enumerate_occupations(4, 3) for a in range(3)]
+    terms = {occ: complex(0.1 * (k % 7) - 0.3, -0.0 if k % 3 else 0.2) for k, occ in enumerate(occs)}
+    bs = beamsplitter(6, 1, 0, 0.7, -0.4)
+    # 31 terms stay in the dict loop; 32 take the array pass, without _expand.
+    assert not hasattr(apply_unitary(FockState(6, dict(list(terms.items())[:31])), bs), "_packed")
+    large = FockState(6, dict(list(terms.items())[:32]))
+    _assert_matches_dict_loop(large, bs)
+    with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
+        out = apply_unitary(large, bs)
+        chained = apply_unitary(apply_unitary(apply_unitary(FockState(6, terms), bs), hadamard_pair(6, 3, 0)), bs)
+    assert _assert_carries_its_terms(out) and _assert_carries_its_terms(chained)
+    assert optics._packed(out) is out._packed
+    assert not hasattr(FockState(6, dict(out.terms)), "_packed")
+    # A phase shifter and a permutation read the carried keys too, and pass them on.
+    routed = apply_unitary(apply_unitary(chained, phase_shifter(6, 2, 0.3)), mode_permutation(6, [5, 4, 3, 2, 1, 0]))
+    assert _assert_carries_its_terms(routed)
+    rebuilt = FockState(6, dict(chained.terms))
+    expected = apply_unitary(apply_unitary(rebuilt, phase_shifter(6, 2, 0.3)), mode_permutation(6, [5, 4, 3, 2, 1, 0]))
+    assert list(routed.terms) == list(expected.terms)
+    assert _bytes(routed.terms.values()) == _bytes(expected.terms.values())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: beamsplitter(4, 0, 1, math.nan), "theta nan is not finite"),
+        (lambda: beamsplitter(4, 0, 1, 0.3, math.inf), "phase inf is not finite"),
+        (lambda: beamsplitter(4, 2, 1, -math.inf, math.nan), "theta -inf is not finite"),
+        (lambda: phase_shifter(4, 2, math.nan), "phase nan is not finite"),
+        (lambda: phase_shifter(4, 2, float("1e400")), "phase inf is not finite"),
+    ],
+)
+def test_non_finite_angles_are_rejected_by_name(build, message):
+    # Raised before numpy runs: a RuntimeWarning from np.exp would fail the test.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
