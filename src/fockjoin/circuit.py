@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockState, is_normalized, norm, postselect_vacuum
+from .fock import FockState, _squared_norm, is_normalized, norm, postselect_vacuum
 from .gates import (
     CnotSpec,
     DualRailQubit,
@@ -154,7 +154,8 @@ def _parse_modes(line: _Line, tokens):
     return value
 
 
-def _numbers(line: _Line, tokens, finite=False):
+def _numbers(line: _Line, tokens):
+    """One finite float per token; no op takes inf or nan."""
     values = []
     for text, col in tokens:
         try:
@@ -162,7 +163,7 @@ def _numbers(line: _Line, tokens, finite=False):
         except ValueError:
             line.complain(col, "expected a numeric literal", text)
             return None
-        if finite and not math.isfinite(values[-1]):
+        if not math.isfinite(values[-1]):
             line.complain(col, f"{text} is not a finite number", text)
             return None
     return values
@@ -194,7 +195,7 @@ def _fixed_arity(n_modes: int, n_numbers: int):
         if len(tokens) != n_modes + n_numbers:
             return line.reject()
         modes = _mode_args(line, tokens[:n_modes])
-        numbers = _numbers(line, tokens[n_modes:], finite=True)
+        numbers = _numbers(line, tokens[n_modes:])
         if modes is None or numbers is None:
             return None
         return (*modes, *numbers)
@@ -240,7 +241,7 @@ def _parse_project(line: _Line, tokens):
             return None
         seen.add(mode[0])
         entries.append((mode[0], complex(amps[0], amps[1])))
-    total = sum(abs(a) ** 2 for _, a in entries)
+    total = _squared_norm(a for _, a in entries)
     if not abs(total - 1.0) <= 1e-6:
         return line.reject(f"projection amplitudes have squared norm {total:.6g}, expected 1")
     return tuple(entries)

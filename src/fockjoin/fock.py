@@ -130,12 +130,17 @@ def zero_state(modes: int) -> FockState:
     return FockState(modes, {})
 
 
-def norm(s: FockState) -> float:
+def _squared_norm(amps) -> float:
+    """sum(abs(a) ** 2 for a in amps), or inf where that passes the largest float."""
     try:
-        total = sum(abs(a) ** 2 for a in s.terms.values())
+        return sum(abs(a) ** 2 for a in amps)
     except OverflowError:  # a finite amplitude above about 1.3e154
-        total = math.inf
-    if total == math.inf:  # or finite squares whose sum passes the largest float
+        return math.inf
+
+
+def norm(s: FockState) -> float:
+    total = _squared_norm(s.terms.values())
+    if total == math.inf:  # an amplitude too large to square, or finite squares whose sum passes the largest float
         occ, amp = max(s.terms.items(), key=lambda term: abs(term[1]))
         raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square")
     return math.sqrt(total)

@@ -74,9 +74,11 @@ def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
     """Why (eta, eta_prime) are not vacuum-port amplitudes, or None if they are."""
     if not (cmath.isfinite(eta) and cmath.isfinite(eta_prime)):
         return "vacuum-port amplitudes must be finite"
-    if abs(eta) > 1 + 1e-12 or abs(eta_prime) > 1 + 1e-12:
-        return "vacuum-port amplitudes cannot exceed unit magnitude"
-    return None
+    try:
+        within = abs(eta) <= 1 + 1e-12 and abs(eta_prime) <= 1 + 1e-12
+    except OverflowError:  # a finite amplitude whose magnitude passes the largest float
+        within = False
+    return None if within else "vacuum-port amplitudes cannot exceed unit magnitude"
 
 
 def apply_cnot(s: FockState, g: CnotSpec) -> FockState:

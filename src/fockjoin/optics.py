@@ -13,13 +13,13 @@ distinct occupation of the active modes is expanded once; a beamsplitter
 on (8, 4) states expands at most 15 sub-occupations for 330 terms. Dense
 unitaries take the same path with every mode active.
 
-Small states are spliced by a dict loop in Python complex arithmetic,
-large ones by one numpy pass over every (term, monomial) candidate that
-repeats the dict loop's floating-point operations in its order (see
-apply_unitary). Under phase shifters and permutations (one nonzero entry
-per row) and two-mode couplers, that pass expands all terms at once;
-expansions that may reach _ARRAY_MIN_MONOMIALS monomials run in numpy
-too. A state built by the array pass keeps its int64 keys, so a chain of
+States are spliced by a dict loop in Python complex arithmetic or by one
+numpy pass that repeats its floating-point operations in its order. Each
+unitary picks, from its structure, the one array kernel that may feed
+that pass: _routed (one nonzero entry per row) and _coupled (two-mode
+couplers) take states of _ROUTED_MIN_TERMS terms or more, _expanded any
+state with an expansion that may reach _ARRAY_MIN_MONOMIALS monomials.
+A state built by the array pass keeps its int64 keys, so a chain of
 elements packs its occupation tuples once. Output keys, term order and
 amplitude bits do not depend on the path, and no option selects it.
 
@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate, chain, compress
-from operator import itemgetter, mul
+from itertools import chain, compress
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -62,13 +62,13 @@ class ModeUnitary:
         """What apply_unitary needs of the matrix, read once per unitary.
 
         Returns (pick_active, pick_passive, layout, rows, active,
-        array_photons): pickers for the active and passive entries of an
-        occupation; the reordering that puts passive + active entries back
-        in mode order (tuple when that order is already the mode order);
-        the active rows restricted to the active columns (the only columns
-        where they are nonzero) as (active index, entry) pairs of their
-        nonzero entries; the active modes; and the active photon numbers
-        whose expansion takes the numpy path.
+        array_photons, kernel): pickers for the active and passive entries
+        of an occupation; the reordering that puts passive + active entries
+        back in mode order (tuple if that is the mode order); the active
+        rows on the active columns (where alone they are nonzero) as
+        (active index, entry) pairs of their nonzero entries; the active
+        modes; _array_photons; and the kernel for whole states (_routed,
+        _coupled) or None.
         """
         m = self.dim
         rows = self.matrix.tolist()
@@ -84,7 +84,8 @@ class ModeUnitary:
         pick_active = _picker(active)
         nonzero = [[(b, c) for b, c in enumerate(pick_active(rows[i])) if c] for i in active]
         densest = max(map(len, nonzero), default=0)
-        return pick_active, _picker(passive), layout, nonzero, active, _array_photons(len(active), densest)
+        kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
+        return pick_active, _picker(passive), layout, nonzero, active, _array_photons(len(active), densest), kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,11 +223,9 @@ def _check_finite(**angles):
             raise ValueError(f"{name} {value!r} is not finite")
 
 
-# Sub-occupations whose expansion may reach this many monomials are
-# expanded with numpy; apply_unitary gives the array pass's crossovers.
-# Dict-loop outputs of at least _ARRAY_MIN_TERMS terms are pruned with numpy.
+# The two crossovers of apply_unitary's array kernels. Dict-loop outputs
+# of at least _ARRAY_MIN_TERMS terms are pruned with numpy.
 _ARRAY_MIN_MONOMIALS = 64
-_ARRAY_MIN_CANDIDATES = 160
 _ROUTED_MIN_TERMS = 32
 _ARRAY_MIN_TERMS = 16
 # The array pass packs occupations as int64 keys and takes factorial
@@ -245,42 +244,33 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     preserved. Amplitudes at or below PRUNE_TOL are dropped, the rest are
     np.complex128, and a photon-free input term passes through unchanged.
 
-    Splices of _ARRAY_MIN_CANDIDATES (term, monomial) candidates or more,
-    or with a numpy expansion, run as one array pass (_array_splice) when
-    the occupations pack into int64 keys, the rest in the dict loop. Rows
-    of one nonzero entry each (phase shifters, permutations) and couplers
-    (two active modes, four nonzero entries) expand states of
-    _ROUTED_MIN_TERMS terms or more all at once (_routed, _coupled). The
-    array pass overtook the dict loop at about 150 candidates under other
-    unitaries, 8 terms under permutations, 30 under phase shifters and
-    32-48 under couplers, 24 if the state carries its keys (2-core VM,
-    Python 3.11, numpy 2.4). Its output keeps its int64 keys for the next
-    call (_packed). Keys, term order and every amplitude bit are the same
-    on either path.
+    The dict loop splices in Python complex arithmetic. An array kernel
+    instead feeds one numpy pass (_array_splice) on occupations packed as
+    int64 keys (_packed), and the unitary names its kernel once
+    (_expansion_plan). _routed (rows of one nonzero entry: phase shifters,
+    permutations) and _coupled (couplers: two active modes, four nonzero
+    entries) expand states of _ROUTED_MIN_TERMS terms or more at once;
+    they overtook the dict loop at 8 terms under permutations, 30 under
+    phase shifters and 32-48 under couplers, 24 with carried keys (2-core
+    VM, Python 3.11, numpy 2.4). Any unitary takes _expanded when an
+    expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
+    The array pass's output keeps its keys for the next call. Keys, term
+    order and every amplitude bit are the same on any path.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
-    pick_active, pick_passive, layout, rows, active, array_photons = u._expansion_plan
-    coupler = len(rows) == 2 and len(rows[0]) == len(rows[1]) == 2
-    batched = len(s.terms) >= _ROUTED_MIN_TERMS and (coupler or all(len(row) == 1 for row in rows))
-    bits, keys, facts = _packed(s) if batched else (0, None, None)
+    pick_active, pick_passive, layout, rows, active, array_photons, kernel = u._expansion_plan
+    bits, keys, facts = _packed(s) if kernel and len(s.terms) >= _ROUTED_MIN_TERMS else (0, None, None)
     if bits:
-        kernel = _coupled if coupler else _routed
         terms, packed = _array_splice(s, facts, bits, *kernel(keys, bits, facts, rows, active, s.modes))
     else:
         subs = list(map(pick_active, s.terms))
         expansions = dict.fromkeys(subs)
-        # One numpy expansion takes every sub-occupation to numpy.
-        if array_photons and any(sum(sub) in array_photons for sub in expansions):
+        # One numpy-sized expansion takes every sub-occupation to numpy.
+        if array_photons and any(sum(sub) >= array_photons for sub in expansions):
             bits, keys, facts = _packed(s)
         for sub in expansions:
             expansions[sub] = _expand_arrays(sub, rows, tuple(active), bits, s.modes) if bits else _expand(sub, rows)
-        # Each term gives at least one candidate; len(e[1]) counts either kind's monomials.
-        # Couplers were decided above: below _ROUTED_MIN_TERMS terms the dict loop is as fast or faster.
-        large = not coupler and len(subs) >= _ARRAY_MIN_CANDIDATES
-        large = large or not coupler and sum(len(expansions[sub][1]) for sub in subs) >= _ARRAY_MIN_CANDIDATES
-        if large and not bits:
-            bits, keys, facts = _packed(s)
         if bits:
             terms, packed = _array_splice(s, facts, bits, *_expanded(keys, bits, facts, subs, expansions, active, s.modes))
         else:
@@ -331,20 +321,16 @@ def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes:
     """The candidates of every term under rows of one nonzero entry each.
 
     _expand's steps coeff -> 0j + coeff * c for all terms at once, each
-    term stopping at its photon count in the row; the first row with c != 1
-    reads them from a table of powers, and rows with c == 1 are skipped
-    (see _array_splice). Each term's one output occupation permutes its
-    input occupation: the keys are distinct, the factorial products stay.
+    term stopping at its photon count in the row; rows with c == 1 are
+    skipped (see _array_splice). Each term's one output occupation
+    permutes its input occupation: the keys are distinct, the factorial
+    products stay.
     """
     counts = _counts(keys, bits, active)
     weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
-    re, im, fresh = np.ones(len(keys)), np.zeros(len(keys)), True
+    re, im = np.ones(len(keys)), np.zeros(len(keys))
     for n, ((b, c),) in zip(counts, rows):
         if c == 1:
-            continue
-        if fresh:
-            powers = np.array(list(accumulate([c] * n.max(), mul, initial=1 + 0j)))
-            re, im, fresh = powers.real[n], powers.imag[n], False
             continue
         for step in range(n.max()):
             on = n > step
@@ -408,23 +394,16 @@ def _coupler_layout(top: int) -> tuple:
 
 
 def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: dict, active, modes: int):
-    """The (term, monomial) candidates in term-major order, from all _expand's or all _expand_arrays' expansions."""
+    """The (term, monomial) candidates in term-major order, from _expand_arrays' expansions."""
     weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
     found = list(expansions.values())
-    dense = type(found[0]) is _ArrayExpansion
-    if dense:
-        expo_keys, expo_facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in list(zip(*found))[:4])
-    else:
-        expos, coeffs, expo_facts = zip(*chain.from_iterable(e[1] for e in found))
-        expo_keys = np.array(expos, dtype=np.int64).reshape(len(expos), len(active)) @ weights
-        expo_facts, coeffs = np.array(expo_facts, dtype=np.int64), np.array(coeffs)
-        re, im = coeffs.real, coeffs.imag
+    expo_keys, expo_facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in list(zip(*found))[:4])
     if len(keys) == 1:
         terms, monomials = np.zeros(1, dtype=np.intp), slice(None)  # broadcast over the one term's monomials
     else:
         index = {sub: k for k, sub in enumerate(expansions)}
         term_sub = np.fromiter(map(index.__getitem__, subs), np.intp, len(subs))
-        sizes = np.array([len(e[1]) for e in found])
+        sizes = np.array([len(e.keys) for e in found])
         terms, monomials = _spread(sizes[term_sub], (np.cumsum(sizes) - sizes)[term_sub])
     counts = _counts(keys, bits, active)
     passive = keys - weights @ counts
@@ -432,8 +411,7 @@ def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: 
     facts = (facts // _FACTORIALS[counts].prod(axis=0))[terms] * expo_facts[monomials]
     occupations = None  # the keys of several terms may repeat; one term's are distinct
     if len(passive) == 1:
-        reuse = dense and not passive[0]
-        occupations = found[0].occupations if reuse else _occupation_tuples(keys, bits, modes)
+        occupations = _occupation_tuples(keys, bits, modes) if passive[0] else found[0].occupations
     return terms, keys, facts, re[monomials], im[monomials], occupations
 
 
@@ -500,26 +478,22 @@ def _complex128_terms(keys, amps: np.ndarray) -> tuple[dict, np.ndarray | slice]
 
 
 @cache
-def _array_photons(active: int, densest: int) -> range:
-    """Active photon numbers n whose expansion takes the numpy path.
+def _array_photons(active: int, densest: int) -> int:
+    """The smallest active photon number whose expansion takes the numpy path, or 0 if none does.
 
     n photons on `active` modes, through rows of at most `densest` nonzero
     entries, give at most min(C(active + n - 1, n), densest**n) monomials;
     the numpy path starts where that bound reaches _ARRAY_MIN_MONOMIALS.
-    It ends where the keys, n.bit_length() bits per active mode, or the
-    factorial products would leave int64.
+    States whose keys or factorial products would leave int64 stay in the
+    dict loop (_packed).
     """
     if densest < 2 or active < 3:
-        return range(0)  # at most n + 1 monomials
-    top = _ARRAY_MAX_PHOTONS
-    while top and top.bit_length() * active > 63:
-        top -= 1
-    count = 1
-    for n in range(1, top + 1):
-        count = count * (active + n - 1) // n
-        if min(count, densest**n) >= _ARRAY_MIN_MONOMIALS:
-            return range(n, top + 1)
-    return range(0)
+        return 0  # at most n + 1 monomials
+    n, monomials = 0, 1
+    while min(monomials, densest**n) < _ARRAY_MIN_MONOMIALS:
+        n += 1
+        monomials = monomials * (active + n - 1) // n
+    return n
 
 
 def _expand(sub: Occupation, rows) -> tuple[int, list]:

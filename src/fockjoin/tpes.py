@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .fock import FockState, _indices, _pruned, fidelity, make_state, norm, normalize, partial_inner, tensor
+from .fock import FockState, _indices, _pruned, _squared_norm, fidelity, make_state, norm, normalize, partial_inner, tensor
 from .optics import ModeUnitary, apply_unitary
 from .schemes import _TWO_QUBIT_BASIS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
 
@@ -155,7 +155,7 @@ _PAIR_35 = _photon_modes(1, 2)
 def _five_photon_state(alpha, beta, gamma, delta, resource) -> FockState:
     """Resource photons 1-3 followed by the input qubits on photons 4 and 5."""
     for name, (x, y) in (("alpha/beta", (alpha, beta)), ("gamma/delta", (gamma, delta))):
-        if not abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= 1e-8:
+        if not abs(_squared_norm((x, y)) - 1.0) <= 1e-8:
             raise ValueError(f"{name} amplitudes must be normalized")
     return tensor(build_tpes(*resource), _input_qubits_state(alpha, beta, gamma, delta))
 

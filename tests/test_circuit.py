@@ -199,6 +199,10 @@ project 0 1 0 0 0 0
 project 0 0.5 0
 cnot 0 1 2 3 2 0
 foo 1
+cnot 0 1 2 3 1.5e308 1.5e308
+project 0 1e200 0
+project 0 nan 0 1 0.6 0
+cnot 0 1 2 3 inf 0
 """
 
 MALFORMED_DIAGNOSTICS = [
@@ -222,6 +226,11 @@ MALFORMED_DIAGNOSTICS = [
     (18, 1, "projection amplitudes have squared norm 0.25, expected 1", "project"),
     (19, 1, "vacuum-port amplitudes cannot exceed unit magnitude", "cnot"),
     (20, 1, "unknown instruction 'foo'", "foo"),
+    # Finite numbers whose magnitude or square passes the largest float; then non-finite ones, named by their token.
+    (21, 1, "vacuum-port amplitudes cannot exceed unit magnitude", "cnot"),
+    (22, 1, "projection amplitudes have squared norm inf, expected 1", "project"),
+    (23, 11, "nan is not a finite number", "nan"),
+    (24, 14, "inf is not a finite number", "inf"),
 ]
 
 

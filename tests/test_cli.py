@@ -426,8 +426,16 @@ def test_run_parse_diagnostic_stderr_is_exact(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("amplitudes", ["nan 0", "1 0 0 nan"])
-def test_run_rejects_a_nan_vacuum_amplitude(tmp_path, capsys, amplitudes):
+@pytest.mark.parametrize(
+    "amplitudes, column, message",
+    [
+        pytest.param("nan 0", 14, "nan is not a finite number", id="nan 0"),
+        pytest.param("1 0 0 nan", 20, "nan is not a finite number", id="1 0 0 nan"),
+        # abs() of this finite amplitude raises OverflowError; the run must still exit 2 with a message.
+        pytest.param("1.5e308 1.5e308", 1, "vacuum-port amplitudes cannot exceed unit magnitude", id="1.5e308 1.5e308"),
+    ],
+)
+def test_run_rejects_a_nan_vacuum_amplitude(tmp_path, capsys, amplitudes, column, message):
     # A NaN eta used to pass the magnitude check; the NaN term was then
     # pruned and the run reported an empty output with "probability": 1.
     circuit, state, report = tmp_path / "nan.pc", tmp_path / "s.json", tmp_path / "report.json"
@@ -436,15 +444,22 @@ def test_run_rejects_a_nan_vacuum_amplitude(tmp_path, capsys, amplitudes):
     argv = ["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"{circuit}:2:1: vacuum-port amplitudes must be finite\n"
+    assert captured.err == f"{circuit}:2:{column}: {message}\n"
     assert captured.out == ""
     assert not report.exists()
 
 @pytest.mark.parametrize(
-    "line, column, token", [("ps 0 inf", 6, "inf"), ("bs 0 1 nan 0", 8, "nan"), ("bs 1 0 0.3 1e400", 12, "1e400")]
+    "line, column, token",
+    [
+        ("ps 0 inf", 6, "inf"),
+        ("bs 0 1 nan 0", 8, "nan"),
+        ("bs 1 0 0.3 1e400", 12, "1e400"),
+        ("project 0 nan 0 1 0.6 0", 11, "nan"),
+    ],
 )
 def test_run_names_a_non_finite_angle(tmp_path, capsys, line, column, token):
-    # These used to reach numpy: a RuntimeWarning from np.exp, then "matrix is not unitary (max defect nan)".
+    # The angles used to reach numpy: a RuntimeWarning from np.exp, then "matrix is not unitary (max defect nan)".
+    # A projection amplitude was blamed on the keyword, as "squared norm nan"; every number now names its token.
     circuit, state, report = tmp_path / "angle.pc", tmp_path / "s.json", tmp_path / "report.json"
     circuit.write_text(f"modes 2\n{line}\n")
     state.write_text('{"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}]}')
@@ -519,8 +534,10 @@ def test_run_rejects_an_input_amplitude_it_would_prune(tmp_path, capsys):
     [
         (["--alpha", "nan", "--beta", "0", "--gamma", "0", "--delta", "0"], "alpha/beta"),
         (["--alpha", "1", "--beta", "0", "--gamma", "nan", "--delta", "0"], "gamma/delta"),
+        # Squaring this finite amplitude raises OverflowError; the run must still exit 2 with a message.
+        (["--alpha", "1e200", "--beta", "0", "--gamma", "1", "--delta", "0"], "alpha/beta"),
     ],
-    ids=["alpha-nan", "gamma-nan"],
+    ids=["alpha-nan", "gamma-nan", "alpha-overflow"],
 )
 def test_teleport_join_names_the_nan_pair(capsys, amplitudes, blamed):
     assert cli_dispatch(["teleport-join", *amplitudes, "--outcome", "0"]) == 2

@@ -197,6 +197,9 @@ def test_qubit_and_quart_validation():
         CnotSpec(DualRailQubit(0, 1), DualRailQubit(1, 2))
     with pytest.raises(ValueError):
         CnotSpec(CONTROL, TARGET, eta=2.0)
+    # abs() of this finite amplitude raises OverflowError; the spec must raise ValueError.
+    with pytest.raises(ValueError, match="vacuum-port amplitudes cannot exceed unit magnitude"):
+        CnotSpec(CONTROL, TARGET, eta_prime=complex(1.5e308, 1.5e308))
 
 
 @pytest.mark.parametrize("amp", [float("nan"), complex(0.0, float("nan")), float("inf")])

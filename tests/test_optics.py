@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import math
 import pickle
@@ -390,9 +389,9 @@ def test_dense_haar_evolution_at_12_6_is_pinned():
 
 
 def test_mixed_terms_under_a_partial_haar_are_pinned():
-    # Modes 6 and 7 are passive; the four-photon sub-occupations expand
-    # with numpy, the three-photon and one-photon ones with the dict loop,
-    # and the vacuum passes through.
+    # Modes 6 and 7 are passive. The four-photon sub-occupations may reach
+    # 126 monomials, so every sub-occupation, the three-photon, one-photon
+    # and empty ones too, expands with numpy; the vacuum passes through.
     mat = np.eye(8, dtype=complex)
     mat[:6, :6] = haar_random_unitary(6, 2024).matrix
     state = normalize(
@@ -407,7 +406,8 @@ def test_mixed_terms_under_a_partial_haar_are_pinned():
             ],
         )
     )
-    out = apply_unitary(state, ModeUnitary(8, mat))
+    with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
+        out = apply_unitary(state, ModeUnitary(8, mat))
     assert len(out.terms) == 189
     assert _items_sha256(out) == "e751a5a4dd17cbe2e85eb87191f021b00bc3271a77bf6a59afcc18b2924db5bc"
 
@@ -476,7 +476,7 @@ def _assert_same_expansion(sub, rows):
 
 def _dict_loop_splice(u, occ, amp):
     """One term's (key, amp * coeff * out_norm / in_norm) pairs, as apply_unitary's dict loop computes them."""
-    pick_active, pick_passive, layout, rows, _, _ = u._expansion_plan
+    pick_active, pick_passive, layout, rows = u._expansion_plan[:4]
     passive = pick_passive(occ)
     passive_fact = math.prod(map(math.factorial, passive))
     sub_fact, monomials = _expand(pick_active(occ), rows)
@@ -501,11 +501,8 @@ def _dict_loop(state, u):
 
 
 def _crossovers(n):
-    """Both array-pass crossovers of apply_unitary set to n: 1 forces the array pass, 10**9 the dict loop."""
-    stack = contextlib.ExitStack()
-    for name in ("_ARRAY_MIN_CANDIDATES", "_ROUTED_MIN_TERMS"):
-        stack.enter_context(mock.patch.object(optics, name, n))
-    return stack
+    """The term-count crossover of _routed and _coupled set to n: 1 forces their array pass, 10**9 the dict loop."""
+    return mock.patch.object(optics, "_ROUTED_MIN_TERMS", n)
 
 
 def _assert_matches_dict_loop(state, u):
@@ -546,21 +543,27 @@ def test_lone_term_on_the_numpy_path_adds_each_amplitude_to_0j():
     # into +0.0, and so must the numpy path.
     mat = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0].astype(complex)
     u, occ, amp = ModeUnitary(6, mat), (1, 1, 1, 1, 0, 0), complex(-0.6, -0.0)
-    assert sum(occ) in u._expansion_plan[5]
+    assert sum(occ) >= u._expansion_plan[5]
     values = np.array([value for _, value in _dict_loop_splice(u, occ, amp)])
     assert np.any(np.signbit(values.imag) & (values.imag == 0))
     _assert_lone_term_matches_dict_loop(u, occ, amp)
 
 
 def test_numpy_path_holds_up_to_twenty_photons():
-    # Three dense modes take the numpy path from 10 photons (66 monomials)
-    # to 20, the most whose factorial products fit int64.
+    # Three dense modes take the numpy path from 10 photons (66 monomials);
+    # 20 is the most whose factorial products fit int64, and _packed sends
+    # a state of 21 to the dict loop.
     u = haar_random_unitary(3, 8)
     rows, array_photons = u._expansion_plan[3], u._expansion_plan[5]
-    assert 20 in array_photons and 21 not in array_photons
+    assert array_photons == 10
     for sub in ((16, 0, 0), (7, 7, 6), (0, 20, 0)):
         _assert_same_expansion(sub, rows)
     _assert_lone_term_matches_dict_loop(u, (7, 7, 6), 1.0 + 0j)
+    over = FockState(3, {(7, 7, 7): 1.0 + 0j})
+    assert optics._packed(over)[0] == 0
+    with mock.patch.object(optics, "_expand_arrays", side_effect=AssertionError("_expand_arrays called")):
+        _assert_matches_dict_loop(over, u)
+        assert not hasattr(apply_unitary(over, u), "_packed")
 
 
 def test_lone_dense_term_keeps_its_passive_photons():
@@ -616,6 +619,18 @@ def _large_states_under_elements(draw):
         subset = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=modes, unique=True))
         element = _embedded_haar(modes, subset, draw(st.integers(0, 2**32 - 1)))
     return FockState(modes, terms), element, draw(st.sampled_from([1, 32, 10**9]))
+
+
+def test_composed_coupler_pair_without_a_numpy_sized_expansion_takes_the_dict_loop():
+    # Three active modes with three photons at most: no expansion is numpy-sized,
+    # and neither kernel fits the composed matrix, so all 120 terms take the dict loop.
+    u = compose(beamsplitter(8, 0, 1, 0.7, 0.2), beamsplitter(8, 1, 2, -1.1, 0.5))
+    rng = np.random.default_rng(15)
+    state = FockState(8, {occ: complex(*rng.uniform(-1, 1, 2)) for occ in enumerate_occupations(8, 3) if sum(occ) == 3})
+    assert len(state.terms) == 120
+    with mock.patch.object(optics, "_expanded", side_effect=AssertionError("_expanded called")):
+        _assert_matches_dict_loop(state, u)
+    assert u._expansion_plan[4:] == ([0, 1, 2], 10, None)
 
 
 @settings(max_examples=80, deadline=None)
