@@ -57,6 +57,11 @@ def _emit(obj, write):
     # Containers first, as the most frequent; bool before int. Strings and
     # keys are encoded as json.dumps encodes a str.
     if isinstance(obj, dict):
+        # A state's term (state_to_dict), the bulk of a report, in one format with the loop's bytes.
+        im, occ, re = obj.get("im"), obj.get("occ"), obj.get("re")
+        if len(obj) == 3 and type(im) is type(re) is float and type(occ) is list and set(map(type, occ)) <= {int}:
+            write('{"im":%s,"occ":%s,"re":%s}' % (format(im, ".17g"), str(occ).replace(" ", ""), format(re, ".17g")))
+            return
         sep = "{"
         for key in sorted(obj):
             value = obj[key]

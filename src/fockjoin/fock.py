@@ -43,6 +43,12 @@ class FockState:
     Construction checks every occupation and amplitude; operations inside
     this package build their results through ``_trusted`` instead, since
     they only rearrange occupations that were checked on the way in.
+
+    A state that ``optics.apply_unitary`` built in one numpy pass (the
+    private subclass ``optics._Packed``) carries its occupations and
+    amplitudes as arrays and builds ``terms`` the first time anything reads
+    it; the next unitary of a chain reads the arrays instead. Every other
+    state holds its dict from construction on.
     """
 
     modes: int
@@ -53,7 +59,7 @@ class FockState:
             raise ValueError(f"mode count must be positive, got {self.modes}")
         for occ, amp in self.terms.items():
             _indices(occ, "occupation", count=self.modes)
-            _check_amplitude(occ, complex(amp))
+            _check_amplitude(occ, amp)
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @property
@@ -85,9 +91,17 @@ def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple
     return out
 
 
-def _check_amplitude(occ: Occupation, amp: complex):
-    if not cmath.isfinite(amp):
-        raise ValueError(f"amplitude {amp} of occupation {occ} is not finite")
+def _check_amplitude(occ: Occupation, amp) -> complex:
+    """complex(amp), or a ValueError naming amp unless it is a finite number; complex() would parse a string."""
+    try:
+        value = None if isinstance(amp, str) else complex(amp)
+    except TypeError:
+        value = None
+    if value is None:
+        raise ValueError(f"amplitude {amp!r} of occupation {occ} is not a number")
+    if not cmath.isfinite(value):
+        raise ValueError(f"amplitude {value} of occupation {occ} is not finite")
+    return value
 
 
 def _trusted(modes: int, terms: dict[Occupation, complex]) -> FockState:
@@ -116,8 +130,7 @@ def make_state(modes: int, terms) -> FockState:
     merged: dict[Occupation, complex] = {}
     for occ, amp in terms:
         occ = _indices(occ, "occupation", count=modes)
-        amp = complex(amp)
-        _check_amplitude(occ, amp)
+        amp = _check_amplitude(occ, amp)
         merged[occ] = merged.get(occ, 0j) + amp
     return _pruned(modes, merged)
 
@@ -128,6 +141,14 @@ def basis_state(modes: int, occ) -> FockState:
 
 def zero_state(modes: int) -> FockState:
     return FockState(modes, {})
+
+
+def _magnitude(occ: Occupation, amp) -> float:
+    """abs(amp), or a ValueError naming the amplitude where that passes the largest float."""
+    try:
+        return abs(amp)
+    except OverflowError:
+        raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square") from None
 
 
 def _squared_norm(amps) -> float:
@@ -141,7 +162,7 @@ def _squared_norm(amps) -> float:
 def norm(s: FockState) -> float:
     total = _squared_norm(s.terms.values())
     if total == math.inf:  # an amplitude too large to square, or finite squares whose sum passes the largest float
-        occ, amp = max(s.terms.items(), key=lambda term: abs(term[1]))
+        occ, amp = max(s.terms.items(), key=lambda term: _magnitude(*term))
         raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square")
     return math.sqrt(total)
 
@@ -358,7 +379,7 @@ def state_from_dict(data: dict) -> FockState:
         raise ValueError(f"malformed state object: {exc}") from exc
     for occ, amp in pairs:
         # make_state would prune these away without a trace; exact zeros are fine.
-        if 0.0 < abs(amp) <= PRUNE_TOL:
+        if 0.0 < _magnitude(occ, amp) <= PRUNE_TOL:
             raise ValueError(f"amplitude {amp} of occupation {occ} is at or below the pruning tolerance {PRUNE_TOL:g}")
     if not pairs:
         return zero_state(modes)

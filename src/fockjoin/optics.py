@@ -19,12 +19,17 @@ unitary picks, from its structure, the one array kernel that may feed
 that pass: _routed (one nonzero entry per row) and _coupled (two-mode
 couplers) take states of _ROUTED_MIN_TERMS terms or more, _expanded any
 state with an expansion that may reach _ARRAY_MIN_MONOMIALS monomials.
-A state built by the array pass keeps its int64 keys, so a chain of
-elements packs its occupation tuples once. Output keys, term order and
-amplitude bits do not depend on the path, and no option selects it.
+The array pass returns a state that carries its int64 keys, factorial
+products and amplitudes (_Packed) and builds its terms dict on the first
+read, so a chain of elements packs its occupation tuples once and builds
+one dict, at its end. Output keys, term order, amplitude bits and types
+do not depend on the path, and no option selects it.
 
 All functions are pure; unitaries and projectors validate themselves on
-construction and keep a private read-only copy of their array.
+construction and keep a private read-only copy of their array. The
+builders here (beamsplitter, phase_shifter, hadamard_pair,
+mode_permutation) make their own matrices, so they skip that check and
+the scan for active modes, and name those modes themselves.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import chain, compress
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +64,12 @@ class ModeUnitary:
         object.__setattr__(self, "matrix", mat)
 
     @cached_property
+    def _active(self) -> list:
+        """The modes whose row or column is not the unit vector, ascending; the builders hand them in (_element)."""
+        rows, cols, units = self.matrix.tolist(), self.matrix.T.tolist(), np.eye(self.dim, dtype=complex).tolist()
+        return [i for i in range(self.dim) if rows[i] != units[i] or cols[i] != units[i]]
+
+    @cached_property
     def _expansion_plan(self):
         """What apply_unitary needs of the matrix, read once per unitary.
 
@@ -70,22 +82,22 @@ class ModeUnitary:
         modes; _array_photons; and the kernel for whole states (_routed,
         _coupled) or None.
         """
-        m = self.dim
-        rows = self.matrix.tolist()
-        cols = list(zip(*rows))
-        active, passive = [], []
-        unit = [0j] * m
-        for i in range(m):
-            unit[i] = 1 + 0j
-            (active if rows[i] != unit or cols[i] != tuple(unit) else passive).append(i)
-            unit[i] = 0j
+        m, active = self.dim, self._active
+        passive = [i for i in range(m) if i not in active]
         order = passive + active
         layout = tuple if order == list(range(m)) else itemgetter(*sorted(range(m), key=order.__getitem__))
         pick_active = _picker(active)
-        nonzero = [[(b, c) for b, c in enumerate(pick_active(rows[i])) if c] for i in active]
+        nonzero = [[(b, c) for b, c in enumerate(pick_active(row)) if c] for row in self.matrix[active].tolist()]
         densest = max(map(len, nonzero), default=0)
         kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
         return pick_active, _picker(passive), layout, nonzero, active, _array_photons(len(active), densest), kernel
+
+
+def _element(mat: np.ndarray, active: list) -> ModeUnitary:
+    """A builder's own unitary matrix and its active modes (ModeUnitary._active): no copy, unitarity check or scan."""
+    u = object.__new__(ModeUnitary)
+    vars(u).update(dim=len(mat), matrix=_read_only(mat)[0], _active=active)
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +166,7 @@ def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> Mo
     mat[i, i] = mat[j, j] = c
     mat[i, j] = np.exp(1j * phase) * s
     mat[j, i] = -np.exp(-1j * phase) * s
-    return ModeUnitary(m, mat)
+    return _element(mat, sorted((i, j)) if (c, s) != (1, 0) else [])  # the identity at theta = 0
 
 
 def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
@@ -162,7 +174,7 @@ def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
     _check_finite(phase=phase)
     mat = np.eye(m, dtype=complex)
     mat[i, i] = np.exp(1j * phase)
-    return ModeUnitary(m, mat)
+    return _element(mat, [i] if mat[i, i] != 1 else [])
 
 
 def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
@@ -174,7 +186,7 @@ def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
     mat[i, j] = r
     mat[j, i] = r
     mat[j, j] = -r
-    return ModeUnitary(m, mat)
+    return _element(mat, sorted((i, j)))
 
 
 def mode_permutation(m: int, perm) -> ModeUnitary:
@@ -182,7 +194,7 @@ def mode_permutation(m: int, perm) -> ModeUnitary:
     mat = np.zeros((m, m), dtype=complex)
     for i, p in enumerate(_indices(perm, "permutation", m, distinct=True, count=m)):
         mat[i, p] = 1.0
-    return ModeUnitary(m, mat)
+    return _element(mat, np.flatnonzero(mat.diagonal() != 1).tolist())
 
 
 def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
@@ -254,62 +266,92 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     phase shifters and 32-48 under couplers, 24 with carried keys (2-core
     VM, Python 3.11, numpy 2.4). Any unitary takes _expanded when an
     expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
-    The array pass's output keeps its keys for the next call. Keys, term
-    order and every amplitude bit are the same on any path.
+    The array pass returns a state that carries its keys, factorial
+    products and amplitudes (_Packed) and builds its terms dict only when
+    something reads it; the next call of a chain reads the arrays. Keys,
+    term order and every amplitude bit and type are the same on any path.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
     pick_active, pick_passive, layout, rows, active, array_photons, kernel = u._expansion_plan
-    bits, keys, facts = _packed(s) if kernel and len(s.terms) >= _ROUTED_MIN_TERMS else (0, None, None)
-    if bits:
-        terms, packed = _array_splice(s, facts, bits, *kernel(keys, bits, facts, rows, active, s.modes))
+    carried = type(s) is _Packed and s.keys is not None  # an array-pass output, whose terms may be unbuilt
+    packed = _packed(s) if kernel and len(s.keys if carried else s.terms) >= _ROUTED_MIN_TERMS else None
+    if packed:
+        return _array_splice(packed, *kernel(packed.keys, packed.bits, packed.facts, rows, active))
+    subs = list(map(pick_active, s.terms))
+    expansions = dict.fromkeys(subs)
+    # One numpy-sized expansion takes every sub-occupation to numpy.
+    if array_photons and any(sum(sub) >= array_photons for sub in expansions):
+        packed = _packed(s)
+    for sub in expansions:
+        expansions[sub] = _expand_arrays(sub, rows, tuple(active), packed.bits, s.modes) if packed else _expand(sub, rows)
+    if packed:
+        return _array_splice(packed, *_expanded(packed.keys, packed.bits, packed.facts, subs, expansions, active))
+    out: dict[Occupation, complex] = {}
+    for (occ, amp), sub in zip(s.terms.items(), subs):
+        sub_fact, monomials = expansions[sub]
+        passive = pick_passive(occ)
+        passive_fact = math.prod(map(math.factorial, passive))
+        # Python complex arithmetic rounds as np.complex128 scalars do;
+        # numpy divides a complex by a float through the float's reciprocal.
+        inv_norm = 1.0 / math.sqrt(passive_fact * sub_fact)
+        amp = complex(amp)
+        for expo, coeff, expo_fact in monomials:
+            key = layout(passive + expo)
+            out[key] = out.get(key, 0j) + amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm
+    if len(out) < _ARRAY_MIN_TERMS:
+        terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
     else:
-        subs = list(map(pick_active, s.terms))
-        expansions = dict.fromkeys(subs)
-        # One numpy-sized expansion takes every sub-occupation to numpy.
-        if array_photons and any(sum(sub) >= array_photons for sub in expansions):
-            bits, keys, facts = _packed(s)
-        for sub in expansions:
-            expansions[sub] = _expand_arrays(sub, rows, tuple(active), bits, s.modes) if bits else _expand(sub, rows)
-        if bits:
-            terms, packed = _array_splice(s, facts, bits, *_expanded(keys, bits, facts, subs, expansions, active, s.modes))
-        else:
-            out: dict[Occupation, complex] = {}
-            for (occ, amp), sub in zip(s.terms.items(), subs):
-                sub_fact, monomials = expansions[sub]
-                passive = pick_passive(occ)
-                passive_fact = math.prod(map(math.factorial, passive))
-                # Python complex arithmetic rounds as np.complex128 scalars do;
-                # numpy divides a complex by a float through the float's reciprocal.
-                inv_norm = 1.0 / math.sqrt(passive_fact * sub_fact)
-                amp = complex(amp)
-                for expo, coeff, expo_fact in monomials:
-                    key = layout(passive + expo)
-                    out[key] = out.get(key, 0j) + amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm
-            if len(out) < _ARRAY_MIN_TERMS:
-                terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
-            else:
-                terms = _complex128_terms(out, np.fromiter(out.values(), dtype=complex, count=len(out)))[0]
+        keep = _kept(amps := np.fromiter(out.values(), dtype=complex, count=len(out)))
+        terms = dict(zip(compress(out, keep.tolist()), amps[keep]))
     vacuum = (0,) * s.modes
     if vacuum in terms:
         # The photon-free term passes through with its amplitude's own type.
         terms[vacuum] = 0j + s.terms[vacuum]
-    state = _trusted(s.modes, terms)
-    if bits:  # an array pass: the next call reads its packed keys instead of the tuples (_packed)
-        object.__setattr__(state, "_packed", packed)
-    return state
+    return _trusted(s.modes, terms)
 
 
-def _packed(s: FockState) -> tuple:
-    """(bits, keys, facts): s's occupations as int64 keys of `bits` bits each (0 if unfit), and factorial products."""
-    if (packed := getattr(s, "_packed", None)) is not None:  # set by apply_unitary on its array-pass outputs
-        return packed
+class _Packed(FockState):
+    """A state as arrays, whose terms dict an array-pass output builds on first read.
+
+    keys packs its occupations into int64s of `bits` bits per mode, facts
+    and amps hold their factorial products and amplitudes, vacuum the
+    photon-free amplitude of a chain's first input and occupations the
+    keys' tuples where known (either may be None). Being a subclass keeps the
+    __getattr__ hook, which slows attribute loads, off plain states.
+    """
+
+    keys = None  # on a dataclasses.replace copy, which holds its terms alone
+
+    def __init__(self, **fields):  # modes, the fields above, and terms if built; unchecked, as fock._trusted
+        vars(self).update(fields)
+
+    def __getattr__(self, name):
+        # Called only for attributes the state lacks: its terms, until their first read.
+        if name != "terms":
+            raise AttributeError(f"'FockState' object has no attribute {name!r}")
+        terms = dict(zip(self.occupations or _occupation_tuples(self.keys, self.bits, self.modes), self.amps))
+        if self.vacuum is not None and (vacuum := (0,) * self.modes) in terms:
+            terms[vacuum] = 0j + self.vacuum  # as in apply_unitary: 0j + (0j + v) has the bits and type of 0j + v
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        return self.terms
+
+    def __eq__(self, other):  # the dataclass __eq__ compares states of one class only
+        return (self.modes, self.terms) == (other.modes, other.terms) if isinstance(other, FockState) else NotImplemented
+
+
+def _packed(s: FockState) -> _Packed | None:
+    """s as a _Packed (s itself if it carries its arrays), or None if its occupations do not fit int64 keys."""
+    if type(s) is _Packed and s.keys is not None:
+        return s
     occ = np.fromiter(chain.from_iterable(s.terms), np.int64, len(s.terms) * s.modes).reshape(len(s.terms), s.modes)
     photons = int(occ.sum(axis=1).max(initial=0))
     bits = photons.bit_length()
     if not bits or photons > _ARRAY_MAX_PHOTONS or bits * s.modes > 63:
-        return 0, None, None
-    return bits, occ @ np.left_shift(1, bits * np.arange(s.modes, dtype=np.int64)), _FACTORIALS[occ].prod(axis=1)
+        return None
+    keys, facts = occ @ np.left_shift(1, bits * np.arange(s.modes, dtype=np.int64)), _FACTORIALS[occ].prod(axis=1)
+    amps, vacuum = np.fromiter(s.terms.values(), complex, len(s.terms)), s.terms.get((0,) * s.modes)
+    return _Packed(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, vacuum=vacuum, occupations=None, terms=s.terms)
 
 
 def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
@@ -317,7 +359,7 @@ def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
     return (keys >> (bits * np.array(modes, dtype=np.int64))[:, None]) & ((1 << bits) - 1)
 
 
-def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes: int):
+def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
     """The candidates of every term under rows of one nonzero entry each.
 
     _expand's steps coeff -> 0j + coeff * c for all terms at once, each
@@ -336,10 +378,10 @@ def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes:
             on = n > step
             re, im = np.where(on, re * c.real - im * c.imag, re), np.where(on, re * c.imag + im * c.real, im)
     keys = keys + (weights[[b for ((b, _),) in rows]] - weights) @ counts
-    return np.arange(len(keys)), keys, facts, re, im, _occupation_tuples(keys, bits, modes)
+    return np.arange(len(keys)), keys, facts, re, im, True, None
 
 
-def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes: int):
+def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
     """The (term, monomial) candidates of every term under a coupler, in term-major order.
 
     A term with a photons on the first active mode and b on the second
@@ -353,7 +395,7 @@ def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active, modes
     terms, monomials = _spread(a + b + 1, offsets[a, b])
     keys = (keys - a * weights[0] - b * weights[1])[terms] + (expos @ weights)[monomials]
     facts = (facts // (_FACTORIALS[a] * _FACTORIALS[b]))[terms] * expo_facts[monomials]
-    return terms, keys, facts, coeffs.real[monomials], coeffs.imag[monomials], None
+    return terms, keys, facts, coeffs.real[monomials], coeffs.imag[monomials], False, None
 
 
 def _spread(counts: np.ndarray, starts: np.ndarray):
@@ -393,7 +435,7 @@ def _coupler_layout(top: int) -> tuple:
     return _read_only(offsets, expos, _FACTORIALS[expos].prod(axis=1))
 
 
-def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: dict, active, modes: int):
+def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: dict, active):
     """The (term, monomial) candidates in term-major order, from _expand_arrays' expansions."""
     weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
     found = list(expansions.values())
@@ -409,20 +451,19 @@ def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: 
     passive = keys - weights @ counts
     keys = passive[terms] + expo_keys[monomials]
     facts = (facts // _FACTORIALS[counts].prod(axis=0))[terms] * expo_facts[monomials]
-    occupations = None  # the keys of several terms may repeat; one term's are distinct
-    if len(passive) == 1:
-        occupations = _occupation_tuples(keys, bits, modes) if passive[0] else found[0].occupations
-    return terms, keys, facts, re[monomials], im[monomials], occupations
+    # The keys of several terms may repeat; one term's are distinct, and its expansion's without passive photons.
+    occupations = found[0].occupations if len(passive) == 1 and not passive[0] else None
+    return terms, keys, facts, re[monomials], im[monomials], len(passive) == 1, occupations
 
 
-def _array_splice(s: FockState, in_facts: np.ndarray, bits: int, terms, keys, facts, cre, cim, occupations) -> tuple:
-    """The dict loop's output terms, from its candidates in term-major order, and their packed keys.
+def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool, occupations) -> _Packed:
+    """The dict loop's output state, from its candidates in term-major order, carrying its arrays.
 
-    Candidate k comes from input term terms[k] (factorial product in_facts);
-    keys[k] is its output occupation, `bits` bits per mode, facts[k] that
-    occupation's factorial product, and (cre[k], cim[k]) its monomial
-    coefficient. Keys known to differ, as one term's monomials do, come with
-    their occupation tuples; otherwise occupations is None.
+    Candidate k comes from input term terms[k] of packed; keys[k] is its
+    output occupation, `bits` bits per mode, facts[k] that occupation's
+    factorial product, and (cre[k], cim[k]) its monomial coefficient.
+    distinct says the keys are known to differ, as one term's monomials do,
+    and occupations gives their occupation tuples where they are known.
 
     The values keep the dict loop's roundings: amp * coeff is re = ar*cr -
     ai*ci and im = ar*ci + ai*cr, as CPython computes it (numpy's complex
@@ -433,25 +474,30 @@ def _array_splice(s: FockState, in_facts: np.ndarray, bits: int, terms, keys, fa
     0j + steps that _routed skips. The sums erase those signs: keys are
     numbered in order of first occurrence, the dict loop's insertion order,
     and np.bincount adds their values in candidate order from +0.0, as
-    out.get(key, 0j) + value does.
+    out.get(key, 0j) + value does. So a photon-free term, whose coefficient
+    is exactly 1, gets the bits of 0j + amp; only its type is carried.
     """
-    amps = np.fromiter(s.terms.values(), complex, len(s.terms))
-    ar, ai = amps.real[terms], amps.imag[terms]
-    inv_norm = (1.0 / np.sqrt(in_facts))[terms]
+    ar, ai = packed.amps.real[terms], packed.amps.imag[terms]
+    inv_norm = (1.0 / np.sqrt(packed.facts))[terms]
     scale = np.sqrt(facts)
     re = (ar * cre - ai * cim) * scale * inv_norm
     im = (ar * cim + ai * cre) * scale * inv_norm
-    if occupations is None:
+    if distinct:
+        re, im = re + 0.0, im + 0.0  # as 0j + value
+    else:
         keys, slot, first = _first_occurrences(keys)
         facts = facts[first]
         re, im = np.bincount(slot, re, len(keys)), np.bincount(slot, im, len(keys))
-        occupations = _occupation_tuples(keys, bits, s.modes)
-    else:
-        re, im = re + 0.0, im + 0.0  # as 0j + value
-    sums = np.empty(len(keys), dtype=complex)
-    sums.real, sums.imag = re, im
-    terms, keep = _complex128_terms(occupations, sums)
-    return terms, (bits, *_read_only(keys[keep], facts[keep]))
+    amps = np.empty(len(keys), dtype=complex)
+    amps.real, amps.imag = re, im
+    keep = _kept(amps)
+    if not keep.all():
+        keys, facts, amps = keys[keep], facts[keep], amps[keep]
+        occupations = occupations and tuple(compress(occupations, keep.tolist()))
+    keys, facts, amps = _read_only(keys, facts, amps)
+    return _Packed(
+        modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps, vacuum=packed.vacuum, occupations=occupations
+    )
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -465,16 +511,9 @@ def _occupation_tuples(keys: np.ndarray, bits: int, modes: int) -> list:
     return list(zip(*map(bytes, _counts(keys, bits, range(modes)).astype(np.uint8))))
 
 
-def _complex128_terms(keys, amps: np.ndarray) -> tuple[dict, np.ndarray | slice]:
-    """{key: np.complex128(amp)} over the amplitudes above PRUNE_TOL, and the index of the kept ones.
-
-    np.hypot gives abs() of a Python complex bit for bit; np.abs of a
-    complex array does not.
-    """
-    keep = np.hypot(amps.real, amps.imag) > PRUNE_TOL
-    if keep.all():
-        return dict(zip(keys, amps)), slice(None)
-    return dict(zip(compress(keys, keep.tolist()), amps[keep])), keep
+def _kept(amps: np.ndarray) -> np.ndarray:
+    """The mask of amplitudes above PRUNE_TOL: np.hypot gives abs() of a Python complex bit for bit, np.abs does not."""
+    return np.hypot(amps.real, amps.imag) > PRUNE_TOL
 
 
 @cache

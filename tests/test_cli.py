@@ -139,6 +139,20 @@ def test_overflowing_amplitude_exits_two(tmp_path, capsys):
     assert "amplitude (1e+200+0j) of occupation (1, 0, 1, 0) is too large to square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["join", "run"])
+def test_amplitude_whose_magnitude_overflows_exits_two(tmp_path, capsys, verb):
+    # abs() of this finite amplitude raises OverflowError; the input check must name it instead.
+    state, circuit, report = tmp_path / "big.json", tmp_path / "c.pc", tmp_path / "report.json"
+    state.write_text('{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 1.5e308, "im": 1.5e308}]}')
+    circuit.write_text("modes 4\nbs 0 1 0.3 0\n")
+    argv = {"join": ["join"], "run": ["run", "--circuit", str(circuit)]}[verb]
+    assert cli_dispatch([*argv, "--input", str(state), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: amplitude (1.5e+308+1.5e+308j) of occupation (1, 0, 1, 0) is too large to square\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100_000)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,15 +65,36 @@ def test_make_state_rejects_bad_occupations():
         make_state(2, [])
 
 
-@pytest.mark.parametrize("amp", [float("nan"), complex(0.0, float("inf")), float("-inf")])
+@pytest.mark.parametrize(
+    "amp",
+    [
+        float("nan"),
+        complex(0.0, float("inf")),
+        float("-inf"),
+        # complex() parses a string, but no string is an amplitude.
+        pytest.param("1", id="str"),
+        pytest.param("nan", id="str-nan"),
+        pytest.param(b"1", id="bytes"),
+        pytest.param(None, id="None"),
+        pytest.param([1.0], id="list"),
+    ],
+)
 def test_make_state_rejects_non_finite_amplitudes(amp):
-    with pytest.raises(ValueError, match=r"occupation \(0, 1\) is not finite"):
+    problem = "not finite" if isinstance(amp, (float, complex)) else "not a number"
+    with pytest.raises(ValueError, match=rf"occupation \(0, 1\) is {problem}"):
         make_state(2, [((1, 0), 1.0), ((0, 1), amp)])
-    with pytest.raises(ValueError, match=r"occupation \(0, 1\) is not finite"):
+    with pytest.raises(ValueError, match=rf"occupation \(0, 1\) is {problem}"):
         FockState(2, {(1, 0): 1.0, (0, 1): amp})
-    data = {"modes": 2, "terms": [{"occ": [0, 1], "re": amp.real, "im": amp.imag}]}
-    with pytest.raises(ValueError, match="not finite"):
-        state_from_dict(data)
+    if problem == "not finite":
+        data = {"modes": 2, "terms": [{"occ": [0, 1], "re": amp.real, "im": amp.imag}]}
+        with pytest.raises(ValueError, match="not finite"):
+            state_from_dict(data)
+
+
+def test_constructor_stores_numeric_amplitudes_as_given():
+    amps = [1, 0.5, 0.25j, np.float32(0.5), np.complex64(0.5j), np.complex128(-0.0), True, Fraction(1, 3)]
+    s = FockState(1, {(n,): amp for n, amp in enumerate(amps)})
+    assert [(type(a), a) for a in s.terms.values()] == [(type(a), a) for a in amps]
 
 
 def test_norm_names_an_amplitude_too_large_to_square():
@@ -82,6 +104,13 @@ def test_norm_names_an_amplitude_too_large_to_square():
         with pytest.raises(ValueError, match=r"\(-0-1e\+200j\) of occupation \(1, 0, 1, 0\) is too large to square"):
             check(s)
     assert norm(FockState(1, {(1,): 1e154})) == abs(1e154 + 0j)
+    # abs() itself overflows here, in norm and in state_from_dict's pruning check.
+    huge = complex(1.5e308, 1.5e308)
+    for check in (norm, is_normalized):
+        with pytest.raises(ValueError, match=r"^amplitude \(1.5e\+308\+1.5e\+308j\) of occupation \(1,\) is too large to square$"):
+            check(FockState(1, {(1,): huge}))
+    with pytest.raises(ValueError, match=r"^amplitude \(1.5e\+308\+1.5e\+308j\) of occupation \(0, 1\) is too large to square$"):
+        state_from_dict({"modes": 2, "terms": [{"occ": [0, 1], "re": huge.real, "im": huge.imag}]})
 
 
 def test_norm_names_the_largest_amplitude_when_the_squares_sum_past_the_largest_float():

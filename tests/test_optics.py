@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 import pickle
 import struct
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import DenseFock, enumerate_occupations
-from fockjoin.fock import PRUNE_TOL, FockState, add, basis_state, make_state, norm, normalize
+from fockjoin.fock import PRUNE_TOL, FockState, add, basis_state, make_state, norm, normalize, state_to_dict
 from fockjoin.optics import (
     ModeUnitary,
     ProjectorSpec,
@@ -267,6 +269,32 @@ def test_mode_unitary_keeps_a_private_read_only_copy():
         u.matrix[0, 0] = 5
 
 
+def _plan_fields(u):
+    """u._expansion_plan with its pickers and layout applied to a probe occupation, and its entries as reprs (signed zeros too)."""
+    pick_active, pick_passive, layout, rows, active, array_photons, kernel = u._expansion_plan
+    probe = tuple(range(10, 10 + u.dim))
+    return pick_active(probe), pick_passive(probe), layout(pick_passive(probe) + pick_active(probe)), repr(rows), active, array_photons, kernel
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_builders_hand_in_the_plan_the_scan_derives(m):
+    # The builders name their active modes and skip the scan; ModeUnitary(m, matrix) scans the same matrix.
+    # theta = 0 is the identity, with +-0j off the diagonal; phase 0 and 2 pi, and the identity permutation, too.
+    rng = np.random.default_rng(m)
+    built = [phase_shifter(m, i, phase) for i in range(m) for phase in (0.0, -0.0, 2 * math.pi, 0.4, -math.pi)]
+    built += [mode_permutation(m, range(m)), mode_permutation(m, rng.permutation(m)), mode_permutation(m, range(m)[::-1])]
+    for i, j in itertools.permutations(range(m), 2):
+        built.append(hadamard_pair(m, i, j))
+        for theta in (0.0, -0.0, 1e-9, 0.7, math.pi / 2, math.pi, -2.1):
+            built += [beamsplitter(m, i, j, theta, phase) for phase in (0.0, 1.3, -math.pi)]
+    for u in built:
+        assert _plan_fields(u) == _plan_fields(ModeUnitary(m, u.matrix))
+        assert not u.matrix.flags.writeable
+    identities = [phase_shifter(m, 0, 0.0), mode_permutation(m, range(m))]
+    identities += [beamsplitter(m, 0, m - 1, 0.0, 1.3)] if m > 1 else []
+    assert all(u._expansion_plan[4] == [] for u in identities)
+
+
 def test_projector_spec_keeps_a_private_read_only_copy():
     r = 1 / math.sqrt(2)
     source = np.array([r, r], dtype=complex)
@@ -294,6 +322,14 @@ def test_photon_free_term_passes_through_unchanged():
     assert out.terms[(0, 0, 0)] == s.terms[(0, 0, 0)]
     assert type(out.terms[(0, 0, 0)]) is type(s.terms[(0, 0, 0)])
     assert all(type(a) is np.complex128 for occ, a in out.terms.items() if sum(occ))
+    # On the array pass and through a chain of them too, from either amplitude type.
+    terms = {occ: complex(0.1, 0.01 * k) for k, occ in enumerate(enumerate_occupations(3, 5))}
+    for vacuum in (complex(0.6, -0.0), np.complex128(-0.6)):
+        chained = FockState(3, terms | {(0, 0, 0): vacuum})
+        for u in (beamsplitter(3, 0, 2, 0.4, 0.3), phase_shifter(3, 1, 0.2), hadamard_pair(3, 1, 2)):
+            chained = apply_unitary(chained, u)
+        assert type(chained) is optics._Packed
+        assert type(chained.terms[(0, 0, 0)]) is type(vacuum) and _bytes([chained.terms[(0, 0, 0)]]) == _bytes([0j + vacuum])
 
 
 def _embedded_haar(modes, subset, seed):
@@ -552,7 +588,7 @@ def test_lone_term_on_the_numpy_path_adds_each_amplitude_to_0j():
 def test_numpy_path_holds_up_to_twenty_photons():
     # Three dense modes take the numpy path from 10 photons (66 monomials);
     # 20 is the most whose factorial products fit int64, and _packed sends
-    # a state of 21 to the dict loop.
+    # a state of 21 to the dict loop, whose output carries no arrays.
     u = haar_random_unitary(3, 8)
     rows, array_photons = u._expansion_plan[3], u._expansion_plan[5]
     assert array_photons == 10
@@ -560,10 +596,20 @@ def test_numpy_path_holds_up_to_twenty_photons():
         _assert_same_expansion(sub, rows)
     _assert_lone_term_matches_dict_loop(u, (7, 7, 6), 1.0 + 0j)
     over = FockState(3, {(7, 7, 7): 1.0 + 0j})
-    assert optics._packed(over)[0] == 0
+    assert optics._packed(over) is None
     with mock.patch.object(optics, "_expand_arrays", side_effect=AssertionError("_expand_arrays called")):
         _assert_matches_dict_loop(over, u)
-        assert not hasattr(apply_unitary(over, u), "_packed")
+        assert _carried(apply_unitary(over, u)) is None
+
+
+def test_lone_dense_term_drops_the_amplitudes_that_cancel():
+    # Six photons through a 4-mode Sylvester-Hadamard mixer expand with numpy, and many
+    # output amplitudes cancel: the kept keys must keep their own occupations.
+    sylvester = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2
+    u, state = ModeUnitary(4, sylvester), FockState(4, {(2, 2, 1, 1): 0.6 - 0.8j})
+    assert u._expansion_plan[5] == 6
+    _assert_matches_dict_loop(state, u)
+    assert 0 < len(apply_unitary(state, u).terms) < len(_expand((2, 2, 1, 1), u._expansion_plan[3])[1])
 
 
 def test_lone_dense_term_keeps_its_passive_photons():
@@ -595,30 +641,35 @@ _ELEMENT_KINDS = ["bs", "had", "ps", "perm", "identity", "haar"]
 
 @st.composite
 def _large_states_under_elements(draw):
-    """16 to 60 terms on at most 8 modes and 4 photons, with signed-zero parts, and one element of any kind."""
+    """16 to 60 terms on at most 8 modes and 4 photons, with signed-zero parts, one element of any kind and 1 to 5 more."""
     modes = draw(st.integers(3, 8))
     occs = enumerate_occupations(modes, 4)
     picks = draw(st.lists(st.sampled_from(occs[1:]), min_size=16, max_size=60, unique=True))
     if draw(st.booleans()):
         picks.append(occs[0])
     terms = {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks}
-    pair = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))
+    if occs[0] in terms:  # the photon-free term keeps the type of its amplitude
+        terms[occs[0]] = draw(st.sampled_from([complex, np.complex128]))(terms[occs[0]])
     angle = st.floats(-math.pi, math.pi, allow_nan=False)
-    kind = draw(st.sampled_from(_ELEMENT_KINDS))
-    if kind == "bs":
-        element = beamsplitter(modes, *pair, draw(angle), draw(angle))
-    elif kind == "had":
-        element = hadamard_pair(modes, *pair)
-    elif kind == "ps":
-        element = phase_shifter(modes, pair[0], draw(angle))
-    elif kind == "perm":
-        element = mode_permutation(modes, draw(st.permutations(range(modes))))
-    elif kind == "identity":
-        element = mode_permutation(modes, range(modes))
-    else:
+
+    def element():
+        pair = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(_ELEMENT_KINDS))
+        if kind == "bs":
+            return beamsplitter(modes, *pair, draw(angle), draw(angle))
+        if kind == "had":
+            return hadamard_pair(modes, *pair)
+        if kind == "ps":
+            return phase_shifter(modes, pair[0], draw(angle))
+        if kind == "perm":
+            return mode_permutation(modes, draw(st.permutations(range(modes))))
+        if kind == "identity":
+            return mode_permutation(modes, range(modes))
         subset = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=modes, unique=True))
-        element = _embedded_haar(modes, subset, draw(st.integers(0, 2**32 - 1)))
-    return FockState(modes, terms), element, draw(st.sampled_from([1, 32, 10**9]))
+        return _embedded_haar(modes, subset, draw(st.integers(0, 2**32 - 1)))
+
+    chain = [element() for _ in range(draw(st.integers(2, 6)))]
+    return FockState(modes, terms), chain[0], draw(st.sampled_from([1, 32, 10**9])), chain
 
 
 def test_composed_coupler_pair_without_a_numpy_sized_expansion_takes_the_dict_loop():
@@ -636,16 +687,17 @@ def test_composed_coupler_pair_without_a_numpy_sized_expansion_takes_the_dict_lo
 @settings(max_examples=80, deadline=None)
 @given(_large_states_under_elements())
 def test_large_states_match_the_dict_loop_bit_for_bit(case):
-    state, u, crossover = case
+    state, u, crossover, chain = case
     with _crossovers(crossover):
         _assert_matches_dict_loop(state, u)
+        _assert_chain_matches_rebuilt_states(state, chain)
 
 
 @settings(max_examples=6, deadline=None)
 @given(_large_states_under_elements())
 def test_large_states_match_the_permanent_oracle(case):
     # A few draws only, on the first output terms and on occupations absent from the output.
-    state, u, crossover = case
+    state, u, crossover, _ = case
     with _crossovers(crossover):
         out = apply_unitary(state, u)
     absent = [occ for occ in enumerate_occupations(state.modes, 4) if occ not in out.terms]
@@ -700,15 +752,48 @@ def _coupler_chains(draw):
     return state, elements
 
 
+def _carried(state):
+    """An array-pass output, which carries its arrays (optics._Packed), or None for any other state."""
+    return state if type(state) is optics._Packed else None
+
+
 def _assert_carries_its_terms(state):
-    """A state's packed keys and factorial products, if it carries them, are its terms' in order, read-only."""
-    if getattr(state, "_packed", None) is None:
+    """A state's packed keys, factorial products and amplitudes, if it carries them, are its terms' in order, read-only."""
+    carried = _carried(state)
+    if carried is None:
         return False
-    bits, keys, facts = state._packed
-    assert optics._occupation_tuples(keys, bits, state.modes) == list(state.terms)
-    assert facts.tolist() == [math.prod(map(math.factorial, occ)) for occ in state.terms]
-    assert not keys.flags.writeable and not facts.flags.writeable
+    assert optics._occupation_tuples(carried.keys, carried.bits, state.modes) == list(state.terms)
+    assert carried.facts.tolist() == [math.prod(map(math.factorial, occ)) for occ in state.terms]
+    assert _bytes(carried.amps) == _bytes(state.terms.values())
+    assert not any(array.flags.writeable for array in (carried.keys, carried.facts, carried.amps))
     return True
+
+
+def _assert_chain_matches_rebuilt_states(state, elements):
+    """A chain of outputs, read only at its end, equals the chain rebuilt through FockState before each element.
+
+    Each output that carries arrays also equals, as a fresh state whose
+    terms are still unbuilt, the plain FockState of the same terms, and so
+    do its is_zero, amplitude and state_to_dict.
+    """
+    chained, rebuilt = [state], [state]
+    for u in elements:
+        chained.append(apply_unitary(chained[-1], u))
+        rebuilt.append(apply_unitary(FockState(state.modes, dict(rebuilt[-1].terms)), u))
+    for out, expected in zip(chained[1:], rebuilt[1:]):
+        assert list(out.terms) == list(expected.terms)
+        assert _bytes(out.terms.values()) == _bytes(expected.terms.values())
+        assert [type(a) for a in out.terms.values()] == [type(a) for a in expected.terms.values()]
+        if not _assert_carries_its_terms(out):
+            continue
+        plain = FockState(state.modes, dict(expected.terms))
+        fresh = lambda: optics._Packed(**{k: v for k, v in vars(out).items() if k != "terms"})  # noqa: E731
+        assert fresh() == plain and plain == fresh()
+        assert fresh().is_zero == plain.is_zero
+        for occ in [*list(plain.terms)[:2], (9,) * state.modes]:
+            assert _bytes([fresh().amplitude(occ)]) == _bytes([plain.amplitude(occ)])
+            assert type(fresh().amplitude(occ)) is type(plain.amplitude(occ))
+        assert repr(state_to_dict(fresh())) == repr(state_to_dict(plain))
 
 
 @settings(max_examples=25, deadline=None)
@@ -737,15 +822,23 @@ def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
     terms = {occ: complex(0.1 * (k % 7) - 0.3, -0.0 if k % 3 else 0.2) for k, occ in enumerate(occs)}
     bs = beamsplitter(6, 1, 0, 0.7, -0.4)
     # 31 terms stay in the dict loop; 32 take the array pass, without _expand.
-    assert not hasattr(apply_unitary(FockState(6, dict(list(terms.items())[:31])), bs), "_packed")
+    assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[:31])), bs)) is None
     large = FockState(6, dict(list(terms.items())[:32]))
     _assert_matches_dict_loop(large, bs)
     with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
         out = apply_unitary(large, bs)
-        chained = apply_unitary(apply_unitary(apply_unitary(FockState(6, terms), bs), hadamard_pair(6, 3, 0)), bs)
+        steps = [apply_unitary(FockState(6, terms), bs)]
+        steps.append(apply_unitary(steps[-1], hadamard_pair(6, 3, 0)))
+        chained = apply_unitary(steps[-1], bs)
+    # The next element read their arrays: no dict was built for them.
+    assert all(type(step) is optics._Packed and "terms" not in vars(step) for step in steps)
     assert _assert_carries_its_terms(out) and _assert_carries_its_terms(chained)
-    assert optics._packed(out) is out._packed
-    assert not hasattr(FockState(6, dict(out.terms)), "_packed")
+    assert optics._packed(out) is out
+    assert _carried(FockState(6, dict(out.terms))) is None
+    # A dataclasses.replace copy holds its terms alone, and is packed again.
+    copied = dataclasses.replace(out)
+    assert copied == out and optics._packed(copied) is not copied
+    _assert_matches_dict_loop(copied, hadamard_pair(6, 3, 0))
     # A phase shifter and a permutation read the carried keys too, and pass them on.
     routed = apply_unitary(apply_unitary(chained, phase_shifter(6, 2, 0.3)), mode_permutation(6, [5, 4, 3, 2, 1, 0]))
     assert _assert_carries_its_terms(routed)
