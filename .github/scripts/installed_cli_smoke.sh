@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Smoke test of an installed fockjoin: the console script, not the source tree.
+#
+#   .github/scripts/installed_cli_smoke.sh VENV_BIN
+#
+# VENV_BIN holds the installed `fockjoin` script and the `python` it runs under.
+# The checks run in a temporary directory, so nothing is imported from `src/`.
+set -euo pipefail
+bin="$(cd "$1" && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+fail() { echo "installed fockjoin: $*" >&2; exit 1; }
+
+"$bin/fockjoin" --version || fail "--version exited $?"
+"$bin/python" -c 'import fockjoin, sys; sys.exit("/src/fockjoin/" in fockjoin.__file__)' || fail "fockjoin imports from a source tree"
+
+# A valid two-qubit input: the report parses and names its verb.
+echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 0.0, "im": 0.8}]}' > valid.json
+"$bin/fockjoin" join --input valid.json --report report.json || fail "join on a valid input exited $?"
+"$bin/python" -c 'import json, sys; sys.exit(json.load(open("report.json"))["verb"] != "join")' || fail "the join report does not parse"
+
+# An amplitude whose abs() overflows: exit 2 with one error line.
+echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 1.5e308, "im": 1.5e308}]}' > overflow.json
+code=0
+"$bin/fockjoin" join --input overflow.json > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "join on an overflowing amplitude exited $code, expected 2"
+[ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: ' err.txt || fail "expected one error: line, got: $(cat err.txt)"
+
+# An unknown verb is a usage error.
+code=0
+"$bin/fockjoin" no-such-verb 2> /dev/null || code=$?
+[ "$code" -eq 1 ] || fail "an unknown verb exited $code, expected 1"
+
+echo "installed fockjoin: every check passed"

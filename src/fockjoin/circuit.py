@@ -242,6 +242,7 @@ def _parse_project(line: _Line, tokens):
         seen.add(mode[0])
         entries.append((mode[0], complex(amps[0], amps[1])))
     total = _squared_norm(a for _, a in entries)
+    # Looser than NORM_ATOL, for amplitudes written to a few digits: _project renormalizes them.
     if not abs(total - 1.0) <= 1e-6:
         return line.reject(f"projection amplitudes have squared norm {total:.6g}, expected 1")
     return tuple(entries)
@@ -346,7 +347,7 @@ def run_circuit(program: CircuitProgram, state: FockState):
     """
     if state.modes != program.modes:
         raise ValueError(f"input has {state.modes} modes, program declares {program.modes}")
-    if not is_normalized(state, atol=1e-8):
+    if not is_normalized(state):
         raise ValueError(f"input state must be normalized (norm={norm(state):.6g})")
     probability = 1.0
     log: list[str] = []

@@ -10,7 +10,6 @@ them transiently); nothing enforces a global photon-number sector.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections.abc import Mapping
@@ -23,8 +22,9 @@ import numpy as np
 
 # Amplitudes below this magnitude are dropped after every operation.
 PRUNE_TOL = 1e-12
-# |sum |amp|^2 - 1| must stay below this for a state to count as normalized.
-NORM_ATOL = 1e-10
+# |sum |amp|^2 - 1| must stay within this for a state to count as normalized, wherever
+# the package checks (a circuit's project line alone is parsed more loosely).
+NORM_ATOL = 1e-8
 
 Occupation = tuple[int, ...]
 
@@ -91,17 +91,33 @@ def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple
     return out
 
 
-def _check_amplitude(occ: Occupation, amp) -> complex:
-    """complex(amp), or a ValueError naming amp unless it is a finite number; complex() would parse a string."""
+def _check_amplitude(occ, amp) -> complex:
+    """complex(amp) if it is a finite number whose abs() is a float, else a ValueError naming it (occ None: scale's factor)."""
+    value = _as_number(occ, amp)
     try:
-        value = None if isinstance(amp, str) else complex(amp)
-    except TypeError:
-        value = None
-    if value is None:
-        raise ValueError(f"amplitude {amp!r} of occupation {occ} is not a number")
-    if not cmath.isfinite(value):
-        raise ValueError(f"amplitude {value} of occupation {occ} is not finite")
+        finite = abs(value) < math.inf  # False for an infinite or NaN part; complex(1.5e308, 1.5e308) overflows
+    except OverflowError:
+        raise ValueError(f"{_named(occ, value)} is too large to square") from None
+    if not finite:
+        raise ValueError(f"{_named(occ, value)} is not finite")
     return value
+
+
+def _as_number(occ, amp) -> complex:
+    """complex(amp), or a ValueError unless amp is a number within the float range (not the int 10**400) and no string."""
+    try:
+        if not isinstance(amp, str):
+            return complex(amp)
+    except TypeError:
+        pass
+    except OverflowError:
+        raise ValueError(f"{_named(occ, f'of type {type(amp).__name__}')} is past the float range") from None
+    raise ValueError(f"{_named(occ, repr(amp))} is not a number")
+
+
+def _named(occ, amp) -> str:
+    """How an error names amplitude amp of occupation occ, or scale's factor amp if occ is None."""
+    return f"scale factor {amp}" if occ is None else f"amplitude {amp} of occupation {occ}"
 
 
 def _trusted(modes: int, terms: dict[Occupation, complex]) -> FockState:
@@ -120,7 +136,7 @@ def make_state(modes: int, terms) -> FockState:
     """Build a state from (occupation, amplitude) pairs.
 
     Duplicate occupations are merged by summing amplitudes; the result is
-    pruned but not normalized. A NaN or infinite amplitude raises
+    pruned but not normalized. An amplitude that is no finite number raises
     ValueError rather than being pruned or carried along.
     """
     if not terms:
@@ -135,6 +151,11 @@ def make_state(modes: int, terms) -> FockState:
     return _pruned(modes, merged)
 
 
+def _on_basis(modes: int, basis, amps) -> FockState:
+    """make_state(modes, zip(basis, amps)) bit for bit, for distinct valid occupations the caller owns: checks amps only."""
+    return _pruned(modes, {occ: 0j + _check_amplitude(occ, amp) for occ, amp in zip(basis, amps)})
+
+
 def basis_state(modes: int, occ) -> FockState:
     return make_state(modes, [(occ, 1.0)])
 
@@ -143,18 +164,10 @@ def zero_state(modes: int) -> FockState:
     return FockState(modes, {})
 
 
-def _magnitude(occ: Occupation, amp) -> float:
-    """abs(amp), or a ValueError naming the amplitude where that passes the largest float."""
-    try:
-        return abs(amp)
-    except OverflowError:
-        raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square") from None
-
-
 def _squared_norm(amps) -> float:
     """sum(abs(a) ** 2 for a in amps), or inf where that passes the largest float."""
     try:
-        return sum(abs(a) ** 2 for a in amps)
+        return float(sum(abs(a) ** 2 for a in amps))  # an int amplitude squares exactly, past the float range
     except OverflowError:  # a finite amplitude above about 1.3e154
         return math.inf
 
@@ -162,14 +175,15 @@ def _squared_norm(amps) -> float:
 def norm(s: FockState) -> float:
     total = _squared_norm(s.terms.values())
     if total == math.inf:  # an amplitude too large to square, or finite squares whose sum passes the largest float
-        occ, amp = max(s.terms.items(), key=lambda term: _magnitude(*term))
-        raise ValueError(f"amplitude {amp} of occupation {occ} is too large to square")
+        occ, amp = max(s.terms.items(), key=lambda term: _squared_norm((term[1],)))
+        raise ValueError(f"{_named(occ, amp)} is too large to square")
     return math.sqrt(total)
 
 
-def is_normalized(s: FockState, atol: float = NORM_ATOL) -> bool:
+def is_normalized(s: FockState) -> bool:
+    """Whether the squared norm is within NORM_ATOL of 1; a ValueError names an amplitude too large to square."""
     try:
-        return abs(sum(abs(a) ** 2 for a in s.terms.values()) - 1.0) <= atol
+        return abs(sum(abs(a) ** 2 for a in s.terms.values()) - 1.0) <= NORM_ATOL
     except OverflowError:
         norm(s)  # overflows too, and raises the ValueError that names the amplitude
         raise
@@ -183,6 +197,7 @@ def normalize(s: FockState) -> FockState:
 
 
 def scale(s: FockState, factor: complex) -> FockState:
+    factor = _check_amplitude(None, factor)
     return _pruned(s.modes, {occ: amp * factor for occ, amp in s.terms.items()})
 
 
@@ -219,7 +234,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
 def fidelity(a: FockState, b: FockState) -> float:
     """|<a|b>|^2 for normalized states."""
     for name, s in (("first", a), ("second", b)):
-        if not is_normalized(s, atol=1e-8):
+        if not is_normalized(s):
             raise ValueError(f"{name} argument is not normalized (norm={norm(s):.6g})")
     return min(abs(inner_product(a, b)) ** 2, 1.0)
 
@@ -375,11 +390,11 @@ def state_from_dict(data: dict) -> FockState:
     try:
         (modes,) = _indices([data["modes"]], "modes")
         pairs = [(tuple(t["occ"]), complex(t["re"], t["im"])) for t in data["terms"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int part past the float range
         raise ValueError(f"malformed state object: {exc}") from exc
     for occ, amp in pairs:
         # make_state would prune these away without a trace; exact zeros are fine.
-        if 0.0 < _magnitude(occ, amp) <= PRUNE_TOL:
+        if 0.0 < abs(_check_amplitude(occ, amp)) <= PRUNE_TOL:
             raise ValueError(f"amplitude {amp} of occupation {occ} is at or below the pruning tolerance {PRUNE_TOL:g}")
     if not pairs:
         return zero_state(modes)

@@ -72,11 +72,14 @@ class CnotSpec:
 
 def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
     """Why (eta, eta_prime) are not vacuum-port amplitudes, or None if they are."""
-    if not (cmath.isfinite(eta) and cmath.isfinite(eta_prime)):
-        return "vacuum-port amplitudes must be finite"
     try:
-        within = abs(eta) <= 1 + 1e-12 and abs(eta_prime) <= 1 + 1e-12
-    except OverflowError:  # a finite amplitude whose magnitude passes the largest float
+        if not (cmath.isfinite(eta) and cmath.isfinite(eta_prime)):
+            return "vacuum-port amplitudes must be finite"
+        # abs of the complex value: numpy's abs of np.int64(-2**63) wraps to a negative int.
+        within = abs(complex(eta)) <= 1 + 1e-12 and abs(complex(eta_prime)) <= 1 + 1e-12
+    except TypeError:  # a string, bytes, None or a list: cmath reads no number from them
+        return "vacuum-port amplitudes must be numbers"
+    except OverflowError:  # an int past the float range, or a finite amplitude whose magnitude passes the largest float
         within = False
     return None if within else "vacuum-port amplitudes cannot exceed unit magnitude"
 

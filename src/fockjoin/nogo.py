@@ -40,7 +40,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .fock import _indices, make_state
+from .fock import NORM_ATOL, _indices, make_state
 from .optics import (
     ModeUnitary,
     ProjectorSpec,
@@ -428,7 +428,7 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
     if len(alpha) != 4:
         raise ValueError("expected four input amplitudes")
-    if not abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= 1e-8:
+    if not abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= NORM_ATOL:
         raise ValueError("input amplitudes must be normalized")
     m = u.dim
     if phi.modes != m:

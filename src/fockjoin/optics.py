@@ -284,7 +284,7 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     if array_photons and any(sum(sub) >= array_photons for sub in expansions):
         packed = _packed(s)
     for sub in expansions:
-        expansions[sub] = _expand_arrays(sub, rows, tuple(active), packed.bits, s.modes) if packed else _expand(sub, rows)
+        expansions[sub] = _expand_arrays(sub, rows, tuple(active), packed.bits) if packed else _expand(sub, rows)
     if packed:
         return _array_splice(packed, *_expanded(packed.keys, packed.bits, packed.facts, subs, expansions, active))
     out: dict[Occupation, complex] = {}
@@ -315,10 +315,9 @@ class _Packed(FockState):
     """A state as arrays, whose terms dict an array-pass output builds on first read.
 
     keys packs its occupations into int64s of `bits` bits per mode, facts
-    and amps hold their factorial products and amplitudes, vacuum the
-    photon-free amplitude of a chain's first input and occupations the
-    keys' tuples where known (either may be None). Being a subclass keeps the
-    __getattr__ hook, which slows attribute loads, off plain states.
+    and amps hold their factorial products and amplitudes, and vacuum the
+    photon-free amplitude of a chain's first input (or None). A subclass
+    keeps the __getattr__ hook, which slows attribute loads, off plain states.
     """
 
     keys = None  # on a dataclasses.replace copy, which holds its terms alone
@@ -330,7 +329,7 @@ class _Packed(FockState):
         # Called only for attributes the state lacks: its terms, until their first read.
         if name != "terms":
             raise AttributeError(f"'FockState' object has no attribute {name!r}")
-        terms = dict(zip(self.occupations or _occupation_tuples(self.keys, self.bits, self.modes), self.amps))
+        terms = dict(zip(_occupation_tuples(self.keys, self.bits, self.modes), self.amps))
         if self.vacuum is not None and (vacuum := (0,) * self.modes) in terms:
             terms[vacuum] = 0j + self.vacuum  # as in apply_unitary: 0j + (0j + v) has the bits and type of 0j + v
         object.__setattr__(self, "terms", MappingProxyType(terms))
@@ -351,7 +350,7 @@ def _packed(s: FockState) -> _Packed | None:
         return None
     keys, facts = occ @ np.left_shift(1, bits * np.arange(s.modes, dtype=np.int64)), _FACTORIALS[occ].prod(axis=1)
     amps, vacuum = np.fromiter(s.terms.values(), complex, len(s.terms)), s.terms.get((0,) * s.modes)
-    return _Packed(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, vacuum=vacuum, occupations=None, terms=s.terms)
+    return _Packed(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, vacuum=vacuum, terms=s.terms)
 
 
 def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
@@ -378,7 +377,7 @@ def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
             on = n > step
             re, im = np.where(on, re * c.real - im * c.imag, re), np.where(on, re * c.imag + im * c.real, im)
     keys = keys + (weights[[b for ((b, _),) in rows]] - weights) @ counts
-    return np.arange(len(keys)), keys, facts, re, im, True, None
+    return np.arange(len(keys)), keys, facts, re, im, True
 
 
 def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
@@ -395,7 +394,7 @@ def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
     terms, monomials = _spread(a + b + 1, offsets[a, b])
     keys = (keys - a * weights[0] - b * weights[1])[terms] + (expos @ weights)[monomials]
     facts = (facts // (_FACTORIALS[a] * _FACTORIALS[b]))[terms] * expo_facts[monomials]
-    return terms, keys, facts, coeffs.real[monomials], coeffs.imag[monomials], False, None
+    return terms, keys, facts, coeffs.real[monomials], coeffs.imag[monomials], False
 
 
 def _spread(counts: np.ndarray, starts: np.ndarray):
@@ -439,7 +438,7 @@ def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: 
     """The (term, monomial) candidates in term-major order, from _expand_arrays' expansions."""
     weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
     found = list(expansions.values())
-    expo_keys, expo_facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in list(zip(*found))[:4])
+    expo_keys, expo_facts, re, im = (np.concatenate(f) if len(f) > 1 else f[0] for f in zip(*found))
     if len(keys) == 1:
         terms, monomials = np.zeros(1, dtype=np.intp), slice(None)  # broadcast over the one term's monomials
     else:
@@ -451,19 +450,17 @@ def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: 
     passive = keys - weights @ counts
     keys = passive[terms] + expo_keys[monomials]
     facts = (facts // _FACTORIALS[counts].prod(axis=0))[terms] * expo_facts[monomials]
-    # The keys of several terms may repeat; one term's are distinct, and its expansion's without passive photons.
-    occupations = found[0].occupations if len(passive) == 1 and not passive[0] else None
-    return terms, keys, facts, re[monomials], im[monomials], len(passive) == 1, occupations
+    # The keys of several terms may repeat; one term's are distinct.
+    return terms, keys, facts, re[monomials], im[monomials], len(passive) == 1
 
 
-def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool, occupations) -> _Packed:
+def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool) -> _Packed:
     """The dict loop's output state, from its candidates in term-major order, carrying its arrays.
 
     Candidate k comes from input term terms[k] of packed; keys[k] is its
     output occupation, `bits` bits per mode, facts[k] that occupation's
     factorial product, and (cre[k], cim[k]) its monomial coefficient.
-    distinct says the keys are known to differ, as one term's monomials do,
-    and occupations gives their occupation tuples where they are known.
+    distinct says the keys are known to differ, as one term's monomials do.
 
     The values keep the dict loop's roundings: amp * coeff is re = ar*cr -
     ai*ci and im = ar*ci + ai*cr, as CPython computes it (numpy's complex
@@ -493,11 +490,8 @@ def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool,
     keep = _kept(amps)
     if not keep.all():
         keys, facts, amps = keys[keep], facts[keep], amps[keep]
-        occupations = occupations and tuple(compress(occupations, keep.tolist()))
     keys, facts, amps = _read_only(keys, facts, amps)
-    return _Packed(
-        modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps, vacuum=packed.vacuum, occupations=occupations
-    )
+    return _Packed(modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps, vacuum=packed.vacuum)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -561,10 +555,9 @@ class _ArrayExpansion(NamedTuple):
     facts: np.ndarray  # their factorial products, one per monomial as in _expand's list
     re: np.ndarray
     im: np.ndarray
-    occupations: tuple  # the keys as occupation tuples, zero on passive modes
 
 
-def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int, modes: int) -> _ArrayExpansion:
+def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int) -> _ArrayExpansion:
     """_expand with numpy, bit for bit.
 
     Each photon step lists the candidates (monomial k, row entry b) in
@@ -579,24 +572,24 @@ def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int, modes: int) 
             cols, values = zip(*row)
             steps += [cols] * n
             entries += [(np.array([c.real for c in values]), np.array([c.imag for c in values]))] * n
-    slots, keys, facts, occupations = _expansion_structure(tuple(steps), active, bits, modes)
+    slots, keys, facts = _expansion_structure(tuple(steps), active, bits)
     re, im = np.ones(1), np.zeros(1)
     for (slot, count), (br, bi) in zip(slots, entries):
         ar, ai = re[:, None], im[:, None]
         re = np.bincount(slot, (ar * br - ai * bi).ravel(), count)
         im = np.bincount(slot, (ar * bi + ai * br).ravel(), count)
-    return _ArrayExpansion(keys, facts, re, im, occupations)
+    return _ArrayExpansion(keys, facts, re, im)
 
 
 @lru_cache(maxsize=8)
-def _expansion_structure(steps: tuple, active: tuple, bits: int, modes: int) -> tuple:
+def _expansion_structure(steps: tuple, active: tuple, bits: int) -> tuple:
     """Where each product of an expansion goes, from its sparsity pattern alone.
 
     `steps` holds, per photon, the active columns of its row's nonzero
     entries; exponents of active mode a sit at mode active[a] of an int64
-    occupation key of `modes` modes, `bits` bits each. Returns, per step,
-    each candidate's monomial slot and the monomial count; then the final
-    exponent keys, their factorial products and their occupation tuples.
+    occupation key, `bits` bits per mode. Returns, per step, each
+    candidate's monomial slot and the monomial count; then the final
+    exponent keys and their factorial products.
     The keys are numbered in order of first occurrence, which is the dict
     loop's insertion order. Unitaries with the same pattern, such as Haar
     draws of one size, share the result; the eight most recent patterns
@@ -609,8 +602,7 @@ def _expansion_structure(steps: tuple, active: tuple, bits: int, modes: int) -> 
         keys, slot, _ = _first_occurrences((keys[:, None] + (1 << shifts[list(cols)])).ravel())
         slots.append((*_read_only(slot), len(keys)))
     # Callers share the result, so it holds only tuples and read-only arrays.
-    keys, facts = _read_only(keys, _FACTORIALS[_counts(keys, bits, active)].prod(axis=0))
-    return tuple(slots), keys, facts, tuple(_occupation_tuples(keys, bits, modes))
+    return tuple(slots), *_read_only(keys, _FACTORIALS[_counts(keys, bits, active)].prod(axis=0))
 
 
 def _first_occurrences(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

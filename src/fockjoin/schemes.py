@@ -34,8 +34,7 @@ import numpy as np
 
 from .fock import (
     FockState,
-    _check_amplitude,
-    _pruned,
+    _on_basis,
     add_vacuum_modes,
     basis_state,
     discard_empty_modes,
@@ -147,22 +146,20 @@ def compose_success_probability(model: ProbabilityModel):
 
 def _encode(basis, alphas) -> FockState:
     """Four amplitudes on an encoding's four basis occupations (normalized by caller), as make_state builds them."""
-    alphas = [complex(a) for a in alphas]
+    alphas = tuple(alphas)
     if len(alphas) != 4:
         raise EncodingViolationError("expected four amplitudes")
-    terms = [(occ, a) for occ, a in zip(basis, alphas) if a != 0]
-    if not terms:
+    state = _on_basis(4, basis, alphas)
+    if state.is_zero and not any(alphas):  # exact zeros only: make_state's rule for an empty term list
         raise ValueError("at least one term is required")
-    for occ, a in terms:
-        _check_amplitude(occ, a)
-    return _pruned(4, {occ: 0j + a for occ, a in terms})
+    return state
 
 
 def _decode(s: FockState, basis, what: str, pattern: str) -> np.ndarray:
     """Read a0..a3 back from a normalized four-mode state written in ``basis``."""
     if s.modes != 4:
         raise EncodingViolationError(f"expected 4 modes, got {s.modes}")
-    if not is_normalized(s, atol=1e-8):
+    if not is_normalized(s):
         raise EncodingViolationError(f"{what} must be normalized")
     coeffs = np.zeros(4, dtype=complex)
     for occ, amp in s.terms.items():

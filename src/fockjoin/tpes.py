@@ -21,7 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .fock import FockState, _indices, _pruned, _squared_norm, fidelity, make_state, norm, normalize, partial_inner, tensor
+from .fock import (
+    NORM_ATOL, FockState, _as_number, _indices, _on_basis, _squared_norm, fidelity, make_state, norm, normalize, partial_inner, tensor
+)
 from .optics import ModeUnitary, apply_unitary
 from .schemes import _TWO_QUBIT_BASIS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
 
@@ -132,15 +134,6 @@ def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
 _INPUT_RAILS = tuple(tuple(_occupied(1, _mode(0, **{field: r})) for r in (0, 1)) for field in ("pol", "path"))
 
 
-def _input_qubits_state(alpha: complex, beta: complex, gamma: complex, delta: complex) -> FockState:
-    """The input qubits' tensor product, bit for bit as from make_state and tensor for finite amplitudes."""
-    psi4, psi5 = (
-        _pruned(_mode(1), {occ: complex(a) for occ, a in zip(rails, amps)})
-        for rails, amps in zip(_INPUT_RAILS, ((alpha, beta), (gamma, delta)))
-    )
-    return tensor(psi4, psi5)
-
-
 def joined_reference(alpha, beta, gamma, delta) -> FockState:
     """(alpha H + beta V)(gamma u + delta d) on one photon's four modes."""
     return joined_ququart([alpha * gamma, beta * gamma, alpha * delta, beta * delta])
@@ -152,12 +145,19 @@ _PAIR_24 = _photon_modes(1, 3)
 _PAIR_35 = _photon_modes(1, 2)
 
 
-def _five_photon_state(alpha, beta, gamma, delta, resource) -> FockState:
-    """Resource photons 1-3 followed by the input qubits on photons 4 and 5."""
-    for name, (x, y) in (("alpha/beta", (alpha, beta)), ("gamma/delta", (gamma, delta))):
-        if not abs(_squared_norm((x, y)) - 1.0) <= 1e-8:
+def _input_pairs(alpha_beta, gamma_delta) -> list:
+    """The input qubits' amplitudes as complex numbers; a non-number fails before the normalization checks, NaN in them."""
+    pairs = [(_as_number(rails[0], x), _as_number(rails[1], y)) for rails, (x, y) in zip(_INPUT_RAILS, (alpha_beta, gamma_delta))]
+    for name, pair in zip(("alpha/beta", "gamma/delta"), pairs):
+        if not abs(_squared_norm(pair) - 1.0) <= NORM_ATOL:
             raise ValueError(f"{name} amplitudes must be normalized")
-    return tensor(build_tpes(*resource), _input_qubits_state(alpha, beta, gamma, delta))
+    return pairs
+
+
+def _five_photon_state(pairs, resource) -> FockState:
+    """Resource photons 1-3 followed by the input qubits of _input_pairs on photons 4 and 5."""
+    psi4, psi5 = (_on_basis(_mode(1), rails, pair) for rails, pair in zip(_INPUT_RAILS, pairs))
+    return tensor(build_tpes(*resource), tensor(psi4, psi5))
 
 
 def _bell_branch(full: FockState, outcome) -> tuple[FockState, float]:
@@ -176,7 +176,7 @@ def expand_five_photon(alpha, beta, gamma, delta, resource=("Phi-", "phi-")):
     states are normalized but keep their expansion sign; weights are the
     exact branch probabilities and each equals 1/16.
     """
-    full = _five_photon_state(alpha, beta, gamma, delta, resource)
+    full = _five_photon_state(_input_pairs((alpha, beta), (gamma, delta)), resource)
     return [(outcome, *_bell_branch(full, outcome)) for outcome in ALL_BELL_OUTCOMES]
 
 
@@ -271,9 +271,8 @@ def teleport_join(
     Only that branch is contracted; its weight is the report's
     success_probability, and the table correction maps it to the joined state.
     """
-    alpha, beta = (complex(x) for x in alpha_beta)
-    gamma, delta = (complex(x) for x in gamma_delta)
-    full = _five_photon_state(alpha, beta, gamma, delta, resource)
+    pairs = _input_pairs(alpha_beta, gamma_delta)
+    full = _five_photon_state(pairs, resource)
     if outcome == "sample":
         picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, np.random.default_rng(seed).random())]
     else:
@@ -282,7 +281,7 @@ def teleport_join(
 
     entry = derive_correction_table(resource)[picked_outcome]
     corrected = apply_unitary(conditional, _correction_unitary(entry.pol_op, entry.path_op))
-    reference = joined_reference(alpha, beta, gamma, delta)
+    reference = joined_reference(*pairs[0], *pairs[1])
     return SchemeReport(
         output=corrected,
         success_probability=weight,

@@ -111,6 +111,10 @@ def test_norm_names_an_amplitude_too_large_to_square():
             check(FockState(1, {(1,): huge}))
     with pytest.raises(ValueError, match=r"^amplitude \(1.5e\+308\+1.5e\+308j\) of occupation \(0, 1\) is too large to square$"):
         state_from_dict({"modes": 2, "terms": [{"occ": [0, 1], "re": huge.real, "im": huge.imag}]})
+    # An int amplitude squares exactly, to an int past the float range.
+    for check in (norm, is_normalized):
+        with pytest.raises(ValueError, match=r"^amplitude 1000*0 of occupation \(1,\) is too large to square$"):
+            check(FockState(1, {(1,): 10**300}))
 
 
 def test_norm_names_the_largest_amplitude_when_the_squares_sum_past_the_largest_float():

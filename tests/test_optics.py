@@ -500,11 +500,12 @@ def _assert_same_expansion(sub, rows):
     # The active modes sit at every other mode of the keys, with a passive mode after each.
     # A state has at least one mode, also when no mode is active (sub is empty).
     bits, active = max(sum(sub), 1).bit_length(), tuple(range(0, 2 * len(sub), 2))
-    arrays = _expand_arrays(sub, rows, active, bits, max(2 * len(sub), 1))
+    arrays = _expand_arrays(sub, rows, active, bits)
     expos = ((arrays.keys[:, None] >> (bits * np.array(active, dtype=np.int64))) & ((1 << bits) - 1)).tolist()
     assert [tuple(e) for e in expos] == [e for e, _, _ in monomials]
-    assert [tuple(occ[a] for a in active) for occ in arrays.occupations] == [e for e, _, _ in monomials]
-    assert all(not any(occ[1::2]) for occ in arrays.occupations)
+    occupations = optics._occupation_tuples(arrays.keys, bits, max(2 * len(sub), 1))
+    assert [tuple(occ[a] for a in active) for occ in occupations] == [e for e, _, _ in monomials]
+    assert all(not any(occ[1::2]) for occ in occupations)
     assert _bytes(complex(r, i) for r, i in zip(arrays.re, arrays.im)) == _bytes(c for _, c, _ in monomials)
     assert arrays.facts.tolist() == [f for _, _, f in monomials]
     return arrays

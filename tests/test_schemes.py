@@ -1,11 +1,12 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fockjoin import schemes
+from fockjoin import schemes, tpes
 from fockjoin.fock import (
     add,
     add_vacuum_modes,
@@ -250,14 +251,41 @@ def _bits(state):
 _SIGNED_ZERO_ALPHAS = [complex(-0.0, 0.6), complex(0.0, -0.0), np.complex128(complex(-0.8, -0.0)), np.float64(-0.0)]
 
 
-@pytest.mark.parametrize("encode, basis", [(two_qubit_input, schemes._TWO_QUBIT_BASIS), (joined_ququart, schemes._QUQUART_BASIS)])
+def _teleport_input_qubits(alphas):
+    """The input qubits teleport_join builds from (a0, a1) and (a2, a3): the second operand of the last tensor product."""
+    with mock.patch.object(tpes, "tensor", wraps=tensor) as spy:
+        tpes._five_photon_state((alphas[:2], alphas[2:]), ("Phi-", "phi-"))
+    return spy.call_args.args[1]
+
+
+def _teleport_reference(alphas):
+    """tensor of two make_state qubits: photon 4's polarization rails, then photon 5's path rails."""
+    psi4 = make_state(4, [((1, 0, 0, 0), alphas[0]), ((0, 1, 0, 0), alphas[1])])
+    psi5 = make_state(4, [((1, 0, 0, 0), alphas[2]), ((0, 0, 1, 0), alphas[3])])
+    return tensor(psi4, psi5)
+
+
+@pytest.mark.parametrize(
+    "encode, basis",
+    [(two_qubit_input, schemes._TWO_QUBIT_BASIS), (joined_ququart, schemes._QUQUART_BASIS), (_teleport_input_qubits, None)],
+)
 def test_encoders_build_what_make_state_builds(encode, basis):
     # Signed zeros included: make_state adds each amplitude to 0j, which clears a -0.0 part.
-    for alphas in (_SIGNED_ZERO_ALPHAS, [1e-13, 1, 0, 0.5j], [0.6, 0, True, np.float32(0.8)]):
-        reference = make_state(4, [(occ, a) for occ, a in zip(basis, alphas) if complex(a) != 0])
+    for alphas in (
+        _SIGNED_ZERO_ALPHAS,
+        [1e-13, 1, 0, 0.5j],
+        [0.6, 0, True, np.float32(0.8)],
+        [complex(-0.0, 0.6), complex(0.8, -0.0), np.complex128(complex(-0.0, -1.0)), 0.0],
+        [np.float64(0.6), 0.8j, Fraction(1, 3), -1],
+    ):
+        if basis is None:
+            reference = _teleport_reference(alphas)
+        else:
+            reference = make_state(4, [(occ, a) for occ, a in zip(basis, alphas) if complex(a) != 0])
         assert _bits(encode(alphas)) == _bits(reference)
-    with pytest.raises(ValueError, match=r"^at least one term is required$"):
-        encode([0, 0.0, -0j, complex(-0.0, 0.0)])
+    if basis is not None:  # the teleportation inputs have no all-zero rule: teleport_join's normalization check rejects zeros
+        with pytest.raises(ValueError, match=r"^at least one term is required$"):
+            encode([0, 0.0, -0j, complex(-0.0, 0.0)])
     with pytest.raises(ValueError, match=r"^amplitude \(nan\+0j\) of occupation \(.*\) is not finite$"):
         encode([0, float("nan"), complex("inf"), 0])
 

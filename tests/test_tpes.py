@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fockjoin.fock import (
     schmidt_rank,
     tensor,
 )
+from fockjoin import tpes
 from fockjoin.tpes import (
     ALL_BELL_OUTCOMES,
     PATH_BELL_KINDS,
@@ -161,21 +163,19 @@ def test_expansion_reconstructs_the_five_photon_state():
                     piece = make_state(20, [(tuple(occ), amp24 * amp35 * amp1)])
                     reconstructed = piece if reconstructed is None else _add(reconstructed, piece)
 
-    from fockjoin.tpes import _input_qubits_state
-
-    full = tensor(build_tpes("Phi-", "phi-"), _input_qubits_state(a, b, g, d))
+    full = tensor(build_tpes("Phi-", "phi-"), _input_qubits_reference(a, b, g, d))
     for occ in set(full.terms) | set(reconstructed.terms):
         assert reconstructed.terms.get(occ, 0j) == pytest.approx(full.terms.get(occ, 0j), abs=1e-10)
 
 
+def _input_qubits_reference(alpha, beta, gamma, delta):
+    """The input qubits from make_state: photon 4's polarization rails, then photon 5's path rails."""
+    psi4 = make_state(4, [((1, 0, 0, 0), alpha), ((0, 1, 0, 0), beta)])
+    psi5 = make_state(4, [((1, 0, 0, 0), gamma), ((0, 0, 1, 0), delta)])
+    return tensor(psi4, psi5)
+
+
 def test_input_qubits_are_built_as_make_state_builds_them():
-    from fockjoin.tpes import _input_qubits_state
-
-    def reference(alpha, beta, gamma, delta):
-        psi4 = make_state(4, [((1, 0, 0, 0), alpha), ((0, 1, 0, 0), beta)])
-        psi5 = make_state(4, [((1, 0, 0, 0), gamma), ((0, 0, 1, 0), delta)])
-        return tensor(psi4, psi5)
-
     def bits(state):
         return [(occ, repr(amp), type(amp)) for occ, amp in state.terms.items()]
 
@@ -185,7 +185,10 @@ def test_input_qubits_are_built_as_make_state_builds_them():
         (np.float64(0.6), 0.8j, 1e-13, -1),
         random_qubit_pair(np.random.default_rng(68)) + random_qubit_pair(np.random.default_rng(69)),
     ]:
-        assert bits(_input_qubits_state(*amps)) == bits(reference(*amps))
+        # The input qubits are the second operand of the last tensor product, beside the resource.
+        with mock.patch.object(tpes, "tensor", wraps=tensor) as spy:
+            expand_five_photon(*amps)
+        assert bits(spy.call_args.args[1]) == bits(_input_qubits_reference(*amps))
 
 
 def _add(x, y):
