@@ -40,7 +40,8 @@ class FockState:
     ``terms`` maps occupation tuples (length ``modes``, entries >= 0) to
     complex amplitudes; it is a read-only view of a private copy. An empty
     map is the zero state, which is how a failed projection is flagged.
-    Construction checks every occupation and amplitude; operations inside
+    Construction checks every occupation and amplitude and stores each term
+    under its occupation as a tuple of ints, with complex(amp); operations inside
     this package build their results through ``_trusted`` instead, since
     they only rearrange occupations that were checked on the way in.
 
@@ -57,10 +58,11 @@ class FockState:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"mode count must be positive, got {self.modes}")
+        terms = {}
         for occ, amp in self.terms.items():
-            _indices(occ, "occupation", count=self.modes)
-            _check_amplitude(occ, amp)
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+            occ = _indices(occ, "occupation", count=self.modes)
+            terms[occ] = _check_amplitude(occ, amp)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -136,8 +138,9 @@ def make_state(modes: int, terms) -> FockState:
     """Build a state from (occupation, amplitude) pairs.
 
     Duplicate occupations are merged by summing amplitudes; the result is
-    pruned but not normalized. An amplitude that is no finite number raises
-    ValueError rather than being pruned or carried along.
+    pruned but not normalized. An amplitude that is no finite number, or a
+    merged sum that is none, raises ValueError rather than being pruned or
+    carried along.
     """
     if not terms:
         raise ValueError("at least one term is required")
@@ -147,7 +150,7 @@ def make_state(modes: int, terms) -> FockState:
     for occ, amp in terms:
         occ = _indices(occ, "occupation", count=modes)
         amp = _check_amplitude(occ, amp)
-        merged[occ] = merged.get(occ, 0j) + amp
+        merged[occ] = _check_amplitude(occ, merged[occ] + amp) if occ in merged else 0j + amp
     return _pruned(modes, merged)
 
 
@@ -167,7 +170,7 @@ def zero_state(modes: int) -> FockState:
 def _squared_norm(amps) -> float:
     """sum(abs(a) ** 2 for a in amps), or inf where that passes the largest float."""
     try:
-        return float(sum(abs(a) ** 2 for a in amps))  # an int amplitude squares exactly, past the float range
+        return sum(abs(a) ** 2 for a in amps)
     except OverflowError:  # a finite amplitude above about 1.3e154
         return math.inf
 
@@ -198,7 +201,7 @@ def normalize(s: FockState) -> FockState:
 
 def scale(s: FockState, factor: complex) -> FockState:
     factor = _check_amplitude(None, factor)
-    return _pruned(s.modes, {occ: amp * factor for occ, amp in s.terms.items()})
+    return _pruned(s.modes, {occ: _check_amplitude(occ, amp * factor) for occ, amp in s.terms.items()})
 
 
 def add(a: FockState, b: FockState) -> FockState:

@@ -40,7 +40,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .fock import NORM_ATOL, _indices, make_state
+from .fock import _indices, _on_basis, is_normalized
 from .optics import (
     ModeUnitary,
     ProjectorSpec,
@@ -425,21 +425,15 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     linear combination of symmetrized modes weighted by the input
     amplitudes. Agreement certifies the bosonic bookkeeping end to end.
     """
-    alpha = np.asarray(alpha, dtype=complex).reshape(-1)
+    alpha = np.asarray(alpha, dtype=object).reshape(-1)
     if len(alpha) != 4:
         raise ValueError("expected four input amplitudes")
-    if not abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= NORM_ATOL:
-        raise ValueError("input amplitudes must be normalized")
     m = u.dim
+    state = _on_basis(m, [tuple(int(j in pair) for j in range(m)) for pair in _mode_pairs(logical_modes)], alpha)
+    if not is_normalized(state):
+        raise ValueError("input amplitudes must be normalized")
     if phi.modes != m:
         raise ValueError("detection length must match the unitary dimension")
-
-    terms = []
-    for a_k, (x, y) in zip(alpha, _mode_pairs(logical_modes)):
-        occ = [0] * m
-        occ[x], occ[y] = 1, 1
-        terms.append((tuple(occ), a_k))
-    state = make_state(m, terms)
 
     propagated = apply_unitary(state, u)
     # The detection addresses propagated modes; express it over the
@@ -456,5 +450,5 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
         else:
             extra = max(extra, abs(amp) * scale)
 
-    analytic = alpha @ symmetrized_modes(u, phi, logical_modes)
+    analytic = alpha.astype(complex) @ symmetrized_modes(u, phi, logical_modes)
     return float(max(np.max(np.abs(simulated - analytic)), extra))

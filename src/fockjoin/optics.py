@@ -253,8 +253,8 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     their creation operators and collecting monomials, once per distinct
     active sub-occupation; each monomial is then spliced into the term's
     passive photons. Photon number per term and the overall norm are
-    preserved. Amplitudes at or below PRUNE_TOL are dropped, the rest are
-    np.complex128, and a photon-free input term passes through unchanged.
+    preserved. Amplitudes at or below PRUNE_TOL are dropped and the rest are
+    np.complex128; a photon-free input term keeps the bits of 0j + amp.
 
     The dict loop splices in Python complex arithmetic. An array kernel
     instead feeds one numpy pass (_array_splice) on occupations packed as
@@ -269,7 +269,7 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     The array pass returns a state that carries its keys, factorial
     products and amplitudes (_Packed) and builds its terms dict only when
     something reads it; the next call of a chain reads the arrays. Keys,
-    term order and every amplitude bit and type are the same on any path.
+    term order and every amplitude bit are the same on any path.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
@@ -304,20 +304,15 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     else:
         keep = _kept(amps := np.fromiter(out.values(), dtype=complex, count=len(out)))
         terms = dict(zip(compress(out, keep.tolist()), amps[keep]))
-    vacuum = (0,) * s.modes
-    if vacuum in terms:
-        # The photon-free term passes through with its amplitude's own type.
-        terms[vacuum] = 0j + s.terms[vacuum]
     return _trusted(s.modes, terms)
 
 
 class _Packed(FockState):
     """A state as arrays, whose terms dict an array-pass output builds on first read.
 
-    keys packs its occupations into int64s of `bits` bits per mode, facts
-    and amps hold their factorial products and amplitudes, and vacuum the
-    photon-free amplitude of a chain's first input (or None). A subclass
-    keeps the __getattr__ hook, which slows attribute loads, off plain states.
+    keys packs its occupations into int64s of `bits` bits per mode, and facts
+    and amps hold their factorial products and amplitudes. A subclass keeps
+    the __getattr__ hook, which slows attribute loads, off plain states.
     """
 
     keys = None  # on a dataclasses.replace copy, which holds its terms alone
@@ -330,8 +325,6 @@ class _Packed(FockState):
         if name != "terms":
             raise AttributeError(f"'FockState' object has no attribute {name!r}")
         terms = dict(zip(_occupation_tuples(self.keys, self.bits, self.modes), self.amps))
-        if self.vacuum is not None and (vacuum := (0,) * self.modes) in terms:
-            terms[vacuum] = 0j + self.vacuum  # as in apply_unitary: 0j + (0j + v) has the bits and type of 0j + v
         object.__setattr__(self, "terms", MappingProxyType(terms))
         return self.terms
 
@@ -349,8 +342,8 @@ def _packed(s: FockState) -> _Packed | None:
     if not bits or photons > _ARRAY_MAX_PHOTONS or bits * s.modes > 63:
         return None
     keys, facts = occ @ np.left_shift(1, bits * np.arange(s.modes, dtype=np.int64)), _FACTORIALS[occ].prod(axis=1)
-    amps, vacuum = np.fromiter(s.terms.values(), complex, len(s.terms)), s.terms.get((0,) * s.modes)
-    return _Packed(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, vacuum=vacuum, terms=s.terms)
+    amps = np.fromiter(s.terms.values(), complex, len(s.terms))
+    return _Packed(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, terms=s.terms)
 
 
 def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
@@ -472,7 +465,8 @@ def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool)
     numbered in order of first occurrence, the dict loop's insertion order,
     and np.bincount adds their values in candidate order from +0.0, as
     out.get(key, 0j) + value does. So a photon-free term, whose coefficient
-    is exactly 1, gets the bits of 0j + amp; only its type is carried.
+    is exactly 1, gets the bits of 0j + amp. Every amplitude is an
+    np.complex128, on this path as in the dict loop.
     """
     ar, ai = packed.amps.real[terms], packed.amps.imag[terms]
     inv_norm = (1.0 / np.sqrt(packed.facts))[terms]
@@ -491,7 +485,7 @@ def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool)
     if not keep.all():
         keys, facts, amps = keys[keep], facts[keep], amps[keep]
     keys, facts, amps = _read_only(keys, facts, amps)
-    return _Packed(modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps, vacuum=packed.vacuum)
+    return _Packed(modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:

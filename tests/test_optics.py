@@ -320,16 +320,15 @@ def test_photon_free_term_passes_through_unchanged():
     s = make_state(3, [((0, 0, 0), 0.6), ((1, 0, 1), 0.8j)])
     out = apply_unitary(s, beamsplitter(3, 0, 2, 0.4, 0.3))
     assert out.terms[(0, 0, 0)] == s.terms[(0, 0, 0)]
-    assert type(out.terms[(0, 0, 0)]) is type(s.terms[(0, 0, 0)])
-    assert all(type(a) is np.complex128 for occ, a in out.terms.items() if sum(occ))
-    # On the array pass and through a chain of them too, from either amplitude type.
+    assert all(type(a) is np.complex128 for a in out.terms.values())
+    # On the array pass and through a chain of them too, from either amplitude type: the bits of 0j + amp.
     terms = {occ: complex(0.1, 0.01 * k) for k, occ in enumerate(enumerate_occupations(3, 5))}
     for vacuum in (complex(0.6, -0.0), np.complex128(-0.6)):
         chained = FockState(3, terms | {(0, 0, 0): vacuum})
         for u in (beamsplitter(3, 0, 2, 0.4, 0.3), phase_shifter(3, 1, 0.2), hadamard_pair(3, 1, 2)):
             chained = apply_unitary(chained, u)
         assert type(chained) is optics._Packed
-        assert type(chained.terms[(0, 0, 0)]) is type(vacuum) and _bytes([chained.terms[(0, 0, 0)]]) == _bytes([0j + vacuum])
+        assert type(chained.terms[(0, 0, 0)]) is np.complex128 and _bytes([chained.terms[(0, 0, 0)]]) == _bytes([0j + vacuum])
 
 
 def _embedded_haar(modes, subset, seed):
@@ -427,7 +426,7 @@ def test_dense_haar_evolution_at_12_6_is_pinned():
 def test_mixed_terms_under_a_partial_haar_are_pinned():
     # Modes 6 and 7 are passive. The four-photon sub-occupations may reach
     # 126 monomials, so every sub-occupation, the three-photon, one-photon
-    # and empty ones too, expands with numpy; the vacuum passes through.
+    # and empty ones too, expands with numpy; the vacuum keeps the bits of 0j + amp.
     mat = np.eye(8, dtype=complex)
     mat[:6, :6] = haar_random_unitary(6, 2024).matrix
     state = normalize(
@@ -445,7 +444,7 @@ def test_mixed_terms_under_a_partial_haar_are_pinned():
     with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
         out = apply_unitary(state, ModeUnitary(8, mat))
     assert len(out.terms) == 189
-    assert _items_sha256(out) == "e751a5a4dd17cbe2e85eb87191f021b00bc3271a77bf6a59afcc18b2924db5bc"
+    assert _items_sha256(out) == "d2764985b3dcc1168ca98b94594559285c2cbbfb69fadf921d78f2d785e9ce4e"
 
 
 _SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1, allow_nan=False))
@@ -494,6 +493,17 @@ def _bytes(values):
     return [struct.pack("<dd", v.real, v.imag) for v in values]
 
 
+def test_interpreter_multiplies_a_complex_by_a_float_as_by_complex_of_it():
+    # The rule every amplitude bit pin relies on: CPython 3.10-3.13 computes
+    # z * x as z * complex(x, 0.0), so -0.0 * 1.0 + 1.0 * 0.0 gives a +0.0
+    # imaginary part here. C99 Annex G mixed-mode arithmetic keeps -0.0.
+    z = complex(1.0, -0.0)
+    assert _bytes([z * 1.0]) == _bytes([z * complex(1.0, 0.0)]) == _bytes([complex(1.0, 0.0)]), (
+        "complex * float no longer rounds as complex * complex(float, 0.0): the bit-for-bit argument "
+        "of the docstring of fockjoin.optics._array_splice, and the amplitude pins built on it, need revisiting"
+    )
+
+
 def _assert_same_expansion(sub, rows):
     """_expand_arrays gives _expand's monomials, in its order, with its bits."""
     sub_fact, monomials = _expand(sub, rows)
@@ -530,11 +540,7 @@ def _dict_loop(state, u):
     for occ, amp in state.terms.items():
         for key, value in _dict_loop_splice(u, occ, complex(amp)):
             out[key] = out.get(key, 0j) + value
-    terms = {key: np.complex128(value) for key, value in out.items() if abs(value) > PRUNE_TOL}
-    vacuum = (0,) * state.modes
-    if vacuum in terms:
-        terms[vacuum] = 0j + state.terms[vacuum]
-    return terms
+    return {key: np.complex128(value) for key, value in out.items() if abs(value) > PRUNE_TOL}
 
 
 def _crossovers(n):
@@ -572,6 +578,10 @@ def test_numpy_expansion_and_splice_match_the_dict_loop_bit_for_bit(case):
     for crossover in (1, 10**9):
         with _crossovers(crossover):
             _assert_matches_dict_loop(state, u)
+            # The photon-free term: an np.complex128 with the bits of 0j + amp, if kept.
+            vacuum = (0,) * u.dim
+            out = apply_unitary(state, u).terms.get(vacuum)
+            assert out is None or _bytes([out]) == _bytes([0j + state.terms[vacuum]])
 
 
 def test_lone_term_on_the_numpy_path_adds_each_amplitude_to_0j():
@@ -649,7 +659,7 @@ def _large_states_under_elements(draw):
     if draw(st.booleans()):
         picks.append(occs[0])
     terms = {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks}
-    if occs[0] in terms:  # the photon-free term keeps the type of its amplitude
+    if occs[0] in terms:  # the photon-free term comes out np.complex128 from either type
         terms[occs[0]] = draw(st.sampled_from([complex, np.complex128]))(terms[occs[0]])
     angle = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -793,7 +803,7 @@ def _assert_chain_matches_rebuilt_states(state, elements):
         assert fresh().is_zero == plain.is_zero
         for occ in [*list(plain.terms)[:2], (9,) * state.modes]:
             assert _bytes([fresh().amplitude(occ)]) == _bytes([plain.amplitude(occ)])
-            assert type(fresh().amplitude(occ)) is type(plain.amplitude(occ))
+            assert type(fresh().amplitude(occ)) is type(expected.amplitude(occ))  # plain holds complex(amp)
         assert repr(state_to_dict(fresh())) == repr(state_to_dict(plain))
 
 
