@@ -12,6 +12,10 @@ trap 'rm -rf "$work"' EXIT
 cd "$work"
 
 fail() { echo "installed fockjoin: $*" >&2; exit 1; }
+# The report REPORT parses and its field FIELD is a probability in [0, 1].
+probability_in_unit_range() {
+    "$bin/python" -c 'import json, sys; p = json.load(open(sys.argv[1]))[sys.argv[2]]; sys.exit(not 0 <= p <= 1)' "$1" "$2"
+}
 
 "$bin/fockjoin" --version || fail "--version exited $?"
 "$bin/python" -c 'import fockjoin, sys; sys.exit("/src/fockjoin/" in fockjoin.__file__)' || fail "fockjoin imports from a source tree"
@@ -20,6 +24,17 @@ fail() { echo "installed fockjoin: $*" >&2; exit 1; }
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 0.0, "im": 0.8}]}' > valid.json
 "$bin/fockjoin" join --input valid.json --report report.json || fail "join on a valid input exited $?"
 "$bin/python" -c 'import json, sys; sys.exit(json.load(open("report.json"))["verb"] != "join")' || fail "the join report does not parse"
+
+# The split's minus branch, a measured branch folded back by feed-forward.
+echo '{"modes": 4, "terms": [{"occ": [1, 0, 0, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 0, 1, 0], "re": 0.0, "im": 0.8}]}' > ququart.json
+"$bin/fockjoin" split --input ququart.json --branch minus --report split.json || fail "split --branch minus exited $?"
+probability_in_unit_range split.json success_probability || fail "the split report does not parse or its probability is outside [0, 1]"
+
+# A circuit that measures: a carrier projection, then a vacuum check.
+printf 'modes 6\ncnot 4 5 0 1\ncnot 4 5 2 3\nproject 4 0.7071067811865476 0 5 0.7071067811865476 0\nvac 3\n' > measure.pc
+echo '{"modes": 6, "terms": [{"occ": [1, 0, 0, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 0, 1, 0, 0, 1], "re": 0.0, "im": 0.8}]}' > unfolded.json
+"$bin/fockjoin" run --circuit measure.pc --input unfolded.json --report run.json || fail "run with project and vac lines exited $?"
+probability_in_unit_range run.json probability || fail "the run report does not parse or its probability is outside [0, 1]"
 
 # An amplitude whose abs() overflows: exit 2 with one error line.
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 1.5e308, "im": 1.5e308}]}' > overflow.json

@@ -275,7 +275,7 @@ def _project(state, *entries):
     phi = np.zeros(state.modes, dtype=complex)
     for mode, amp in entries:
         phi[mode] = amp
-    phi /= math.sqrt(sum(abs(a) ** 2 for a in phi))
+    phi /= math.sqrt(_squared_norm(phi))
     return apply_projector(state, ProjectorSpec(phi))
 
 

@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .circuit import CircuitError, parse_circuit, run_circuit
-from .fock import fidelity, state_from_dict, state_to_dict
+from .fock import _squared_norm, fidelity, state_from_dict, state_to_dict
 from .gates import build_postselected_cnot_network, network_input, postselect_rail_pairs, vacuum_failure_demo
 from .nogo import adversarial_search, merge_certificates, rank_scan
 from .optics import apply_unitary
@@ -277,7 +277,7 @@ def _cmd_cnot_demo(args):
         for target in ((1, 0), (0, 1)):
             evolved = apply_unitary(network_input(control, target), network)
             surviving = postselect_rail_pairs(evolved)
-            probability = sum(abs(a) ** 2 for a in surviving.terms.values())
+            probability = _squared_norm(surviving.terms.values())
             table.append(
                 {
                     "control": list(control),

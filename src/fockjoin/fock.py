@@ -168,48 +168,61 @@ def zero_state(modes: int) -> FockState:
 
 
 def _squared_norm(amps) -> float:
-    """sum(abs(a) ** 2 for a in amps), or inf where that passes the largest float."""
+    """sum(abs(a) ** 2 for a in amps), or inf where that passes the largest float.
+
+    Each abs() is squared as a Python float, whose ** raises OverflowError; an np.float64 (the abs
+    of an np.complex128) would warn and give inf. Both call the C library's pow, so the bits agree.
+    """
     try:
-        return sum(abs(a) ** 2 for a in amps)
+        return sum(float(abs(a)) ** 2 for a in amps)
     except OverflowError:  # a finite amplitude above about 1.3e154
         return math.inf
 
 
-def norm(s: FockState) -> float:
+def _checked_squared_norm(s: FockState) -> float:
+    """_squared_norm of s's amplitudes; a ValueError names an amplitude too large to square."""
     total = _squared_norm(s.terms.values())
     if total == math.inf:  # an amplitude too large to square, or finite squares whose sum passes the largest float
         occ, amp = max(s.terms.items(), key=lambda term: _squared_norm((term[1],)))
         raise ValueError(f"{_named(occ, amp)} is too large to square")
-    return math.sqrt(total)
+    return total
+
+
+def norm(s: FockState) -> float:
+    return math.sqrt(_checked_squared_norm(s))
 
 
 def is_normalized(s: FockState) -> bool:
     """Whether the squared norm is within NORM_ATOL of 1; a ValueError names an amplitude too large to square."""
-    try:
-        return abs(sum(abs(a) ** 2 for a in s.terms.values()) - 1.0) <= NORM_ATOL
-    except OverflowError:
-        norm(s)  # overflows too, and raises the ValueError that names the amplitude
-        raise
+    return abs(_checked_squared_norm(s) - 1.0) <= NORM_ATOL
+
+
+def _renormalized(s: FockState) -> tuple[FockState, float]:
+    """(s over its norm, that norm squared): a measured branch and its weight. The zero state stays as it is, weight 0.
+
+    Dividing by the norm divides by sqrt(weight) bit for bit: sqrt(fl(x * x)) == x for a binary64 x short of overflow.
+    """
+    n = norm(s)
+    return (s if n == 0.0 else _pruned(s.modes, {occ: amp / n for occ, amp in s.terms.items()})), n ** 2
 
 
 def normalize(s: FockState) -> FockState:
-    n = norm(s)
-    if n == 0.0:
-        return s
-    return _pruned(s.modes, {occ: amp / n for occ, amp in s.terms.items()})
+    return _renormalized(s)[0]
 
 
 def scale(s: FockState, factor: complex) -> FockState:
+    # In Python complex, not numpy's: an np.complex128 amplitude would overflow with a RuntimeWarning.
     factor = _check_amplitude(None, factor)
-    return _pruned(s.modes, {occ: _check_amplitude(occ, amp * factor) for occ, amp in s.terms.items()})
+    return _pruned(s.modes, {occ: _check_amplitude(occ, complex(amp) * factor) for occ, amp in s.terms.items()})
 
 
 def add(a: FockState, b: FockState) -> FockState:
+    """a + b; a sum past the float range raises ValueError."""
     if a.modes != b.modes:
         raise ValueError(f"mode counts differ: {a.modes} vs {b.modes}")
     out = dict(a.terms)
     for occ, amp in b.terms.items():
-        out[occ] = out.get(occ, 0j) + amp
+        out[occ] = _check_amplitude(occ, complex(out[occ]) + complex(amp)) if occ in out else 0j + amp
     return _pruned(a.modes, out)
 
 
@@ -226,12 +239,19 @@ def inner_product(a: FockState, b: FockState) -> complex:
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
-    """Tensor product; a's modes come first."""
+    """Tensor product; a's modes come first. A product past the float range raises ValueError."""
+    # Near that range, multiply in Python complex: numpy would overflow with a RuntimeWarning.
+    near_overflow = _largest(a) * _largest(b) > 1e300
     out: dict[Occupation, complex] = {}
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
-            out[occ_a + occ_b] = out.get(occ_a + occ_b, 0j) + amp_a * amp_b
+            occ = occ_a + occ_b  # one per pair
+            out[occ] = _check_amplitude(occ, 0j + complex(amp_a) * complex(amp_b)) if near_overflow else 0j + amp_a * amp_b
     return _pruned(a.modes + b.modes, out)
+
+
+def _largest(s: FockState) -> float:
+    return float(max(map(abs, s.terms.values()), default=0.0))
 
 
 def fidelity(a: FockState, b: FockState) -> float:
@@ -327,17 +347,15 @@ def permute_modes(s: FockState, perm) -> FockState:
 def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
     """Keep the branch with no photons at the given modes.
 
-    Returns the renormalized surviving state and the branch weight
-    (for a normalized input, the probability of seeing vacuum there).
+    Returns the renormalized surviving state and the branch weight,
+    kept/total: the squared norm kept over the input's squared norm.
     """
     positions = set(_indices(positions, "positions", s.modes))
     kept = {occ: amp for occ, amp in s.terms.items() if all(occ[p] == 0 for p in positions)}
-    weight = sum(abs(a) ** 2 for a in kept.values())
-    total = sum(abs(a) ** 2 for a in s.terms.values())
+    total = _checked_squared_norm(s)
     if total == 0.0:
         return zero_state(s.modes), 0.0
-    prob = weight / total
-    return normalize(_pruned(s.modes, kept)), prob
+    return normalize(_pruned(s.modes, kept)), _squared_norm(kept.values()) / total
 
 
 def _picker(indices):

@@ -53,7 +53,8 @@ class CnotSpec:
 
     eta rescales terms whose target pair is empty, eta_prime terms whose
     control pair is empty. Unitary gates have |eta| = |eta_prime| = 1;
-    the common physical implementations have both equal to 1.
+    the common physical implementations have both equal to 1. Both are
+    stored as complex, whatever number type they were given as.
     """
 
     control: DualRailQubit
@@ -68,6 +69,8 @@ class CnotSpec:
         problem = _vacuum_port_problem(self.eta, self.eta_prime)
         if problem is not None:
             raise ValueError(problem)
+        object.__setattr__(self, "eta", complex(self.eta))
+        object.__setattr__(self, "eta_prime", complex(self.eta_prime))
 
 
 def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:

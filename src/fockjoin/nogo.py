@@ -28,9 +28,8 @@ in Python complex scalars, coupler by coupler, and the same scalars give
 the detection and the four symmetrized rows, so only the SVD runs in
 numpy. unitary_from_angles and projector_from_params are numpy arrays of
 those same routines, so the parameterization has one definition. The
-scalar products agree with the matrix products of earlier versions to
-about 1e-15 of sigma_max but not bit for bit, so search certificates
-differ from theirs in the last bits and never in the verdict.
+scalar objective agrees with a numpy matrix-product evaluation to about
+1e-15 of sigma_max, not bit for bit.
 """
 from __future__ import annotations
 
@@ -45,9 +44,9 @@ from .optics import (
     ModeUnitary,
     ProjectorSpec,
     _haar_from_normals,
+    _detected,
     _require_normalized,
     _require_unitary,
-    apply_projector,
     apply_unitary,
 )
 
@@ -371,11 +370,8 @@ def adversarial_search(
     best restart r, and does not replay it (see NogoCertificate).
 
     The objective is built in Python complex scalars (see the module
-    docstring). It is the matrix-product objective of earlier versions to
-    about 1e-15 of sigma_max, so verdicts are unchanged, but the optimizer
-    follows those rounding differences: max_sigma_min, argmax_seed and
-    optimizer_iterations differ in their bits from earlier versions, and
-    repeat exactly for a given seed.
+    docstring); max_sigma_min, argmax_seed and optimizer_iterations repeat
+    exactly for a given seed.
     """
     if m < 4:
         raise ValueError("need at least four modes")
@@ -439,16 +435,13 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     # The detection addresses propagated modes; express it over the
     # physical modes the simulator tracks.
     physical = ProjectorSpec(u.matrix.T @ phi.phi)
-    projected, weight = apply_projector(propagated, physical)
-
     simulated = np.zeros(m, dtype=complex)
     extra = 0.0
-    scale = math.sqrt(weight)
-    for occ, amp in projected.terms.items():
+    for occ, amp in _detected(propagated, physical).terms.items():
         if sum(occ) == 1:
-            simulated[occ.index(1)] = amp * scale
+            simulated[occ.index(1)] = amp
         else:
-            extra = max(extra, abs(amp) * scale)
+            extra = max(extra, abs(amp))
 
     analytic = alpha.astype(complex) @ symmetrized_modes(u, phi, logical_modes)
     return float(max(np.max(np.abs(simulated - analytic)), extra))

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PRUNE_TOL, FockState, Occupation, _indices, _picker, _trusted, _pruned, norm, zero_state
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _picker, _pruned, _renormalized, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -617,10 +617,16 @@ def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:
     """Detect one photon in the mode superposition p.
 
     Returns the renormalized post-detection state and the detection
-    weight |Pi s|^2. For states holding at most one photon across the
-    support of p the weight is the detection probability. A vanished
-    branch comes back as the flagged zero state with weight 0.
+    weight |Pi s|^2 (fock._renormalized of _detected). For states holding
+    at most one photon across the support of p the weight is the detection
+    probability. A vanished branch comes back as the flagged zero state
+    with weight 0.
     """
+    return _renormalized(_detected(s, p))
+
+
+def _detected(s: FockState, p: ProjectorSpec) -> FockState:
+    """Pi s, not normalized: its squared norm is the detection weight."""
     if p.modes != s.modes:
         raise ValueError(f"projector length {p.modes} does not match state modes {s.modes}")
     out: dict[Occupation, complex] = {}
@@ -630,8 +636,4 @@ def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:
             if n:
                 lowered = occ[:h] + (n - 1,) + occ[h + 1 :]
                 out[lowered] = out.get(lowered, 0j) + amp * c * math.sqrt(n)
-    projected = _pruned(s.modes, out)
-    weight = norm(projected) ** 2
-    if weight == 0.0:
-        return zero_state(s.modes), 0.0
-    return _pruned(s.modes, {o: a / math.sqrt(weight) for o, a in projected.terms.items()}), weight
+    return _pruned(s.modes, out)

@@ -28,23 +28,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .fock import (
     FockState,
     _on_basis,
+    _renormalized,
     add_vacuum_modes,
     basis_state,
     discard_empty_modes,
     fidelity,
     is_normalized,
+    make_state,
+    partial_inner,
     postselect_vacuum,
     tensor,
 )
 from .gates import CnotSpec, DualRailQubit, apply_cnot, logical_phase_flip
-from .optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
+from .optics import apply_unitary, hadamard_pair
 
 # The photon's two rail pairs, and the qubit that enters on a join or
 # leaves on a split, on the last two modes; _PARKED is that qubit in |10>.
@@ -59,19 +61,9 @@ UNFOLD_GAPS = _RAILS1
 # The fan-in and fan-out CNOTs at unit vacuum-port amplitudes, built once.
 _FAN_IN = tuple(CnotSpec(_CARRIER, half) for half in _HALVES)
 _FAN_OUT = tuple(CnotSpec(half, _CARRIER) for half in _HALVES)
-
-
-@lru_cache(maxsize=16)
-def _carrier_detection(modes: int, amplitudes) -> ProjectorSpec:
-    """A detection with the given amplitudes on the carrier rails, zero elsewhere; shared per register size."""
-    phi = np.zeros(modes)
-    phi[list(_CARRIER.modes)] = amplitudes
-    return ProjectorSpec(phi)
-
-
-# The carrier projections onto (|10> +/- |01>)/sqrt2 that erase it in join_projective.
+# The carrier states (|10> +/- |01>)/sqrt2 whose contraction erases it in join_projective.
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
-_JOIN_ERASERS = tuple(_carrier_detection(_REGISTER_MODES, (_ROOT_HALF, sign * _ROOT_HALF)) for sign in (1.0, -1.0))
+_JOIN_ERASERS = tuple(make_state(2, [((1, 0), _ROOT_HALF), ((0, 1), sign * _ROOT_HALF)]) for sign in (1.0, -1.0))
 # Balanced mixers on the two halves after the splitting CNOTs.
 _SPLIT_RAIL_MIXERS = tuple(hadamard_pair(_REGISTER_MODES, *half.modes) for half in _HALVES)
 
@@ -206,8 +198,8 @@ def _one_per_half(name: str, amplitudes) -> tuple:
 
 
 def _fan_spec(unit: CnotSpec, field: str, value) -> CnotSpec:
-    """unit for the default float 1.0; any other value or type gets its own checked spec."""
-    return unit if type(value) is float and value == 1.0 else replace(unit, **{field: value})
+    """unit for any value equal to 1, as CnotSpec stores complex(value); any other value gets its own checked spec."""
+    return unit if value == 1 else replace(unit, **{field: value})
 
 
 def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
@@ -234,8 +226,15 @@ def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.
     return _fan_out(joining_cnot_pass(add_vacuum_modes(state, UNFOLD_GAPS), etas), eta_primes)
 
 
+def _report(output: FockState, probability: float, branch: str, feed_forward_applied: bool, expected) -> SchemeReport:
+    """The one SchemeReport constructor; a vanished (zero) branch has fidelity 0."""
+    return SchemeReport(
+        output, probability, branch, feed_forward_applied, fidelity(output, expected) if not output.is_zero else 0.0
+    )
+
+
 def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
-    """Report one branch; ``plus``/``minus`` are (state, weight) with the measured modes discarded."""
+    """Report one branch; ``plus``/``minus`` are (state, weight) with the measured modes gone."""
     if branch == "sample":
         branch = "plus" if np.random.default_rng(seed).random() < plus[1] else "minus"
     elif branch not in ("plus", "minus"):
@@ -244,13 +243,7 @@ def _projective_report(plus, minus, correct, branch, feed_forward, seed, expecte
     output, prob = plus if branch == "plus" else minus
     if applied_ff:
         output, prob = correct(output), plus[1] + minus[1]
-    return SchemeReport(
-        output=output,
-        success_probability=prob,
-        branch=branch,
-        feed_forward_applied=applied_ff,
-        fidelity_to_expected=fidelity(output, expected) if not output.is_zero else 0.0,
-    )
+    return _report(output, prob, branch, applied_ff, expected)
 
 
 def join_projective(
@@ -269,10 +262,10 @@ def join_projective(
     """
     alphas = input_coefficients(s)
     state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
-    (plus, p_plus), (minus, p_minus) = (apply_projector(state, eraser) for eraser in _JOIN_ERASERS)
+    plus, minus = (_renormalized(partial_inner(eraser, state, _CARRIER.modes)) for eraser in _JOIN_ERASERS)
     return _projective_report(
-        (discard_empty_modes(plus, _CARRIER.modes), p_plus),
-        (discard_empty_modes(minus, _CARRIER.modes), p_minus),
+        plus,
+        minus,
         lambda out: logical_phase_flip(logical_phase_flip(out, _HALVES[0]), _HALVES[1]),
         branch,
         feed_forward,
@@ -289,22 +282,15 @@ def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> 
     """
     alphas = input_coefficients(s)
     state = deterministic_joining_pass(s, etas, eta_primes)
-    expected = tensor(joined_ququart(alphas), _PARKED)
-    return SchemeReport(
-        output=state,
-        success_probability=1.0,
-        branch="deterministic",
-        feed_forward_applied=False,
-        fidelity_to_expected=fidelity(state, expected),
-    )
+    return _report(state, 1.0, "deterministic", False, tensor(joined_ququart(alphas), _PARKED))
 
 
 def drop_control_photon(state: FockState) -> FockState:
-    """Remove the carrier photon that deterministic joining parks in |10> on modes (4, 5)."""
-    reduced, prob = apply_projector(state, _carrier_detection(state.modes, (1.0, 0.0)))
+    """Remove the carrier photon that deterministic joining parks in |10> on modes (4, 5); a state without them raises ValueError."""
+    reduced, prob = _renormalized(partial_inner(_PARKED, state, _CARRIER.modes))
     if not abs(prob - 1.0) <= 1e-9:
         raise EncodingViolationError(f"control photon is not parked in mode {_CARRIER.mode0} (weight {prob:.6g})")
-    return discard_empty_modes(reduced, _CARRIER.modes)
+    return reduced
 
 
 # --- splitting ----------------------------------------------------------------
@@ -348,12 +334,4 @@ def split_deterministic(q: FockState) -> SchemeReport:
     """
     alphas = ququart_coefficients(q)
     state = joining_cnot_pass(_fan_out(tensor(q, _PARKED)))
-    output = discard_empty_modes(state, _RAILS1)
-    expected = two_qubit_input(alphas)
-    return SchemeReport(
-        output=output,
-        success_probability=1.0,
-        branch="deterministic",
-        feed_forward_applied=False,
-        fidelity_to_expected=fidelity(output, expected),
-    )
+    return _report(discard_empty_modes(state, _RAILS1), 1.0, "deterministic", False, two_qubit_input(alphas))

@@ -22,10 +22,10 @@ from itertools import product
 import numpy as np
 
 from .fock import (
-    NORM_ATOL, FockState, _as_number, _indices, _on_basis, _squared_norm, fidelity, make_state, norm, normalize, partial_inner, tensor
+    NORM_ATOL, FockState, _as_number, _indices, _on_basis, _renormalized, _squared_norm, fidelity, make_state, partial_inner, tensor
 )
 from .optics import ModeUnitary, apply_unitary
-from .schemes import _TWO_QUBIT_BASIS, SchemeReport, deterministic_joining_pass, drop_control_photon, joined_ququart
+from .schemes import _TWO_QUBIT_BASIS, SchemeReport, _report, deterministic_joining_pass, drop_control_photon, joined_ququart
 
 H, V = 0, 1
 UP, DOWN = 0, 1
@@ -165,7 +165,7 @@ def _bell_branch(full: FockState, outcome) -> tuple[FockState, float]:
     pol_kind, path_kind = outcome
     reduced = partial_inner(bell_pair(pol_kind), full, _PAIR_24)
     conditional = partial_inner(bell_pair(path_kind), reduced, _PAIR_35)
-    return normalize(conditional), norm(conditional) ** 2
+    return _renormalized(conditional)
 
 
 def expand_five_photon(alpha, beta, gamma, delta, resource=("Phi-", "phi-")):
@@ -281,11 +281,5 @@ def teleport_join(
 
     entry = derive_correction_table(resource)[picked_outcome]
     corrected = apply_unitary(conditional, _correction_unitary(entry.pol_op, entry.path_op))
-    reference = joined_reference(*pairs[0], *pairs[1])
-    return SchemeReport(
-        output=corrected,
-        success_probability=weight,
-        branch=f"{picked_outcome[0]}/{picked_outcome[1]}",
-        feed_forward_applied=True,
-        fidelity_to_expected=fidelity(corrected, reference),
-    )
+    branch = f"{picked_outcome[0]}/{picked_outcome[1]}"
+    return _report(corrected, weight, branch, True, joined_reference(*pairs[0], *pairs[1]))

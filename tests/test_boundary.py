@@ -1,23 +1,30 @@
 """Every library entry point that takes an amplitude from outside either accepts it or raises ValueError.
 
 A state built from outside amplitudes stores each as a Python complex, whatever number type it was given as.
+Every CLI run on a drawn input exits 0 with a report or 2 with one error line.
 """
 import cmath
+import contextlib
+import io
+import json
 import math
+import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fockjoin.fock import FockState, make_state, norm, scale, state_from_dict, tensor
+from fockjoin.cli import cli_dispatch
+from fockjoin.fock import NORM_ATOL, FockState, add, is_normalized, make_state, norm, postselect_vacuum, scale, state_from_dict, tensor
 from fockjoin.gates import CnotSpec, DualRailQubit
 from fockjoin.nogo import end_to_end_projection_check
-from fockjoin.optics import ProjectorSpec, identity
-from fockjoin.schemes import EncodingViolationError, join_deterministic, joined_ququart, two_qubit_input
+from fockjoin.optics import ProjectorSpec, apply_unitary, beamsplitter, identity
+from fockjoin.schemes import EncodingViolationError, drop_control_photon, join_deterministic, joined_ququart, two_qubit_input
 from fockjoin.tpes import teleport_join
 
-_EDGES = [math.inf, -math.inf, math.nan, 1e154, 1e308, -1e308, complex(1.5e308, 1.5e308), complex(1e308, 1e308), -0.0]
+_EDGES = [math.inf, -math.inf, math.nan, 1e154, 1e200, 1e308, -1e308, complex(1.5e308, 1.5e308), complex(1e308, 1e308), -0.0]
 
 _AMPLITUDES = st.one_of(
     st.text(max_size=4),
@@ -51,6 +58,9 @@ def _state_builders(x):
     yield lambda: joined_ququart([0.6, 0, x, 0.8])
     yield lambda: state_from_dict({"modes": 1, "terms": [{"occ": [1], "re": x, "im": 0.0}]})
     yield lambda: state_from_dict({"modes": 1, "terms": [{"occ": [1], "re": 0.0, "im": x}]})
+    yield lambda: add(FockState(1, {(1,): x}), FockState(1, {(1,): x}))
+    yield lambda: tensor(FockState(1, {(1,): x}), FockState(1, {(1,): x}))
+    yield lambda: postselect_vacuum(FockState(2, {(1, 0): x, (0, 1): 0.6}), [1])[0]
 
 
 def _other_entry_points(x):
@@ -59,6 +69,8 @@ def _other_entry_points(x):
     yield lambda: CnotSpec(_CONTROL, _TARGET, eta=x)
     yield lambda: CnotSpec(_CONTROL, _TARGET, eta_prime=x)
     yield lambda: end_to_end_projection_check([x, 0.6, 0, 0.8], identity(4), _DETECTION)
+    yield lambda: drop_control_photon(FockState(6, {(1, 0, 0, 0, 1, 0): x}))
+    yield lambda: drop_control_photon(FockState(4, {(1, 0, 0, 0): x}))
 
 
 @given(_AMPLITUDES)
@@ -104,9 +116,204 @@ def test_numpy_int_amplitudes_do_not_wrap():
         (lambda: make_state(1, [((1,), 1e308)] * 2), r"\(inf\+0j\) of occupation \(1,\) is not finite"),
         (lambda: make_state(1, [((1,), complex(0.65e308, 0.65e308))] * 2), r"\(1.3e\+308\+1.3e\+308j\) of occupation \(1,\) is too large to square"),
         (lambda: scale(FockState(1, {(1,): 1e308}), 10), r"\(inf\+0j\) of occupation \(1,\) is not finite"),
+        (lambda: add(*[FockState(1, {(1,): 1e308})] * 2), r"\(inf\+0j\) of occupation \(1,\) is not finite"),
+        (lambda: tensor(*[FockState(1, {(1,): 1e200})] * 2), r"\(inf\+0j\) of occupation \(1, 1\) is not finite"),
+        (lambda: postselect_vacuum(FockState(2, {(1, 0): 1e200}), [1]), r"\(1e\+200\+0j\) of occupation \(1, 0\) is too large to square"),
     ],
-    ids=["merged-sum-inf", "merged-sum-abs-overflow", "scaled-inf"],
+    ids=["merged-sum-inf", "merged-sum-abs-overflow", "scaled-inf", "added-inf", "tensor-inf", "vacuum-check-total"],
 )
 def test_arithmetic_past_the_float_range_raises_value_error(call, problem):
     with pytest.raises(ValueError, match=f"^amplitude {problem}$"):
         call()
+
+
+def test_control_photon_of_a_register_without_the_carrier_modes_raises_value_error():
+    with pytest.raises(ValueError, match=r"^positions \[4, 5\] out of range for 4 modes$"):
+        drop_control_photon(two_qubit_input([0.6, 0, 0, 0.8]))
+
+
+def _bits(amp) -> bytes:
+    return struct.pack("<dd", amp.real, amp.imag)
+
+
+def test_array_pass_amplitudes_past_the_float_range_raise_value_error_without_a_numpy_warning():
+    # apply_unitary outputs hold np.complex128, whose products numpy would overflow with a RuntimeWarning.
+    big = apply_unitary(FockState(2, {(1, 0): 1e300}), beamsplitter(2, 0, 1, 0.3, 0.1))
+    assert {type(a) for a in big.terms.values()} == {np.complex128}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r" is not finite$"):
+            scale(big, 1e10)
+        with pytest.raises(ValueError, match=r" is not finite$"):
+            tensor(big, big)
+    # A finite result keeps the bits of numpy's product.
+    s = apply_unitary(make_state(2, [((2, 0), 0.6), ((1, 1), 0.8j)]), beamsplitter(2, 0, 1, 0.3, 0.1))
+    factor = complex(0.7, -1.3)
+    scaled = scale(s, factor)
+    assert [_bits(scaled.terms[occ]) for occ in s.terms] == [_bits(amp * factor) for amp in s.terms.values()]
+    product = tensor(scale(s, 1e149), scale(s, 1e149))  # past the guard's bound, still finite
+    assert [_bits(a) for a in product.terms.values()] == [
+        _bits(0j + complex(a) * complex(b)) for a in scale(s, 1e149).terms.values() for b in scale(s, 1e149).terms.values()
+    ]
+
+
+# --- the CLI: every run exits 0 or 2 ----------------------------------------------------------------------------------
+
+_EXTREME_NUMBERS = [1e400, -1e400, 1e308, -1e308, 1e200, 1e154, 5e-324, 1e-13, 2e-12, 10**400, -(10**30)]
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+_JSON_VALUES = st.one_of(st.sampled_from(_EXTREME_NUMBERS), st.floats(), _JUNK)
+_CODES = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@st.composite
+def _state_objects(draw):
+    """A normalized two-qubit or ququart state object, then at most two of: an extreme, non-finite or wrong-type value,
+    a wrong length, a duplicate term, a dropped key or a nesting."""
+    raw = draw(st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=8, max_size=8))
+    amps = [complex(re, im) for re, im in zip(raw[::2], raw[1::2])]
+    total = math.sqrt(sum(abs(a) ** 2 for a in amps)) or 1.0
+    terms = [{"occ": list(occ), "re": a.real / total, "im": a.imag / total} for occ, a in zip(draw(st.sampled_from(_CODES)), amps)]
+    obj = state = {"modes": 4, "terms": terms}
+    for _ in range(draw(st.integers(0, 2))):
+        term = draw(st.sampled_from(terms))
+        kind = draw(st.sampled_from(["value", "occ", "modes", "duplicate", "drop", "nest", "terms"]))
+        if kind == "value":
+            term[draw(st.sampled_from(["re", "im"]))] = draw(_JSON_VALUES)
+        elif kind == "occ":
+            term["occ"] = draw(st.one_of(st.lists(st.sampled_from([0, 1, 2, -1, 10**400, 1.5, True]), max_size=6), _JUNK))
+        elif kind == "modes":
+            state["modes"] = draw(st.one_of(st.sampled_from([0, 3, 5, 6, -4, 4.0, 4.5, 10**400]), _JUNK))
+        elif kind == "duplicate":
+            terms.append(dict(term))
+        elif kind == "drop":
+            term.pop(draw(st.sampled_from(sorted(term))))
+        elif kind == "nest":
+            obj = draw(st.sampled_from([[obj], {"state": obj}, {"modes": 4, "terms": [terms]}]))
+        else:
+            state["terms"] = draw(_JSON_VALUES)
+    return obj
+
+
+_LINES = [
+    "bs 0 1 0.3 0.1", "bs 1 2 0.7853981633974483 0", "ps 2 1.5", "perm 1 0 3 2", "had 2 3",
+    "cnot 0 1 2 3", "cnot 0 1 2 3 0.6 0.8", "rcnot 2 3 0 1 1 0 0 1", "zflip 2 3",
+    "project 1 0.7071067811865476 0 2 0.7071067811865476 0", "project 0 1 0", "vac 1", "vac 0 3",
+    "bs 0 1 1e308 0", "cnot 0 1 2 3 1.5e308 1.5e308", "project 0 1e200 0",
+]
+_TOKENS = [
+    "1e400", "-1e400", "1e308", "-1e308", "1e200", "1e154", "nan", "inf", "-inf", "-0", "5e-324", "1e-13", "0.5", "1j",
+    "0x1", "1_0", "é", "#", "99", "-1", "0", "1", "2", "3", "4", "modes", "project", "vac", "bs", "cnot",
+]
+
+
+@st.composite
+def _circuit_texts(draw):
+    """Lines of the _OPS grammar on 4 modes, with up to three tokens replaced, inserted or deleted."""
+    program = [["modes", "4"], *(line.split() for line in draw(st.lists(st.sampled_from(_LINES), min_size=1, max_size=5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = draw(st.sampled_from(program))
+        at = draw(st.integers(0, len(tokens)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "insert" or at == len(tokens):
+            tokens.insert(at, draw(st.sampled_from(_TOKENS)))
+        elif kind == "replace":
+            tokens[at] = draw(st.sampled_from(_TOKENS))
+        else:
+            del tokens[at]
+    return "\n".join(" ".join(tokens) for tokens in program) + "\n"
+
+
+_QUBIT_FLAGS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.6", "0.8j", "-0.96j", "0.7071067811865476", "1e400", "-1e400", "1e308", "1e200", "1e154",
+                     "5e-324", "nan", "inf", "-infj", "1e308j", "(1+1j)", "1e-13", "abc", ""]),
+    st.floats().map(repr),
+    st.complex_numbers().map(str),
+)
+# A normalized pair, as the two flags of one qubit, or two drawn flags.
+_QUBIT_PAIRS = st.one_of(
+    st.floats(-math.pi, math.pi).map(lambda t: [repr(math.cos(t)), f"{math.sin(t)!r}j"]),
+    st.lists(_QUBIT_FLAGS, min_size=2, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+def _dispatch(argv, circuit=None):
+    """cli_dispatch(argv) in process; its report, or None after the one error line it must print (or, from run,
+    parse diagnostics naming the circuit file)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert out == "" and err.endswith("\n"), (argv, out, err)
+        lines = err.splitlines()
+        if not (circuit is not None and all(line.startswith(f"{circuit}:") for line in lines)):
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        return None
+    assert err == "", (argv, err)
+    report = json.loads(out)
+    return report, state_from_dict(report["output"])
+
+
+def _assert_a_measured_branch(report, output):
+    # A weight is exact for the input as given, which need be normalized only within NORM_ATOL, so both projective
+    # branches together can weigh a little over 1 (1.0000000000000002 for a normalized draw).
+    assert 0.0 <= report["success_probability"] <= 1.0 + NORM_ATOL and 0.0 <= report["fidelity"] <= 1.0, report
+    assert is_normalized(output) or (output.is_zero and report["success_probability"] == 0.0), report
+
+
+@settings(deadline=None)
+@given(
+    _state_objects(),
+    st.sampled_from(["join", "split"]),
+    st.sampled_from(["projective", "deterministic"]),
+    st.sampled_from(["plus", "minus", "sample"]),
+    st.sampled_from(["--feed-forward", "--no-feed-forward"]),
+    st.sampled_from([[], ["--seed", "7"], ["--seed=-1"], ["--seed", str(2**70)]]),
+    st.sampled_from([0, 1, 100_000]),
+)
+def test_join_and_split_runs_exit_zero_or_two(workdir, obj, verb, variant, branch, feed_forward, seed, depth):
+    path = workdir / "state.json"
+    path.write_text("[" * depth + json.dumps(obj) + "]" * depth)
+    result = _dispatch([verb, "--input", str(path), "--variant", variant, "--branch", branch, feed_forward, *seed])
+    if result is not None:
+        _assert_a_measured_branch(*result)
+
+
+@settings(deadline=None)
+@given(_circuit_texts(), st.sampled_from([[0.6, 0, 0, 0.8j], [0.5, 0.5j, -0.5, 0.5]]), st.sampled_from(_CODES))
+def test_run_of_mutated_circuit_text_exits_zero_or_two(workdir, text, amps, code):
+    circuit, state = workdir / "c.pc", workdir / "s.json"
+    circuit.write_text(text)
+    terms = [{"occ": list(occ), "re": complex(a).real, "im": complex(a).imag} for occ, a in zip(code, amps) if a]
+    state.write_text(json.dumps({"modes": 4, "terms": terms}))
+    result = _dispatch(["run", "--circuit", str(circuit), "--input", str(state)], circuit=circuit)
+    if result is not None:
+        report, _ = result
+        # A project line weighs its branch by |Pi s|^2, the mean photon count it detects, which can pass 1.
+        assert 0.0 <= report["probability"] < math.inf, report
+
+
+@settings(deadline=None)
+@given(
+    _QUBIT_PAIRS,
+    _QUBIT_PAIRS,
+    st.one_of(st.just([]), st.just(["--sample"]), st.sampled_from([-1, 0, 3, 15, 16, 10**30]).map(lambda k: [f"--outcome={k}"])),
+    st.sampled_from([[], ["--seed", "3"], ["--seed=-1"], ["--seed", str(2**70)]]),
+)
+def test_teleport_join_with_extreme_flags_exits_zero_or_two(alpha_beta, gamma_delta, outcome, seed):
+    flags = [f"--{name}={value}" for name, value in zip(("alpha", "beta", "gamma", "delta"), alpha_beta + gamma_delta)]
+    result = _dispatch(["teleport-join", *flags, *outcome, *seed])
+    if result is not None:
+        _assert_a_measured_branch(*result)

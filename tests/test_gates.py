@@ -202,6 +202,15 @@ def test_qubit_and_quart_validation():
         CnotSpec(CONTROL, TARGET, eta_prime=complex(1.5e308, 1.5e308))
 
 
+def test_float32_vacuum_port_amplitude_gives_a_double_precision_product():
+    # Stored as given, np.float32(0.9) made the product np.complex64(0.71999997+0j).
+    gate = CnotSpec(CONTROL, TARGET, eta=np.float32(0.9), eta_prime=np.float32(0.9))
+    assert (type(gate.eta), type(gate.eta_prime)) == (complex, complex)
+    assert gate.eta == gate.eta_prime == complex(float(np.float32(0.9)))
+    amp = apply_cnot(make_state(4, [((1, 0, 0, 0), 0.8)]), gate).terms[(1, 0, 0, 0)]
+    assert type(amp) is complex and amp == 0.8 * float(np.float32(0.9)) == 0.7199999809265137
+
+
 @pytest.mark.parametrize("amp", [float("nan"), complex(0.0, float("nan")), float("inf")])
 @pytest.mark.parametrize("port", ["eta", "eta_prime"])
 def test_cnot_rejects_non_finite_vacuum_amplitudes(port, amp):

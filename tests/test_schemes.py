@@ -413,7 +413,9 @@ def test_join_deterministic_terms_are_pinned():
     for s in _seeded(random_input):
         reports.append(join_deterministic(s))
         reports.append(join_deterministic(s, etas=(np.exp(0.37j), np.exp(2.1j)), eta_primes=(1j, np.exp(-1.1j))))
-    assert _reports_sha256(reports) == "c40f883ba1c20794be784c58a3e03c1cc7a89d1a52133e869efb656b5c2821fd"
+    # The eta products are complex, not np.complex128, since CnotSpec stores complex(eta); the bits are
+    # those of c40f883b..., the hash with the old types.
+    assert _reports_sha256(reports) == "acd0c71662455de324ea9c404302a77dfe09b727155fe973612016d3319aee85"
 
 
 def test_split_terms_are_pinned():
@@ -447,40 +449,38 @@ def test_wrong_number_of_eta_primes_raises_before_any_cnot(monkeypatch):
     assert calls == []
 
 
-def test_fan_cnots_share_a_spec_only_for_the_float_one(monkeypatch):
+def test_fan_cnots_share_the_unit_spec_for_any_value_equal_to_one(monkeypatch):
     specs = []
     real_cnot = schemes.apply_cnot
     monkeypatch.setattr(schemes, "apply_cnot", lambda state, g: specs.append(g) or real_cnot(state, g))
     s = two_qubit_input([0.5, 0.5j, -0.5, 0.5])
-    join_deterministic(s)
-    join_deterministic(s, etas=(1.0, 1.0), eta_primes=(1.0, 1.0))
-    assert specs[:4] == [*schemes._FAN_IN, *schemes._FAN_OUT] and specs[4:] == specs[:4]
-    assert all(a is b for a, b in zip(specs, schemes._FAN_IN + schemes._FAN_OUT + schemes._FAN_IN + schemes._FAN_OUT))
+    units = schemes._FAN_IN + schemes._FAN_OUT
+    for one in (1.0, 1, True, np.float64(1.0), np.float32(1.0), 1 + 0j, np.complex128(1), Fraction(1)):
+        specs.clear()
+        join_deterministic(s, etas=(one, one), eta_primes=(one, one))
+        assert len(specs) == 4 and all(a is b for a, b in zip(specs, units)), one
     halves, carrier = schemes._HALVES, schemes._CARRIER
-    assert [(g.control, g.target, g.eta, g.eta_prime) for g in specs[:4]] == [
+    assert [(g.control, g.target, g.eta, g.eta_prime) for g in units] == [
         (carrier, halves[0], 1.0, 1.0),
         (carrier, halves[1], 1.0, 1.0),
         (halves[0], carrier, 1.0, 1.0),
         (halves[1], carrier, 1.0, 1.0),
     ]
-    for other in (1, True, np.float64(1.0), 1 + 0j, -1.0):
+    assert all(type(g.eta) is type(g.eta_prime) is complex for g in units)
+    for other in (-1.0, 1j, np.float32(-1.0), np.exp(0.37j)):
         specs.clear()
         join_deterministic(s, etas=(other, 1.0), eta_primes=(1.0, other))
-        assert specs[0] is not schemes._FAN_IN[0] and specs[0].eta is other and specs[0].target == halves[0]
+        assert specs[0] is not schemes._FAN_IN[0] and specs[0].target == halves[0]
         assert specs[1] is schemes._FAN_IN[1] and specs[2] is schemes._FAN_OUT[0]
-        assert specs[3] is not schemes._FAN_OUT[1] and specs[3].eta_prime is other and specs[3].control == halves[1]
+        assert specs[3] is not schemes._FAN_OUT[1] and specs[3].control == halves[1]
+        assert type(specs[0].eta) is type(specs[3].eta_prime) is complex and specs[0].eta == specs[3].eta_prime == other
     with pytest.raises(ValueError, match="^vacuum-port amplitudes must be finite$"):
         join_deterministic(s, eta_primes=(float("nan"), 1.0))
     with pytest.raises(ValueError, match="^vacuum-port amplitudes cannot exceed unit magnitude$"):
         join_projective(s, etas=(1.0, 2.0))
-    assert [(g.eta, g.eta_prime) for g in schemes._FAN_IN + schemes._FAN_OUT] == [(1.0, 1.0)] * 4
-
-
-def test_control_photon_detector_is_built_once_per_register_size():
-    s = two_qubit_input([0.6, 0, 0, 0.8])
-    drop_control_photon(join_deterministic(s).output)
-    assert schemes._carrier_detection(6, (1.0, 0.0)) is schemes._carrier_detection(6, (1.0, 0.0))
-    assert schemes._carrier_detection(12, (1.0, 0.0)).modes == 12
+    with pytest.raises(ValueError, match="^vacuum-port amplitudes must be numbers$"):
+        join_projective(s, etas=("1", 1.0))
+    assert [(g.eta, g.eta_prime) for g in units] == [(1.0, 1.0)] * 4
 
 
 # --- probability model ----------------------------------------------------------
