@@ -36,6 +36,21 @@ echo '{"modes": 6, "terms": [{"occ": [1, 0, 0, 0, 1, 0], "re": 0.6, "im": 0.0}, 
 "$bin/fockjoin" run --circuit measure.pc --input unfolded.json --report run.json || fail "run with project and vac lines exited $?"
 probability_in_unit_range run.json probability || fail "the run report does not parse or its probability is outside [0, 1]"
 
+# Teleportation-based joining in a fresh process: the Pauli correction of outcome 5 restores the joined state.
+# The branch weight is 1/16 up to rounding (0.062499999999999944 for this input).
+"$bin/fockjoin" teleport-join --alpha 0.6 --beta 0.8j --gamma 0.28 --delta=-0.96j --outcome 5 --report teleport.json \
+    || fail "teleport-join --outcome 5 exited $?"
+"$bin/python" -c 'import json, sys; r = json.load(open("teleport.json")); sys.exit(not (r["fidelity"] >= 1 - 1e-12 and abs(r["success_probability"] - 0.0625) <= 1e-12))' \
+    || fail "teleport-join --outcome 5 does not report fidelity 1 and probability 1/16"
+
+# A project line on a mode holding two photons: exit 2 with one error line.
+printf 'modes 2\nproject 0 1 0\n' > detect.pc
+echo '{"modes": 2, "terms": [{"occ": [2, 0], "re": 1.0, "im": 0.0}]}' > twenty.json
+code=0
+"$bin/fockjoin" run --circuit detect.pc --input twenty.json > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "project on |20> exited $code, expected 2"
+[ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: ' err.txt || fail "expected one error: line, got: $(cat err.txt)"
+
 # An amplitude whose abs() overflows: exit 2 with one error line.
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 1.5e308, "im": 1.5e308}]}' > overflow.json
 code=0

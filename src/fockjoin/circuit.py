@@ -272,6 +272,10 @@ def _zflip(state, m0, m1):
 
 
 def _project(state, *entries):
+    support = tuple(mode for mode, amp in entries if amp)
+    for occ in state.terms:
+        if sum(occ[m] for m in support) > 1:
+            raise IllegalPatternError(f"term {occ} holds more than one photon on the detected modes {support}")
     phi = np.zeros(state.modes, dtype=complex)
     for mode, amp in entries:
         phi[mode] = amp
@@ -342,8 +346,10 @@ def run_circuit(program: CircuitProgram, state: FockState):
 
     Returns (final state, cumulative success probability, branch log).
     Unitary instructions leave the probability untouched; each projection
-    multiplies it by the branch weight and appends a log entry. The input
-    must be normalized, or that probability would mean nothing.
+    multiplies it by the branch weight (1 where rounding passes 1) and appends
+    a log entry. A project line whose detected modes hold more than one photon
+    in a term raises CircuitError. The input must be normalized, or that
+    probability would mean nothing.
     """
     if state.modes != program.modes:
         raise ValueError(f"input has {state.modes} modes, program declares {program.modes}")
@@ -360,6 +366,7 @@ def run_circuit(program: CircuitProgram, state: FockState):
         except IllegalPatternError as exc:
             raise CircuitError(f"instruction {index} (line {ins.line}, {ins.op}): {exc}", index) from exc
         if weight is not None:
+            weight = min(weight, 1.0)
             log.append(f"instruction {index} (line {ins.line}): {op.log} weight {weight:.17g}")
             probability *= weight
     return state, probability, log

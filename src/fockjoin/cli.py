@@ -30,7 +30,7 @@ from .gates import build_postselected_cnot_network, network_input, postselect_ra
 from .nogo import adversarial_search, merge_certificates, rank_scan
 from .optics import apply_unitary
 from .schemes import join_deterministic, join_projective, split_deterministic, split_projective
-from .tpes import build_tpes, resolve_outcome, teleport_join, tpes_via_joining
+from .tpes import PATH_BELL_KINDS, POL_BELL_KINDS, build_tpes, resolve_outcome, teleport_join, tpes_via_joining
 
 # Encoding, pattern and JSON errors are ValueErrors too.
 _DATA_ERRORS = (CircuitError, ValueError, OSError)
@@ -147,8 +147,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tpes", help="build a doubly-entangled three-photon state")
     p.set_defaults(handler=_cmd_tpes)
-    p.add_argument("--pol", required=True, choices=("Phi+", "Phi-", "Psi+", "Psi-"))
-    p.add_argument("--path", required=True, choices=("phi+", "phi-", "psi+", "psi-"))
+    p.add_argument("--pol", required=True, choices=POL_BELL_KINDS)
+    p.add_argument("--path", required=True, choices=PATH_BELL_KINDS)
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("teleport-join", help="joining via Bell measurements on a shared resource")

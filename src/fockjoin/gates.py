@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fock import FockState, Occupation, _indices, _pruned, basis_state
 from .optics import ModeUnitary, apply_unitary, beamsplitter, compose, hadamard_pair
@@ -29,7 +29,7 @@ _LEGAL_PATTERNS = {(1, 0), (0, 1), (0, 0)}
 
 
 class IllegalPatternError(ValueError):
-    """A term violates the one-photon-or-vacuum rule on a rail pair."""
+    """A term violates the one-photon-or-vacuum rule on a rail pair or on the modes a project line detects."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,8 @@ def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
 def apply_cnot(s: FockState, g: CnotSpec) -> FockState:
     """Term-wise logical CNOT with vacuum-port semantics."""
     (c0, c1), (t0, t1) = g.control.modes, g.target.modes
+    if max(c0, c1, t0, t1) >= s.modes:
+        raise ValueError(f"rails {g.control.modes} and {g.target.modes} out of range for {s.modes} modes")
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
         pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
@@ -114,12 +116,13 @@ def apply_cnot(s: FockState, g: CnotSpec) -> FockState:
 
 def apply_reversed_cnot(s: FockState, g: CnotSpec) -> FockState:
     """CNOT with the control and target ports exchanged."""
-    flipped = CnotSpec(control=g.target, target=g.control, eta=g.eta, eta_prime=g.eta_prime)
-    return apply_cnot(s, flipped)
+    return apply_cnot(s, replace(g, control=g.target, target=g.control))
 
 
 def logical_phase_flip(s: FockState, q: DualRailQubit) -> FockState:
     """Multiply by -1 every term with a photon on the logical-1 rail."""
+    if max(q.modes) >= s.modes:
+        raise ValueError(f"rails {q.modes} out of range for {s.modes} modes")
     out = {
         occ: (-amp if occ[q.mode1] > 0 else amp)
         for occ, amp in s.terms.items()

@@ -80,10 +80,10 @@ class SchemeReport:
     """Outcome of one protocol run.
 
     ``success_probability`` is the exact probability that the reported
-    path produces ``output``: 1/2 for a forced projective branch, 1 when
-    feed-forward folds both branches onto the target, 1 for the
-    deterministic variants (CNOT implementation costs are tracked
-    separately by the probability model).
+    path produces ``output``: 1/2 for a forced projective branch, the sum
+    of both branches, clamped at 1, when feed-forward folds both onto the
+    target, 1 for the deterministic variants (CNOT implementation costs are
+    tracked separately by the probability model).
     """
 
     output: FockState
@@ -242,7 +242,7 @@ def _projective_report(plus, minus, correct, branch, feed_forward, seed, expecte
     applied_ff = branch == "minus" and feed_forward
     output, prob = plus if branch == "plus" else minus
     if applied_ff:
-        output, prob = correct(output), plus[1] + minus[1]
+        output, prob = correct(output), min(plus[1] + minus[1], 1.0)
     return _report(output, prob, branch, applied_ff, expected)
 
 

@@ -10,19 +10,21 @@ Consuming such a resource, two fresh qubits (polarization of photon 4,
 path of photon 5) teleport onto photon 1: Bell measurements on the pairs
 (2,4) and (3,5) leave photon 1 one local correction away from the joined
 state (alpha H + beta V)(gamma u + delta d), whatever the 16 outcomes.
-The correction table is derived numerically, not transcribed.
+The correction is one Pauli per degree of freedom: outcome o under resource
+r takes _PAULI_ORDER[index(r) XOR index(o)], kinds indexed in *_BELL_KINDS.
+test_tpes.py::test_correction_rule_matches_the_search checks every entry.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from .fock import (
-    NORM_ATOL, FockState, _as_number, _indices, _on_basis, _renormalized, _squared_norm, fidelity, make_state, partial_inner, tensor
+    NORM_ATOL, FockState, _as_number, _indices, _on_basis, _renormalized, _squared_norm, make_state, partial_inner, tensor
 )
 from .optics import ModeUnitary, apply_unitary
 from .schemes import _TWO_QUBIT_BASIS, SchemeReport, _report, deterministic_joining_pass, drop_control_photon, joined_ququart
@@ -70,10 +72,16 @@ def _photon_modes(*slots: int) -> tuple[int, ...]:
     return tuple(_mode(k, pol, path) for k in slots for path in (UP, DOWN) for pol in (H, V))
 
 
-def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
-    """(first, second, coefficient) pairs of a Bell state; H = u = 0 and V = d = 1."""
+def _kind_index(kind: str, kinds) -> int:
+    """The position of kind in kinds; an unknown kind raises ValueError naming it."""
     if kind not in kinds:
         raise ValueError(f"unknown Bell kind {kind!r}; expected one of {', '.join(kinds)}")
+    return kinds.index(kind)
+
+
+def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
+    """(first, second, coefficient) pairs of a Bell state; H = u = 0 and V = d = 1."""
+    _kind_index(kind, kinds)
     sign = 1.0 if kind.endswith("+") else -1.0
     if kind[:3].lower() == "psi":
         return ((0, 0, _ROOT_HALF), (1, 1, sign * _ROOT_HALF))
@@ -192,7 +200,7 @@ def _correction_matrix(pol_op: str, path_op: str) -> np.ndarray:
     return np.kron(_PAULI[path_op], _PAULI[pol_op])
 
 
-@lru_cache(maxsize=None)
+@cache
 def _correction_unitary(pol_op: str, path_op: str) -> ModeUnitary:
     # apply_unitary substitutes creation operators, which transposes the
     # action on amplitude vectors; transpose first so amplitudes see the
@@ -200,45 +208,23 @@ def _correction_unitary(pol_op: str, path_op: str) -> ModeUnitary:
     return ModeUnitary(4, _correction_matrix(pol_op, path_op).T)
 
 
-@lru_cache(maxsize=None)
+def _correction(resource, outcome) -> tuple[str, str]:
+    """The (pol, path) Pauli pair of outcome under resource, by the XOR rule of the module docstring."""
+    (r_pol, r_path), (o_pol, o_path) = resource, outcome
+    return (
+        _PAULI_ORDER[_kind_index(r_pol, POL_BELL_KINDS) ^ _kind_index(o_pol, POL_BELL_KINDS)],
+        _PAULI_ORDER[_kind_index(r_path, PATH_BELL_KINDS) ^ _kind_index(o_path, PATH_BELL_KINDS)],
+    )
+
+
 def derive_correction_table(resource=("Phi-", "phi-")) -> dict:
-    """Find the local correction mapping each branch to the joined state.
+    """The correction of each outcome under resource, by the XOR rule, in a fresh dict per call.
 
-    Corrections are searched over two-level operators {I, Z, X, XZ} per
-    degree of freedom, using two generic input instantiations so a match
-    on both pins the entry uniquely. Raises if any branch has no match.
+    An unknown resource kind raises ValueError naming it.
     """
-    rng = np.random.default_rng(20240917)
-    instantiations = []
-    for _ in range(2):
-        raw = rng.standard_normal(8)
-        a, b = raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]
-        g, d = raw[4] + 1j * raw[5], raw[6] + 1j * raw[7]
-        na, ng = np.hypot(abs(a), abs(b)), np.hypot(abs(g), abs(d))
-        instantiations.append((a / na, b / na, g / ng, d / ng))
-
-    expansions = [expand_five_photon(*inst, resource=resource) for inst in instantiations]
-    references = [joined_reference(*inst) for inst in instantiations]
-
-    table: dict[tuple[str, str], CorrectionEntry] = {}
-    for idx, (outcome, _, _) in enumerate(expansions[0]):
-        matches = []
-        for pol_op, path_op in product(_PAULI_ORDER, repeat=2):
-            correction = _correction_unitary(pol_op, path_op)
-            ok = True
-            for expansion, reference in zip(expansions, references):
-                _, conditional, _ = expansion[idx]
-                corrected = apply_unitary(conditional, correction)
-                if fidelity(corrected, reference) < 1.0 - 1e-9:
-                    ok = False
-                    break
-            if ok:
-                matches.append((pol_op, path_op))
-        if not matches:
-            raise RuntimeError(f"no two-level correction found for outcome {outcome}")
-        if len(matches) > 1:
-            raise RuntimeError(f"ambiguous corrections {matches} for outcome {outcome}")
-        pol_op, path_op = matches[0]
+    table = {}
+    for outcome in ALL_BELL_OUTCOMES:
+        pol_op, path_op = _correction(resource, outcome)
         table[outcome] = CorrectionEntry(pol_op, path_op, _correction_matrix(pol_op, path_op))
     return table
 
@@ -269,7 +255,7 @@ def teleport_join(
     ``outcome`` forces a Bell result (pair of kinds, or index 0..15) or,
     when set to "sample", draws one uniformly: every branch weight is 1/16.
     Only that branch is contracted; its weight is the report's
-    success_probability, and the table correction maps it to the joined state.
+    success_probability, and the rule's Pauli correction maps it to the joined state.
     """
     pairs = _input_pairs(alpha_beta, gamma_delta)
     full = _five_photon_state(pairs, resource)
@@ -279,7 +265,6 @@ def teleport_join(
         picked_outcome = resolve_outcome(outcome)
     conditional, weight = _bell_branch(full, picked_outcome)
 
-    entry = derive_correction_table(resource)[picked_outcome]
-    corrected = apply_unitary(conditional, _correction_unitary(entry.pol_op, entry.path_op))
+    corrected = apply_unitary(conditional, _correction_unitary(*_correction(resource, picked_outcome)))
     branch = f"{picked_outcome[0]}/{picked_outcome[1]}"
     return _report(corrected, weight, branch, True, joined_reference(*pairs[0], *pairs[1]))

@@ -178,6 +178,38 @@ def test_gate_errors_carry_instruction_index():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, occ",
+    [
+        ("modes 2\nproject 0 1 0\n", (2, 0)),
+        ("modes 3\nproject 0 0.6 0 1 0.8 0\n", (1, 1, 0)),
+        ("modes 3\nbs 0 1 0.7853981633974483 0\nproject 0 1 0\n", (2, 0, 0)),
+    ],
+    ids=["two-on-one-mode", "one-on-each-of-two", "after-interference"],
+)
+def test_project_on_more_than_one_photon_raises_circuit_error(text, occ):
+    state = basis_state(len(occ), occ)
+    with pytest.raises(CircuitError, match=r"\(line \d, project\): term \(.*\) holds more than one photon on the detected modes"):
+        run_circuit(parse_circuit(text), state)
+
+
+def test_project_counts_only_its_support():
+    # Mode 1 holds two photons, but the line detects on mode 0 alone: its zero-amplitude entry is no support.
+    program = parse_circuit("modes 2\nproject 0 1 0 1 0 0\n")
+    final, probability, log = run_circuit(program, basis_state(2, (1, 2)))
+    assert final.terms == {(0, 2): 1.0} and probability == 1.0
+    assert log == ["instruction 0 (line 2): project weight 1"]
+
+
+def test_project_weight_rounded_past_one_reads_one():
+    # |<phi|phi>|^2 rounds to 1.0000000000000004 for this phi; a probability cannot pass 1.
+    a, b = 0.9868491083539974, 0.1616441689047899
+    program = parse_circuit(f"modes 2\nproject 0 {a!r} 0 1 {b!r} 0\n")
+    _, probability, log = run_circuit(program, make_state(2, [((1, 0), a), ((0, 1), b)]))
+    assert probability == 1.0
+    assert log == ["instruction 0 (line 2): project weight 1"]
+
+
 # Every parse branch, one malformed line each: (line, column, message, token).
 MALFORMED = """modes 4
 bs 0 1 0.5

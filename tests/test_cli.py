@@ -498,8 +498,14 @@ def test_run_names_a_non_finite_angle(tmp_path, capsys, line, column, token):
             '{"modes": 4, "terms": [{"occ": [2, 0, 1, 0], "re": 1.0, "im": 0.0}]}',
             "instruction 0 (line 2, cnot): pattern (2, 0)",
         ),
+        # CircuitError: a project line detecting on a mode that holds two photons.
+        (
+            "modes 2\nproject 0 1 0\n",
+            '{"modes": 2, "terms": [{"occ": [2, 0], "re": 1.0, "im": 0.0}]}',
+            "instruction 0 (line 2, project): term (2, 0) holds more than one photon on the detected modes (0,)\n",
+        ),
     ],
-    ids=["missing-input", "mode-mismatch", "two-photon-rail"],
+    ids=["missing-input", "mode-mismatch", "two-photon-rail", "two-photon-detection"],
 )
 def test_run_data_errors_exit_two(tmp_path, capsys, circuit_text, state_text, message):
     circuit, state = tmp_path / "c.pc", tmp_path / "s.json"

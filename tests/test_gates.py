@@ -190,6 +190,23 @@ def test_logical_phase_flip():
     assert logical_phase_flip(basis_state(2, (0, 0)), DualRailQubit(0, 1)).terms == {(0, 0): 1.0}
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: apply_cnot(s, CnotSpec(DualRailQubit(0, 1), DualRailQubit(8, 9))), r"rails \(0, 1\) and \(8, 9\)"),
+        (lambda s: apply_cnot(s, CnotSpec(DualRailQubit(4, 1), DualRailQubit(2, 3))), r"rails \(4, 1\) and \(2, 3\)"),
+        (lambda s: apply_reversed_cnot(s, CnotSpec(DualRailQubit(0, 1), DualRailQubit(2, 4))), r"rails \(2, 4\) and \(0, 1\)"),
+        (lambda s: logical_phase_flip(s, DualRailQubit(4, 1)), r"rails \(4, 1\)"),
+        (lambda s: logical_phase_flip(s, DualRailQubit(8, 9)), r"rails \(8, 9\)"),
+    ],
+    ids=["cnot-target", "cnot-control-rail0", "reversed-cnot", "flip-rail0", "flip-past"],
+)
+def test_gates_name_rails_past_the_register(call, message):
+    s = make_state(4, [((1, 0, 1, 0), 0.6), ((0, 1, 0, 1), 0.8)])
+    with pytest.raises(ValueError, match=f"^{message} out of range for 4 modes$"):
+        call(s)
+
+
 def test_qubit_and_quart_validation():
     with pytest.raises(ValueError):
         DualRailQubit(1, 1)

@@ -108,6 +108,18 @@ def test_join_projective_minus_with_feed_forward_recovers():
     assert report.fidelity_to_expected >= 1 - 1e-10
 
 
+def test_feed_forward_sum_of_branch_weights_is_clamped_at_one():
+    # A unit-norm draw whose two branch weights sum to 1.0000000000000002.
+    s = two_qubit_input([0, 0, 0, complex(0.6407270589781302, 0.7677687385490737)])
+    assert join_projective(s, branch="minus").success_probability == 1.0
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        q = random_ququart(rng)
+        for report in (join_projective(random_input(rng), branch="minus"), split_projective(q, branch="minus")):
+            assert 1.0 - 1e-15 <= report.success_probability <= 1.0
+            assert report.feed_forward_applied
+
+
 def test_join_projective_minus_without_feed_forward_is_damaged():
     rng = np.random.default_rng(32)
     s = random_input(rng)
@@ -405,7 +417,9 @@ def test_join_projective_terms_are_pinned():
         reports.append(join_projective(s, branch="sample", seed=7))
         reports.append(join_projective(s, branch="minus", etas=(np.exp(0.37j), 0.8 - 0.1j)))
         reports.append(join_projective(s, branch="plus", feed_forward=False, etas=(1.0, 1.0j)))
-    assert _reports_sha256(reports) == "f908e31e472f41d7f4ae090fae61224a1c25be0a046cfd545b5bf1a70105206a"
+    # Feed-forward sums are clamped at 1, which moved three of them from 1.0000000000000002; a hash of everything
+    # but success_probability reads 6e209919... before and after the clamp.
+    assert _reports_sha256(reports) == "ba2a6e3f6ecc5a9257f569bb831e865316929aef3ebb4115ad1363ca1774e2b7"
 
 
 def test_join_deterministic_terms_are_pinned():
@@ -426,7 +440,8 @@ def test_split_terms_are_pinned():
                 reports.append(split_projective(q, branch=branch, feed_forward=feed_forward))
         reports.append(split_projective(q, branch="sample", seed=7))
         reports.append(split_deterministic(q))
-    assert _reports_sha256(reports) == "0c3985a514ed1a0b4cf528dcff92be32100390614af4dc0063a413c033a27f0d"
+    # As in the join pin, the clamp moved three sums from 1.0000000000000002; the hash without them reads ab72354c....
+    assert _reports_sha256(reports) == "fb7dffd0bad3cbfe5c43459bd769560ea4cc96d75225db1fe9ce17c17d164455"
 
 
 @pytest.mark.parametrize("etas", [(1.0,), (1, 1, 1)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from fockjoin.fock import (
     tensor,
 )
 from fockjoin import tpes
+from fockjoin.optics import apply_unitary
 from fockjoin.tpes import (
     ALL_BELL_OUTCOMES,
     PATH_BELL_KINDS,
@@ -206,6 +208,63 @@ def test_correction_table_reference_entries():
     for entry in table.values():
         u = entry.unitary
         assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+def _searched_corrections(resource, inputs):
+    """Per outcome, every Pauli pair that maps its branch onto the joined state for all inputs: the search the rule replaced."""
+    expansions = [expand_five_photon(*inst, resource=resource) for inst in inputs]
+    references = [joined_reference(*inst) for inst in inputs]
+    found = {}
+    for idx, outcome in enumerate(ALL_BELL_OUTCOMES):
+        found[outcome] = [
+            ops
+            for ops in product(tpes._PAULI_ORDER, repeat=2)
+            if all(
+                fidelity(apply_unitary(expansion[idx][1], tpes._correction_unitary(*ops)), reference) >= 1 - 1e-9
+                for expansion, reference in zip(expansions, references)
+            )
+        ]
+    return found
+
+
+def test_correction_rule_matches_the_search():
+    # Two generic inputs, so that a pair matching both is pinned uniquely.
+    rng = np.random.default_rng(20240917)
+    inputs = [random_qubit_pair(rng) + random_qubit_pair(rng) for _ in range(2)]
+    for resource in ALL_BELL_OUTCOMES:
+        table = derive_correction_table(resource)
+        for outcome, matches in _searched_corrections(resource, inputs).items():
+            entry = table[outcome]
+            assert matches == [(entry.pol_op, entry.path_op)], (resource, outcome, matches)
+            assert np.array_equal(entry.unitary, np.kron(tpes._PAULI[entry.path_op], tpes._PAULI[entry.pol_op]))
+
+
+def test_correction_table_is_fresh_and_teleport_join_does_not_read_it():
+    table = derive_correction_table(("Phi-", "phi-"))
+    table[ALL_BELL_OUTCOMES[0]] = table[ALL_BELL_OUTCOMES[1]]
+    ab, gd = (0.6, 0.8j), (0.8, -0.6)
+    assert teleport_join(ab, gd, outcome=0).fidelity_to_expected >= 1 - 1e-12
+    fresh = derive_correction_table(("Phi-", "phi-"))
+    assert fresh is not table and (fresh[ALL_BELL_OUTCOMES[0]].pol_op, fresh[ALL_BELL_OUTCOMES[0]].path_op) == ("Z", "Z")
+    with mock.patch.object(tpes, "derive_correction_table", side_effect=AssertionError("called")):
+        for outcome in range(16):
+            assert teleport_join(ab, gd, outcome=outcome, resource=("Psi+", "psi-")).fidelity_to_expected >= 1 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "resource, kind, expected",
+    [
+        (("Phi", "phi-"), "Phi", r"Phi\+, Phi-, Psi\+, Psi-"),
+        (("Phi-", "Phi-"), "Phi-", r"phi\+, phi-, psi\+, psi-"),
+        (("phi-", "phi-"), "phi-", r"Phi\+, Phi-, Psi\+, Psi-"),
+    ],
+)
+def test_unknown_resource_kind_raises_value_error_naming_it(resource, kind, expected):
+    message = rf"^unknown Bell kind {kind!r}; expected one of {expected}$"
+    with pytest.raises(ValueError, match=message):
+        derive_correction_table(resource)
+    with pytest.raises(ValueError, match=message):
+        teleport_join((1, 0), (1, 0), outcome=0, resource=resource)
 
 
 def test_teleport_basis_inputs():
