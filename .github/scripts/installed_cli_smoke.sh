@@ -19,6 +19,15 @@ probability_in_unit_range() {
 
 "$bin/fockjoin" --version || fail "--version exited $?"
 "$bin/python" -c 'import fockjoin, sys; sys.exit("/src/fockjoin/" in fockjoin.__file__)' || fail "fockjoin imports from a source tree"
+# scipy is imported on the first adversarial search, not with the package.
+"$bin/python" -c 'import fockjoin, sys; sys.exit(any(name.split(".")[0] == "scipy" for name in sys.modules))' \
+    || fail "import fockjoin loads scipy"
+
+# A short no-go scan with one search restart, in a fresh process: the search runs and finds nothing.
+"$bin/fockjoin" nogo-scan --modes 4 --trials 50 --restarts 1 --iterations 50 --seed 3 --out nogo.json \
+    || fail "nogo-scan with a search restart exited $?"
+"$bin/python" -c 'import json, sys; r = json.load(open("nogo.json")); sys.exit(not (r["verdict"] == "rank-deficient" and r["optimizer_iterations"] >= 1))' \
+    || fail "nogo-scan does not report rank-deficient after at least one optimizer iteration"
 
 # A valid two-qubit input: the report parses and names its verb.
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 0.0, "im": 0.8}]}' > valid.json

@@ -228,9 +228,18 @@ def _cmd_tpes(args):
     return None, [f"{args.pol}/{args.path}".encode()], body
 
 
+def _qubit_flags(args, first: str, second: str) -> tuple[complex, complex]:
+    """The two amplitude flags of one qubit; a malformed literal raises ValueError naming the pair."""
+    texts = getattr(args, first), getattr(args, second)
+    try:
+        return complex(texts[0]), complex(texts[1])
+    except ValueError:
+        raise ValueError(f"{first}/{second} amplitudes must be complex literals, got {texts[0]!r} and {texts[1]!r}") from None
+
+
 def _cmd_teleport(args):
-    alpha, beta = complex(args.alpha), complex(args.beta)
-    gamma, delta = complex(args.gamma), complex(args.delta)
+    alpha, beta = _qubit_flags(args, "alpha", "beta")
+    gamma, delta = _qubit_flags(args, "gamma", "delta")
     # --sample and --outcome exclude each other; without --outcome the run samples.
     seed = _seed_in_effect(args.seed, args.outcome is None)
     outcome = "sample" if args.outcome is None else resolve_outcome(args.outcome)

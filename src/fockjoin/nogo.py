@@ -23,18 +23,20 @@ separately, and the detection is normalized per trial), so certificates
 are bit-identical to a per-trial loop and independent of the chunking.
 
 The adversarial search's objective avoids numpy's per-call cost on 4 x 4
-arrays: one Givens routine builds the rows of the parameterized unitary
-in Python complex scalars, coupler by coupler, and the same scalars give
-the detection and the four symmetrized rows, so only the SVD runs in
-numpy. unitary_from_angles and projector_from_params are numpy arrays of
-those same routines, so the parameterization has one definition. The
-scalar objective agrees with a numpy matrix-product evaluation to about
-1e-15 of sigma_max, not bit for bit.
+arrays. Row k of the core C holds pc[b] at mode a and pc[a] at mode b for
+pair (a, b), so row k of C U is that row pushed through the couplers of U.
+One Givens routine pushes rows in Python complex scalars; unitary_from_angles
+pushes the unit rows, so the parameterization has one definition. The SVD
+calls LAPACK's zgesdd without vectors, the driver np.linalg.svd uses, minus
+numpy's wrapper; scipy is imported on the first search. The objective agrees
+with a numpy matrix-product evaluation to about 1e-15 of sigma_max, not bit
+for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -289,14 +291,14 @@ def _finite_params(params, size: int) -> list[float]:
     return params.tolist()
 
 
-def _givens_rows(params: list[float], m: int, rows) -> list[list[complex]]:
-    """Rows of the parameterized unitary, as lists of Python complex scalars.
+def _givens_rows(params: list[float], m: int, starts) -> list[list[complex]]:
+    """Each start row v pushed through the parameterized unitary, v @ U, as lists of Python complex scalars.
 
     params holds a (theta, phase) pair per coupler (i, j), i < j in
     row-major order, then m final phases. The unitary is the product of
-    the couplers in that order times diag(exp(1j * phases)), so row r is
-    the unit vector e_r pushed through the couplers one at a time, each
-    updating entries i and j, and then scaled entry by entry.
+    the couplers in that order times diag(exp(1j * phases)), so v @ U is v
+    pushed through the couplers one at a time, each updating entries i and
+    j, and then scaled entry by entry. The unit rows e_r give the rows of U.
     """
     couplers = []
     idx = 0
@@ -309,9 +311,8 @@ def _givens_rows(params: list[float], m: int, rows) -> list[list[complex]]:
             idx += 2
     phases = [complex(math.cos(p), math.sin(p)) for p in params[idx:]]
     out = []
-    for r in rows:
-        v = [0j] * m
-        v[r] = 1 + 0j
+    for v in starts:
+        v = list(v)
         for i, j, c, upper, lower in couplers:
             vi, vj = v[i], v[j]
             v[i] = c * vi + lower * vj
@@ -330,7 +331,7 @@ def _detection(params: list[float], m: int) -> list[complex]:
 
 def unitary_from_angles(params, m: int) -> np.ndarray:
     """Unitary from m*m finite real parameters: Givens rotations plus phases."""
-    return np.array(_givens_rows(_finite_params(params, m * m), m, range(m)))
+    return np.array(_givens_rows(_finite_params(params, m * m), m, np.eye(m, dtype=complex).tolist()))
 
 
 def projector_from_params(params, m: int) -> np.ndarray:
@@ -338,18 +339,28 @@ def projector_from_params(params, m: int) -> np.ndarray:
     return np.array(_detection(_finite_params(params, 2 * m), m))
 
 
-def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
-    """One singular value of the symmetrized rows on logical modes 0-3.
+@cache
+def _zgesdd():
+    """LAPACK's complex SVD driver, imported on first use: import fockjoin loads no scipy."""
+    from scipy.linalg.lapack import zgesdd
 
-    Built in Python scalars from the same routines as unitary_from_angles
-    and projector_from_params, and unchecked: numpy calls on 4 x 4 arrays
-    and constructor validation would dominate the optimizer's inner loop.
+    return zgesdd
+
+
+def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
+    """One singular value of the symmetrized rows C U on logical modes 0-3 (see the module docstring).
+
+    Unchecked: numpy calls on 4 x 4 arrays and constructor validation would
+    dominate the optimizer's inner loop. A failed zgesdd call raises
+    LinAlgError rather than being read as a value.
     """
     params = x.tolist()
-    u = _givens_rows(params[: m * m], m, range(4))
     pc = [z.conjugate() for z in _detection(params[m * m :], m)]
-    rows = [[pc[b] * ua + pc[a] * ub for ua, ub in zip(u[a], u[b])] for a, b in _CORE_PAIRS]
-    return float(np.linalg.svd(np.array(rows), compute_uv=False)[singular_index])
+    starts = ([0j if k is None else pc[k] for k in row] + [0j] * (m - 4) for row in _CORE_PATTERN)
+    _, sigmas, _, info = _zgesdd()(np.array(_givens_rows(params[: m * m], m, starts)), compute_uv=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (zgesdd info {info})")
+    return float(sigmas[singular_index])
 
 
 def adversarial_search(
@@ -369,9 +380,10 @@ def adversarial_search(
     rather than being skipped by the max. argmax_seed is seed + r for the
     best restart r, and does not replay it (see NogoCertificate).
 
-    The objective is built in Python complex scalars (see the module
-    docstring); max_sigma_min, argmax_seed and optimizer_iterations repeat
-    exactly for a given seed.
+    The objective pushes the four core rows through the couplers and calls
+    LAPACK's zgesdd directly (see the module docstring); a failed SVD raises
+    LinAlgError. max_sigma_min, argmax_seed and optimizer_iterations repeat
+    exactly for a given seed. scipy is imported on the first search.
     """
     if m < 4:
         raise ValueError("need at least four modes")

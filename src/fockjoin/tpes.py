@@ -79,6 +79,17 @@ def _kind_index(kind: str, kinds) -> int:
     return kinds.index(kind)
 
 
+def _resource_kinds(resource) -> tuple[str, str]:
+    """resource as a (pol, path) pair of known Bell kinds; anything else raises ValueError naming resource."""
+    try:
+        pol_kind, path_kind = resource
+    except (TypeError, ValueError):
+        raise ValueError(f"resource must be a (pol, path) pair of Bell kinds, got {resource!r}") from None
+    _kind_index(pol_kind, POL_BELL_KINDS)
+    _kind_index(path_kind, PATH_BELL_KINDS)
+    return pol_kind, path_kind
+
+
 def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
     """(first, second, coefficient) pairs of a Bell state; H = u = 0 and V = d = 1."""
     _kind_index(kind, kinds)
@@ -184,7 +195,7 @@ def expand_five_photon(alpha, beta, gamma, delta, resource=("Phi-", "phi-")):
     states are normalized but keep their expansion sign; weights are the
     exact branch probabilities and each equals 1/16.
     """
-    full = _five_photon_state(_input_pairs((alpha, beta), (gamma, delta)), resource)
+    full = _five_photon_state(_input_pairs((alpha, beta), (gamma, delta)), _resource_kinds(resource))
     return [(outcome, *_bell_branch(full, outcome)) for outcome in ALL_BELL_OUTCOMES]
 
 
@@ -220,8 +231,9 @@ def _correction(resource, outcome) -> tuple[str, str]:
 def derive_correction_table(resource=("Phi-", "phi-")) -> dict:
     """The correction of each outcome under resource, by the XOR rule, in a fresh dict per call.
 
-    An unknown resource kind raises ValueError naming it.
+    A resource that is not a pair of known kinds raises ValueError naming it.
     """
+    resource = _resource_kinds(resource)
     table = {}
     for outcome in ALL_BELL_OUTCOMES:
         pol_op, path_op = _correction(resource, outcome)
@@ -258,6 +270,7 @@ def teleport_join(
     success_probability, and the rule's Pauli correction maps it to the joined state.
     """
     pairs = _input_pairs(alpha_beta, gamma_delta)
+    resource = _resource_kinds(resource)
     full = _five_photon_state(pairs, resource)
     if outcome == "sample":
         picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, np.random.default_rng(seed).random())]

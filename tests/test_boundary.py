@@ -1,13 +1,15 @@
 """Every library entry point that takes an amplitude from outside either accepts it or raises ValueError.
 
 A state built from outside amplitudes stores each as a Python complex, whatever number type it was given as.
-Every CLI run on a drawn input exits 0 with a report or 2 with one error line.
+Every CLI run on a drawn input exits 0 with a report or 2 with one error line, which names what was wrong:
+the circuit line of a non-finite number, the pair of a bad teleportation qubit.
 """
 import cmath
 import contextlib
 import io
 import json
 import math
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -22,7 +24,7 @@ from fockjoin.gates import CnotSpec, DualRailQubit, apply_cnot, apply_reversed_c
 from fockjoin.nogo import end_to_end_projection_check
 from fockjoin.optics import ProjectorSpec, apply_unitary, beamsplitter, identity
 from fockjoin.schemes import EncodingViolationError, drop_control_photon, join_deterministic, joined_ququart, two_qubit_input
-from fockjoin.tpes import teleport_join
+from fockjoin.tpes import derive_correction_table, expand_five_photon, teleport_join
 
 _EDGES = [math.inf, -math.inf, math.nan, 1e154, 1e200, 1e308, -1e308, complex(1.5e308, 1.5e308), complex(1e308, 1e308), -0.0]
 
@@ -75,10 +77,16 @@ def _other_entry_points(x):
     yield lambda: apply_cnot(FockState(4, {(1, 0, 1, 0): x}), CnotSpec(_CONTROL, DualRailQubit(8, 9)))
     yield lambda: apply_reversed_cnot(FockState(4, {(1, 0, 1, 0): x}), CnotSpec(DualRailQubit(8, 9), _TARGET))
     yield lambda: logical_phase_flip(FockState(4, {(1, 0, 1, 0): x}), DualRailQubit(2, 4))
+    # A teleportation resource that is x, or a pair with x appended.
+    for resource in (x, ("Phi-", "phi-", x)):
+        yield lambda r=resource: teleport_join((0.6, 0.8j), (1, 0), outcome=3, resource=r).output
+        yield lambda r=resource: expand_five_photon(0.6, 0.8j, 1, 0, resource=r)
+        yield lambda r=resource: derive_correction_table(r)
 
 
 @given(_AMPLITUDES)
 @example("1")
+@example("Phi-")
 @example(b"1")
 @example(None)
 @example(10**400)
@@ -252,8 +260,8 @@ def workdir(tmp_path_factory):
 
 
 def _dispatch(argv, circuit=None):
-    """cli_dispatch(argv) in process; its report, or None after the one error line it must print (or, from run,
-    parse diagnostics naming the circuit file)."""
+    """cli_dispatch(argv) in process: (its report and output state, "") on exit 0, or (None, stderr) after the one
+    error line it must print (or, from run, parse diagnostics naming the circuit file)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_dispatch(argv)
@@ -264,10 +272,10 @@ def _dispatch(argv, circuit=None):
         lines = err.splitlines()
         if not (circuit is not None and all(line.startswith(f"{circuit}:") for line in lines)):
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
-        return None
+        return None, err
     assert err == "", (argv, err)
     report = json.loads(out)
-    return report, state_from_dict(report["output"])
+    return (report, state_from_dict(report["output"])), err
 
 
 def _assert_a_measured_branch(report, output):
@@ -289,23 +297,54 @@ def _assert_a_measured_branch(report, output):
 def test_join_and_split_runs_exit_zero_or_two(workdir, obj, verb, variant, branch, feed_forward, seed, depth):
     path = workdir / "state.json"
     path.write_text("[" * depth + json.dumps(obj) + "]" * depth)
-    result = _dispatch([verb, "--input", str(path), "--variant", variant, "--branch", branch, feed_forward, *seed])
+    result, _ = _dispatch([verb, "--input", str(path), "--variant", variant, "--branch", branch, feed_forward, *seed])
     if result is not None:
         _assert_a_measured_branch(*result)
 
 
+def _lines_with_a_non_finite_number(text):
+    """The numbers of the lines with a token that reads as an infinite or NaN float before any # comment."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        for token in line.split():
+            if token.startswith("#"):
+                break
+            with contextlib.suppress(ValueError):
+                if not math.isfinite(float(token)):
+                    yield number
+                    break
+
+
 @settings(deadline=None)
 @given(_circuit_texts(), st.sampled_from([[0.6, 0, 0, 0.8j], [0.5, 0.5j, -0.5, 0.5]]), st.sampled_from(_CODES))
+@example("modes 4\nbs 0 1 nan 0\n", [0.6, 0, 0, 0.8j], _CODES[0])
+@example("modes 4\nps 2 1.5\nps 2 -1e400\n", [0.6, 0, 0, 0.8j], _CODES[0])
 def test_run_of_mutated_circuit_text_exits_zero_or_two(workdir, text, amps, code):
     circuit, state = workdir / "c.pc", workdir / "s.json"
     circuit.write_text(text)
     terms = [{"occ": list(occ), "re": complex(a).real, "im": complex(a).imag} for occ, a in zip(code, amps) if a]
     state.write_text(json.dumps({"modes": 4, "terms": terms}))
-    result = _dispatch(["run", "--circuit", str(circuit), "--input", str(state)], circuit=circuit)
+    result, err = _dispatch(["run", "--circuit", str(circuit), "--input", str(state)], circuit=circuit)
+    # No op takes inf or nan: the parser reports each line holding one, as <circuit>:<line>:<col>:, before anything runs.
+    for number in _lines_with_a_non_finite_number(text):
+        assert re.search(rf"^{re.escape(str(circuit))}:{number}:\d+: ", err, re.MULTILINE), (text, err)
     if result is not None:
         report, _ = result
         # A project line detects on modes holding at most one photon per term, so its weight is a probability.
         assert 0.0 <= report["probability"] <= 1.0, report
+
+
+_PAIRS = ("alpha/beta", "gamma/delta")
+
+
+def _pair_fault(texts):
+    """How one qubit's two flags fail: "literal" if one is no complex literal, "norm" if the pair's norm is off 1 by more
+    than 1e-6 or not finite, None if it is within 1e-12 of 1, and "?" in between, too near the tolerance to tell."""
+    try:
+        a, b = (complex(text) for text in texts)
+    except ValueError:
+        return "literal"
+    gap = abs(math.hypot(a.real, a.imag, b.real, b.imag) - 1.0)
+    return None if gap <= 1e-12 else "norm" if not gap <= 1e-6 else "?"
 
 
 @settings(deadline=None)
@@ -315,8 +354,22 @@ def test_run_of_mutated_circuit_text_exits_zero_or_two(workdir, text, amps, code
     st.one_of(st.just([]), st.just(["--sample"]), st.sampled_from([-1, 0, 3, 15, 16, 10**30]).map(lambda k: [f"--outcome={k}"])),
     st.sampled_from([[], ["--seed", "3"], ["--seed=-1"], ["--seed", str(2**70)]]),
 )
+@example(["nan", "0"], ["1", "0"], [], [])
+@example(["1", "0"], ["0.6", "nan"], ["--outcome=3"], [])
+@example(["1", "0"], ["abc", "0"], ["--outcome=16"], [])
 def test_teleport_join_with_extreme_flags_exits_zero_or_two(alpha_beta, gamma_delta, outcome, seed):
     flags = [f"--{name}={value}" for name, value in zip(("alpha", "beta", "gamma", "delta"), alpha_beta + gamma_delta)]
-    result = _dispatch(["teleport-join", *flags, *outcome, *seed])
+    result, err = _dispatch(["teleport-join", *flags, *outcome, *seed])
+    faults = [_pair_fault(pair) for pair in (alpha_beta, gamma_delta)]
+    forced = outcome[0].partition("=")[2] if outcome and outcome != ["--sample"] else None
+    # The flags are read first, then the outcome, then the pairs' norms, alpha/beta first.
+    blamed = next((name for name, fault in zip(_PAIRS, faults) if fault == "literal"), None)
+    if blamed is None and (forced is None or 0 <= int(forced) <= 15) and "?" not in faults:
+        blamed = next((name for name, fault in zip(_PAIRS, faults) if fault == "norm"), None)
+    if blamed is not None:
+        assert err.startswith(f"error: {blamed} amplitudes must be "), (flags, err)
+    elif faults == [None, None]:
+        assert not any(name in err for name in _PAIRS), (flags, err)
     if result is not None:
         _assert_a_measured_branch(*result)
+

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -448,6 +449,16 @@ def test_unitary_from_angles_matches_fresh_coupler_product():
         assert gap <= 1e-15, (k, gap)
 
 
+def test_unitary_from_angles_is_pinned():
+    # The search objective pushes the core rows through the same couplers; the unit rows keep their bits.
+    rng = np.random.default_rng(2113)
+    digest = hashlib.sha256()
+    for m in range(2, 7):
+        for _ in range(40):
+            digest.update(unitary_from_angles(rng.uniform(-4.0, 4.0, m * m), m).tobytes())
+    assert digest.hexdigest() == "274f24e020733947e3fe2b45fd3529f4353773f27b612a739d96950ee57a295a"
+
+
 def test_projector_from_params_matches_numpy_form():
     rng = np.random.default_rng(90)
     for m in (4, 5, 6):
@@ -504,6 +515,17 @@ def test_adversarial_search_raises_on_nan_objective(monkeypatch):
     monkeypatch.setattr(nogo, "_objective_sigma", lambda x, m, k: math.nan)
     with pytest.raises(ValueError, match="NaN objective value in restart 81"):
         adversarial_search(4, restarts=2, iterations=10, seed=81)
+
+
+@pytest.mark.parametrize("info", [2, -1])
+def test_adversarial_search_raises_when_lapack_reports_a_failed_svd(monkeypatch, info):
+    # A failed zgesdd call leaves its singular values undefined; zeros read as a value would certify rank deficiency.
+    def failed(a, compute_uv):
+        return np.zeros((1, 1)), np.zeros(4), np.zeros((1, 1)), info
+
+    monkeypatch.setattr(nogo, "_zgesdd", lambda: failed)
+    with pytest.raises(np.linalg.LinAlgError, match=f"^SVD did not converge \\(zgesdd info {info}\\)$"):
+        adversarial_search(4, restarts=1, iterations=10, seed=81)
 
 
 @pytest.mark.parametrize("logical", [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4)])

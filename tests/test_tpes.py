@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from itertools import product
 from unittest import mock
 
@@ -265,6 +266,18 @@ def test_unknown_resource_kind_raises_value_error_naming_it(resource, kind, expe
         derive_correction_table(resource)
     with pytest.raises(ValueError, match=message):
         teleport_join((1, 0), (1, 0), outcome=0, resource=resource)
+
+
+@pytest.mark.parametrize("resource", [("Phi-", "phi-", "x"), "Phi-", None, ("Phi-",)])
+def test_resource_that_is_not_a_pair_raises_value_error_naming_it(resource):
+    message = rf"^resource must be a \(pol, path\) pair of Bell kinds, got {re.escape(repr(resource))}$"
+    for call in (
+        lambda: derive_correction_table(resource),
+        lambda: teleport_join((1, 0), (1, 0), outcome=0, resource=resource),
+        lambda: expand_five_photon(1, 0, 1, 0, resource=resource),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_teleport_basis_inputs():
