@@ -34,6 +34,17 @@ echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ"
 "$bin/fockjoin" join --input valid.json --report report.json || fail "join on a valid input exited $?"
 "$bin/python" -c 'import json, sys; sys.exit(json.load(open("report.json"))["verb"] != "join")' || fail "the join report does not parse"
 
+# A sampled join branch without feed-forward: its probability is the one branch's weight.
+"$bin/fockjoin" join --input valid.json --branch sample --seed 9 --no-feed-forward --report sampled.json \
+    || fail "join --branch sample --seed 9 --no-feed-forward exited $?"
+probability_in_unit_range sampled.json success_probability || fail "the sampled join report does not parse or its probability is outside [0, 1]"
+
+# A negative seed of a sampling run: exit 2 with one error line naming --seed.
+code=0
+"$bin/fockjoin" join --input valid.json --branch sample --seed=-1 > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "join --branch sample --seed=-1 exited $code, expected 2"
+[ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: .*--seed' err.txt || fail "expected one error: line naming --seed, got: $(cat err.txt)"
+
 # The split's minus branch, a measured branch folded back by feed-forward.
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 0, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 0, 1, 0], "re": 0.0, "im": 0.8}]}' > ququart.json
 "$bin/fockjoin" split --input ququart.json --branch minus --report split.json || fail "split --branch minus exited $?"

@@ -9,11 +9,11 @@ Each verb writes one report to --report (nogo-scan: --out), or to stdout
 if that flag is omitted. Reports are canonical JSON: keys sorted, floats
 printed with 17 significant digits, newline-terminated, and they embed
 the tool version, the verb, a digest of the inputs and the seed in
-effect. A run that samples a branch or a Bell outcome uses --seed, or 0
-when it is omitted, and reports that seed; a run that samples nothing
-reports null, whether or not --seed was given. So identical invocations
-produce byte-identical files, and so do deterministic runs that differ
-only in --seed. The argparse parser is built once per process, on first use.
+effect. A run that samples a branch or a Bell outcome, and nogo-scan, uses
+--seed (0 if omitted; a negative one exits 2) and reports it; a run that
+samples nothing reports null, whether or not --seed was given. So identical
+invocations produce byte-identical files, and so do deterministic runs that
+differ only in --seed. The argparse parser is built once per process, on first use.
 """
 from __future__ import annotations
 
@@ -189,10 +189,10 @@ def _build_parser() -> _Parser:
 
 
 def _seed_in_effect(seed: int | None, samples: bool) -> int | None:
-    """The seed a sampling run uses (--seed, else 0); None if nothing is sampled."""
-    if not samples:
-        return None
-    return 0 if seed is None else seed
+    """The seed a sampling run uses (--seed, else 0); None if nothing is sampled. A negative seed raises ValueError."""
+    if samples and (seed or 0) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return (seed or 0) if samples else None
 
 
 def _scheme_body(report) -> dict:
@@ -248,7 +248,7 @@ def _cmd_teleport(args):
 
 
 def _cmd_nogo(args):
-    cert = rank_scan(args.modes, args.trials, seed=args.seed)
+    cert = rank_scan(args.modes, args.trials, seed=_seed_in_effect(args.seed, True))
     described = f"m={args.modes} trials={args.trials} restarts={args.restarts}"
     if args.restarts != 0:
         cert = merge_certificates(

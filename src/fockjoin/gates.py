@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .fock import FockState, Occupation, _indices, _pruned, basis_state
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _pruned, _trusted, basis_state
 from .optics import ModeUnitary, apply_unitary, beamsplitter, compose, hadamard_pair
 
 # Post-selected success amplitude of the physical network on logical inputs.
@@ -87,31 +87,37 @@ def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
     return None if within else "vacuum-port amplitudes cannot exceed unit magnitude"
 
 
-def apply_cnot(s: FockState, g: CnotSpec) -> FockState:
-    """Term-wise logical CNOT with vacuum-port semantics."""
-    (c0, c1), (t0, t1) = g.control.modes, g.target.modes
-    if max(c0, c1, t0, t1) >= s.modes:
-        raise ValueError(f"rails {g.control.modes} and {g.target.modes} out of range for {s.modes} modes")
+def apply_cnot(s: FockState, g: CnotSpec, *more: CnotSpec) -> FockState:
+    """Term-wise logical CNOTs with vacuum-port semantics: g, then each of more, in one pass over the terms.
+
+    A CNOT maps legal patterns one to one, so no terms merge: pruning each term after each CNOT, as fock._pruned
+    prunes, gives the keys, order and bits of one call per CNOT, and the same errors for one CNOT.
+    """
+    specs = [(*g.control.modes, *g.target.modes, g) for g in (g, *more)]
+    for c0, c1, t0, t1, g in specs:
+        if max(c0, c1, t0, t1) >= s.modes:
+            raise ValueError(f"rails {g.control.modes} and {g.target.modes} out of range for {s.modes} modes")
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
-        pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
-        if pc not in _LEGAL_PATTERNS or pt not in _LEGAL_PATTERNS:
-            pattern, q = (pc, g.control) if pc not in _LEGAL_PATTERNS else (pt, g.target)
-            raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
-        if pc == (0, 0) and pt == (0, 0):
-            new_occ, new_amp = occ, amp
-        elif pt == (0, 0):
-            new_occ, new_amp = occ, amp * g.eta
-        elif pc == (0, 0):
-            new_occ, new_amp = occ, amp * g.eta_prime
-        elif pc == (0, 1):
-            swapped = list(occ)
-            swapped[t0], swapped[t1] = occ[t1], occ[t0]
-            new_occ, new_amp = tuple(swapped), amp
+        for c0, c1, t0, t1, g in specs:
+            pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
+            if pc not in _LEGAL_PATTERNS or pt not in _LEGAL_PATTERNS:
+                pattern, q = (pc, g.control) if pc not in _LEGAL_PATTERNS else (pt, g.target)
+                raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
+            if pt == (0, 0) != pc:
+                amp = amp * g.eta
+            elif pc == (0, 0) != pt:
+                amp = amp * g.eta_prime
+            elif pc == (0, 1):
+                swapped = list(occ)
+                swapped[t0], swapped[t1] = occ[t1], occ[t0]
+                occ = tuple(swapped)
+            amp = 0j + amp
+            if not abs(amp) > PRUNE_TOL:
+                break
         else:
-            new_occ, new_amp = occ, amp
-        out[new_occ] = out.get(new_occ, 0j) + new_amp
-    return _pruned(s.modes, out)
+            out[occ] = amp
+    return _trusted(s.modes, out)
 
 
 def apply_reversed_cnot(s: FockState, g: CnotSpec) -> FockState:

@@ -25,9 +25,11 @@ read, so a chain of elements packs its occupation tuples once and builds
 one dict, at its end. Output keys, term order, amplitude bits and types
 do not depend on the path, and no option selects it.
 
-All functions are pure; unitaries and projectors validate themselves on
-construction and keep a private read-only copy of their array. The
-builders here (beamsplitter, phase_shifter, hadamard_pair,
+All functions are pure but for one memo: a unitary keeps the dict loop's
+expansions (_memo: tuples, from its matrix alone), so a later call
+gets a fresh copy's bits without expanding again. Unitaries and projectors
+validate themselves on construction and keep a private read-only copy of
+their array. The builders here (beamsplitter, phase_shifter, hadamard_pair,
 mode_permutation) make their own matrices, so they skip that check and
 the scan for active modes, and name those modes themselves.
 """
@@ -91,6 +93,10 @@ class ModeUnitary:
         densest = max(map(len, nonzero), default=0)
         kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
         return pick_active, _picker(passive), layout, nonzero, active, _array_photons(len(active), densest), kernel
+
+    @cached_property
+    def _memo(self) -> dict:  # apply_unitary's dict-loop memo: the _expand tuple of each active sub-occupation seen
+        return {}
 
 
 def _element(mat: np.ndarray, active: list) -> ModeUnitary:
@@ -284,9 +290,10 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     if array_photons and any(sum(sub) >= array_photons for sub in expansions):
         packed = _packed(s)
     for sub in expansions:
-        expansions[sub] = _expand_arrays(sub, rows, tuple(active), packed.bits) if packed else _expand(sub, rows)
+        expansions[sub] = _expand_arrays(sub, rows, tuple(active), packed.bits) if packed else u._memo.get(sub) or _expand(sub, rows)
     if packed:
         return _array_splice(packed, *_expanded(packed.keys, packed.bits, packed.facts, subs, expansions, active))
+    u._memo.update(expansions)
     out: dict[Occupation, complex] = {}
     for (occ, amp), sub in zip(s.terms.items(), subs):
         sub_fact, monomials = expansions[sub]
@@ -523,7 +530,7 @@ def _array_photons(active: int, densest: int) -> int:
     return n
 
 
-def _expand(sub: Occupation, rows) -> tuple[int, list]:
+def _expand(sub: Occupation, rows) -> tuple[int, tuple]:
     """Substitute the creation operators of the active photons in sub.
 
     Returns the factorial product of sub and, in expansion order, one
@@ -538,7 +545,7 @@ def _expand(sub: Occupation, rows) -> tuple[int, list]:
                     key = expo[:b] + (expo[b] + 1,) + expo[b + 1 :]
                     nxt[key] = nxt.get(key, 0j) + coeff * c
             poly = nxt
-    monomials = [(expo, coeff, math.prod(map(math.factorial, expo))) for expo, coeff in poly.items()]
+    monomials = tuple((expo, coeff, math.prod(map(math.factorial, expo))) for expo, coeff in poly.items())
     return math.prod(map(math.factorial, sub)), monomials
 
 

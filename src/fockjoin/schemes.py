@@ -18,11 +18,13 @@ Mode layout, one for every variant (fixed so test vectors are bit-exact):
 * two CNOT fans: fan-in, carrier -> each half (eta); fan-out, each half
   -> carrier (eta_prime). Projective joining is the fan-in, deterministic
   joining fan-in then fan-out; projective splitting is the fan-out,
-  deterministic splitting fan-out then fan-in.
+  deterministic splitting fan-out then fan-in, each in one apply_cnot pass.
 
 Branch selection is explicit: callers force "plus"/"minus" or ask for a
 seeded sample. Probabilities are always computed exactly; sampling only
-picks which exactly-weighted branch a report describes.
+picks which exactly-weighted branch a report describes. A branch is
+built on demand, only if the report reads it (sampling and the
+feed-forward sum read the plus weight).
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .fock import (
     postselect_vacuum,
     tensor,
 )
-from .gates import CnotSpec, DualRailQubit, apply_cnot, logical_phase_flip
+from .gates import CnotSpec, DualRailQubit, _vacuum_port_problem, apply_cnot, logical_phase_flip
 from .optics import apply_unitary, hadamard_pair
 
 # The photon's two rail pairs, and the qubit that enters on a join or
@@ -197,33 +199,24 @@ def _one_per_half(name: str, amplitudes) -> tuple:
     return amplitudes
 
 
-def _fan_spec(unit: CnotSpec, field: str, value) -> CnotSpec:
-    """unit for any value equal to 1, as CnotSpec stores complex(value); any other value gets its own checked spec."""
-    return unit if value == 1 else replace(unit, **{field: value})
+def _fan(units, field: str, name: str, values) -> tuple:
+    """One checked spec per half: the unit spec for any value equal to 1, as CnotSpec stores complex(value)."""
+    return tuple(unit if v == 1 else replace(unit, **{field: v}) for unit, v in zip(units, _one_per_half(name, values)))
 
 
 def joining_cnot_pass(state: FockState, etas=(1.0, 1.0)) -> FockState:
-    """The fan-in: one CNOT from the carrier onto each half, vacuum amplitude eta."""
-    for unit, eta in zip(_FAN_IN, _one_per_half("etas", etas)):
-        state = apply_cnot(state, _fan_spec(unit, "eta", eta))
-    return state
-
-
-def _fan_out(state: FockState, eta_primes=(1.0, 1.0)) -> FockState:
-    """One CNOT from each half onto the carrier, vacuum amplitude eta_prime (count checked by the caller)."""
-    for unit, eta_prime in zip(_FAN_OUT, eta_primes):
-        state = apply_cnot(state, _fan_spec(unit, "eta_prime", eta_prime))
-    return state
+    """The fan-in: one CNOT from the carrier onto each half, vacuum amplitude eta, in one apply_cnot pass."""
+    return apply_cnot(state, *_fan(_FAN_IN, "eta", "etas", etas))
 
 
 def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> FockState:
-    """Unfold the qubits on modes 0-3 (later modes shift by two), fan in, fan out.
+    """Unfold the qubits on modes 0-3 (later modes shift by two), then fan in and fan out in one apply_cnot pass.
 
     The carrier photon ends parked in |10> on modes (4, 5), disentangled
     from the joined photon on modes 0-3.
     """
-    eta_primes = _one_per_half("eta_primes", eta_primes)  # before the fan-in runs
-    return _fan_out(joining_cnot_pass(add_vacuum_modes(state, UNFOLD_GAPS), etas), eta_primes)
+    specs = _fan(_FAN_IN, "eta", "etas", etas) + _fan(_FAN_OUT, "eta_prime", "eta_primes", eta_primes)
+    return apply_cnot(add_vacuum_modes(state, UNFOLD_GAPS), *specs)
 
 
 def _report(output: FockState, probability: float, branch: str, feed_forward_applied: bool, expected) -> SchemeReport:
@@ -234,15 +227,16 @@ def _report(output: FockState, probability: float, branch: str, feed_forward_app
 
 
 def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
-    """Report one branch; ``plus``/``minus`` are (state, weight) with the measured modes gone."""
-    if branch == "sample":
-        branch = "plus" if np.random.default_rng(seed).random() < plus[1] else "minus"
-    elif branch not in ("plus", "minus"):
+    """Report one branch; ``plus``/``minus`` build theirs on demand as (state, weight), with the measured modes gone."""
+    if branch not in ("plus", "minus", "sample"):
         raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
+    measured = plus() if branch != "minus" or feed_forward else None
+    if branch == "sample":
+        branch = "plus" if np.random.default_rng(seed).random() < measured[1] else "minus"
     applied_ff = branch == "minus" and feed_forward
-    output, prob = plus if branch == "plus" else minus
+    output, prob = measured if branch == "plus" else minus()
     if applied_ff:
-        output, prob = correct(output), min(plus[1] + minus[1], 1.0)
+        output, prob = correct(output), min(measured[1] + prob, 1.0)
     return _report(output, prob, branch, applied_ff, expected)
 
 
@@ -262,10 +256,9 @@ def join_projective(
     """
     alphas = input_coefficients(s)
     state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
-    plus, minus = (_renormalized(partial_inner(eraser, state, _CARRIER.modes)) for eraser in _JOIN_ERASERS)
     return _projective_report(
-        plus,
-        minus,
+        lambda: _renormalized(partial_inner(_JOIN_ERASERS[0], state, _CARRIER.modes)),
+        lambda: _renormalized(partial_inner(_JOIN_ERASERS[1], state, _CARRIER.modes)),
         lambda out: logical_phase_flip(logical_phase_flip(out, _HALVES[0]), _HALVES[1]),
         branch,
         feed_forward,
@@ -279,8 +272,13 @@ def join_deterministic(s: FockState, etas=(1.0, 1.0), eta_primes=(1.0, 1.0)) -> 
 
     The output keeps all six modes; the carrier photon factors out in
     |10> on modes (4, 5), which the report's expected state includes.
+    A vacuum-port amplitude off the unit circle by over 1e-12 (np.exp(1j * theta) is not) raises ValueError up front.
     """
     alphas = input_coefficients(s)
+    for name, values in (("etas", etas), ("eta_primes", eta_primes)):
+        for value in _one_per_half(name, values):  # CnotSpec names a value that is no amplitude
+            if value != 1 and _vacuum_port_problem(value, 1) is None and not abs(abs(complex(value)) - 1) <= 1e-12:
+                raise ValueError(f"{name} must lie on the unit circle for deterministic joining, got {value!r}")
     state = deterministic_joining_pass(s, etas, eta_primes)
     return _report(state, 1.0, "deterministic", False, tensor(joined_ququart(alphas), _PARKED))
 
@@ -309,20 +307,24 @@ def split_projective(
     when feed_forward is on. Surviving rails of the halves merge into one pair.
     """
     alphas = ququart_coefficients(q)
-    state = _fan_out(tensor(q, _PARKED))
+    state = apply_cnot(tensor(q, _PARKED), *_FAN_OUT)
     for mixer in _SPLIT_RAIL_MIXERS:
         state = apply_unitary(state, mixer)
-    plus, p_plus = postselect_vacuum(state, _RAILS1)
-    minus, p_minus = postselect_vacuum(state, _RAILS0)
     return _projective_report(
-        (discard_empty_modes(plus, _RAILS1), p_plus),
-        (discard_empty_modes(minus, _RAILS0), p_minus),
+        lambda: _vacuum_branch(state, _RAILS1),
+        lambda: _vacuum_branch(state, _RAILS0),
         lambda out: logical_phase_flip(out, _HALVES[1]),  # the carrier, now on modes (2, 3)
         branch,
         feed_forward,
         seed,
         two_qubit_input(alphas),
     )
+
+
+def _vacuum_branch(state: FockState, rails) -> tuple[FockState, float]:
+    """The branch with no photon on rails, those rails dropped, and its weight."""
+    kept, weight = postselect_vacuum(state, rails)
+    return discard_empty_modes(kept, rails), weight
 
 
 def split_deterministic(q: FockState) -> SchemeReport:
@@ -333,5 +335,5 @@ def split_deterministic(q: FockState) -> SchemeReport:
     NonEmptyModeError.
     """
     alphas = ququart_coefficients(q)
-    state = joining_cnot_pass(_fan_out(tensor(q, _PARKED)))
+    state = apply_cnot(tensor(q, _PARKED), *_FAN_OUT, *_FAN_IN)
     return _report(discard_empty_modes(state, _RAILS1), 1.0, "deterministic", False, two_qubit_input(alphas))

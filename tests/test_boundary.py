@@ -294,12 +294,30 @@ def _assert_a_measured_branch(report, output):
     st.sampled_from([[], ["--seed", "7"], ["--seed=-1"], ["--seed", str(2**70)]]),
     st.sampled_from([0, 1, 100_000]),
 )
+@example(
+    {"modes": 4, "terms": [{"occ": [1, 0, 0, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 0, 1, 0], "re": 0.0, "im": 0.8}]},
+    "split", "projective", "sample", "--no-feed-forward", ["--seed=-1"], 0,
+)
 def test_join_and_split_runs_exit_zero_or_two(workdir, obj, verb, variant, branch, feed_forward, seed, depth):
     path = workdir / "state.json"
     path.write_text("[" * depth + json.dumps(obj) + "]" * depth)
-    result, _ = _dispatch([verb, "--input", str(path), "--variant", variant, "--branch", branch, feed_forward, *seed])
+    result, err = _dispatch([verb, "--input", str(path), "--variant", variant, "--branch", branch, feed_forward, *seed])
     if result is not None:
         _assert_a_measured_branch(*result)
+    # A sampling run reads --seed once its state has loaded, before the scheme checks the encoding.
+    if seed == ["--seed=-1"] and variant == "projective" and branch == "sample":
+        assert result is None
+        if depth == 0 and _loads(obj):
+            assert err == "error: --seed must be a non-negative integer, got -1\n", (obj, err)
+
+
+def _loads(obj):
+    """Whether the state file of obj, written by json.dumps, loads."""
+    try:
+        state_from_dict(json.loads(json.dumps(obj)))
+    except ValueError:
+        return False
+    return True
 
 
 def _lines_with_a_non_finite_number(text):
@@ -362,9 +380,11 @@ def test_teleport_join_with_extreme_flags_exits_zero_or_two(alpha_beta, gamma_de
     result, err = _dispatch(["teleport-join", *flags, *outcome, *seed])
     faults = [_pair_fault(pair) for pair in (alpha_beta, gamma_delta)]
     forced = outcome[0].partition("=")[2] if outcome and outcome != ["--sample"] else None
-    # The flags are read first, then the outcome, then the pairs' norms, alpha/beta first.
+    # The flags are read first, then --seed if the run samples, then the outcome, then the pairs' norms, alpha/beta first.
     blamed = next((name for name, fault in zip(_PAIRS, faults) if fault == "literal"), None)
-    if blamed is None and (forced is None or 0 <= int(forced) <= 15) and "?" not in faults:
+    if blamed is None and forced is None and seed == ["--seed=-1"]:
+        assert err == "error: --seed must be a non-negative integer, got -1\n", (flags, err)
+    elif blamed is None and (forced is None or 0 <= int(forced) <= 15) and "?" not in faults:
         blamed = next((name for name, fault in zip(_PAIRS, faults) if fault == "norm"), None)
     if blamed is not None:
         assert err.startswith(f"error: {blamed} amplitudes must be "), (flags, err)

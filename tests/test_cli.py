@@ -611,12 +611,35 @@ def test_runs_that_sample_nothing_ignore_seed(tmp_path, argv):
     quart.write_text(_QUQUART_JSON)
     argv = [arg.format(two=two, quart=quart) for arg in argv]
     runs = []
-    for name, extra in (("bare", []), ("seed5", ["--seed", "5"]), ("seed4", ["--seed", "4"])):
+    for name, extra in (("bare", []), ("seed5", ["--seed", "5"]), ("seed4", ["--seed", "4"]), ("negative", ["--seed=-1"])):
         out = tmp_path / f"{name}.json"
         assert cli_dispatch([*argv, *extra, "--report", str(out)]) == 0
         runs.append(out.read_bytes())
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     assert json.loads(runs[0])["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["join", "--input", "{two}", "--branch", "sample"],
+        ["split", "--input", "{quart}", "--branch", "sample", "--no-feed-forward"],
+        ["teleport-join", *_QUBITS],
+        ["teleport-join", *_QUBITS, "--sample"],
+        ["nogo-scan", "--trials", "5", "--out", "{tmp}/nogo.json"],
+    ],
+    ids=["join-sample", "split-sample", "teleport", "teleport-sample", "nogo-scan"],
+)
+def test_a_negative_seed_of_a_sampling_run_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    two, quart = tmp_path / "two.json", tmp_path / "quart.json"
+    two.write_text(_TWO_QUBIT_JSON)
+    quart.write_text(_QUQUART_JSON)
+    argv = [arg.format(two=two, quart=quart, tmp=tmp_path) for arg in argv]
+    for seed in (["--seed=-1"], ["--seed", str(-(2**70))]):
+        assert cli_dispatch([*argv, *seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --seed must be a non-negative integer, got {seed[-1].removeprefix('--seed=')}\n"
+    assert not (tmp_path / "nogo.json").exists()
 
 
 @pytest.mark.parametrize(

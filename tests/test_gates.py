@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fockjoin.fock import basis_state, fidelity, make_state, normalize
+from fockjoin.fock import PRUNE_TOL, basis_state, fidelity, make_state, normalize
 from fockjoin.gates import (
     CnotSpec,
     DualRailQubit,
@@ -17,7 +18,7 @@ from fockjoin.gates import (
     postselect_rail_pairs,
     vacuum_failure_demo,
 )
-from fockjoin.optics import apply_unitary
+from fockjoin.optics import apply_unitary, phase_shifter
 
 CONTROL = DualRailQubit(0, 1)
 TARGET = DualRailQubit(2, 3)
@@ -81,6 +82,72 @@ def test_cnot_names_the_first_illegal_pair():
     # The reversed CNOT controls on GATE's target pair, so that pair is read first.
     with pytest.raises(IllegalPatternError, match=r"^pattern \(0, 2\) on modes \(2, 3\) in term \(1, 0, 0, 2\)$"):
         apply_reversed_cnot(two_pair_state((1, 0), (0, 2)), GATE)
+
+
+# Rail pairs of a 6-mode register; (3, 4) straddles two of the others, so a pass can meet an illegal pattern late.
+_RAIL_PAIRS = [DualRailQubit(0, 1), DualRailQubit(2, 3), DualRailQubit(4, 5), DualRailQubit(3, 4)]
+# Unit and sub-unit vacuum-port amplitudes; 0.5 and 1e-3 push amplitudes near PRUNE_TOL across it.
+_VACUUM_AMPLITUDES = [1.0, -1.0, 1j, np.exp(0.37j), complex(0.6, -0.8), 0.999999, 0.5, 1e-3, 0.0]
+_TERM_AMPLITUDES = st.one_of(
+    st.sampled_from([1.0, -0.6 + 0.8j, 0.3j, -1.0, 1.5e-12, 2.5e-12, -1.9e-12j, 1.0001e-12, 1e-9]),
+    st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _cnot_specs(draw):
+    control, target = draw(
+        st.tuples(st.sampled_from(_RAIL_PAIRS), st.sampled_from(_RAIL_PAIRS)).filter(
+            lambda pair: len(set(pair[0].modes + pair[1].modes)) == 4
+        )
+    )
+    eta, eta_prime = draw(st.sampled_from(_VACUUM_AMPLITUDES)), draw(st.sampled_from(_VACUUM_AMPLITUDES))
+    return CnotSpec(control, target, eta, eta_prime)
+
+
+def _cnot_outcome(call):
+    """The keys, order, amplitude reprs and types of call's state, or the error type it raises."""
+    try:
+        out = call()
+    except IllegalPatternError as exc:
+        return type(exc)
+    return out.modes, [(occ, repr(amp), type(amp)) for occ, amp in out.terms.items()]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.lists(st.sampled_from([0, 1]), min_size=6, max_size=6), _TERM_AMPLITUDES), min_size=1, max_size=12),
+    st.lists(_cnot_specs(), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_one_pass_of_several_cnots_equals_one_call_per_cnot(terms, specs, packed_amplitudes):
+    s = make_state(6, [(tuple(occ), amp) for occ, amp in terms])
+    if packed_amplitudes:  # np.complex128 amplitudes, as apply_unitary returns them
+        s = apply_unitary(s, phase_shifter(6, 5, 0.25))
+
+    def one_call_per_cnot():
+        out = s
+        for g in specs:
+            out = apply_cnot(out, g)
+        return out
+
+    assert _cnot_outcome(lambda: apply_cnot(s, *specs)) == _cnot_outcome(one_call_per_cnot)
+
+
+def test_one_pass_prunes_after_each_cnot_and_skips_the_rest():
+    # 2e-12 * 0.5 falls to the tolerance at the first CNOT; a second CNOT of eta 1 cannot bring it back.
+    g = CnotSpec(CONTROL, TARGET, eta=0.5)
+    s = make_state(4, [((1, 0, 0, 0), 2e-12), ((0, 1, 0, 0), 0.6), ((0, 0, 1, 0), 0.8)])
+    out = apply_cnot(s, g, GATE)
+    assert list(out.terms) == [(0, 1, 0, 0), (0, 0, 1, 0)] and abs(0.5 * 2e-12) <= PRUNE_TOL
+    assert out.terms == apply_cnot(apply_cnot(s, g), GATE).terms
+    # A term pruned at the first CNOT never meets the second, so its two photons on the second's target raise nothing.
+    straddling = CnotSpec(DualRailQubit(1, 2), DualRailQubit(3, 4))
+    s = make_state(5, [((1, 0, 0, 0, 2), 2e-12), ((0, 1, 1, 0, 0), 0.6), ((0, 0, 1, 0, 1), 0.8)])
+    out = apply_cnot(s, g, straddling)
+    assert list(out.terms.items()) == [((0, 1, 0, 1, 0), 0.6), ((0, 0, 1, 1, 0), 0.8)]
+    with pytest.raises(IllegalPatternError, match=r"^pattern \(0, 2\) on modes \(3, 4\) in term \(1, 0, 0, 0, 2\)$"):
+        apply_cnot(s, GATE, straddling)
 
 
 def test_cnot_involution_on_legal_subspace():

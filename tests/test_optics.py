@@ -25,7 +25,7 @@ from fockjoin.optics import (
     mode_permutation,
     phase_shifter,
 )
-from fockjoin import optics
+from fockjoin import optics, schemes, tpes
 from fockjoin.optics import _expand, _expand_arrays
 from fockjoin.permanent import permanent, transition_amplitude
 
@@ -873,3 +873,30 @@ def test_non_finite_angles_are_rejected_by_name(build, message):
     # Raised before numpy runs: a RuntimeWarning from np.exp would fail the test.
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def _term_bits(state):
+    return [(occ, repr(amp), type(amp)) for occ, amp in state.terms.items()]
+
+
+@pytest.mark.parametrize(
+    "fixed",
+    [lambda: schemes._SPLIT_RAIL_MIXERS[0], lambda: tpes._correction_unitary("XZ", "X"), lambda: tpes._correction_unitary("Z", "I")],
+    ids=["split-mixer", "pauli-XZ-X", "pauli-Z-I"],
+)
+def test_a_fixed_unitary_applied_again_gives_the_bits_of_a_fresh_copy(fixed):
+    # The dict loop keeps each unitary's expansions; a second call reads them instead of expanding again.
+    u = fixed()
+    rng = np.random.default_rng(91)
+    states = []
+    for _ in range(4):
+        occupations = {tuple(int(n) for n in rng.integers(0, 3, u.dim)) for _ in range(12)}
+        states.append(make_state(u.dim, [(occ, complex(*rng.standard_normal(2))) for occ in occupations]))
+    first = [_term_bits(apply_unitary(s, u)) for s in states]
+    memo = u._memo
+    assert memo and all(type(v) is tuple and type(v[1]) is tuple and all(type(m) is tuple for m in v[1]) for v in memo.values())
+    with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
+        again = [_term_bits(apply_unitary(s, u)) for s in states]
+    fresh_unitaries = [ModeUnitary(u.dim, u.matrix) for _ in states]
+    assert all("_memo" not in vars(v) for v in fresh_unitaries)
+    assert first == again == [_term_bits(apply_unitary(s, v)) for s, v in zip(states, fresh_unitaries)]

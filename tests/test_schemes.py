@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockjoin import schemes, tpes
 from fockjoin.fock import (
@@ -12,14 +13,19 @@ from fockjoin.fock import (
     add_vacuum_modes,
     basis_state,
     bipartition,
+    discard_empty_modes,
     fidelity,
     make_state,
+    norm,
     normalize,
+    partial_inner,
+    postselect_vacuum,
     scale,
     schmidt_values,
     tensor,
 )
-from fockjoin.optics import ProjectorSpec, apply_projector
+from fockjoin.gates import CnotSpec, DualRailQubit, apply_cnot, logical_phase_flip
+from fockjoin.optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
 from fockjoin.schemes import (
     EncodingViolationError,
     GATE_FEED_FORWARD_RECOVERY,
@@ -465,15 +471,16 @@ def test_wrong_number_of_eta_primes_raises_before_any_cnot(monkeypatch):
 
 
 def test_fan_cnots_share_the_unit_spec_for_any_value_equal_to_one(monkeypatch):
-    specs = []
+    # Both fans run as one apply_cnot call, which gets all four specs, fan-in first.
+    calls = []
     real_cnot = schemes.apply_cnot
-    monkeypatch.setattr(schemes, "apply_cnot", lambda state, g: specs.append(g) or real_cnot(state, g))
+    monkeypatch.setattr(schemes, "apply_cnot", lambda state, *specs: calls.append(specs) or real_cnot(state, *specs))
     s = two_qubit_input([0.5, 0.5j, -0.5, 0.5])
     units = schemes._FAN_IN + schemes._FAN_OUT
     for one in (1.0, 1, True, np.float64(1.0), np.float32(1.0), 1 + 0j, np.complex128(1), Fraction(1)):
-        specs.clear()
+        calls.clear()
         join_deterministic(s, etas=(one, one), eta_primes=(one, one))
-        assert len(specs) == 4 and all(a is b for a, b in zip(specs, units)), one
+        assert len(calls) == 1 and len(calls[0]) == 4 and all(a is b for a, b in zip(calls[0], units)), one
     halves, carrier = schemes._HALVES, schemes._CARRIER
     assert [(g.control, g.target, g.eta, g.eta_prime) for g in units] == [
         (carrier, halves[0], 1.0, 1.0),
@@ -483,8 +490,10 @@ def test_fan_cnots_share_the_unit_spec_for_any_value_equal_to_one(monkeypatch):
     ]
     assert all(type(g.eta) is type(g.eta_prime) is complex for g in units)
     for other in (-1.0, 1j, np.float32(-1.0), np.exp(0.37j)):
-        specs.clear()
+        calls.clear()
         join_deterministic(s, etas=(other, 1.0), eta_primes=(1.0, other))
+        assert len(calls) == 1
+        specs = calls[0]
         assert specs[0] is not schemes._FAN_IN[0] and specs[0].target == halves[0]
         assert specs[1] is schemes._FAN_IN[1] and specs[2] is schemes._FAN_OUT[0]
         assert specs[3] is not schemes._FAN_OUT[1] and specs[3].control == halves[1]
@@ -496,6 +505,126 @@ def test_fan_cnots_share_the_unit_spec_for_any_value_equal_to_one(monkeypatch):
     with pytest.raises(ValueError, match="^vacuum-port amplitudes must be numbers$"):
         join_projective(s, etas=("1", 1.0))
     assert [(g.eta, g.eta_prime) for g in units] == [(1.0, 1.0)] * 4
+
+
+def test_join_deterministic_names_a_vacuum_port_amplitude_off_the_unit_circle(monkeypatch):
+    s = two_qubit_input([0.6, 0, 0, 0.8])
+    calls = []
+    real_cnot = schemes.apply_cnot
+    monkeypatch.setattr(schemes, "apply_cnot", lambda *args: calls.append(args) or real_cnot(*args))
+    with pytest.raises(ValueError, match=r"^etas must lie on the unit circle for deterministic joining, got 0\.999999$"):
+        join_deterministic(s, etas=(0.999999, 1))
+    with pytest.raises(ValueError, match=r"^eta_primes must lie on the unit circle for deterministic joining, got 0\.5$"):
+        join_deterministic(s, eta_primes=(0.5, 1))
+    with pytest.raises(ValueError, match=r"^eta_primes must lie on the unit circle for deterministic joining, got 0j$"):
+        join_deterministic(s, eta_primes=(1, 0j))
+    assert calls == []
+    # np.exp(1j * theta) rounds within a few ulps of the unit circle; the tolerance is 1e-12.
+    for theta in np.linspace(-7, 7, 141):
+        report = join_deterministic(s, etas=(np.exp(1j * theta), 1), eta_primes=(1, np.exp(-1j * theta)))
+        assert 0.0 <= report.fidelity_to_expected <= 1.0 + 1e-12
+    assert join_deterministic(s, etas=(1 - 1e-13, 1)).fidelity_to_expected >= 1 - 1e-12
+    # Projective joining takes sub-unit amplitudes: the branch is renormalized.
+    assert join_projective(s, etas=(0.5, 0.5)).fidelity_to_expected >= 1 - 1e-12
+    assert join_projective(s, etas=(0.999999, 1)).fidelity_to_expected >= 1 - 1e-9
+
+
+# --- the measured branches, built on demand ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "branch,feed_forward,built",
+    [("plus", True, 1), ("plus", False, 1), ("minus", False, 1), ("minus", True, 2), ("sample", True, 2), ("sample", False, 2)],
+)
+def test_projective_schemes_build_only_the_branches_a_report_reads(monkeypatch, branch, feed_forward, built):
+    contractions, postselections = [], []
+    real_inner, real_post = schemes.partial_inner, schemes.postselect_vacuum
+    monkeypatch.setattr(schemes, "partial_inner", lambda *args: contractions.append(args) or real_inner(*args))
+    monkeypatch.setattr(schemes, "postselect_vacuum", lambda *args: postselections.append(args) or real_post(*args))
+    rng = np.random.default_rng(77)
+    join_projective(random_input(rng), branch=branch, feed_forward=feed_forward, seed=1)
+    split_projective(random_ququart(rng), branch=branch, feed_forward=feed_forward, seed=1)
+    assert len(contractions) == len(postselections) == built
+    # A forced branch builds its own: the plus carrier state or vacuum rails, or the minus ones.
+    if branch != "sample" and built == 1:
+        assert contractions[0][0] is schemes._JOIN_ERASERS[branch == "minus"]
+        assert postselections[0][1] == ((1, 3) if branch == "plus" else (0, 2))
+
+
+_HALF0, _HALF1, _CARRIER = DualRailQubit(0, 1), DualRailQubit(2, 3), DualRailQubit(4, 5)
+_ROOT = 1 / math.sqrt(2)
+_ERASERS = [make_state(2, [((1, 0), _ROOT), ((0, 1), sign * _ROOT)]) for sign in (1.0, -1.0)]
+
+
+def _eager_report(branches, correct, branch, feed_forward, seed, expected):
+    """The report of both branches built up front: (output, probability, branch, feed_forward_applied, fidelity)."""
+    (plus, p_plus), (minus, p_minus) = branches
+    if branch == "sample":
+        branch = "plus" if np.random.default_rng(seed).random() < p_plus else "minus"
+    output, prob, applied = (plus, p_plus, False) if branch == "plus" else (minus, p_minus, feed_forward)
+    if applied:
+        output, prob = correct(output), min(p_plus + p_minus, 1.0)
+    return output, prob, branch, applied, 0.0 if output.is_zero else fidelity(output, expected)
+
+
+def _eager_join(alphas, branch, feed_forward, seed, etas):
+    s = two_qubit_input(alphas)
+    state = add_vacuum_modes(s, (1, 3))
+    for half, eta in zip((_HALF0, _HALF1), etas):
+        state = apply_cnot(state, CnotSpec(_CARRIER, half, eta=eta))
+    projected = [partial_inner(eraser, state, _CARRIER.modes) for eraser in _ERASERS]
+    return _eager_report(
+        [(normalize(p), norm(p) ** 2) for p in projected],
+        lambda out: logical_phase_flip(logical_phase_flip(out, _HALF0), _HALF1),
+        branch,
+        feed_forward,
+        seed,
+        joined_ququart(alphas),
+    )
+
+
+def _eager_split(alphas, branch, feed_forward, seed):
+    state = tensor(joined_ququart(alphas), basis_state(2, (1, 0)))
+    for half in (_HALF0, _HALF1):
+        state = apply_cnot(state, CnotSpec(half, _CARRIER))
+    for half in (_HALF0, _HALF1):
+        state = apply_unitary(state, hadamard_pair(6, *half.modes))  # a fresh mixer, with no kept expansions
+    branches = []
+    for rails in ((1, 3), (0, 2)):
+        kept, weight = postselect_vacuum(state, rails)
+        branches.append((discard_empty_modes(kept, rails), weight))
+    return _eager_report(branches, lambda out: logical_phase_flip(out, _HALF1), branch, feed_forward, seed, two_qubit_input(alphas))
+
+
+def _report_bits(output, prob, branch, applied, fid):
+    return [(occ, repr(amp), type(amp)) for occ, amp in output.terms.items()], repr(prob), branch, applied, repr(fid)
+
+
+_INPUT_AMPLITUDES = st.lists(
+    st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False), min_size=4, max_size=4
+).filter(lambda amps: sum(abs(a) ** 2 for a in amps) > 1e-3)
+# Unit and sub-unit amplitudes; 1e-13 on both halves prunes the whole joined state.
+_ETAS = st.sampled_from([1.0, -1.0, 1j, np.exp(0.37j), 0.8 - 0.1j, 0.5, 1e-3, 1e-13])
+
+
+@settings(max_examples=150)
+@given(
+    _INPUT_AMPLITUDES,
+    st.sampled_from(["plus", "minus", "sample"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.tuples(_ETAS, _ETAS),
+)
+def test_projective_reports_equal_an_eager_reference(amps, branch, feed_forward, seed, etas):
+    alphas = np.array(amps) / np.linalg.norm(amps)
+    joined = join_projective(two_qubit_input(alphas), branch=branch, feed_forward=feed_forward, seed=seed, etas=etas)
+    assert _report_bits(
+        joined.output, joined.success_probability, joined.branch, joined.feed_forward_applied, joined.fidelity_to_expected
+    ) == _report_bits(*_eager_join(alphas, branch, feed_forward, seed, etas))
+    split = split_projective(joined_ququart(alphas), branch=branch, feed_forward=feed_forward, seed=seed)
+    assert _report_bits(
+        split.output, split.success_probability, split.branch, split.feed_forward_applied, split.fidelity_to_expected
+    ) == _report_bits(*_eager_split(alphas, branch, feed_forward, seed))
 
 
 # --- probability model ----------------------------------------------------------
