@@ -28,6 +28,9 @@ probability_in_unit_range() {
     || fail "nogo-scan with a search restart exited $?"
 "$bin/python" -c 'import json, sys; r = json.load(open("nogo.json")); sys.exit(not (r["verdict"] == "rank-deficient" and r["optimizer_iterations"] >= 1))' \
     || fail "nogo-scan does not report rank-deficient after at least one optimizer iteration"
+# Nelder-Mead is in-repo: a search in a fresh process loads scipy.linalg.lapack and no part of scipy.optimize.
+"$bin/python" -c 'import sys; from fockjoin.nogo import adversarial_search; adversarial_search(4, restarts=1, iterations=5); sys.exit(not ("scipy.linalg.lapack" in sys.modules and not any(n.startswith("scipy.optimize") for n in sys.modules)))' \
+    || fail "a search loads scipy.optimize, or does not load scipy.linalg.lapack"
 
 # A valid two-qubit input: the report parses and names its verb.
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 0.0, "im": 0.8}]}' > valid.json

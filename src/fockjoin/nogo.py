@@ -22,22 +22,27 @@ the one it would get alone (LAPACK factors each matrix of a stack
 separately, and the detection is normalized per trial), so certificates
 are bit-identical to a per-trial loop and independent of the chunking.
 
-The adversarial search's objective avoids numpy's per-call cost on 4 x 4
-arrays. Row k of the core C holds pc[b] at mode a and pc[a] at mode b for
-pair (a, b), so row k of C U is that row pushed through the couplers of U.
-One Givens routine pushes rows in Python complex scalars; unitary_from_angles
-pushes the unit rows, so the parameterization has one definition. The SVD
-calls LAPACK's zgesdd without vectors, the driver np.linalg.svd uses, minus
-numpy's wrapper; scipy is imported on the first search. The objective agrees
+The adversarial search runs an in-repo Nelder-Mead that takes scipy's
+steps to the bit; the tests check it against scipy.optimize.minimize, and
+only scipy.linalg.lapack is imported, on the first search. Its objective
+avoids numpy's per-call cost on 4 x 4 arrays. Row k of the core C holds
+pc[b] at mode a and pc[a] at mode b for pair (a, b), so row k of C U is that
+row pushed through the couplers of U. One coupler list defines the
+parameterization: the Givens routine pushes rows through it in Python
+complex scalars (unitary_from_angles pushes the unit rows), and the batch
+objective pushes the rows of a whole simplex through it in float64 arrays,
+with the same bits. The SVD calls LAPACK's zgesdd without vectors, the
+driver np.linalg.svd uses, minus numpy's wrapper. The objective agrees
 with a numpy matrix-product evaluation to about 1e-15 of sigma_max, not bit
 for bit.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -159,6 +164,7 @@ def _permutation_sign(perm) -> int:
 
 def max_abs_core_determinant(samples: int, seed: int) -> float:
     """Largest |det| of the core over random normalized detections."""
+    _require_budget(seed, samples=samples)
     rng = np.random.default_rng(seed)
     phis = rng.standard_normal((samples, 4)) + 1j * rng.standard_normal((samples, 4))
     phis /= np.linalg.norm(phis, axis=1, keepdims=True)
@@ -190,13 +196,30 @@ def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarra
     return rows
 
 
-def _require_budget(m: int, trials: int):
-    # Four rows in fewer than four dimensions never have rank 4, and a
-    # certificate from no trials would report max_sigma_min -1.
-    if m < 4:
-        raise ValueError("need at least four modes")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool: a float budget would run a rounded-up number of steps."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_count(name: str, value, least: int, message: str | None = None) -> None:
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(message or f"{name} must be at least {least}, got {value}")
+
+
+def _require_budget(seed, m=None, **counts) -> None:
+    """The budget check of every entry point: m of at least 4 modes, each count at least 1, a seed of at least 0.
+
+    Each failure raises ValueError naming its argument.
+    """
+    if m is not None:
+        # Four rows in fewer than four dimensions never have rank 4.
+        _require_count("m", m, 4, "need at least four modes")
+    # A certificate from no trials would report max_sigma_min -1.
+    for name, value in counts.items():
+        _require_count(name, value, 1)
+    _require_count("seed", seed, 0)
 
 
 # A chunk holds about this many complex entries per stacked m x m array, so
@@ -216,7 +239,7 @@ def _scan(sigmas_of, draws: int, m: int, trials: int, seed: int) -> NogoCertific
     normals of default_rng(s); sigmas_of(rows, m) returns the chunk's
     sigma_min per trial. The first of equal maxima wins.
     """
-    _require_budget(m, trials)
+    _require_budget(seed, m, trials=trials)
     best = -1.0
     best_seed = seed
     end = seed + trials
@@ -291,34 +314,40 @@ def _finite_params(params, size: int) -> list[float]:
     return params.tolist()
 
 
+def _couplers(cos, sin, m: int) -> list[tuple]:
+    """The couplers of the parameterized unitary, in order, as (i, j, c, Re upper, Im upper, Re lower, Im lower).
+
+    The parameters hold a (theta, phase) pair per coupler (i, j), i < j in
+    row-major order, then m final phases; cos and sin hold their cosines and
+    sines. Coupler (i, j) is the block [[c, upper], [lower, c]] =
+    [[c, e^{i phase} s], [-e^{-i phase} s, c]] on rows and columns (i, j).
+    The unitary is the product of the couplers in order times
+    diag(exp(1j * phases)). cos and sin may be lists of floats for one point
+    or rows of arrays over points: the products give the same bits.
+    """
+    return [
+        (i, j, cos[k], cos[k + 1] * sin[k], sin[k + 1] * sin[k], -cos[k + 1] * sin[k], sin[k + 1] * sin[k])
+        for k, (i, j) in zip(range(0, m * (m - 1), 2), combinations(range(m), 2))
+    ]
+
+
 def _givens_rows(params: list[float], m: int, starts) -> list[list[complex]]:
     """Each start row v pushed through the parameterized unitary, v @ U, as lists of Python complex scalars.
 
-    params holds a (theta, phase) pair per coupler (i, j), i < j in
-    row-major order, then m final phases. The unitary is the product of
-    the couplers in that order times diag(exp(1j * phases)), so v @ U is v
-    pushed through the couplers one at a time, each updating entries i and
-    j, and then scaled entry by entry. The unit rows e_r give the rows of U.
+    v @ U is v pushed through the couplers one at a time, each updating
+    entries i and j, and then scaled entry by entry by the phases. The unit
+    rows e_r give the rows of U.
     """
-    couplers = []
-    idx = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            c, s = math.cos(params[idx]), math.sin(params[idx])
-            cp, sp = math.cos(params[idx + 1]), math.sin(params[idx + 1])
-            # Block [[c, e^{i phase} s], [-e^{-i phase} s, c]] on rows and columns (i, j).
-            couplers.append((i, j, c, complex(cp * s, sp * s), complex(-cp * s, sp * s)))
-            idx += 2
-    phases = [complex(math.cos(p), math.sin(p)) for p in params[idx:]]
-    out = []
-    for v in starts:
-        v = list(v)
-        for i, j, c, upper, lower in couplers:
+    cos, sin = list(map(math.cos, params)), list(map(math.sin, params))
+    rows = [list(v) for v in starts]
+    for i, j, c, upper_re, upper_im, lower_re, lower_im in _couplers(cos, sin, m):
+        upper, lower = complex(upper_re, upper_im), complex(lower_re, lower_im)
+        for v in rows:
             vi, vj = v[i], v[j]
             v[i] = c * vi + lower * vj
             v[j] = upper * vi + c * vj
-        out.append([a * p for a, p in zip(v, phases)])
-    return out
+    phases = [complex(c, s) for c, s in zip(cos[m * (m - 1) :], sin[m * (m - 1) :])]
+    return [[a * p for a, p in zip(v, phases)] for v in rows]
 
 
 def _detection(params: list[float], m: int) -> list[complex]:
@@ -347,20 +376,133 @@ def _zgesdd():
     return zgesdd
 
 
+def _singular_value(rows: np.ndarray, singular_index: int) -> float:
+    """One singular value of rows from zgesdd; a failed call raises LinAlgError rather than being read as a value."""
+    _, sigmas, _, info = _zgesdd()(rows, compute_uv=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (zgesdd info {info})")
+    return float(sigmas[singular_index])
+
+
 def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
     """One singular value of the symmetrized rows C U on logical modes 0-3 (see the module docstring).
 
     Unchecked: numpy calls on 4 x 4 arrays and constructor validation would
-    dominate the optimizer's inner loop. A failed zgesdd call raises
-    LinAlgError rather than being read as a value.
+    dominate the optimizer's inner loop.
     """
     params = x.tolist()
     pc = [z.conjugate() for z in _detection(params[m * m :], m)]
     starts = ([0j if k is None else pc[k] for k in row] + [0j] * (m - 4) for row in _CORE_PATTERN)
-    _, sigmas, _, info = _zgesdd()(np.array(_givens_rows(params[: m * m], m, starts)), compute_uv=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (zgesdd info {info})")
-    return float(sigmas[singular_index])
+    return _singular_value(np.array(_givens_rows(params[: m * m], m, starts)), singular_index)
+
+
+def _objective_sigmas(x: np.ndarray, m: int, singular_index: int):
+    """_objective_sigma of each row of x, in order, as an iterator; the core rows of all points are pushed at once.
+
+    The trig is math's, the detections come from _detection and the couplers
+    from _couplers, over arrays of all points' rows (entry r * n + p is row r
+    of point p). Each entry is a real and an imaginary float64 array, and each
+    update repeats CPython's complex product term for term (a float c counts
+    as complex(c, 0.0)), so every matrix, and so every value, has the bits
+    _objective_sigma gives. The SVDs run one point at a time as the iterator
+    is read, so a failure raises where a loop of _objective_sigma calls would.
+    """
+    n = len(x)
+    angles = x[:, : m * m].T.ravel().tolist()
+    cos = np.tile(np.array(list(map(math.cos, angles))).reshape(m * m, n), 4)
+    sin = np.tile(np.array(list(map(math.sin, angles))).reshape(m * m, n), 4)
+    pc = np.conj(np.array([_detection(params, m) for params in x[:, m * m :].tolist()], dtype=complex))
+    re, im = np.zeros((m, 4, n)), np.zeros((m, 4, n))
+    for r, row in enumerate(_CORE_PATTERN):
+        for col, k in enumerate(row):
+            if k is not None:
+                re[col, r], im[col, r] = pc[:, k].real, pc[:, k].imag
+    re, im = list(re.reshape(m, 4 * n)), list(im.reshape(m, 4 * n))
+    for i, j, c, ur, ui, lr, li in _couplers(cos, sin, m):
+        ar, ai, br, bi = re[i], im[i], re[j], im[j]
+        # v[i] = c * vi + lower * vj and v[j] = upper * vi + c * vj, as CPython evaluates them.
+        re[i] = (c * ar - 0.0 * ai) + (lr * br - li * bi)
+        im[i] = (c * ai + 0.0 * ar) + (lr * bi + li * br)
+        re[j] = (ur * ar - ui * ai) + (c * br - 0.0 * bi)
+        im[j] = (ur * ai + ui * ar) + (c * bi + 0.0 * br)
+    re, im, pr, pi = np.array(re), np.array(im), cos[m * (m - 1) :], sin[m * (m - 1) :]
+    rows = np.empty((n, 4, m), dtype=complex)
+    rows.real = (re * pr - im * pi).reshape(m, 4, n).T
+    rows.imag = (re * pi + im * pr).reshape(m, 4, n).T
+    return (_singular_value(point, singular_index) for point in rows)
+
+
+def _nelder_mead(x0: np.ndarray, m: int, singular_index: int, maxiter: int, restart: int) -> tuple[float, int]:
+    """Maximize _objective_sigma from x0: (the largest value evaluated, the iteration count nit).
+
+    This is scipy 1.17's _minimize_neldermead on -sigma, step for step, for
+    the options the search uses: rho 1, chi 2, psi 1/2, sigma 1/2 (not
+    adaptive), start steps 0.05 and 0.00025, xatol 1e-12, fatol 1e-14, at
+    most maxiter iterations, unbounded evaluations, no bounds. Each numpy
+    expression, the argsorts included, is scipy's, so the search takes the
+    same steps to the bit. The initial simplex and each shrink are evaluated
+    as one batch; reflections, expansions and contractions one point at a
+    time. A NaN value raises ValueError naming the restart, in evaluation order.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    best = -1.0
+
+    def minus(values) -> list[float]:
+        """The minimized -value of each value, in evaluation order: a NaN raises, the largest value is kept."""
+        nonlocal best
+        out = []
+        for value in values:
+            if math.isnan(value):
+                raise ValueError(f"NaN objective value in restart {restart}")
+            best = max(best, value)
+            out.append(-value)
+        return out
+
+    def f(x):
+        return minus([_objective_sigma(x, m, singular_index)])[0]
+
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
+    fsim = np.array(minus(_objective_sigmas(sim, m, singular_index)))
+    # scipy sorts twice here; equal values can move again in the second sort.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                shrink = fxc > fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                shrink = fxc >= fsim[-1]
+            if shrink:
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = minus(_objective_sigmas(sim[1:], m, singular_index))
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return best, iterations
 
 
 def adversarial_search(
@@ -380,48 +522,28 @@ def adversarial_search(
     rather than being skipped by the max. argmax_seed is seed + r for the
     best restart r, and does not replay it (see NogoCertificate).
 
-    The objective pushes the four core rows through the couplers and calls
+    Nelder-Mead is the in-repo _nelder_mead, which takes scipy's steps to
+    the bit (the tests check it against scipy.optimize.minimize) and
+    evaluates the initial simplex and each shrink as one batch. The
+    objective pushes the four core rows through the couplers and calls
     LAPACK's zgesdd directly (see the module docstring); a failed SVD raises
     LinAlgError. max_sigma_min, argmax_seed and optimizer_iterations repeat
-    exactly for a given seed. scipy is imported on the first search.
+    exactly for a given seed. Only scipy.linalg.lapack is imported, on the
+    first search.
     """
-    if m < 4:
-        raise ValueError("need at least four modes")
-    if not 0 <= singular_index <= 3:
+    _require_budget(seed, m, restarts=restarts, iterations=iterations)
+    if not _is_integer(singular_index) or not 0 <= singular_index <= 3:
         raise ValueError(f"singular_index must be in 0..3, got {singular_index}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
-    # Imported here, not at module level: scipy.optimize is slow to load.
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng(seed)
     dim = m * m + 2 * m
     best = -1.0
     best_restart = 0
     total_iters = 0
     for r in range(restarts):
-        x0 = rng.uniform(-math.pi, math.pi, dim)
-        tracker = {"best": -1.0}
-
-        def fun(x, tracker=tracker, restart=seed + r):
-            val = _objective_sigma(x, m, singular_index)
-            if math.isnan(val):
-                raise ValueError(f"NaN objective value in restart {restart}")
-            if val > tracker["best"]:
-                tracker["best"] = val
-            return -val
-
-        result = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": iterations, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        total_iters += int(result.nit)
-        if tracker["best"] > best:
-            best, best_restart = tracker["best"], seed + r
+        top, nit = _nelder_mead(rng.uniform(-math.pi, math.pi, dim), m, singular_index, iterations, seed + r)
+        total_iters += nit
+        if top > best:
+            best, best_restart = top, seed + r
     return _certify(restarts, best, best_restart, total_iters)
 
 

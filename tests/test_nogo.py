@@ -532,3 +532,193 @@ def test_adversarial_search_raises_when_lapack_reports_a_failed_svd(monkeypatch,
 def test_symmetrized_modes_rejects_bad_logical_modes(logical):
     with pytest.raises(ValueError, match="logical modes"):
         symmetrized_modes(identity(4), ProjectorSpec([1, 0, 0, 0]), logical)
+
+
+# --- the in-repo Nelder-Mead against scipy's -------------------------------------
+#
+# adversarial_search used to run scipy.optimize.minimize(method="Nelder-Mead");
+# nogo._nelder_mead repeats its steps. This is that search, kept as the oracle:
+# certificates must be equal, not close.
+
+
+def scipy_search(m, restarts, iterations, seed, singular_index):
+    """(max_sigma_min, argmax_seed, optimizer_iterations) of the search on scipy.optimize.minimize."""
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(seed)
+    best, best_seed, total = -1.0, seed, 0
+    for r in range(restarts):
+        seen = [-1.0]
+
+        def fun(x, seen=seen):
+            value = nogo._objective_sigma(x, m, singular_index)
+            seen[0] = max(seen[0], value)
+            return -value
+
+        x0 = rng.uniform(-math.pi, math.pi, m * m + 2 * m)
+        result = minimize(fun, x0, method="Nelder-Mead", options={"maxiter": iterations, "xatol": 1e-12, "fatol": 1e-14})
+        total += int(result.nit)
+        if seen[0] > best:
+            best, best_seed = seen[0], seed + r
+    return best, best_seed, total
+
+
+# At m = 4 with 500 iterations, singular_index 0 and 3 stop on the xatol/fatol test before the budget.
+@pytest.mark.parametrize("m, iterations", [(4, 500), (5, 120), (6, 80)])
+@pytest.mark.parametrize("singular_index", [0, 2, 3])
+def test_search_takes_scipys_nelder_mead_steps(m, iterations, singular_index):
+    for seed, restarts in ((3, 2), (40 + m, 3)):
+        cert = adversarial_search(m, restarts=restarts, iterations=iterations, seed=seed, singular_index=singular_index)
+        expected = scipy_search(m, restarts, iterations, seed, singular_index)
+        assert (cert.max_sigma_min, cert.argmax_seed, cert.optimizer_iterations) == expected, seed
+
+
+def test_search_of_one_iteration_matches_scipy():
+    cert = adversarial_search(4, restarts=2, iterations=1, seed=5)
+    assert (cert.max_sigma_min, cert.argmax_seed, cert.optimizer_iterations) == scipy_search(4, 2, 1, 5, 3)
+    assert cert.optimizer_iterations == 2
+
+
+_ANGLES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi, 1e-300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 6).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.lists(_ANGLES, min_size=m * m + 2 * m, max_size=m * m + 2 * m), min_size=1, max_size=6),
+        )
+    )
+)
+def test_batch_objective_has_the_bits_of_the_scalar_objective(case):
+    # Values compared by their hex digits; the next test compares the matrices themselves.
+    m, points = case
+    x = np.array(points)
+    for k in range(4):
+        batch = list(nogo._objective_sigmas(x, m, k))
+        assert [v.hex() for v in batch] == [nogo._objective_sigma(p, m, k).hex() for p in x], k
+
+
+def test_batch_objective_pushes_zero_angles_and_a_fallback_detection_bit_for_bit(monkeypatch):
+    # The matrices themselves, signed zeros included, are compared byte for byte. The batch writes out
+    # CPython's float-times-complex product as complex(c, 0.0) times the value, which is how 3.10-3.13
+    # evaluate it (-1.0 * 0j is (-0+0j) on each); an interpreter that multiplies otherwise fails here.
+    zgesdd = nogo._zgesdd()
+    seen = []
+
+    def recording(a, compute_uv):
+        seen.append(a.tobytes())
+        return zgesdd(a, compute_uv=compute_uv)
+
+    monkeypatch.setattr(nogo, "_zgesdd", lambda: recording)
+    for m in (4, 5):
+        x = np.random.default_rng(m).uniform(-4.0, 4.0, (9, m * m + 2 * m))
+        x[1, : m * m] = 0.0
+        x[2, m * m :] = 0.0
+        x[3, ::3] = -0.0
+        x[4, 1 : m * m : 2] = math.pi
+        # Real couplers (zero coupler phases) and no final phases on a purely imaginary, then a purely
+        # real, detection: one part of every entry stays a signed zero through the whole push.
+        x[5:, 1 : m * (m - 1) : 2] = 0.0
+        x[5:, m * (m - 1) : m * m] = 0.0
+        x[5, m * m : m * m + m] = 0.0
+        x[6:, m * m + m :] = 0.0
+        x[7:, 0 : m * (m - 1) : 2] = [[0.7], [2.5]]
+        x[7:, m * m : m * m + m] = np.resize([-1.0, 2.0], m)
+        for k in range(4):
+            seen.clear()
+            batch = [v.hex() for v in nogo._objective_sigmas(x, m, k)]
+            batch_matrices = list(seen)
+            seen.clear()
+            assert batch == [nogo._objective_sigma(p, m, k).hex() for p in x]
+            assert batch_matrices == seen
+
+
+def _zgesdd_spoiled_at(call, spoil):
+    """A zgesdd whose call number `call` (from 1) returns spoil(result); the calls made are counted."""
+    zgesdd = nogo._zgesdd()
+    calls = []
+
+    def spoiled(a, compute_uv):
+        calls.append(1)
+        result = zgesdd(a, compute_uv=compute_uv)
+        return spoil(result) if len(calls) == call else result
+
+    return spoiled, calls
+
+
+def _with_nan(result):
+    u, s, vt, info = result
+    s = s.copy()
+    s[:] = np.nan
+    return u, s, vt, info
+
+
+def test_nan_inside_the_initial_simplex_raises_at_its_point(monkeypatch):
+    # Call 3 is the third point of restart 81's 25-point simplex; later points are never evaluated.
+    spoiled, calls = _zgesdd_spoiled_at(3, _with_nan)
+    monkeypatch.setattr(nogo, "_zgesdd", lambda: spoiled)
+    with pytest.raises(ValueError, match="^NaN objective value in restart 81$"):
+        adversarial_search(4, restarts=2, iterations=10, seed=81)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("info", [3, -4])
+def test_failed_svd_inside_the_initial_simplex_raises_at_its_point(monkeypatch, info):
+    spoiled, calls = _zgesdd_spoiled_at(3, lambda result: (*result[:3], info))
+    monkeypatch.setattr(nogo, "_zgesdd", lambda: spoiled)
+    with pytest.raises(np.linalg.LinAlgError, match=f"^SVD did not converge \\(zgesdd info {info}\\)$"):
+        adversarial_search(4, restarts=2, iterations=10, seed=81)
+    assert len(calls) == 3
+
+
+def test_nan_before_a_failed_svd_in_one_batch_raises_the_nan(monkeypatch):
+    # A loop of single evaluations meets the NaN at point 2 before the failure at point 4.
+    zgesdd = nogo._zgesdd()
+    calls = []
+
+    def spoiled(a, compute_uv):
+        calls.append(1)
+        result = zgesdd(a, compute_uv=compute_uv)
+        return {2: _with_nan(result), 4: (*result[:3], 1)}.get(len(calls), result)
+
+    monkeypatch.setattr(nogo, "_zgesdd", lambda: spoiled)
+    with pytest.raises(ValueError, match="^NaN objective value in restart 6$"):
+        adversarial_search(4, restarts=1, iterations=10, seed=6)
+    assert len(calls) == 2
+
+
+# --- one budget check for every entry point ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: adversarial_search(4, 1, 2.5), "iterations must be an integer, got 2.5"),
+        (lambda: adversarial_search(4, 1, True), "iterations must be an integer, got True"),
+        (lambda: adversarial_search(4, restarts=1.5, iterations=10), "restarts must be an integer, got 1.5"),
+        (lambda: adversarial_search(4, 1, 10, singular_index=2.5), "singular_index must be in 0..3, got 2.5"),
+        (lambda: adversarial_search(4, 1, 10, singular_index=True), "singular_index must be in 0..3, got True"),
+        (lambda: adversarial_search(4, 1, 10, seed=-1), "seed must be at least 0, got -1"),
+        (lambda: adversarial_search(4.0, 1, 10), "m must be an integer, got 4.0"),
+        (lambda: rank_scan(4, 10, seed=-1), "seed must be at least 0, got -1"),
+        (lambda: rank_scan_control(4, 10, seed=-1), "seed must be at least 0, got -1"),
+        (lambda: rank_scan(4, 2.5), "trials must be an integer, got 2.5"),
+        (lambda: rank_scan_control(4, 10, seed=1.0), "seed must be an integer, got 1.0"),
+        (lambda: max_abs_core_determinant(0, 1), "samples must be at least 1, got 0"),
+        (lambda: max_abs_core_determinant(-1, 1), "samples must be at least 1, got -1"),
+        (lambda: max_abs_core_determinant(5, -1), "seed must be at least 0, got -1"),
+    ],
+)
+def test_every_entry_point_names_a_bad_budget(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integer_budgets_are_accepted():
+    cert = rank_scan(np.int64(4), np.int64(3), seed=np.int64(2))
+    assert cert == rank_scan(4, 3, seed=2)
+    assert max_abs_core_determinant(np.int32(50), np.uint8(3)) == max_abs_core_determinant(50, 3)
+    search = adversarial_search(np.int64(4), restarts=np.int64(1), iterations=np.int64(3), seed=np.int64(1), singular_index=np.int64(3))
+    assert search == adversarial_search(4, restarts=1, iterations=3, seed=1)
