@@ -28,6 +28,12 @@ probability_in_unit_range() {
     || fail "nogo-scan with a search restart exited $?"
 "$bin/python" -c 'import json, sys; r = json.load(open("nogo.json")); sys.exit(not (r["verdict"] == "rank-deficient" and r["optimizer_iterations"] >= 1))' \
     || fail "nogo-scan does not report rank-deficient after at least one optimizer iteration"
+# A search budget of no iterations exits 2 before the scan starts; a scan of 1e8 trials would outlast the timeout.
+code=0
+timeout 60 "$bin/fockjoin" nogo-scan --trials 100000000 --restarts 1 --iterations 0 > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "nogo-scan --trials 100000000 --restarts 1 --iterations 0 exited $code, expected 2 before the scan"
+[ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: iterations must be at least 1, got 0$' err.txt \
+    || fail "expected one error: line naming iterations, got: $(cat err.txt)"
 # Nelder-Mead is in-repo: a search in a fresh process loads scipy.linalg.lapack and no part of scipy.optimize.
 "$bin/python" -c 'import sys; from fockjoin.nogo import adversarial_search; adversarial_search(4, restarts=1, iterations=5); sys.exit(not ("scipy.linalg.lapack" in sys.modules and not any(n.startswith("scipy.optimize") for n in sys.modules)))' \
     || fail "a search loads scipy.optimize, or does not load scipy.linalg.lapack"

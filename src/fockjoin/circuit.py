@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockState, _squared_norm, is_normalized, norm, postselect_vacuum
+from .fock import FockState, _picker, _squared_norm, is_normalized, norm, postselect_vacuum
 from .gates import (
     CnotSpec,
     DualRailQubit,
@@ -273,8 +273,9 @@ def _zflip(state, m0, m1):
 
 def _project(state, *entries):
     support = tuple(mode for mode, amp in entries if amp)
+    pick = _picker(support)
     for occ in state.terms:
-        if sum(occ[m] for m in support) > 1:
+        if sum(pick(occ)) > 1:
             raise IllegalPatternError(f"term {occ} holds more than one photon on the detected modes {support}")
     phi = np.zeros(state.modes, dtype=complex)
     for mode, amp in entries:

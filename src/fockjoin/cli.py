@@ -27,10 +27,10 @@ from . import __version__
 from .circuit import CircuitError, parse_circuit, run_circuit
 from .fock import _squared_norm, fidelity, state_from_dict, state_to_dict
 from .gates import build_postselected_cnot_network, network_input, postselect_rail_pairs, vacuum_failure_demo
-from .nogo import adversarial_search, merge_certificates, rank_scan
+from .nogo import _require_budget, adversarial_search, merge_certificates, rank_scan
 from .optics import apply_unitary
 from .schemes import join_deterministic, join_projective, split_deterministic, split_projective
-from .tpes import PATH_BELL_KINDS, POL_BELL_KINDS, build_tpes, resolve_outcome, teleport_join, tpes_via_joining
+from .tpes import PATH_BELL_KINDS, POL_BELL_KINDS, build_tpes, teleport_join, tpes_via_joining
 
 # Encoding, pattern and JSON errors are ValueErrors too.
 _DATA_ERRORS = (CircuitError, ValueError, OSError)
@@ -242,18 +242,19 @@ def _cmd_teleport(args):
     gamma, delta = _qubit_flags(args, "gamma", "delta")
     # --sample and --outcome exclude each other; without --outcome the run samples.
     seed = _seed_in_effect(args.seed, args.outcome is None)
-    outcome = "sample" if args.outcome is None else resolve_outcome(args.outcome)
+    outcome = "sample" if args.outcome is None else args.outcome
     report = teleport_join((alpha, beta), (gamma, delta), outcome=outcome, seed=seed)
     return seed, [f"{alpha}{beta}{gamma}{delta}".encode()], _scheme_body(report)
 
 
 def _cmd_nogo(args):
-    cert = rank_scan(args.modes, args.trials, seed=_seed_in_effect(args.seed, True))
+    seed = _seed_in_effect(args.seed, True)
+    search = {"restarts": args.restarts, "iterations": args.iterations} if args.restarts != 0 else {}
+    _require_budget(seed, args.modes, trials=args.trials, **search)  # every budget the run uses, before the scan
+    cert = rank_scan(args.modes, args.trials, seed=seed)
     described = f"m={args.modes} trials={args.trials} restarts={args.restarts}"
-    if args.restarts != 0:
-        cert = merge_certificates(
-            cert, adversarial_search(args.modes, restarts=args.restarts, iterations=args.iterations, seed=args.seed)
-        )
+    if search:
+        cert = merge_certificates(cert, adversarial_search(args.modes, **search, seed=seed))
         described += f" iterations={args.iterations}"
     body = {
         "modes": args.modes,

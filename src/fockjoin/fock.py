@@ -7,6 +7,11 @@ prunes amplitudes below PRUNE_TOL so exact cancellations vanish.
 
 Mixed photon-number superpositions are allowed (post-selection produces
 them transiently); nothing enforces a global photon-number sector.
+
+Every op that picks, drops, inserts or reorders modes, here and in optics'
+expansion plans and the CNOT's rail swap, reads one cached _layout of its
+checked positions: pickers of their entries and of the other modes, and
+the map that puts both back in mode order.
 """
 from __future__ import annotations
 
@@ -285,14 +290,14 @@ def schmidt_values(s: FockState, cut: Bipartition) -> np.ndarray:
     """Singular values of the bipartite coefficient matrix, descending."""
     if s.is_zero:
         return np.zeros(0)
-    left_keys: dict[Occupation, int] = {}
-    right_keys: dict[Occupation, int] = {}
+    # The keys stay in here; itemgetter reads a hand-built cut's indices as occ[i] does, where a one-mode slice would not.
+    pick_left, pick_right = (itemgetter(*side) if len(side) else itemgetter(slice(0)) for side in (cut.left, cut.right))
+    left_keys: dict = {}
+    right_keys: dict = {}
     entries = []
     for occ, amp in s.terms.items():
-        lo = tuple(occ[i] for i in cut.left)
-        ro = tuple(occ[i] for i in cut.right)
-        li = left_keys.setdefault(lo, len(left_keys))
-        ri = right_keys.setdefault(ro, len(right_keys))
+        li = left_keys.setdefault(pick_left(occ), len(left_keys))
+        ri = right_keys.setdefault(pick_right(occ), len(right_keys))
         entries.append((li, ri, amp))
     mat = np.zeros((len(left_keys), len(right_keys)), dtype=complex)
     for li, ri, amp in entries:
@@ -308,40 +313,29 @@ def schmidt_rank(s: FockState, cut: Bipartition, tol: float = 1e-9) -> int:
 def add_vacuum_modes(s: FockState, positions) -> FockState:
     """Insert empty modes so they land at the given indices of the result."""
     positions = tuple(positions)
-    pos_set = set(_indices(positions, "insertion positions", s.modes + len(positions), distinct=True))
-    new_modes = s.modes + len(pos_set)
-    out: dict[Occupation, complex] = {}
-    for occ, amp in s.terms.items():
-        it = iter(occ)
-        new_occ = tuple(0 if j in pos_set else next(it) for j in range(new_modes))
-        out[new_occ] = amp
-    return _trusted(new_modes, out)
+    modes = s.modes + len(positions)
+    merge = _layout(modes, _indices(positions, "insertion positions", modes, distinct=True))[3]
+    zeros = (0,) * len(positions)
+    return _trusted(modes, {merge(occ + zeros): amp for occ, amp in s.terms.items()})
 
 
 def discard_empty_modes(s: FockState, positions) -> FockState:
-    """Drop the listed modes; every term must be empty there."""
-    positions = set(_indices(positions, "positions", s.modes))
+    """Drop the listed modes; every term must be empty there, or the error names the lowest occupied one."""
+    positions = tuple(sorted(set(_indices(positions, "positions", s.modes))))
     if len(positions) == s.modes:
         raise ValueError("cannot discard every mode; at least one must remain")
-    out: dict[Occupation, complex] = {}
-    for occ, amp in s.terms.items():
-        for p in positions:
-            if occ[p] != 0:
-                raise NonEmptyModeError(f"mode {p} holds {occ[p]} photon(s) in term {occ}")
-        out[tuple(n for j, n in enumerate(occ) if j not in positions)] = amp
-    return _trusted(s.modes - len(positions), out)
+    pick, pick_rest, rest_modes, _ = _layout(s.modes, positions)
+    for occ in s.terms:
+        if any(pick(occ)):
+            p = next(p for p, n in zip(positions, pick(occ)) if n)
+            raise NonEmptyModeError(f"mode {p} holds {occ[p]} photon(s) in term {occ}")
+    return _trusted(rest_modes, {pick_rest(occ): amp for occ, amp in s.terms.items()})
 
 
 def permute_modes(s: FockState, perm) -> FockState:
     """Relabel modes: the photon count of mode i moves to index perm[i]."""
-    perm = _indices(perm, "permutation", s.modes, distinct=True, count=s.modes)
-    out: dict[Occupation, complex] = {}
-    for occ, amp in s.terms.items():
-        new_occ = [0] * s.modes
-        for i, n in enumerate(occ):
-            new_occ[perm[i]] = n
-        out[tuple(new_occ)] = amp
-    return _trusted(s.modes, out)
+    place = _layout(s.modes, _indices(perm, "permutation", s.modes, distinct=True, count=s.modes))[3]
+    return _trusted(s.modes, {place(occ): amp for occ, amp in s.terms.items()})
 
 
 def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
@@ -350,8 +344,8 @@ def postselect_vacuum(s: FockState, positions) -> tuple[FockState, float]:
     Returns the renormalized surviving state and the branch weight,
     kept/total: the squared norm kept over the input's squared norm.
     """
-    positions = set(_indices(positions, "positions", s.modes))
-    kept = {occ: amp for occ, amp in s.terms.items() if all(occ[p] == 0 for p in positions)}
+    pick = _layout(s.modes, tuple(sorted(set(_indices(positions, "positions", s.modes)))))[0]
+    kept = {occ: amp for occ, amp in s.terms.items() if not any(pick(occ))}
     total = _checked_squared_norm(s)
     if total == 0.0:
         return zero_state(s.modes), 0.0
@@ -362,9 +356,22 @@ def _picker(indices):
     """Callable returning the tuple of an occupation's entries at indices."""
     if len(indices) >= 2:
         return itemgetter(*indices)
-    # A slice keeps the result a tuple: () or (occ[i],).
-    start = indices[0] if indices else 0
-    return itemgetter(slice(start, start + len(indices)))
+    # A slice keeps the result a tuple: () or (occ[i],), where i = -1 slices to the end.
+    return itemgetter(slice(indices[0], indices[0] + 1 or None) if len(indices) else slice(0))
+
+
+@lru_cache(maxsize=64)
+def _layout(modes: int, positions: tuple[int, ...]):
+    """(pick, pick_rest, rest_modes, merge) of checked, distinct positions in a register of modes, built once.
+
+    The _pickers of the entries at positions and of the other modes (ascending), how many others there are,
+    and the map that puts pick_rest(occ) + pick(occ) in mode order (tuple if it already is).
+    """
+    taken = set(positions)
+    rest = [j for j in range(modes) if j not in taken]
+    split = rest + list(positions)
+    merge = tuple if split == list(range(modes)) else itemgetter(*sorted(range(modes), key=split.__getitem__))
+    return _picker(positions), _picker(rest), len(rest), merge
 
 
 def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
@@ -375,7 +382,9 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
     normalized (its squared norm is the projection weight).
     """
     positions = _indices(positions, "positions", ket.modes, distinct=True, count=bra.modes)
-    pick_sub, pick_rest, rest_modes = _contraction(ket.modes, positions)
+    if len(positions) == ket.modes:
+        raise ValueError("cannot contract every mode; at least one must remain")
+    pick_sub, pick_rest, rest_modes, _ = _layout(ket.modes, positions)
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.terms.items():
         bra_amp = bra.terms.get(pick_sub(occ))
@@ -384,16 +393,6 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
         rest_occ = pick_rest(occ)
         out[rest_occ] = out.get(rest_occ, 0j) + np.conj(bra_amp) * amp
     return _pruned(rest_modes, out)
-
-
-@lru_cache(maxsize=64)
-def _contraction(modes: int, positions: tuple[int, ...]):
-    """Pickers of checked positions and of the remaining modes, and how many remain; built once per layout."""
-    taken = set(positions)
-    rest = [j for j in range(modes) if j not in taken]
-    if not rest:
-        raise ValueError("cannot contract every mode; at least one must remain")
-    return _picker(positions), _picker(rest), len(rest)
 
 
 def state_to_dict(s: FockState) -> dict:

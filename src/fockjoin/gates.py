@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .fock import PRUNE_TOL, FockState, Occupation, _indices, _pruned, _trusted, basis_state
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _layout, _picker, _pruned, _trusted, basis_state
 from .optics import ModeUnitary, apply_unitary, beamsplitter, compose, hadamard_pair
 
 # Post-selected success amplitude of the physical network on logical inputs.
@@ -93,13 +93,15 @@ def apply_cnot(s: FockState, g: CnotSpec, *more: CnotSpec) -> FockState:
     A CNOT maps legal patterns one to one, so no terms merge: pruning each term after each CNOT, as fock._pruned
     prunes, gives the keys, order and bits of one call per CNOT, and the same errors for one CNOT.
     """
-    specs = [(*g.control.modes, *g.target.modes, g) for g in (g, *more)]
-    for c0, c1, t0, t1, g in specs:
-        if max(c0, c1, t0, t1) >= s.modes:
+    specs = []
+    for g in (g, *more):
+        if max(*g.control.modes, *g.target.modes) >= s.modes:
             raise ValueError(f"rails {g.control.modes} and {g.target.modes} out of range for {s.modes} modes")
+        _, pick_rest, _, merge = _layout(s.modes, g.target.modes)
+        specs.append((*g.control.modes, *g.target.modes, g, pick_rest, merge))
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
-        for c0, c1, t0, t1, g in specs:
+        for c0, c1, t0, t1, g, pick_rest, merge in specs:
             pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
             if pc not in _LEGAL_PATTERNS or pt not in _LEGAL_PATTERNS:
                 pattern, q = (pc, g.control) if pc not in _LEGAL_PATTERNS else (pt, g.target)
@@ -108,10 +110,8 @@ def apply_cnot(s: FockState, g: CnotSpec, *more: CnotSpec) -> FockState:
                 amp = amp * g.eta
             elif pc == (0, 0) != pt:
                 amp = amp * g.eta_prime
-            elif pc == (0, 1):
-                swapped = list(occ)
-                swapped[t0], swapped[t1] = occ[t1], occ[t0]
-                occ = tuple(swapped)
+            elif pc == (0, 1):  # the target rails' entries go back in swapped
+                occ = merge(pick_rest(occ) + pt[::-1])
             amp = 0j + amp
             if not abs(amp) > PRUNE_TOL:
                 break
@@ -142,12 +142,12 @@ _NETWORK_MODES = 6
 _NETWORK_CONTROL = DualRailQubit(1, 2)
 _NETWORK_TARGET = DualRailQubit(3, 4)
 _NETWORK_ANCILLAS = (0, 5)
+_NETWORK_PORTS = tuple(map(_picker, (_NETWORK_CONTROL.modes, _NETWORK_TARGET.modes, _NETWORK_ANCILLAS)))
 
 
 def _port_photons(occ: Occupation) -> tuple[int, int, int]:
     """Photons on the control pair, the target pair and the ancillas."""
-    ports = (_NETWORK_CONTROL.modes, _NETWORK_TARGET.modes, _NETWORK_ANCILLAS)
-    return tuple(sum(occ[m] for m in modes) for modes in ports)
+    return tuple(sum(pick(occ)) for pick in _NETWORK_PORTS)
 
 
 def build_postselected_cnot_network() -> ModeUnitary:

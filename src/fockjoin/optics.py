@@ -39,13 +39,12 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import chain, compress
-from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PRUNE_TOL, FockState, Occupation, _indices, _picker, _pruned, _renormalized, _trusted
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _layout, _pruned, _renormalized, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -77,22 +76,20 @@ class ModeUnitary:
 
         Returns (pick_active, pick_passive, layout, rows, active,
         array_photons, kernel): pickers for the active and passive entries
-        of an occupation; the reordering that puts passive + active entries
-        back in mode order (tuple if that is the mode order); the active
+        of an occupation and the reordering that puts passive + active
+        entries back in mode order (tuple if that is the mode order), all
+        three from fock._layout of the active modes; the active
         rows on the active columns (where alone they are nonzero) as
         (active index, entry) pairs of their nonzero entries; the active
         modes; _array_photons; and the kernel for whole states (_routed,
         _coupled) or None.
         """
-        m, active = self.dim, self._active
-        passive = [i for i in range(m) if i not in active]
-        order = passive + active
-        layout = tuple if order == list(range(m)) else itemgetter(*sorted(range(m), key=order.__getitem__))
-        pick_active = _picker(active)
+        active = self._active
+        pick_active, pick_passive, _, layout = _layout(self.dim, tuple(active))
         nonzero = [[(b, c) for b, c in enumerate(pick_active(row)) if c] for row in self.matrix[active].tolist()]
         densest = max(map(len, nonzero), default=0)
         kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
-        return pick_active, _picker(passive), layout, nonzero, active, _array_photons(len(active), densest), kernel
+        return pick_active, pick_passive, layout, nonzero, active, _array_photons(len(active), densest), kernel
 
     @cached_property
     def _memo(self) -> dict:  # apply_unitary's dict-loop memo: the _expand tuple of each active sub-occupation seen

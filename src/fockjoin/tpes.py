@@ -264,18 +264,18 @@ def teleport_join(
 ) -> SchemeReport:
     """Join two qubits onto one photon by double Bell measurement.
 
-    ``outcome`` forces a Bell result (pair of kinds, or index 0..15) or,
-    when set to "sample", draws one uniformly: every branch weight is 1/16.
+    ``outcome`` forces a Bell result (pair of kinds, or index 0..15, checked
+    before the amplitudes) or, when set to "sample", draws one uniformly:
+    every branch weight is 1/16.
     Only that branch is contracted; its weight is the report's
     success_probability, and the rule's Pauli correction maps it to the joined state.
     """
+    picked_outcome = None if outcome == "sample" else resolve_outcome(outcome)
     pairs = _input_pairs(alpha_beta, gamma_delta)
     resource = _resource_kinds(resource)
     full = _five_photon_state(pairs, resource)
-    if outcome == "sample":
+    if picked_outcome is None:
         picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, np.random.default_rng(seed).random())]
-    else:
-        picked_outcome = resolve_outcome(outcome)
     conditional, weight = _bell_branch(full, picked_outcome)
 
     corrected = apply_unitary(conditional, _correction_unitary(*_correction(resource, picked_outcome)))

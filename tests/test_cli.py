@@ -183,6 +183,32 @@ def test_nogo_scan_rejects_empty_budgets(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--trials", "20000", "--restarts", "1", "--iterations", "0"], "iterations must be at least 1, got 0"),
+        (["--trials", "20000", "--restarts", "-1"], "restarts must be at least 1, got -1"),
+        (["--trials", "0", "--restarts", "1", "--iterations", "0"], "trials must be at least 1, got 0"),
+        (["--modes", "3", "--restarts", "1"], "need at least four modes"),
+    ],
+)
+def test_nogo_scan_checks_every_budget_before_the_scan(tmp_path, capsys, monkeypatch, extra, message):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("rank_scan ran before a bad budget was reported")
+
+    monkeypatch.setattr(cli, "rank_scan", no_scan)
+    out = tmp_path / "cert.json"
+    assert cli_dispatch(["nogo-scan", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_nogo_scan_reads_iterations_only_with_a_search(tmp_path):
+    out = tmp_path / "cert.json"
+    assert cli_dispatch(["nogo-scan", "--trials", "2", "--restarts", "0", "--iterations", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["optimizer_iterations"] == 0
+
+
 def test_nogo_scan_digest_covers_iterations(tmp_path):
     digests = []
     for iterations in ("3", "4"):

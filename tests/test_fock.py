@@ -1,12 +1,16 @@
 import json
+import math
 import struct
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockjoin.fock import (
+    PRUNE_TOL,
+    Bipartition,
     FockState,
     NonEmptyModeError,
     add,
@@ -30,7 +34,16 @@ from fockjoin.fock import (
     state_to_dict,
     tensor,
     zero_state,
+    _checked_squared_norm,
+    _indices,
+    _picker,
+    _pruned,
+    _squared_norm,
+    _trusted,
 )
+from fockjoin import circuit, gates
+from fockjoin.gates import CnotSpec, DualRailQubit, IllegalPatternError, apply_cnot
+from fockjoin.optics import ModeUnitary, ProjectorSpec, apply_projector, beamsplitter, mode_permutation, phase_shifter
 
 
 def random_state(modes, n_terms, rng, max_photons=2):
@@ -402,3 +415,254 @@ def test_numpy_integer_indices_act_as_python_ints(case):
     assert postselect_vacuum(s, np.array(perm[:1], dtype=kind))[1] == postselect_vacuum(s, perm[:1])[1]
     assert bipartition(modes, np.array(perm[:2], dtype=kind)) == bipartition(modes, perm[:2])
     assert all(type(n) is int for occ in s.terms for n in occ)
+
+
+def test_discard_empty_modes_names_the_lowest_occupied_mode():
+    s = basis_state(10, tuple(int(j in (2, 9)) for j in range(10)))
+    for positions in ((2, 9), (9, 2)):
+        with pytest.raises(NonEmptyModeError, match=r"^mode 2 holds 1 photon\(s\) in term \(0, 0, 1,"):
+            discard_empty_modes(s, positions)
+
+
+# Reference loops: the occupation ops as they read before they shared fock._layout, term by term and
+# entry by entry. One difference is deliberate: discard_empty_modes checks its positions in ascending
+# order, so it names the lowest occupied mode; the old loop read them in set order.
+
+
+def _ref_add_vacuum_modes(s, positions):
+    positions = tuple(positions)
+    pos_set = set(_indices(positions, "insertion positions", s.modes + len(positions), distinct=True))
+    new_modes = s.modes + len(pos_set)
+    out = {}
+    for occ, amp in s.terms.items():
+        it = iter(occ)
+        out[tuple(0 if j in pos_set else next(it) for j in range(new_modes))] = amp
+    return _trusted(new_modes, out)
+
+
+def _ref_discard_empty_modes(s, positions):
+    positions = set(_indices(positions, "positions", s.modes))
+    if len(positions) == s.modes:
+        raise ValueError("cannot discard every mode; at least one must remain")
+    out = {}
+    for occ, amp in s.terms.items():
+        for p in sorted(positions):
+            if occ[p] != 0:
+                raise NonEmptyModeError(f"mode {p} holds {occ[p]} photon(s) in term {occ}")
+        out[tuple(n for j, n in enumerate(occ) if j not in positions)] = amp
+    return _trusted(s.modes - len(positions), out)
+
+
+def _ref_permute_modes(s, perm):
+    perm = _indices(perm, "permutation", s.modes, distinct=True, count=s.modes)
+    out = {}
+    for occ, amp in s.terms.items():
+        new_occ = [0] * s.modes
+        for i, n in enumerate(occ):
+            new_occ[perm[i]] = n
+        out[tuple(new_occ)] = amp
+    return _trusted(s.modes, out)
+
+
+def _ref_postselect_vacuum(s, positions):
+    positions = set(_indices(positions, "positions", s.modes))
+    kept = {occ: amp for occ, amp in s.terms.items() if all(occ[p] == 0 for p in positions)}
+    total = _checked_squared_norm(s)
+    if total == 0.0:
+        return zero_state(s.modes), 0.0
+    return normalize(_pruned(s.modes, kept)), _squared_norm(kept.values()) / total
+
+
+def _ref_partial_inner(bra, ket, positions):
+    positions = _indices(positions, "positions", ket.modes, distinct=True, count=bra.modes)
+    rest = [j for j in range(ket.modes) if j not in set(positions)]
+    if not rest:
+        raise ValueError("cannot contract every mode; at least one must remain")
+    out = {}
+    for occ, amp in ket.terms.items():
+        bra_amp = bra.terms.get(tuple(occ[p] for p in positions))
+        if bra_amp is None:
+            continue
+        rest_occ = tuple(occ[j] for j in rest)
+        out[rest_occ] = out.get(rest_occ, 0j) + np.conj(bra_amp) * amp
+    return _pruned(len(rest), out)
+
+
+def _ref_schmidt_values(s, cut):
+    if s.is_zero:
+        return np.zeros(0)
+    left_keys, right_keys, entries = {}, {}, []
+    for occ, amp in s.terms.items():
+        li = left_keys.setdefault(tuple(occ[i] for i in cut.left), len(left_keys))
+        ri = right_keys.setdefault(tuple(occ[i] for i in cut.right), len(right_keys))
+        entries.append((li, ri, amp))
+    mat = np.zeros((len(left_keys), len(right_keys)), dtype=complex)
+    for li, ri, amp in entries:
+        mat[li, ri] += amp
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def _ref_apply_cnot(s, *specs):
+    specs = [(*g.control.modes, *g.target.modes, g) for g in specs]
+    for c0, c1, t0, t1, g in specs:
+        if max(c0, c1, t0, t1) >= s.modes:
+            raise ValueError(f"rails {g.control.modes} and {g.target.modes} out of range for {s.modes} modes")
+    out = {}
+    for occ, amp in s.terms.items():
+        for c0, c1, t0, t1, g in specs:
+            pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
+            if pc not in gates._LEGAL_PATTERNS or pt not in gates._LEGAL_PATTERNS:
+                pattern, q = (pc, g.control) if pc not in gates._LEGAL_PATTERNS else (pt, g.target)
+                raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
+            if pt == (0, 0) != pc:
+                amp = amp * g.eta
+            elif pc == (0, 0) != pt:
+                amp = amp * g.eta_prime
+            elif pc == (0, 1):
+                swapped = list(occ)
+                swapped[t0], swapped[t1] = occ[t1], occ[t0]
+                occ = tuple(swapped)
+            amp = 0j + amp
+            if not abs(amp) > PRUNE_TOL:
+                break
+        else:
+            out[occ] = amp
+    return _trusted(s.modes, out)
+
+
+def _ref_plan_layout(u, probe):
+    """What u._expansion_plan's pickers and layout make of probe, built as the plan built them before."""
+    m, active = u.dim, u._active
+    passive = [i for i in range(m) if i not in active]
+    order = passive + active
+    layout = tuple if order == list(range(m)) else itemgetter(*sorted(range(m), key=order.__getitem__))
+    picked, rest = _picker(active)(probe), _picker(passive)(probe)
+    return picked, rest, layout is tuple, layout(rest + picked)
+
+
+def _plan_layout(u, probe):
+    pick_active, pick_passive, layout = u._expansion_plan[:3]
+    return pick_active(probe), pick_passive(probe), layout is tuple, layout(pick_passive(probe) + pick_active(probe))
+
+
+def _ref_port_photons(occ):
+    ports = (gates._NETWORK_CONTROL.modes, gates._NETWORK_TARGET.modes, gates._NETWORK_ANCILLAS)
+    return tuple(sum(occ[m] for m in modes) for modes in ports)
+
+
+def _ref_project(state, *entries):
+    support = tuple(mode for mode, amp in entries if amp)
+    for occ in state.terms:
+        if sum(occ[m] for m in support) > 1:
+            raise IllegalPatternError(f"term {occ} holds more than one photon on the detected modes {support}")
+    phi = np.zeros(state.modes, dtype=complex)
+    for mode, amp in entries:
+        phi[mode] = amp
+    phi /= math.sqrt(_squared_norm(phi))
+    return apply_projector(state, ProjectorSpec(phi))
+
+
+def _fingerprint(result):
+    """Keys in order with their entry types, and the repr and type of every amplitude or number; array bytes."""
+    if isinstance(result, FockState):
+        return result.modes, [(repr(occ), repr(amp), type(amp)) for occ, amp in result.terms.items()]
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    if isinstance(result, tuple) and result and isinstance(result[0], FockState):
+        return tuple(map(_fingerprint, result))
+    return repr(result), type(result)
+
+
+def _assert_same_outcome(op, reference, *args):
+    outcomes = []
+    for f in (op, reference):
+        try:
+            outcomes.append(("returned", _fingerprint(f(*args))))
+        except Exception as exc:  # the error type and message must agree too
+            outcomes.append(("raised", type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], args
+
+
+@st.composite
+def _occupation_states(draw, modes, entries=(0, 0, 1, 2)):
+    """A state of up to five distinct terms, amplitudes of any sign (signed zeros too), or the zero state."""
+    occs = draw(st.lists(st.tuples(*[st.sampled_from(entries)] * modes), max_size=5, unique=True))
+    parts = st.floats(-4.0, 4.0, allow_subnormal=False)
+    amps = draw(st.lists(st.builds(complex, parts, parts), min_size=len(occs), max_size=len(occs)))
+    return FockState(modes, dict(zip(occs, amps)))
+
+
+_FORMS = {"list": list, "tuple": tuple, "np ints": lambda p: [np.int64(x) for x in p], "array": np.array}
+
+
+@st.composite
+def _positions(draw, modes):
+    """Positions from one below the register to one past it: empty, unsorted, repeated, every mode or one."""
+    positions = draw(
+        st.lists(st.integers(-1, modes), max_size=modes + 1)
+        | st.permutations(range(modes))
+        | st.lists(st.integers(0, modes - 1), min_size=1, max_size=1)
+    )
+    return _FORMS[draw(st.sampled_from(sorted(_FORMS)))](positions)
+
+
+# Each op's occupation entries: sparser ones let the empty-mode ops succeed, and dual rails let CNOTs act.
+_ENTRIES = {"discard_empty_modes": (0, 0, 0, 1, 2), "postselect_vacuum": (0, 0, 0, 1, 2), "apply_cnot": (0, 0, 1)}
+_LAYOUT_OPS = ("add_vacuum_modes", "discard_empty_modes", "permute_modes", "postselect_vacuum", "partial_inner",
+               "schmidt_values", "expansion_plan", "apply_cnot", "port_photons", "project")
+
+
+@pytest.mark.parametrize("op", _LAYOUT_OPS)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_layout_ops_match_the_term_by_term_reference(op, data):
+    # Registers of 1 to 10 modes (4 or more for a CNOT), so positions reach 8 and past.
+    modes = data.draw(st.integers(4 if op == "apply_cnot" else 1, 10), label="modes")
+    s = data.draw(_occupation_states(modes, _ENTRIES.get(op, (0, 0, 1, 2))))
+    if op == "add_vacuum_modes":
+        _assert_same_outcome(add_vacuum_modes, _ref_add_vacuum_modes, s, data.draw(_positions(2 * modes)))
+    elif op == "discard_empty_modes":
+        _assert_same_outcome(discard_empty_modes, _ref_discard_empty_modes, s, data.draw(_positions(modes)))
+    elif op == "permute_modes":
+        _assert_same_outcome(permute_modes, _ref_permute_modes, s, data.draw(_positions(modes)))
+    elif op == "postselect_vacuum":
+        _assert_same_outcome(postselect_vacuum, _ref_postselect_vacuum, s, data.draw(_positions(modes)))
+    elif op == "partial_inner":
+        bra_modes = data.draw(st.integers(1, modes), label="bra modes")
+        bra = data.draw(_occupation_states(bra_modes, (0, 1)))
+        matched = st.permutations(range(modes)).map(lambda p: tuple(p[:bra_modes]))
+        _assert_same_outcome(partial_inner, _ref_partial_inner, bra, s, data.draw(matched | _positions(modes)))
+    elif op == "schmidt_values":
+        # bipartition's cuts cover the register; a hand-built one need not, and may hold indices past either end.
+        left = data.draw(st.lists(st.integers(-modes - 1, modes), unique=True, max_size=modes))
+        others = st.integers(-modes - 1, modes).filter(lambda i: i not in left)
+        right = data.draw(st.lists(others, unique=True, max_size=modes))
+        covering = bipartition(modes, [i for i in left if 0 <= i < modes])
+        cut = data.draw(st.sampled_from([Bipartition(tuple(left), tuple(right)), covering]))
+        _assert_same_outcome(schmidt_values, _ref_schmidt_values, s, cut)
+    elif op == "expansion_plan":
+        i, j = data.draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2))
+        perm = data.draw(st.permutations(range(modes)))
+        theta = data.draw(st.sampled_from([0.0, 0.7, math.pi / 2]))
+        units = [phase_shifter(modes, i, theta), mode_permutation(modes, perm)]
+        if i != j:  # the builder names its active modes; ModeUnitary scans its matrix for them
+            coupler = beamsplitter(modes, i, j, theta, 1.3)
+            units += [coupler, ModeUnitary(modes, coupler.matrix)]
+        probe = tuple(range(10, 10 + modes))
+        for u in units:
+            assert _plan_layout(u, probe) == _ref_plan_layout(u, probe)
+    elif op == "apply_cnot":
+        rails = data.draw(st.permutations(range(modes)))
+        fans = [CnotSpec(DualRailQubit(*rails[:2]), DualRailQubit(*rails[2:4]), eta=0.5j)]
+        if data.draw(st.booleans()):
+            fans.append(CnotSpec(DualRailQubit(*rails[2:4]), DualRailQubit(*rails[:2]), eta_prime=-1))
+        _assert_same_outcome(apply_cnot, _ref_apply_cnot, s, *fans)
+    elif op == "port_photons":
+        for occ in data.draw(_occupation_states(6)).terms:
+            assert gates._port_photons(occ) == _ref_port_photons(occ)
+    else:  # a project line, as parse gives it or built by hand with negative modes
+        detected = data.draw(
+            st.lists(st.integers(-modes, modes - 1), min_size=1, max_size=modes, unique=True) | st.tuples(st.integers(-modes, -1))
+        )
+        entries = [(mode, complex(k % 3 != 1)) for k, mode in enumerate(detected)]
+        _assert_same_outcome(circuit._project, _ref_project, s, *entries)
