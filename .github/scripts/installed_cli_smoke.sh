@@ -72,6 +72,44 @@ probability_in_unit_range run.json probability || fail "the run report does not 
 "$bin/python" -c 'import json, sys; r = json.load(open("teleport.json")); sys.exit(not (r["fidelity"] >= 1 - 1e-12 and abs(r["success_probability"] - 0.0625) <= 1e-12))' \
     || fail "teleport-join --outcome 5 does not report fidelity 1 and probability 1/16"
 
+# A fixed (8, 4) brick-wall mesh on |10101010>: 330 terms in lexicographic order, probability and squared norm 1,
+# and the report's own bytes are what canonical_json gives for its parsed form (the one-pass state renderer
+# against the generic walk).
+{
+    echo "modes 8"
+    for i in 0 1 2 3 4 5 6 7; do echo "ps $i 0.$((i + 3))"; done
+    for layer in 0 1 2 3 4 5 6 7; do
+        if [ "$layer" -eq 4 ]; then echo "perm 3 0 6 1 7 2 5 4"; fi
+        for i in $(seq $((layer % 2)) 2 6); do echo "bs $i $((i + 1)) 0.$((layer + 2))$i 1.$i$layer"; done
+    done
+} > mesh.pc
+echo '{"modes": 8, "terms": [{"occ": [1, 0, 1, 0, 1, 0, 1, 0], "re": 1.0, "im": 0.0}]}' > four.json
+"$bin/fockjoin" run --circuit mesh.pc --input four.json --report mesh.json || fail "run of the (8, 4) mesh exited $?"
+"$bin/python" - mesh.json <<'PY' || fail "the (8, 4) mesh report is not 330 sorted terms of norm 1, or not canonical_json of itself"
+import json, sys
+from fockjoin.cli import canonical_json
+text = open(sys.argv[1], encoding="utf-8").read()
+report = json.loads(text)
+terms = report["output"]["terms"]
+occs = [t["occ"] for t in terms]
+squared_norm = sum(t["re"] ** 2 + t["im"] ** 2 for t in terms)
+sys.exit(not (
+    len(terms) == 330
+    and all(a < b for a, b in zip(occs, occs[1:]))
+    and abs(report["probability"] - 1) <= 1e-10
+    and abs(squared_norm - 1) <= 1e-10
+    and canonical_json(report) + "\n" == text
+))
+PY
+
+# A state file that lists an occupation twice: exit 2 with one error line naming it (make_state would sum them).
+echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [1, 0, 1, 0], "re": -0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 1.0, "im": 0.0}]}' > twice.json
+code=0
+"$bin/fockjoin" join --input twice.json > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "join on a repeated occupation exited $code, expected 2"
+[ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: occupation (1, 0, 1, 0) is listed twice$' err.txt \
+    || fail "expected one error: line naming the repeated occupation, got: $(cat err.txt)"
+
 # A project line on a mode holding two photons: exit 2 with one error line.
 printf 'modes 2\nproject 0 1 0\n' > detect.pc
 echo '{"modes": 2, "terms": [{"occ": [2, 0], "re": 1.0, "im": 0.0}]}' > twenty.json

@@ -9,7 +9,10 @@ Each verb writes one report to --report (nogo-scan: --out), or to stdout
 if that flag is omitted. Reports are canonical JSON: keys sorted, floats
 printed with 17 significant digits, newline-terminated, and they embed
 the tool version, the verb, a digest of the inputs and the seed in
-effect. A run that samples a branch or a Bell outcome, and nogo-scan, uses
+effect. A state in a report is rendered in one pass, one % format over
+its terms in report order (FockState._listing, which state_to_dict reads
+too), to the bytes canonical_json(state_to_dict(s)) would give; a state
+that carries its arrays is listed from them, without building its terms. A run that samples a branch or a Bell outcome, and nogo-scan, uses
 --seed (0 if omitted; a negative one exits 2) and reports it; a run that
 samples nothing reports null, whether or not --seed was given. So identical
 invocations produce byte-identical files, and so do deterministic runs that
@@ -22,10 +25,11 @@ import functools
 import hashlib
 import json
 import sys
+from itertools import chain
 
 from . import __version__
 from .circuit import CircuitError, parse_circuit, run_circuit
-from .fock import _squared_norm, fidelity, state_from_dict, state_to_dict
+from .fock import _squared_norm, fidelity, state_from_dict
 from .gates import build_postselected_cnot_network, network_input, postselect_rail_pairs, vacuum_failure_demo
 from .nogo import _require_budget, adversarial_search, merge_certificates, rank_scan
 from .optics import apply_unitary
@@ -46,6 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Rendered(str):
+    """JSON text that is already canonical, which _emit writes as it is."""
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats."""
     pieces: list[str] = []
@@ -55,13 +63,9 @@ def canonical_json(obj) -> str:
 
 def _emit(obj, write):
     # Containers first, as the most frequent; bool before int. Strings and
-    # keys are encoded as json.dumps encodes a str.
+    # keys are encoded as json.dumps encodes a str, except _Rendered text
+    # (a report's states, from _state_json), which is written as it is.
     if isinstance(obj, dict):
-        # A state's term (state_to_dict), the bulk of a report, in one format with the loop's bytes.
-        im, occ, re = obj.get("im"), obj.get("occ"), obj.get("re")
-        if len(obj) == 3 and type(im) is type(re) is float and type(occ) is list and set(map(type, occ)) <= {int}:
-            write('{"im":%s,"occ":%s,"re":%s}' % (format(im, ".17g"), str(occ).replace(" ", ""), format(re, ".17g")))
-            return
         sep = "{"
         for key in sorted(obj):
             value = obj[key]
@@ -85,7 +89,7 @@ def _emit(obj, write):
     elif isinstance(obj, float):
         write(format(obj, ".17g"))
     elif isinstance(obj, str):
-        write(_encode_str(obj))
+        write(obj if type(obj) is _Rendered else _encode_str(obj))
     elif obj is None:
         write("null")
     elif isinstance(obj, bool):
@@ -94,6 +98,14 @@ def _emit(obj, write):
         write(str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _state_json(s) -> _Rendered:
+    """canonical_json(state_to_dict(s)), in one % format over s._listing(): each part %.17g, each photon number %d."""
+    occs, re, im = s._listing()
+    term = '{"im":%.17g,"occ":[' + ",".join(["%d"] * s.modes) + '],"re":%.17g}'
+    text = '{"modes":%d,"terms":[' + ",".join([term] * len(re)) + "]}"
+    return _Rendered(text % (s.modes, *chain.from_iterable(zip(im, *zip(*occs), re))))
 
 
 def _envelope(verb: str, seed, digest_chunks) -> dict:
@@ -201,7 +213,7 @@ def _scheme_body(report) -> dict:
         "branch": report.branch,
         "success_probability": float(report.success_probability),
         "fidelity": float(report.fidelity_to_expected),
-        "output": state_to_dict(report.output),
+        "output": _state_json(report.output),
     }
 
 
@@ -223,7 +235,7 @@ def _cmd_tpes(args):
         "pol": args.pol,
         "path": args.path,
         "joining_fidelity": float(fidelity(joined, built)),
-        "output": state_to_dict(built),
+        "output": _state_json(built),
     }
     return None, [f"{args.pol}/{args.path}".encode()], body
 
@@ -277,7 +289,7 @@ def _cmd_run(args):
         raise SystemExit(2)  # already reported, like argparse's own exits
     state, raw = _load_state(args.input)
     final, probability, log = run_circuit(parsed, state)
-    return None, [circuit_raw, raw], {"probability": float(probability), "log": log, "output": state_to_dict(final)}
+    return None, [circuit_raw, raw], {"probability": float(probability), "log": log, "output": _state_json(final)}
 
 
 def _cmd_cnot_demo(args):
@@ -293,7 +305,7 @@ def _cmd_cnot_demo(args):
                     "control": list(control),
                     "target": list(target),
                     "success_probability": float(probability),
-                    "output": state_to_dict(surviving),
+                    "output": _state_json(surviving),
                 }
             )
     demo = vacuum_failure_demo(network)

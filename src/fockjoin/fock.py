@@ -53,8 +53,9 @@ class FockState:
     A state that ``optics.apply_unitary`` built in one numpy pass (the
     private subclass ``optics._Packed``) carries its occupations and
     amplitudes as arrays and builds ``terms`` the first time anything reads
-    it; the next unitary of a chain reads the arrays instead. Every other
-    state holds its dict from construction on.
+    it; the next unitary of a chain, state_to_dict and the CLI's reports
+    read the arrays instead. Every other state holds its dict from
+    construction on.
     """
 
     modes: int
@@ -75,6 +76,15 @@ class FockState:
 
     def amplitude(self, occ) -> complex:
         return self.terms.get(tuple(occ), 0j)
+
+    def _listing(self) -> tuple[list, list, list]:
+        """(occupations, real parts, imaginary parts) of the terms in report order, lexicographic by occupation.
+
+        The parts are Python floats. state_to_dict and the CLI's report
+        renderer both read this; optics._Packed lists its arrays instead.
+        """
+        items = sorted(self.terms.items())
+        return [occ for occ, _ in items], [float(amp.real) for _, amp in items], [float(amp.imag) for _, amp in items]
 
 
 def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple[int, ...]:
@@ -396,17 +406,17 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
 
 
 def state_to_dict(s: FockState) -> dict:
-    """JSON-ready form; terms sorted lexicographically by occupation."""
-    return {
-        "modes": s.modes,
-        "terms": [
-            {"occ": list(occ), "re": float(s.terms[occ].real), "im": float(s.terms[occ].imag)}
-            for occ in sorted(s.terms)
-        ],
-    }
+    """JSON-ready form; terms sorted lexicographically by occupation, as s._listing() gives them."""
+    occs, re, im = s._listing()
+    return {"modes": s.modes, "terms": [{"occ": list(occ), "re": r, "im": i} for occ, r, i in zip(occs, re, im)]}
 
 
 def state_from_dict(data: dict) -> FockState:
+    """The state of a state_to_dict object; a ValueError names a malformed part or an occupation listed twice.
+
+    Unlike make_state, it merges nothing: a repeated occupation, or a nonzero
+    amplitude that pruning would drop, is an error rather than a quiet change.
+    """
     try:
         (modes,) = _indices([data["modes"]], "modes")
         pairs = [(tuple(t["occ"]), complex(t["re"], t["im"])) for t in data["terms"]]
@@ -418,4 +428,12 @@ def state_from_dict(data: dict) -> FockState:
             raise ValueError(f"amplitude {amp} of occupation {occ} is at or below the pruning tolerance {PRUNE_TOL:g}")
     if not pairs:
         return zero_state(modes)
-    return make_state(modes, pairs)
+    if modes < 1:
+        raise ValueError(f"mode count must be positive, got {modes}")
+    terms: dict[Occupation, complex] = {}
+    for occ, amp in pairs:
+        occ = _indices(occ, "occupation", count=modes)
+        if occ in terms:
+            raise ValueError(f"occupation {occ} is listed twice")
+        terms[occ] = amp
+    return _on_basis(modes, terms, terms.values())

@@ -432,17 +432,24 @@ def _objective_sigmas(x: np.ndarray, m: int, singular_index: int):
     return (_singular_value(point, singular_index) for point in rows)
 
 
-def _nelder_mead(x0: np.ndarray, m: int, singular_index: int, maxiter: int, restart: int) -> tuple[float, int]:
-    """Maximize _objective_sigma from x0: (the largest value evaluated, the iteration count nit).
+def _nelder_mead(x0: np.ndarray, objective, objectives, maxiter: int, restart: int) -> tuple[float, int]:
+    """Maximize objective from x0: (the largest value evaluated, the iteration count nit).
 
-    This is scipy 1.17's _minimize_neldermead on -sigma, step for step, for
+    objective(x) is the value at one point; objectives(xs) yields the value
+    at each row of xs, in order, with the bits objective gives.
+
+    This is scipy 1.17's _minimize_neldermead on -value, step for step, for
     the options the search uses: rho 1, chi 2, psi 1/2, sigma 1/2 (not
     adaptive), start steps 0.05 and 0.00025, xatol 1e-12, fatol 1e-14, at
     most maxiter iterations, unbounded evaluations, no bounds. Each numpy
-    expression, the argsorts included, is scipy's, so the search takes the
-    same steps to the bit. The initial simplex and each shrink are evaluated
-    as one batch; reflections, expansions and contractions one point at a
-    time. A NaN value raises ValueError naming the restart, in evaluation order.
+    expression computes scipy's arrays, the argsorts included, so the search
+    takes the same steps to the bit; the method forms (fsim.argsort(),
+    sim.take, .max()) only skip numpy's Python wrappers, and the tolerance
+    test reads one entry first, since the maximum exceeds xatol whenever it
+    does. The initial simplex and each shrink are evaluated as one batch
+    through objectives; reflections, expansions and contractions one point
+    at a time. A NaN value raises ValueError naming the restart, in
+    evaluation order.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     best = -1.0
@@ -459,21 +466,25 @@ def _nelder_mead(x0: np.ndarray, m: int, singular_index: int, maxiter: int, rest
         return out
 
     def f(x):
-        return minus([_objective_sigma(x, m, singular_index)])[0]
+        return minus([objective(x)])[0]
 
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
     np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
-    fsim = np.array(minus(_objective_sigmas(sim, m, singular_index)))
+    fsim = np.array(minus(objectives(sim)))
     # scipy sorts twice here; equal values can move again in the second sort.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     iterations = 1
     while iterations < maxiter:
-        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
+        if (
+            abs(sim[1, 0] - sim[0, 0]) <= 1e-12
+            and np.abs(sim[1:] - sim[0]).max() <= 1e-12
+            and np.abs(fsim[0] - fsim[1:]).max() <= 1e-14
+        ):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
@@ -495,13 +506,13 @@ def _nelder_mead(x0: np.ndarray, m: int, singular_index: int, maxiter: int, rest
                 shrink = fxc >= fsim[-1]
             if shrink:
                 sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = minus(_objective_sigmas(sim[1:], m, singular_index))
+                fsim[1:] = minus(objectives(sim[1:]))
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
     return best, iterations
 
 
@@ -539,8 +550,15 @@ def adversarial_search(
     best = -1.0
     best_restart = 0
     total_iters = 0
+
+    def objective(x):
+        return _objective_sigma(x, m, singular_index)
+
+    def objectives(xs):
+        return _objective_sigmas(xs, m, singular_index)
+
     for r in range(restarts):
-        top, nit = _nelder_mead(rng.uniform(-math.pi, math.pi, dim), m, singular_index, iterations, seed + r)
+        top, nit = _nelder_mead(rng.uniform(-math.pi, math.pi, dim), objective, objectives, iterations, seed + r)
         total_iters += nit
         if top > best:
             best, best_restart = top, seed + r

@@ -21,8 +21,8 @@ couplers) take states of _ROUTED_MIN_TERMS terms or more, _expanded any
 state with an expansion that may reach _ARRAY_MIN_MONOMIALS monomials.
 The array pass returns a state that carries its int64 keys, factorial
 products and amplitudes (_Packed) and builds its terms dict on the first
-read, so a chain of elements packs its occupation tuples once and builds
-one dict, at its end. Output keys, term order, amplitude bits and types
+read, so a chain of elements packs its occupation tuples once; its
+report lists the arrays and builds no dict. Output keys, term order, amplitude bits and types
 do not depend on the path, and no option selects it.
 
 All functions are pure but for one memo: a unitary keeps the dict loop's
@@ -315,8 +315,10 @@ class _Packed(FockState):
     """A state as arrays, whose terms dict an array-pass output builds on first read.
 
     keys packs its occupations into int64s of `bits` bits per mode, and facts
-    and amps hold their factorial products and amplitudes. A subclass keeps
-    the __getattr__ hook, which slows attribute loads, off plain states.
+    and amps hold their factorial products and amplitudes; _listing reads
+    them in report order, so state_to_dict and a report build no dict. A
+    subclass keeps the __getattr__ hook, which slows attribute loads, off
+    plain states.
     """
 
     keys = None  # on a dataclasses.replace copy, which holds its terms alone
@@ -334,6 +336,15 @@ class _Packed(FockState):
 
     def __eq__(self, other):  # the dataclass __eq__ compares states of one class only
         return (self.modes, self.terms) == (other.modes, other.terms) if isinstance(other, FockState) else NotImplemented
+
+    def _listing(self) -> tuple[list, list, list]:
+        # FockState._listing from the arrays, without building terms: the keys are distinct, so the order is total.
+        if self.keys is None:
+            return super()._listing()
+        counts = _counts(self.keys, self.bits, range(self.modes))
+        order = np.lexsort(counts[::-1])  # the last row sorts first: mode 0
+        amps = self.amps[order]
+        return counts.T[order].tolist(), amps.real.tolist(), amps.imag.tolist()
 
 
 def _packed(s: FockState) -> _Packed | None:

@@ -11,9 +11,10 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from fockjoin import __version__, cli
+from fockjoin import __version__, cli, optics
 from fockjoin.cli import canonical_json, cli_dispatch
-from fockjoin.fock import state_from_dict, state_to_dict
+from fockjoin.fock import FockState, state_from_dict, state_to_dict
+from fockjoin.optics import apply_unitary, beamsplitter, hadamard_pair
 from fockjoin.schemes import two_qubit_input, joined_ququart
 
 
@@ -151,6 +152,21 @@ def test_amplitude_whose_magnitude_overflows_exits_two(tmp_path, capsys, verb):
     captured = capsys.readouterr()
     assert captured.err == "error: amplitude (1.5e+308+1.5e+308j) of occupation (1, 0, 1, 0) is too large to square\n"
     assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("verb", ["join", "run"])
+def test_a_repeated_occupation_exits_two_naming_it(tmp_path, capsys, verb):
+    # make_state would sum the two entries: 0.6 - 0.6 cancels, and the file would load as |0101>.
+    state, circuit, report = tmp_path / "twice.json", tmp_path / "c.pc", tmp_path / "report.json"
+    state.write_text(
+        '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0},'
+        ' {"occ": [1, 0, 1, 0], "re": -0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 1.0, "im": 0.0}]}'
+    )
+    circuit.write_text("modes 4\nbs 0 1 0.3 0\n")
+    argv = {"join": ["join"], "run": ["run", "--circuit", str(circuit)]}[verb]
+    assert cli_dispatch([*argv, "--input", str(state), "--report", str(report)]) == 2
+    assert capsys.readouterr() == ("", "error: occupation (1, 0, 1, 0) is listed twice\n")
     assert not report.exists()
 
 
@@ -802,6 +818,68 @@ def test_coupler_run_report_bytes_are_pinned(tmp_path, circuit_text, state_text,
     assert cli_dispatch(["run", "--circuit", str(circuit), "--input", str(state), "--report", str(report)]) == 0
     assert len(json.loads(report.read_bytes())["output"]["terms"]) == terms
     assert hashlib.sha256(report.read_bytes()).hexdigest() == expected
+
+
+def _reference_state_json(s):
+    """canonical_json(state_to_dict(s)), built here term by term from sorted(s.terms.items())."""
+    terms = []
+    for occ, amp in sorted(s.terms.items()):
+        occ_text = "[" + ",".join(format(n, "d") for n in occ) + "]"
+        terms.append('{"im":' + format(float(amp.imag), ".17g") + ',"occ":' + occ_text + ',"re":' + format(float(amp.real), ".17g") + "}")
+    return '{"modes":' + format(s.modes, "d") + ',"terms":[' + ",".join(terms) + "]}"
+
+
+# Amplitude parts: signed zeros, subnormals, magnitudes near 1e300 (whose abs() still fits) and plain floats.
+_EDGE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+    st.floats(1e299, 1e301),
+    st.floats(-1e301, -1e299),
+    st.floats(-1e-310, 1e-310),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _dict_states(draw):
+    """(modes, terms, ()) of 0 to 6 terms on 1 to 12 modes, occupations 0 to 25: a state that holds its dict."""
+    modes = draw(st.integers(1, 12))
+    occs = draw(st.lists(st.tuples(*[st.integers(0, 25)] * modes), max_size=6, unique=True))
+    return modes, {occ: complex(draw(_EDGE_PARTS), draw(_EDGE_PARTS)) for occ in occs}, ()
+
+
+@st.composite
+def _coupler_chain_states(draw):
+    """(modes, terms, couplers) of 32 to 48 terms on 4 to 8 modes, then 1 to 4 couplers: each output carries its arrays."""
+    modes = draw(st.integers(4, 8))
+    occs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * modes), min_size=32, max_size=48, unique=True))
+    nonzero = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-6)
+    terms = {occ: complex(draw(nonzero), draw(st.sampled_from([0.0, -0.0]) | nonzero)) for occ in occs}
+    angle = st.floats(-math.pi, math.pi)
+    couplers = []
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))
+        couplers.append(beamsplitter(modes, i, j, draw(angle), draw(angle)) if draw(st.booleans()) else hadamard_pair(modes, i, j))
+    return modes, terms, couplers
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just((3, {}, ())), _dict_states(), _coupler_chain_states()))
+def test_rendered_states_match_an_independent_reference(case):
+    # cli._state_json writes every state of a report; its bytes must be canonical_json(state_to_dict(s)).
+    modes, terms, couplers = case
+    s = last_input = FockState(modes, terms)
+    for u in couplers:
+        last_input, s = s, apply_unitary(s, u)
+    carried = type(s) is optics._Packed
+    assert carried == (bool(couplers) and len(last_input.terms) >= 32)  # a coupler's array pass
+    text, as_dict = cli._state_json(s), state_to_dict(s)
+    if carried:
+        assert "terms" not in vars(s)  # listed from its arrays, not from a terms dict built for the report
+    expected = _reference_state_json(s)
+    assert text == expected
+    assert canonical_json({"output": text}) == '{"output":' + expected + "}"
+    assert canonical_json(as_dict) == expected
+    assert repr(as_dict) == repr(state_to_dict(FockState(modes, dict(s.terms))))
 
 
 _JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.text(max_size=8))

@@ -153,6 +153,30 @@ def test_state_from_dict_rejects_amplitudes_it_would_prune(re, im):
         state_from_dict(data)
 
 
+def test_state_from_dict_rejects_a_repeated_occupation():
+    # make_state merges repeats by summing: this file would load as |01>, its cancelled entries pruned unseen.
+    terms = [{"occ": [1, 0], "re": 0.6, "im": 0.0}, {"occ": [1, 0], "re": -0.6, "im": 0.0}, {"occ": [0, 1], "re": 1.0, "im": 0.0}]
+    with pytest.raises(ValueError, match=r"^occupation \(1, 0\) is listed twice$"):
+        state_from_dict({"modes": 2, "terms": terms})
+    assert make_state(2, [(t["occ"], t["re"]) for t in terms]) == basis_state(2, (0, 1))  # make_state keeps its merge
+    # Each occupation is checked before it is compared, so a malformed repeat keeps its own message.
+    with pytest.raises(ValueError, match=r"^occupation \[\[1\], 0\] must hold integers$"):
+        state_from_dict({"modes": 2, "terms": [{"occ": [[1], 0], "re": 1.0, "im": 0.0}] * 2})
+    with pytest.raises(ValueError, match=r"^occupation \[1, 0, 0\] should have 2 entries$"):
+        state_from_dict({"modes": 2, "terms": [terms[0], {"occ": [1, 0, 0], "re": 1.0, "im": 0.0}, terms[0]]})
+
+
+def test_state_from_dict_builds_make_states_bits():
+    # Distinct occupations: the same terms, order and amplitude bits as make_state, signed zeros included.
+    data = {"modes": 3, "terms": [{"occ": [0, 1, 2], "re": -0.0, "im": 0.5}, {"occ": [1, 0, 0], "re": 0.25, "im": -0.0}]}
+    built = state_from_dict(data)
+    expected = make_state(3, [(t["occ"], complex(t["re"], t["im"])) for t in data["terms"]])
+    assert list(built.terms) == list(expected.terms)
+    assert [struct.pack("<dd", a.real, a.imag) for a in built.terms.values()] == [
+        struct.pack("<dd", a.real, a.imag) for a in expected.terms.values()
+    ]
+
+
 def test_state_from_dict_still_drops_exact_zeros():
     data = {"modes": 2, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}, {"occ": [0, 1], "re": 0.0, "im": -0.0}]}
     assert dict(state_from_dict(data).terms) == {(1, 0): 1 + 0j}
