@@ -72,6 +72,17 @@ probability_in_unit_range run.json probability || fail "the run report does not 
 "$bin/python" -c 'import json, sys; r = json.load(open("teleport.json")); sys.exit(not (r["fidelity"] >= 1 - 1e-12 and abs(r["success_probability"] - 0.0625) <= 1e-12))' \
     || fail "teleport-join --outcome 5 does not report fidelity 1 and probability 1/16"
 
+# The TPES built by joining, in a fresh process: four output terms, joining fidelity 1 up to rounding
+# (0.9999999999999996 for this resource).
+"$bin/fockjoin" tpes --pol Phi- --path phi- --report tpes.json || fail "tpes --pol Phi- --path phi- exited $?"
+"$bin/python" -c 'import json, sys; r = json.load(open("tpes.json")); sys.exit(not (r["joining_fidelity"] >= 1 - 1e-12 and len(r["output"]["terms"]) == 4))' \
+    || fail "tpes --pol Phi- --path phi- does not report joining fidelity 1 and four output terms"
+
+# The postselected CNOT's vacuum failure: a report of floats and int lists in nested dicts, written by the generic walk.
+"$bin/fockjoin" cnot-demo --report cnot.json || fail "cnot-demo exited $?"
+"$bin/python" -c 'import json, sys; r = json.load(open("cnot.json")); rows = r["truth_table"]; sys.exit(not (r["demonstrates_failure"] is True and len(rows) == 4 and all(abs(row["success_probability"] - 1 / 9) <= 1e-12 for row in rows)))' \
+    || fail "cnot-demo does not demonstrate the failure with four truth-table rows of probability 1/9"
+
 # A fixed (8, 4) brick-wall mesh on |10101010>: 330 terms in lexicographic order, probability and squared norm 1,
 # and the report's own bytes are what canonical_json gives for its parsed form (the one-pass state renderer
 # against the generic walk).

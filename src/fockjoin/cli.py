@@ -64,28 +64,22 @@ def canonical_json(obj) -> str:
 def _emit(obj, write):
     # Containers first, as the most frequent; bool before int. Strings and
     # keys are encoded as json.dumps encodes a str, except _Rendered text
-    # (a report's states, from _state_json), which is written as it is.
+    # (a report's states, from _state_json), which is written as it is. A
+    # report's terms never reach the walk, so no leaf has a faster branch.
     if isinstance(obj, dict):
         sep = "{"
         for key in sorted(obj):
-            value = obj[key]
-            if type(value) is float:  # the common leaf, without a call
-                write(sep + _encode_str(str(key)) + ":" + format(value, ".17g"))
-            else:
-                write(sep + _encode_str(str(key)) + ":")
-                _emit(value, write)
+            write(sep + _encode_str(str(key)) + ":")
+            _emit(obj[key], write)
             sep = ","
         write("}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
-        if all(type(item) is int for item in obj):
-            write("[" + ",".join(map(str, obj)) + "]")
-            return
         sep = "["
         for item in obj:
             write(sep)
             _emit(item, write)
             sep = ","
-        write("]")
+        write("]" if obj else "[]")
     elif isinstance(obj, float):
         write(format(obj, ".17g"))
     elif isinstance(obj, str):

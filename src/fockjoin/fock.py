@@ -435,5 +435,5 @@ def state_from_dict(data: dict) -> FockState:
         occ = _indices(occ, "occupation", count=modes)
         if occ in terms:
             raise ValueError(f"occupation {occ} is listed twice")
-        terms[occ] = amp
-    return _on_basis(modes, terms, terms.values())
+        terms[occ] = 0j + amp  # amp passed _check_amplitude above; 0j + amp is _on_basis's sum
+    return _pruned(modes, terms)

@@ -572,16 +572,19 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     compares the unnormalized one-photon output term by term against the
     linear combination of symmetrized modes weighted by the input
     amplitudes. Agreement certifies the bosonic bookkeeping end to end.
+    The logical modes (by symmetrized_modes' rule) and the detection
+    length are checked before the input is built.
     """
     alpha = np.asarray(alpha, dtype=object).reshape(-1)
     if len(alpha) != 4:
         raise ValueError("expected four input amplitudes")
     m = u.dim
+    logical_modes = _indices(logical_modes, "logical modes", m, distinct=True, count=4)
+    if phi.modes != m:
+        raise ValueError("detection length must match the unitary dimension")
     state = _on_basis(m, [tuple(int(j in pair) for j in range(m)) for pair in _mode_pairs(logical_modes)], alpha)
     if not is_normalized(state):
         raise ValueError("input amplitudes must be normalized")
-    if phi.modes != m:
-        raise ValueError("detection length must match the unitary dimension")
 
     propagated = apply_unitary(state, u)
     # The detection addresses propagated modes; express it over the
@@ -595,5 +598,5 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
         else:
             extra = max(extra, abs(amp))
 
-    analytic = alpha.astype(complex) @ symmetrized_modes(u, phi, logical_modes)
+    analytic = alpha.astype(complex) @ _symmetrized_rows(u.matrix, np.conj(phi.phi), logical_modes)
     return float(max(np.max(np.abs(simulated - analytic)), extra))

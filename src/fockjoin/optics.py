@@ -162,7 +162,7 @@ def compose(*elements: ModeUnitary) -> ModeUnitary:
 
 def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> ModeUnitary:
     """Two-mode coupler: block [[cos, e^{i p} sin], [-e^{-i p} sin, cos]] on (i, j)."""
-    _check_pair(m, i, j)
+    _indices((i, j), "modes", m, distinct=True)
     _check_finite(theta=theta, phase=phase)
     mat = np.eye(m, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
@@ -182,7 +182,7 @@ def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
 
 def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
     """Balanced symmetric mixer (1/sqrt2)[[1, 1], [1, -1]] on modes (i, j)."""
-    _check_pair(m, i, j)
+    _indices((i, j), "modes", m, distinct=True)
     r = 1.0 / math.sqrt(2.0)
     mat = np.eye(m, dtype=complex)
     mat[i, i] = r
@@ -226,10 +226,6 @@ def _haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def random_projector(m: int, rng: np.random.Generator) -> ProjectorSpec:
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return ProjectorSpec(v / np.linalg.norm(v))
-
-
-def _check_pair(m: int, i: int, j: int):
-    _indices((i, j), "modes", m, distinct=True)
 
 
 def _check_finite(**angles):

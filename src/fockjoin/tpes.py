@@ -27,7 +27,9 @@ from .fock import (
     NORM_ATOL, FockState, _as_number, _indices, _on_basis, _renormalized, _squared_norm, make_state, partial_inner, tensor
 )
 from .optics import ModeUnitary, apply_unitary
-from .schemes import _TWO_QUBIT_BASIS, SchemeReport, _report, deterministic_joining_pass, drop_control_photon, joined_ququart
+from .schemes import (
+    _ROOT_HALF, _TWO_QUBIT_BASIS, SchemeReport, _report, deterministic_joining_pass, drop_control_photon, joined_ququart
+)
 
 H, V = 0, 1
 UP, DOWN = 0, 1
@@ -38,8 +40,6 @@ ALL_BELL_OUTCOMES = tuple(product(POL_BELL_KINDS, PATH_BELL_KINDS))
 # Generator.choice(16, p=uniform) returns bisect_right(cdf, rng.random()) for the cumsum of p
 # over its last entry (here exactly 1.0); drawing the same way keeps each seed's outcome.
 _OUTCOME_CDF = np.full(16, 1 / 16).cumsum().tolist()
-
-_ROOT_HALF = 1.0 / np.sqrt(2.0)
 
 # Two-level corrections per degree of freedom; XZ means apply Z then X.
 _PAULI = {
@@ -242,17 +242,17 @@ def derive_correction_table(resource=("Phi-", "phi-")) -> dict:
 
 
 def resolve_outcome(outcome) -> tuple[str, str]:
-    """Accept an (pol, path) pair or a canonical index 0..15 (any integer type but bool)."""
+    """A (pol, path) pair or an index 0..15 (any integer type but bool); any other sequence is an unknown Bell outcome."""
     try:
-        pol_kind, path_kind = outcome
-    except TypeError:  # not a pair, so an index
+        pair = tuple(outcome)
+    except TypeError:  # not a sequence, so an index
         (index,) = _indices([outcome], "outcome index")
         if not index < 16:
             raise ValueError(f"outcome index {index} out of range 0..15") from None
         return ALL_BELL_OUTCOMES[index]
-    if pol_kind not in POL_BELL_KINDS or path_kind not in PATH_BELL_KINDS:
+    if pair not in ALL_BELL_OUTCOMES:
         raise ValueError(f"unknown Bell outcome {outcome!r}")
-    return (pol_kind, path_kind)
+    return pair
 
 
 def teleport_join(

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -882,19 +883,47 @@ def test_rendered_states_match_an_independent_reference(case):
     assert repr(as_dict) == repr(state_to_dict(FockState(modes, dict(s.terms))))
 
 
-_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.text(max_size=8))
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.text(max_size=8),
+    st.sampled_from([-0.0, 5e-324, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
     max_leaves=20,
 )
 
 
-@settings(max_examples=100, deadline=None)
+def _floats_marked(tree, floats):
+    """tree with tuples as lists and float k (in walk order, appended to floats) as the string "float #k#",
+    which no drawn text (8 characters at most) can be."""
+    if isinstance(tree, float):
+        floats.append(tree)
+        return f"float #{len(floats) - 1}#"
+    if isinstance(tree, (list, tuple)):
+        return [_floats_marked(item, floats) for item in tree]
+    if isinstance(tree, dict):
+        return {key: _floats_marked(value, floats) for key, value in tree.items()}
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
 @given(_JSON_TREES)
 def test_canonical_json_matches_sorted_compact_json_dumps(tree):
-    # Without floats, canonical JSON is json.dumps with sorted keys and no spaces.
-    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    # canonical JSON is json.dumps with sorted keys and no spaces, tuples as lists and each float as
+    # format(x, ".17g"); the generic walk in cli._emit is the only path for every leaf.
+    text, floats = canonical_json(tree), []
+    marked = json.dumps(_floats_marked(tree, floats), sort_keys=True, separators=(",", ":"))
+    assert text == re.sub(r'"float #(\d+)#"', lambda k: format(floats[int(k[1])], ".17g"), marked)
+    assert json.loads(text) == json.loads(json.dumps(tree))  # json.dumps writes tuples as lists, floats by repr
 
 
 def test_canonical_json_floats_and_type_rules():

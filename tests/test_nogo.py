@@ -528,10 +528,20 @@ def test_adversarial_search_raises_when_lapack_reports_a_failed_svd(monkeypatch,
         adversarial_search(4, restarts=1, iterations=10, seed=81)
 
 
-@pytest.mark.parametrize("logical", [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4)])
-def test_symmetrized_modes_rejects_bad_logical_modes(logical):
+@pytest.mark.parametrize(
+    "logical", [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4), (0, 0, 1, 2), (0, 1, 2, 9), (0, 1, 2, 3.5)]
+)
+def test_symmetrized_modes_rejects_bad_logical_modes(monkeypatch, logical):
     with pytest.raises(ValueError, match="logical modes"):
         symmetrized_modes(identity(4), ProjectorSpec([1, 0, 0, 0]), logical)
+    # The end-to-end check applies the same rule before it builds its input: a repeated
+    # logical mode would merge two input terms, which then read as unnormalized.
+    def evolve(*args):
+        raise AssertionError("apply_unitary called before the logical modes were checked")
+
+    monkeypatch.setattr(nogo, "apply_unitary", evolve)
+    with pytest.raises(ValueError, match="logical modes"):
+        end_to_end_projection_check([1, 0, 0, 0], identity(4), ProjectorSpec([1, 0, 0, 0]), logical)
 
 
 # --- the in-repo Nelder-Mead against scipy's -------------------------------------

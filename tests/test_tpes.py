@@ -344,6 +344,17 @@ def test_resolve_outcome():
         resolve_outcome(("Psi+", "Psi+"))
 
 
+@pytest.mark.parametrize("outcome", ["Phi+", ("Phi+",), ("Phi+", "phi+", "x")])
+def test_an_outcome_that_is_no_pair_is_an_unknown_bell_outcome(outcome):
+    # A bare kind, or a sequence of other than two entries, is no outcome; it must not escape as an unpacking error.
+    message = rf"^unknown Bell outcome {re.escape(repr(outcome))}$"
+    with pytest.raises(ValueError, match=message):
+        resolve_outcome(outcome)
+    with pytest.raises(ValueError, match=message):
+        teleport_join((1, 0), (1, 0), outcome=outcome)
+    assert resolve_outcome(["Psi+", "psi-"]) == ("Psi+", "psi-")
+
+
 def test_resolve_outcome_reads_the_index_as_an_integer():
     assert resolve_outcome(np.int64(3)) == ALL_BELL_OUTCOMES[3]
     assert teleport_join((1, 0), (0, 1), outcome=np.uint8(3)).branch == "/".join(ALL_BELL_OUTCOMES[3])
