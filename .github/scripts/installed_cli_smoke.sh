@@ -59,6 +59,15 @@ echo '{"modes": 4, "terms": [{"occ": [1, 0, 0, 0], "re": 0.6, "im": 0.0}, {"occ"
 "$bin/fockjoin" split --input ququart.json --branch minus --report split.json || fail "split --branch minus exited $?"
 probability_in_unit_range split.json success_probability || fail "the split report does not parse or its probability is outside [0, 1]"
 
+# The deterministic variants, which measure nothing: probability 1, fidelity 1 up to rounding, and each output
+# register (the join keeps all six modes, the carrier factored out on 4 and 5; the split gives two dual-rail qubits).
+"$bin/fockjoin" join --input valid.json --variant deterministic --report join_det.json || fail "join --variant deterministic exited $?"
+"$bin/fockjoin" split --input ququart.json --variant deterministic --report split_det.json || fail "split --variant deterministic exited $?"
+for pair in join_det.json:6 split_det.json:4; do
+    "$bin/python" -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(not (r["success_probability"] == 1 and r["fidelity"] >= 1 - 1e-12 and r["output"]["modes"] == int(sys.argv[2])))' "${pair%:*}" "${pair#*:}" \
+        || fail "${pair%:*} does not report probability 1, fidelity 1 and ${pair#*:} output modes"
+done
+
 # A circuit that measures: a carrier projection, then a vacuum check.
 printf 'modes 6\ncnot 4 5 0 1\ncnot 4 5 2 3\nproject 4 0.7071067811865476 0 5 0.7071067811865476 0\nvac 3\n' > measure.pc
 echo '{"modes": 6, "terms": [{"occ": [1, 0, 0, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 0, 1, 0, 0, 1], "re": 0.0, "im": 0.8}]}' > unfolded.json

@@ -21,6 +21,7 @@ differ only in --seed. The argparse parser is built once per process, on first u
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -262,15 +263,7 @@ def _cmd_nogo(args):
     if search:
         cert = merge_certificates(cert, adversarial_search(args.modes, **search, seed=seed))
         described += f" iterations={args.iterations}"
-    body = {
-        "modes": args.modes,
-        "trials": cert.trials,
-        "max_sigma_min": float(cert.max_sigma_min),
-        "argmax_seed": cert.argmax_seed,
-        "optimizer_iterations": cert.optimizer_iterations,
-        "verdict": cert.verdict,
-    }
-    return args.seed, [described.encode()], body
+    return args.seed, [described.encode()], {"modes": args.modes} | dataclasses.asdict(cert)
 
 
 def _cmd_run(args):

@@ -45,7 +45,8 @@ class FockState:
     ``terms`` maps occupation tuples (length ``modes``, entries >= 0) to
     complex amplitudes; it is a read-only view of a private copy. An empty
     map is the zero state, which is how a failed projection is flagged.
-    Construction checks every occupation and amplitude and stores each term
+    Construction checks the mode count (_mode_count) and every occupation and
+    amplitude, and stores the count as an int and each term
     under its occupation as a tuple of ints, with complex(amp); operations inside
     this package build their results through ``_trusted`` instead, since
     they only rearrange occupations that were checked on the way in.
@@ -62,13 +63,12 @@ class FockState:
     terms: Mapping[Occupation, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError(f"mode count must be positive, got {self.modes}")
+        modes = _mode_count(self.modes)
         terms = {}
         for occ, amp in self.terms.items():
-            occ = _indices(occ, "occupation", count=self.modes)
+            occ = _indices(occ, "occupation", count=modes)
             terms[occ] = _check_amplitude(occ, amp)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        vars(self).update(modes=modes, terms=MappingProxyType(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -106,6 +106,14 @@ def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple
     if count is not None and len(out) != count:
         raise ValueError(f"{name} {list(out)} should have {count} entries")
     return out
+
+
+def _mode_count(modes) -> int:
+    """modes as an int of at least 1, the one mode-count rule; _indices names a fraction, a bool or a negative count."""
+    (count,) = _indices([modes], "modes")
+    if count < 1:
+        raise ValueError(f"mode count must be positive, got {count}")
+    return count
 
 
 def _check_amplitude(occ, amp) -> complex:
@@ -159,8 +167,7 @@ def make_state(modes: int, terms) -> FockState:
     """
     if not terms:
         raise ValueError("at least one term is required")
-    if modes < 1:
-        raise ValueError(f"mode count must be positive, got {modes}")
+    modes = _mode_count(modes)
     merged: dict[Occupation, complex] = {}
     for occ, amp in terms:
         occ = _indices(occ, "occupation", count=modes)
@@ -291,6 +298,7 @@ class Bipartition:
 
 
 def bipartition(modes: int, left) -> Bipartition:
+    modes = _mode_count(modes)
     left = tuple(sorted(_indices(left, "left set", modes, distinct=True)))
     right = tuple(i for i in range(modes) if i not in set(left))
     return Bipartition(left, right)
@@ -418,7 +426,7 @@ def state_from_dict(data: dict) -> FockState:
     amplitude that pruning would drop, is an error rather than a quiet change.
     """
     try:
-        (modes,) = _indices([data["modes"]], "modes")
+        modes = _mode_count(data["modes"])
         pairs = [(tuple(t["occ"]), complex(t["re"], t["im"])) for t in data["terms"]]
     except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int part past the float range
         raise ValueError(f"malformed state object: {exc}") from exc
@@ -428,8 +436,6 @@ def state_from_dict(data: dict) -> FockState:
             raise ValueError(f"amplitude {amp} of occupation {occ} is at or below the pruning tolerance {PRUNE_TOL:g}")
     if not pairs:
         return zero_state(modes)
-    if modes < 1:
-        raise ValueError(f"mode count must be positive, got {modes}")
     terms: dict[Occupation, complex] = {}
     for occ, amp in pairs:
         occ = _indices(occ, "occupation", count=modes)

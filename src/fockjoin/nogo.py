@@ -181,7 +181,7 @@ def symmetrized_modes(u: ModeUnitary, phi: ProjectorSpec, logical_modes=(0, 1, 2
     """
     logical_modes = _indices(logical_modes, "logical modes", u.dim, distinct=True, count=4)
     if phi.modes != u.dim:
-        raise ValueError("dimension mismatch between unitary and detection")
+        raise ValueError(f"detection has {phi.modes} modes, unitary has {u.dim}")
     return _symmetrized_rows(u.matrix, np.conj(phi.phi), logical_modes)
 
 
@@ -572,16 +572,15 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     compares the unnormalized one-photon output term by term against the
     linear combination of symmetrized modes weighted by the input
     amplitudes. Agreement certifies the bosonic bookkeeping end to end.
-    The logical modes (by symmetrized_modes' rule) and the detection
-    length are checked before the input is built.
+    The analytic rows come from one symmetrized_modes call, which checks
+    the logical modes and the detection length before the input is built.
     """
     alpha = np.asarray(alpha, dtype=object).reshape(-1)
     if len(alpha) != 4:
         raise ValueError("expected four input amplitudes")
+    logical_modes = tuple(logical_modes)
+    rows = symmetrized_modes(u, phi, logical_modes)
     m = u.dim
-    logical_modes = _indices(logical_modes, "logical modes", m, distinct=True, count=4)
-    if phi.modes != m:
-        raise ValueError("detection length must match the unitary dimension")
     state = _on_basis(m, [tuple(int(j in pair) for j in range(m)) for pair in _mode_pairs(logical_modes)], alpha)
     if not is_normalized(state):
         raise ValueError("input amplitudes must be normalized")
@@ -598,5 +597,5 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
         else:
             extra = max(extra, abs(amp))
 
-    analytic = alpha.astype(complex) @ _symmetrized_rows(u.matrix, np.conj(phi.phi), logical_modes)
+    analytic = alpha.astype(complex) @ rows
     return float(max(np.max(np.abs(simulated - analytic)), extra))

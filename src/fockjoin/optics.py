@@ -29,9 +29,9 @@ All functions are pure but for one memo: a unitary keeps the dict loop's
 expansions (_memo: tuples, from its matrix alone), so a later call
 gets a fresh copy's bits without expanding again. Unitaries and projectors
 validate themselves on construction and keep a private read-only copy of
-their array. The builders here (beamsplitter, phase_shifter, hadamard_pair,
-mode_permutation) make their own matrices, so they skip that check and
-the scan for active modes, and name those modes themselves.
+their array. The builders here (identity, beamsplitter, phase_shifter,
+hadamard_pair, mode_permutation) make their own matrices, so they skip that
+check and the scan for active modes, and name those modes themselves.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PRUNE_TOL, FockState, Occupation, _indices, _layout, _pruned, _renormalized, _trusted
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _layout, _mode_count, _pruned, _renormalized, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -57,12 +57,13 @@ class ModeUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
+        dim = _mode_count(self.dim)
         mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}")
+        if mat.shape != (dim, dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
         _require_unitary(mat)
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        vars(self).update(dim=dim, matrix=mat)
 
     @cached_property
     def _active(self) -> list:
@@ -140,7 +141,7 @@ def _require_normalized(vecs: np.ndarray):
 
 
 def identity(m: int) -> ModeUnitary:
-    return ModeUnitary(m, np.eye(m, dtype=complex))
+    return _element(np.eye(_mode_count(m), dtype=complex), [])
 
 
 def compose(*elements: ModeUnitary) -> ModeUnitary:
@@ -206,8 +207,7 @@ def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
 
 
 def haar_from_rng(m: int, rng: np.random.Generator) -> ModeUnitary:
-    if m < 1:
-        raise ValueError("mode count must be positive")
+    m = _mode_count(m)
     return ModeUnitary(m, _haar_from_normals(rng.standard_normal((m, m)), rng.standard_normal((m, m))))
 
 
@@ -224,6 +224,7 @@ def _haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def random_projector(m: int, rng: np.random.Generator) -> ProjectorSpec:
+    m = _mode_count(m)
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return ProjectorSpec(v / np.linalg.norm(v))
 

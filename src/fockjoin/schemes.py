@@ -35,6 +35,7 @@ import numpy as np
 
 from .fock import (
     FockState,
+    _indices,
     _on_basis,
     _renormalized,
     add_vacuum_modes,
@@ -108,8 +109,7 @@ class ProbabilityModel:
         for name, p in (("p_cnot", self.p_cnot), ("p_projection", self.p_projection)):
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.n_cnot < 0:
-            raise ValueError("n_cnot must be non-negative")
+        _indices([self.n_cnot], "n_cnot")  # a non-negative integer, not a bool
 
 
 # Feed-forward recovery: accepting the correctable measurement branches of

@@ -265,12 +265,12 @@ def teleport_join(
     """Join two qubits onto one photon by double Bell measurement.
 
     ``outcome`` forces a Bell result (pair of kinds, or index 0..15, checked
-    before the amplitudes) or, when set to "sample", draws one uniformly:
-    every branch weight is 1/16.
+    before the amplitudes) or, when it is the str "sample", draws one
+    uniformly: every branch weight is 1/16.
     Only that branch is contracted; its weight is the report's
     success_probability, and the rule's Pauli correction maps it to the joined state.
     """
-    picked_outcome = None if outcome == "sample" else resolve_outcome(outcome)
+    picked_outcome = None if isinstance(outcome, str) and outcome == "sample" else resolve_outcome(outcome)
     pairs = _input_pairs(alpha_beta, gamma_delta)
     resource = _resource_kinds(resource)
     full = _five_photon_state(pairs, resource)

@@ -417,6 +417,12 @@ _BAD_INDEX_CALLS = {
     "bipartition repeat": lambda: bipartition(4, [0, 0, 1]),
     "bipartition fraction": lambda: bipartition(4, [0.5]),
     "bipartition negative": lambda: bipartition(4, [-1]),
+    # Mode counts: every constructor that takes one reads it through fock._mode_count.
+    "FockState float modes": lambda: FockState(2.0, {(1, 0): 1}),
+    "FockState bool modes": lambda: FockState(True, {(1,): 1}),
+    "zero_state fraction": lambda: zero_state(2.5),
+    "make_state bool modes": lambda: make_state(True, [((1,), 1.0)]),
+    "bipartition float modes": lambda: bipartition(4.0, [0]),
 }
 
 
@@ -424,6 +430,21 @@ _BAD_INDEX_CALLS = {
 def test_fractional_and_repeated_indices_fail_at_the_boundary(case):
     with pytest.raises(ValueError, match=r"occupation|modes|positions|permutation|left set"):
         _BAD_INDEX_CALLS[case]()
+
+
+def test_a_stored_mode_count_is_an_int():
+    # A numpy count is stored as the int it stands for; 0 keeps its own message.
+    count = np.int64(2)
+    for state in (
+        FockState(count, {(1, 0): 1}),
+        zero_state(count),
+        make_state(count, [((1, 0), 1)]),
+        state_from_dict({"modes": count, "terms": [{"occ": [1, 0], "re": 1.0, "im": 0.0}]}),
+    ):
+        assert type(state.modes) is int and state.modes == 2
+    for build in (lambda: FockState(0, {}), lambda: make_state(0, [((), 1)]), lambda: bipartition(0, [])):
+        with pytest.raises(ValueError, match=r"^mode count must be positive, got 0$"):
+            build()
 
 
 @settings(max_examples=40, deadline=None)

@@ -528,20 +528,27 @@ def test_adversarial_search_raises_when_lapack_reports_a_failed_svd(monkeypatch,
         adversarial_search(4, restarts=1, iterations=10, seed=81)
 
 
+_BAD_LOGICAL = [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4), (0, 0, 1, 2), (0, 1, 2, 9), (0, 1, 2, 3.5)]
+
+
 @pytest.mark.parametrize(
-    "logical", [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4), (0, 0, 1, 2), (0, 1, 2, 9), (0, 1, 2, 3.5)]
+    "logical, detection_modes",
+    [(logical, 4) for logical in _BAD_LOGICAL] + [((0, 1, 2, 3), 5)],
+    ids=[f"logical{i}" for i in range(len(_BAD_LOGICAL))] + ["mismatched detection"],
 )
-def test_symmetrized_modes_rejects_bad_logical_modes(monkeypatch, logical):
-    with pytest.raises(ValueError, match="logical modes"):
-        symmetrized_modes(identity(4), ProjectorSpec([1, 0, 0, 0]), logical)
-    # The end-to-end check applies the same rule before it builds its input: a repeated
-    # logical mode would merge two input terms, which then read as unnormalized.
+def test_symmetrized_modes_rejects_bad_logical_modes(monkeypatch, logical, detection_modes):
+    phi = ProjectorSpec(np.eye(detection_modes)[0])
+    with pytest.raises(ValueError, match=r"logical modes|^detection has 5 modes, unitary has 4$") as raised:
+        symmetrized_modes(identity(4), phi, logical)
+    # The end-to-end check applies the same rules, with the same message, before it builds its input:
+    # a repeated logical mode would merge two input terms, which then read as unnormalized.
     def evolve(*args):
-        raise AssertionError("apply_unitary called before the logical modes were checked")
+        raise AssertionError("apply_unitary called before the logical modes and the detection were checked")
 
     monkeypatch.setattr(nogo, "apply_unitary", evolve)
-    with pytest.raises(ValueError, match="logical modes"):
-        end_to_end_projection_check([1, 0, 0, 0], identity(4), ProjectorSpec([1, 0, 0, 0]), logical)
+    with pytest.raises(ValueError) as again:
+        end_to_end_projection_check([1, 0, 0, 0], identity(4), phi, logical)
+    assert str(again.value) == str(raised.value)
 
 
 # --- the in-repo Nelder-Mead against scipy's -------------------------------------

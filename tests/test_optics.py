@@ -24,6 +24,7 @@ from fockjoin.optics import (
     identity,
     mode_permutation,
     phase_shifter,
+    random_projector,
 )
 from fockjoin import optics, schemes, tpes
 from fockjoin.optics import _expand, _expand_arrays
@@ -40,6 +41,27 @@ def random_occupation_state(modes, rng, max_total=3, n_terms=4):
 def test_mode_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
         ModeUnitary(2, np.array([[1, 0], [0, 2]], dtype=complex))
+
+
+_COUNT_CONSTRUCTORS = {
+    "ModeUnitary": lambda m: ModeUnitary(m, np.eye(2)),
+    "identity": identity,
+    "haar_random_unitary": lambda m: haar_random_unitary(m, 5),
+    "random_projector": lambda m: random_projector(m, np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CONSTRUCTORS))
+def test_a_mode_count_is_an_int_of_at_least_one(name):
+    build = _COUNT_CONSTRUCTORS[name]
+    for bad in (2.0, 2.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=r"^modes \[.*\] must hold integers$"):
+            build(bad)
+    with pytest.raises(ValueError, match=r"^mode count must be positive, got 0$"):
+        build(0)
+    built = build(np.int64(2))
+    count = built.modes if name == "random_projector" else built.dim
+    assert type(count) is int and count == 2
 
 
 def test_beamsplitter_block_values():

@@ -646,5 +646,7 @@ def test_probability_model_feed_forward_caps_at_one():
 def test_probability_model_validation():
     with pytest.raises(ValueError):
         ProbabilityModel(Fraction(5, 4), 2, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ProbabilityModel(Fraction(1, 4), -1, Fraction(1, 2))
+    # n_cnot follows the package's integer rule: 2.5 gates would compose to 1/64, and True to one gate.
+    for n_cnot in (2.5, True, -1):
+        with pytest.raises(ValueError, match=r"^n_cnot \["):
+            ProbabilityModel(Fraction(1, 4), n_cnot, Fraction(1, 2))

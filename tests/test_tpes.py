@@ -355,6 +355,15 @@ def test_an_outcome_that_is_no_pair_is_an_unknown_bell_outcome(outcome):
     assert resolve_outcome(["Psi+", "psi-"]) == ("Psi+", "psi-")
 
 
+def test_an_outcome_pair_of_numpy_strings_runs_as_the_tuple():
+    # Only the str "sample" skips resolve_outcome; an array is never compared with it.
+    expected = teleport_join((0.6, 0.8j), (0.28, -0.96j), outcome=("Phi+", "phi-"))
+    for outcome in (np.array(["Phi+", "phi-"]), (np.str_("Phi+"), np.str_("phi-"))):
+        assert teleport_join((0.6, 0.8j), (0.28, -0.96j), outcome=outcome) == expected
+    with pytest.raises(ValueError, match=r"^unknown Bell outcome array\(\['Phi\+', 'x'\]"):
+        teleport_join((1, 0), (1, 0), outcome=np.array(["Phi+", "x"]))
+
+
 def test_resolve_outcome_reads_the_index_as_an_integer():
     assert resolve_outcome(np.int64(3)) == ALL_BELL_OUTCOMES[3]
     assert teleport_join((1, 0), (0, 1), outcome=np.uint8(3)).branch == "/".join(ALL_BELL_OUTCOMES[3])
