@@ -34,6 +34,26 @@ timeout 60 "$bin/fockjoin" nogo-scan --trials 100000000 --restarts 1 --iteration
 [ "$code" -eq 2 ] || fail "nogo-scan --trials 100000000 --restarts 1 --iterations 0 exited $code, expected 2 before the scan"
 [ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: iterations must be at least 1, got 0$' err.txt \
     || fail "expected one error: line naming iterations, got: $(cat err.txt)"
+# A scan whose 64 trials cross seed 2**32, where a seed gains a second 32-bit entropy word: its certificate has the
+# max_sigma_min bits and argmax_seed of a loop that builds default_rng(s) for every trial seed s.
+"$bin/fockjoin" nogo-scan --modes 4 --trials 64 --seed 4294967264 --out scan.json \
+    || fail "nogo-scan --trials 64 --seed 4294967264 exited $?"
+"$bin/python" - scan.json <<'PY' || fail "nogo-scan across seed 2**32 does not match a per-trial default_rng loop"
+import json, sys
+import numpy as np
+from fockjoin import nogo, optics
+report = json.load(open(sys.argv[1]))
+seed = 4294967264
+best, best_seed = -1.0, seed
+for s in range(seed, seed + 64):
+    rng = np.random.default_rng(s)
+    u = optics.haar_from_rng(4, rng)
+    phi = optics.random_projector(4, rng)
+    sigma = float(np.linalg.svd(nogo.symmetrized_modes(u, phi), compute_uv=False)[-1])
+    if sigma > best:
+        best, best_seed = sigma, s
+sys.exit(not (report["max_sigma_min"].hex() == best.hex() and report["argmax_seed"] == best_seed))
+PY
 # Nelder-Mead is in-repo: a search in a fresh process loads scipy.linalg.lapack and no part of scipy.optimize.
 "$bin/python" -c 'import sys; from fockjoin.nogo import adversarial_search; adversarial_search(4, restarts=1, iterations=5); sys.exit(not ("scipy.linalg.lapack" in sys.modules and not any(n.startswith("scipy.optimize") for n in sys.modules)))' \
     || fail "a search loads scipy.optimize, or does not load scipy.linalg.lapack"

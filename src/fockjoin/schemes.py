@@ -28,6 +28,7 @@ feed-forward sum read the plus weight).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -106,10 +107,13 @@ class ProbabilityModel:
     feed_forward: bool = False
 
     def __post_init__(self):
+        # A probability is a real number, not a bool, in [0, 1]; NaN fails the range test.
         for name, p in (("p_cnot", self.p_cnot), ("p_projection", self.p_projection)):
-            if not 0 <= p <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+                raise ValueError(f"{name} must be a real number in [0, 1], got {p!r}")
         _indices([self.n_cnot], "n_cnot")  # a non-negative integer, not a bool
+        if not isinstance(self.feed_forward, (bool, np.bool_)):
+            raise ValueError(f"feed_forward must be a bool, got {self.feed_forward!r}")
 
 
 # Feed-forward recovery: accepting the correctable measurement branches of

@@ -84,6 +84,14 @@ def test_core_matrix_structure_generic():
     assert mat[3, 1] == pc[3] and mat[3, 3] == pc[1]
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+def test_core_matrix_rejects_non_finite_detection_components(bad):
+    with pytest.raises(ValueError, match=r"^detection components \[0\] are not finite"):
+        symmetrized_mode_matrix([bad, 0, 0, 1])
+    with pytest.raises(ValueError, match=r"^detection components \[1, 3\] are not finite"):
+        symmetrized_mode_matrix([0.5, bad, 0, bad])
+
 def test_symbolic_determinant_is_the_zero_polynomial():
     assert symbolic_core_determinant() == {}
 
@@ -329,6 +337,37 @@ def test_scans_match_per_trial_reference_with_tiny_chunks(monkeypatch, m):
                 expected = reference_certificate(sigmas[:trials], seed)
                 assert certificate_fields(scan(m, trials, seed=seed)) == expected, (scan.__name__, seed, trials)
 
+
+
+# Seeds where numpy's entropy words change count or carry: 2**32 and 2**64
+# add a word, 2**128 starts a word past SeedSequence's pool of four.
+SEED_BOUNDARIES = (0, 2**32, 2**64, 2**128)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.one_of(
+        st.sampled_from(SEED_BOUNDARIES).flatmap(lambda b: st.integers(max(0, b - 9), b + 9)),
+        st.integers(2**200, 2**300),
+    ),
+    n=st.integers(1, 9),
+    draws=st.sampled_from(sorted({8 * m for m in range(4, 9)} | {2 * m * m + 2 * m for m in range(4, 9)})),
+)
+def test_chunk_seeding_matches_default_rng_bit_for_bit(start, n, draws):
+    rows = nogo._trial_normals(start, n, draws)
+    expected = np.array([np.random.default_rng(start + i).standard_normal(draws) for i in range(n)])
+    assert rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("boundary", SEED_BOUNDARIES[1:])
+@pytest.mark.parametrize("m", [4, 5])
+def test_scans_match_per_trial_reference_across_seed_boundaries(monkeypatch, m, boundary):
+    # Chunks of three trials: the boundary falls inside a chunk and between two.
+    monkeypatch.setattr(nogo, "_CHUNK_ENTRIES", 3 * m * m)
+    for seed in (boundary - 4, boundary - 3):
+        for scan, reference in SCAN_REFERENCES:
+            expected = reference_certificate(reference(m, 8, seed), seed)
+            assert certificate_fields(scan(m, 8, seed=seed)) == expected, (scan.__name__, seed)
 
 def test_haar_from_rng_matches_qr_recipe():
     for m in (1, 2, 4, 7):

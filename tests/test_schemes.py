@@ -650,3 +650,28 @@ def test_probability_model_validation():
     for n_cnot in (2.5, True, -1):
         with pytest.raises(ValueError, match=r"^n_cnot \["):
             ProbabilityModel(Fraction(1, 4), n_cnot, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name", ["p_cnot", "p_projection"])
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, 1.5, -0.1, 0.5j])
+def test_probability_model_rejects_a_probability_that_is_not_a_real_in_unit_range(name, value):
+    fields = {"p_cnot": Fraction(1, 4), "n_cnot": 2, "p_projection": Fraction(1, 2), name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a real number in \\[0, 1\\]"):
+        ProbabilityModel(**fields)
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1), 0.0, 1.0, 0, 1, np.float64(0.25)])
+def test_probability_model_accepts_reals_in_unit_range(value):
+    model = ProbabilityModel(value, 1, value)
+    assert compose_success_probability(model) == value * value
+
+
+@pytest.mark.parametrize("value", ["no", 1])
+def test_probability_model_feed_forward_must_be_a_bool(value):
+    with pytest.raises(ValueError, match="^feed_forward must be a bool"):
+        ProbabilityModel(Fraction(1, 4), 2, Fraction(1, 2), feed_forward=value)
+
+
+def test_probability_model_takes_numpy_bools_for_feed_forward():
+    model = ProbabilityModel(Fraction(1, 4), 2, Fraction(1, 2), feed_forward=np.bool_(True))
+    assert compose_success_probability(model) == Fraction(1, 8)
