@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockjoin import nogo
+from fockjoin.cli import canonical_json
 from fockjoin.nogo import (
     RANK_THRESHOLD,
     VERDICT_COUNTEREXAMPLE,
@@ -140,6 +143,34 @@ def test_symmetrized_modes_rank_at_most_three():
 def test_symmetrized_modes_degenerate_detection_rank_two():
     phi = ProjectorSpec([1, 0, 0, 0])
     assert np.sum(singular_values(symmetrized_modes(identity(4), phi)) > 1e-9) == 2
+
+
+def kernel_input(pc):
+    """The input every two-photon herald loses: (pc_b, -pc_a) (x) (pc_d, -pc_c), a zero pair's factor (1, 0).
+
+    pc is the conjugated detection on logical modes (a, b, c, d); entry k multiplies row k of the
+    symmetrized modes, whose rows are the pairs (a, c), (a, d), (b, c), (b, d).
+    """
+    first = (pc[1], -pc[0]) if pc[0] or pc[1] else (1, 0)
+    second = (pc[3], -pc[2]) if pc[2] or pc[3] else (1, 0)
+    return np.kron(first, second)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(4, 8), seed=st.integers(0, 2**32 - 1), zeros=st.sets(st.integers(0, 3)))
+def test_the_closed_form_input_is_annihilated(m, seed, zeros):
+    # Row k of symmetrized_modes is pc_y u_x + pc_x u_y for pair (x, y); the lambda combination cancels
+    # term by term, whatever u is, so the residual is rounding alone.
+    assume(m > 4 or len(zeros) < 4)
+    rng = np.random.default_rng(seed)
+    u = haar_from_rng(m, rng)
+    phi = normalized_phi(rng, m)
+    phi[sorted(zeros)] = 0
+    phi /= np.linalg.norm(phi)
+    lam = kernel_input(np.conj(phi[:4]))
+    assert np.linalg.norm(lam) > 0
+    residual = np.linalg.norm(lam @ symmetrized_modes(u, ProjectorSpec(phi)))
+    assert residual <= 1e-14 * np.linalg.norm(lam), (residual, np.linalg.norm(lam))
 
 
 def test_rank_scan_rank_deficient():
@@ -549,22 +580,35 @@ def test_parameterizations_reject_non_finite_parameters(builder, size, bad):
         builder([bad] * size, 4)
 
 
+@pytest.mark.parametrize("builder", [unitary_from_angles, projector_from_params])
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (0, "mode count must be positive, got 0"),
+        (-1, r"modes \[-1\] out of range"),
+        (2.5, r"modes \[2.5\] must hold integers"),
+        (2.0, r"modes \[2.0\] must hold integers"),
+        (True, r"modes \[True\] must hold integers"),
+    ],
+)
+def test_parameterizations_check_the_mode_count(builder, m, message):
+    # The one mode-count rule, before the parameters are counted: no empty unitary, no one-entry detection of
+    # zero modes, no "expected 6.25 parameters".
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        builder(np.zeros(4), m)
+
+
+def test_parameterizations_take_numpy_integer_mode_counts():
+    params = np.random.default_rng(92).uniform(-4.0, 4.0, 40)
+    assert unitary_from_angles(params[:25], np.int64(5)).tobytes() == unitary_from_angles(params[:25], 5).tobytes()
+    assert projector_from_params(params[:10], np.uint8(5)).tobytes() == projector_from_params(params[:10], 5).tobytes()
+
+
 def test_adversarial_search_raises_on_nan_objective(monkeypatch):
     # max() and ">" skip NaN, which would read as rank deficiency.
     monkeypatch.setattr(nogo, "_objective_sigma", lambda x, m, k: math.nan)
     with pytest.raises(ValueError, match="NaN objective value in restart 81"):
         adversarial_search(4, restarts=2, iterations=10, seed=81)
-
-
-@pytest.mark.parametrize("info", [2, -1])
-def test_adversarial_search_raises_when_lapack_reports_a_failed_svd(monkeypatch, info):
-    # A failed zgesdd call leaves its singular values undefined; zeros read as a value would certify rank deficiency.
-    def failed(a, compute_uv):
-        return np.zeros((1, 1)), np.zeros(4), np.zeros((1, 1)), info
-
-    monkeypatch.setattr(nogo, "_zgesdd", lambda: failed)
-    with pytest.raises(np.linalg.LinAlgError, match=f"^SVD did not converge \\(zgesdd info {info}\\)$"):
-        adversarial_search(4, restarts=1, iterations=10, seed=81)
 
 
 _BAD_LOGICAL = [(0, 1.7, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4), (0, 0, 1, 2), (0, 1, 2, 9), (0, 1, 2, 3.5)]
@@ -660,14 +704,14 @@ def test_batch_objective_pushes_zero_angles_and_a_fallback_detection_bit_for_bit
     # The matrices themselves, signed zeros included, are compared byte for byte. The batch writes out
     # CPython's float-times-complex product as complex(c, 0.0) times the value, which is how 3.10-3.13
     # evaluate it (-1.0 * 0j is (-0+0j) on each); an interpreter that multiplies otherwise fails here.
-    zgesdd = nogo._zgesdd()
+    svd = nogo._singular_values
     seen = []
 
-    def recording(a, compute_uv):
+    def recording(a, signature):
         seen.append(a.tobytes())
-        return zgesdd(a, compute_uv=compute_uv)
+        return svd(a, signature=signature)
 
-    monkeypatch.setattr(nogo, "_zgesdd", lambda: recording)
+    monkeypatch.setattr(nogo, "_singular_values", recording)
     for m in (4, 5):
         x = np.random.default_rng(m).uniform(-4.0, 4.0, (9, m * m + 2 * m))
         x[1, : m * m] = 0.0
@@ -688,61 +732,75 @@ def test_batch_objective_pushes_zero_angles_and_a_fallback_detection_bit_for_bit
             batch_matrices = list(seen)
             seen.clear()
             assert batch == [nogo._objective_sigma(p, m, k).hex() for p in x]
-            assert batch_matrices == seen
+            # One call takes the batch's (n, 4, m) stack, whose bytes are the scalar matrices' in order.
+            assert len(seen) == len(x)
+            assert batch_matrices == [b"".join(seen)]
 
 
-def _zgesdd_spoiled_at(call, spoil):
-    """A zgesdd whose call number `call` (from 1) returns spoil(result); the calls made are counted."""
-    zgesdd = nogo._zgesdd()
+def _svd_failing_at(points):
+    """The SVD gufunc with the matrices of the given points (numbered from 1 across calls) made NaN, and a call log.
+
+    A failed zgesdd leaves NaN values and raises numpy's invalid flag; the gufunc on a NaN matrix does both.
+    """
+    svd = nogo._singular_values
     calls = []
 
-    def spoiled(a, compute_uv):
-        calls.append(1)
-        result = zgesdd(a, compute_uv=compute_uv)
-        return spoil(result) if len(calls) == call else result
+    def spoiled(a, signature):
+        first = sum(calls) + 1
+        stack = a.reshape(-1, *a.shape[-2:]).copy()
+        calls.append(len(stack))
+        for k in range(len(stack)):
+            if first + k in points:
+                stack[k] = np.nan
+        return svd(stack.reshape(a.shape), signature=signature)
 
     return spoiled, calls
 
 
-def _with_nan(result):
-    u, s, vt, info = result
-    s = s.copy()
-    s[:] = np.nan
-    return u, s, vt, info
+@pytest.mark.parametrize("failed", [{1}, {3}, {2, 4}, {9}])
+def test_a_failed_svd_in_a_batch_raises_at_its_own_point(monkeypatch, failed):
+    # The batch's values are read in order: those before the first failed point are the scalar values,
+    # and that point raises, so a later failure never decides.
+    x = np.random.default_rng(83).uniform(-4.0, 4.0, (9, 24))
+    first = min(failed)
+    expected = [nogo._objective_sigma(p, 4, 3) for p in x[: first - 1]]
+    spoiled, _ = _svd_failing_at(failed)
+    monkeypatch.setattr(nogo, "_singular_values", spoiled)
+    # Under the error state adversarial_search sets, which keeps numpy's flags from warning.
+    with np.errstate(all="ignore"):
+        values = nogo._objective_sigmas(x, 4, 3)
+    assert [next(values) for _ in expected] == expected
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        next(values)
 
 
-def test_nan_inside_the_initial_simplex_raises_at_its_point(monkeypatch):
-    # Call 3 is the third point of restart 81's 25-point simplex; later points are never evaluated.
-    spoiled, calls = _zgesdd_spoiled_at(3, _with_nan)
-    monkeypatch.setattr(nogo, "_zgesdd", lambda: spoiled)
-    with pytest.raises(ValueError, match="^NaN objective value in restart 81$"):
+# At m = 4 the initial simplex is one call of 25 points; points 26 and 27 are the next two calls, of one
+# point each. The search stops at the first failed point and calls nothing after it. NaN values skipped by
+# max() would certify rank deficiency, and numpy's invalid flag must not surface as the RuntimeWarning this
+# suite turns into an error.
+@pytest.mark.parametrize("failed, calls_made", [({1}, 1), ({3}, 1), ({2, 4}, 1), ({25}, 1), ({26}, 2), ({27}, 3)])
+def test_a_failed_svd_stops_the_search_with_linalgerror(monkeypatch, failed, calls_made):
+    spoiled, calls = _svd_failing_at(failed)
+    monkeypatch.setattr(nogo, "_singular_values", spoiled)
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
         adversarial_search(4, restarts=2, iterations=10, seed=81)
-    assert len(calls) == 3
+    assert calls == [25, 1, 1][:calls_made]
 
 
-@pytest.mark.parametrize("info", [3, -4])
-def test_failed_svd_inside_the_initial_simplex_raises_at_its_point(monkeypatch, info):
-    spoiled, calls = _zgesdd_spoiled_at(3, lambda result: (*result[:3], info))
-    monkeypatch.setattr(nogo, "_zgesdd", lambda: spoiled)
-    with pytest.raises(np.linalg.LinAlgError, match=f"^SVD did not converge \\(zgesdd info {info}\\)$"):
-        adversarial_search(4, restarts=2, iterations=10, seed=81)
-    assert len(calls) == 3
-
-
-def test_nan_before_a_failed_svd_in_one_batch_raises_the_nan(monkeypatch):
-    # A loop of single evaluations meets the NaN at point 2 before the failure at point 4.
-    zgesdd = nogo._zgesdd()
-    calls = []
-
-    def spoiled(a, compute_uv):
-        calls.append(1)
-        result = zgesdd(a, compute_uv=compute_uv)
-        return {2: _with_nan(result), 4: (*result[:3], 1)}.get(len(calls), result)
-
-    monkeypatch.setattr(nogo, "_zgesdd", lambda: spoiled)
-    with pytest.raises(ValueError, match="^NaN objective value in restart 6$"):
-        adversarial_search(4, restarts=1, iterations=10, seed=6)
-    assert len(calls) == 2
+@pytest.mark.parametrize("m", range(4, 9))
+def test_the_svd_gufunc_gives_the_bytes_of_numpys_svd(m):
+    # The objective calls numpy's private LAPACK gufunc to skip np.linalg.svd's wrapper; a numpy that renames
+    # it or changes what it computes fails here.
+    rng = np.random.default_rng(700 + m)
+    stack = rng.standard_normal((50, 4, m)) + 1j * rng.standard_normal((50, 4, m))
+    singles = []
+    for rows in (*stack[:10], stack):
+        got = nogo._singular_values(rows, signature="D->d")
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.linalg.svd(rows, compute_uv=False).tobytes()
+        singles.append(got.tobytes())
+    # Each matrix of a stack gets the bits it gets alone, which the batch objective relies on.
+    assert singles[-1].startswith(b"".join(singles[:10]))
 
 
 # --- one budget check for every entry point ---------------------------------------
@@ -770,6 +828,30 @@ def test_nan_before_a_failed_svd_in_one_batch_raises_the_nan(monkeypatch):
 def test_every_entry_point_names_a_bad_budget(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_certificates_hold_python_ints_from_numpy_budgets():
+    # A numpy integer in a certificate would make cli.canonical_json raise "cannot serialize".
+    certs = [
+        adversarial_search(4, 1, 5, seed=np.int64(2)),
+        rank_scan(4, np.int64(3)),
+        rank_scan_control(np.int32(4), np.int64(3), seed=np.uint16(7)),
+    ]
+    certs.append(merge_certificates(*certs[1:]))
+    for cert in certs:
+        assert [type(cert.trials), type(cert.argmax_seed), type(cert.optimizer_iterations)] == [int, int, int], cert
+        assert type(cert.max_sigma_min) is float
+        json.loads(canonical_json(dataclasses.asdict(cert)))
+    assert (certs[0].argmax_seed, certs[1].trials) == (2, 3)
+
+
+def test_numpy_seeds_do_not_wrap_past_their_width():
+    # Trial and restart seeds run past 2**63, where seed + i on an int64 would wrap to a negative number.
+    seed = 2**63 - 2
+    assert rank_scan(4, 5, seed=np.int64(seed)) == rank_scan(4, 5, seed=seed)
+    search = adversarial_search(4, 4, 5, seed=np.int64(seed))
+    assert search == adversarial_search(4, 4, 5, seed=seed)
+    assert search.argmax_seed >= seed
 
 
 def test_numpy_integer_budgets_are_accepted():
