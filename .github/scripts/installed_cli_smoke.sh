@@ -34,16 +34,18 @@ timeout 60 "$bin/fockjoin" nogo-scan --trials 100000000 --restarts 1 --iteration
 [ "$code" -eq 2 ] || fail "nogo-scan --trials 100000000 --restarts 1 --iterations 0 exited $code, expected 2 before the scan"
 [ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: iterations must be at least 1, got 0$' err.txt \
     || fail "expected one error: line naming iterations, got: $(cat err.txt)"
-# A scan whose 64 trials cross seed 2**32, where a seed gains a second 32-bit entropy word: its certificate has the
-# max_sigma_min bits and argmax_seed of a loop that builds default_rng(s) for every trial seed s.
-"$bin/fockjoin" nogo-scan --modes 4 --trials 64 --seed 4294967264 --out scan.json \
-    || fail "nogo-scan --trials 64 --seed 4294967264 exited $?"
-"$bin/python" - scan.json <<'PY' || fail "nogo-scan across seed 2**32 does not match a per-trial default_rng loop"
+# Scans whose 64 trials cross seed 2**32, 2**64 and 2**128, where a seed gains a second, a third and a fifth 32-bit
+# entropy word: each certificate has the max_sigma_min bits and argmax_seed of a loop that builds default_rng(s) for
+# every trial seed s.
+for seed in 4294967264 18446744073709551584 340282366920938463463374607431768211424; do
+    "$bin/fockjoin" nogo-scan --modes 4 --trials 64 --seed "$seed" --out scan.json \
+        || fail "nogo-scan --trials 64 --seed $seed exited $?"
+    "$bin/python" - scan.json "$seed" <<'PY' || fail "nogo-scan from seed $seed does not match a per-trial default_rng loop"
 import json, sys
 import numpy as np
 from fockjoin import nogo, optics
 report = json.load(open(sys.argv[1]))
-seed = 4294967264
+seed = int(sys.argv[2])
 best, best_seed = -1.0, seed
 for s in range(seed, seed + 64):
     rng = np.random.default_rng(s)
@@ -54,6 +56,7 @@ for s in range(seed, seed + 64):
         best, best_seed = sigma, s
 sys.exit(not (report["max_sigma_min"].hex() == best.hex() and report["argmax_seed"] == best_seed))
 PY
+done
 # Nelder-Mead is in-repo and the SVD is numpy's: a search in a fresh process loads no scipy module at all.
 "$bin/python" -c 'import sys; from fockjoin.nogo import adversarial_search; adversarial_search(4, restarts=1, iterations=5); sys.exit(any(n.split(".")[0] == "scipy" for n in sys.modules))' \
     || fail "a search loads scipy"

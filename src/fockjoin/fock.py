@@ -116,6 +116,11 @@ def _mode_count(modes) -> int:
     return count
 
 
+def _default_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for a seed _indices accepts, a non-negative integer and no bool; None draws fresh entropy."""
+    return np.random.default_rng(seed if seed is None else _indices([seed], "seed")[0])
+
+
 def _check_amplitude(occ, amp) -> complex:
     """complex(amp) if it is a finite number whose abs() is a float, else a ValueError naming it (occ None: scale's factor)."""
     value = _as_number(occ, amp)
@@ -305,7 +310,9 @@ def bipartition(modes: int, left) -> Bipartition:
 
 
 def schmidt_values(s: FockState, cut: Bipartition) -> np.ndarray:
-    """Singular values of the bipartite coefficient matrix, descending."""
+    """Singular values of the bipartite coefficient matrix, descending; the cut must split the state's modes."""
+    if sorted([*cut.left, *cut.right]) != list(range(s.modes)):
+        raise ValueError(f"{cut} does not split the {s.modes} modes")
     if s.is_zero:
         return np.zeros(0)
     # The keys stay in here; itemgetter reads a hand-built cut's indices as occ[i] does, where a one-mode slice would not.

@@ -39,12 +39,12 @@ at mode b for pair (a, b), so row k of C U is that row pushed through the
 couplers of U. One coupler list defines the parameterization: the Givens
 routine pushes rows through it in Python complex scalars
 (unitary_from_angles pushes the unit rows), and the batch objective pushes
-the rows of a whole simplex through it in float64 arrays, with the same
-bits. The SVD calls the LAPACK gufunc (zgesdd without vectors) behind
-np.linalg.svd(rows, compute_uv=False), minus numpy's wrapper: on the same
-VM, about 7.5 us per 4 x 4 call against 13.5 us. The objective agrees with
-a numpy matrix-product evaluation to about 1e-15 of sigma_max, not bit for
-bit.
+the rows of a whole simplex through it in float64 arrays with the same
+bits (optics._complex_product). The SVD calls the LAPACK gufunc (zgesdd
+without vectors) behind np.linalg.svd(rows, compute_uv=False), minus numpy's
+wrapper: on the same VM, about 7.5 us per 4 x 4 call against 13.5 us. The
+objective agrees with a numpy matrix-product evaluation to about 1e-15 of
+sigma_max, not bit for bit.
 """
 from __future__ import annotations
 
@@ -60,8 +60,9 @@ from .fock import _indices, _mode_count, _on_basis, is_normalized
 from .optics import (
     ModeUnitary,
     ProjectorSpec,
-    _haar_from_normals,
+    _complex_product,
     _detected,
+    _haar_from_normals,
     _require_normalized,
     _require_unitary,
     apply_unitary,
@@ -254,29 +255,19 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _seed_words(start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The little-endian 32-bit words of the seeds start, ..., start + n - 1, and each seed's word count.
+def _seed_words(start: int, n: int) -> np.ndarray:
+    """The little-endian 32-bit words of the seeds start, ..., start + n - 1, as an (n, w) uint32 array.
 
-    The words form an (n, w) uint32 array, zero-padded to w >= 4 columns
-    (seed 0 is one zero word). The low 64 bits come from one wrapping uint64
-    arange; the high part is start's, or start's plus the carry. Counts are
-    read only past the fourth word: they are exact from 2**64 up, and 2 below.
+    Row i is (start + i).to_bytes, zero-padded to w >= 4 words: SeedSequence's
+    split of an int into entropy words, which NumPy NEP 19 keeps fixed. A
+    seed has word j > 0 only if that word or a later one is nonzero.
     """
-    low = np.uint64(start & _MASK64)
-    lows = np.arange(n, dtype=np.uint64) + low
-    carried = (lows < low).astype(np.intp)
-    width = max(4, -(-(start + n - 1).bit_length() // 32))
-    highs = (start >> 64, (start >> 64) + 1)
-    words = np.empty((n, width), dtype=np.uint32)
-    words[:, 0] = lows & np.uint64(_MASK32)
-    words[:, 1] = lows >> np.uint64(32)
-    high_words = [[h >> k & _MASK32 for k in range(0, 32 * (width - 2), 32)] for h in highs]
-    words[:, 2:] = np.array(high_words, dtype=np.uint32)[carried]
-    counts = np.array([2 + -(-h.bit_length() // 32) for h in highs])[carried]
-    return words, counts
+    size = 4 * max(4, -(-(start + n - 1).bit_length() // 32))
+    data = b"".join([s.to_bytes(size, "little") for s in range(start, start + n)])
+    return np.frombuffer(data, dtype="<u4").reshape(n, -1)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -302,10 +293,11 @@ def _trial_states(start: int, n: int) -> list[tuple[int, int]]:
     SeedSequence(s).generate_state(4, uint64), for all n seeds at once and
     in numpy's order of hashmix calls, so call k uses the k-th hash
     constant; the calls that do not depend on each other run as columns of
-    one array operation. Words past the fourth are mixed in only where a
-    seed has them. PCG64's seeding step then runs per seed in Python ints.
+    one array operation. Word j past the fourth is mixed in only where a
+    seed has it: where words[:, j:] is not all zero. PCG64's seeding step
+    then runs per seed in Python ints.
     """
-    words, counts = _seed_words(start, n)
+    words = _seed_words(start, n)
     consts = _hash_constants(_INIT_A, _MULT_A, 4 * words.shape[1])
     pool = _hashmix(words[:, :4], consts[:5])
     k = 4
@@ -315,7 +307,7 @@ def _trial_states(start: int, n: int) -> list[tuple[int, int]]:
         k += 3
     for j in range(4, words.shape[1]):
         mixed = _mix(pool, _hashmix(words[:, j, None], consts[k : k + 5]))
-        pool = np.where((counts > j)[:, None], mixed, pool)
+        pool = np.where(words[:, j:].any(axis=1)[:, None], mixed, pool)
         k += 4
     # generate_state: output word k hashes pool word k % 4; pairs of words make the four uint64.
     state = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 8))
@@ -345,10 +337,9 @@ def _scan(sigmas_of, draws: int, m: int, trials: int, seed: int) -> NogoCertific
     """Max sigma_min over trials seed, seed + 1, ..., one chunk at a time.
 
     Trial s fills one row of the chunk with the first `draws` standard
-    normals of default_rng(s), bit for bit; _trial_normals derives the
-    chunk's generator states in one numpy pass (about 0.2 ms) and then
-    costs about 7 us per trial. sigmas_of(rows, m) returns the chunk's
-    sigma_min per trial. The first of equal maxima wins.
+    normals of default_rng(s), bit for bit (_trial_normals). sigmas_of(rows,
+    m) returns the chunk's sigma_min per trial. The first of equal maxima
+    wins.
     """
     seed = _require_budget(seed, m, trials=trials)
     best = -1.0
@@ -392,16 +383,13 @@ def rank_scan(m: int, trials: int, seed: int = 0) -> NogoCertificate:
     """Max sigma_min over Haar unitaries and random detections.
 
     Trial i draws a Haar unitary and then a detection from its own
-    generator default_rng(seed + i). The scan does not build that
-    generator: one numpy pass per chunk derives every trial's PCG64 state
-    from its seed, and one reused generator, set to each state, draws the
-    trial's normals, bit for bit those of default_rng(seed + i), at about
-    7 us per trial against about 20 us. The QR, the symmetrized rows and
-    the SVD run over stacks of trials, one chunk at a time (a few MB
-    whatever the budget). Every trial gets the bits it would get on its
-    own, so the certificate, argmax_seed included, does not depend on the
-    chunking. A non-finite singular value raises ValueError rather than
-    reading as rank-deficient.
+    generator default_rng(seed + i), bit for bit, without building it (see
+    the module docstring). The QR, the symmetrized rows and the SVD run
+    over stacks of trials, one chunk at a time (a few MB whatever the
+    budget). Every trial gets the bits it would get on its own, so the
+    certificate, argmax_seed included, does not depend on the chunking. A
+    non-finite singular value raises ValueError rather than reading as
+    rank-deficient.
     """
     return _scan(_haar_trial_sigmas, 2 * m * m + 2 * m, m, trials, seed)
 
@@ -513,9 +501,9 @@ def _objective_sigmas(x: np.ndarray, m: int, singular_index: int):
 
     The trig is math's, the detections come from _detection and the couplers
     from _couplers, over arrays of all points' rows (entry r * n + p is row r
-    of point p). Each entry is a real and an imaginary float64 array, and each
-    update repeats CPython's complex product term for term (a float c counts
-    as complex(c, 0.0)), so every matrix, and so every value, has the bits
+    of point p). Each entry is a real and an imaginary float64 array, and
+    each coupler update and the final phases multiply through
+    _complex_product, so every matrix, and so every value, has the bits
     _objective_sigma gives. One call of the gufunc _objective_sigma calls
     takes the (n, 4, m) stack, saving its per-call cost n - 1 times; the
     values are checked as the iterator is read, so a failed SVD raises
@@ -534,16 +522,15 @@ def _objective_sigmas(x: np.ndarray, m: int, singular_index: int):
                 re[col, r], im[col, r] = pc[:, k].real, pc[:, k].imag
     re, im = list(re.reshape(m, 4 * n)), list(im.reshape(m, 4 * n))
     for i, j, c, ur, ui, lr, li in _couplers(cos, sin, m):
-        ar, ai, br, bi = re[i], im[i], re[j], im[j]
-        # v[i] = c * vi + lower * vj and v[j] = upper * vi + c * vj, as CPython evaluates them.
-        re[i] = (c * ar - 0.0 * ai) + (lr * br - li * bi)
-        im[i] = (c * ai + 0.0 * ar) + (lr * bi + li * br)
-        re[j] = (ur * ar - ui * ai) + (c * br - 0.0 * bi)
-        im[j] = (ur * ai + ui * ar) + (c * bi + 0.0 * br)
-    re, im, pr, pi = np.array(re), np.array(im), cos[m * (m - 1) :], sin[m * (m - 1) :]
+        vi, vj = (re[i], im[i]), (re[j], im[j])
+        # v[i] = c * vi + lower * vj and v[j] = upper * vi + c * vj, a float c as complex(c, 0.0).
+        (ar, ai), (br, bi) = _complex_product(c, 0.0, *vi), _complex_product(lr, li, *vj)
+        re[i], im[i] = ar + br, ai + bi
+        (ar, ai), (br, bi) = _complex_product(ur, ui, *vi), _complex_product(c, 0.0, *vj)
+        re[j], im[j] = ar + br, ai + bi
+    re, im = _complex_product(np.array(re), np.array(im), cos[m * (m - 1) :], sin[m * (m - 1) :])
     rows = np.empty((n, 4, m), dtype=complex)
-    rows.real = (re * pr - im * pi).reshape(m, 4, n).T
-    rows.imag = (re * pi + im * pr).reshape(m, 4, n).T
+    rows.real, rows.imag = re.reshape(m, 4, n).T, im.reshape(m, 4, n).T
     return map(_checked, _singular_values(rows, signature="D->d")[:, singular_index].tolist())
 
 
@@ -564,19 +551,18 @@ def _nelder_mead(x0: np.ndarray, objective, objectives, maxiter: int, restart: i
     does. The initial simplex and each shrink are evaluated as one batch
     through objectives; reflections, expansions and contractions one point
     at a time. A NaN value raises ValueError naming the restart, in
-    evaluation order.
+    evaluation order. The best point evaluated stays in the simplex (a step
+    keeps the better of xr and xe, a shrink keeps vertex 0), which every
+    iteration leaves sorted, so the largest value is -fsim[0].
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    best = -1.0
 
     def minus(values) -> list[float]:
-        """The minimized -value of each value, in evaluation order: a NaN raises, the largest value is kept."""
-        nonlocal best
+        """The minimized -value of each value, in evaluation order: a NaN raises."""
         out = []
         for value in values:
             if math.isnan(value):
                 raise ValueError(f"NaN objective value in restart {restart}")
-            best = max(best, value)
             out.append(-value)
         return out
 
@@ -628,7 +614,7 @@ def _nelder_mead(x0: np.ndarray, objective, objectives, maxiter: int, restart: i
         ind = fsim.argsort()
         sim = sim.take(ind, 0)
         fsim = fsim.take(ind, 0)
-    return best, iterations
+    return -fsim[0], iterations
 
 
 def adversarial_search(
@@ -648,15 +634,10 @@ def adversarial_search(
     rather than being skipped by the max. argmax_seed is seed + r for the
     best restart r, and does not replay it (see NogoCertificate).
 
-    Nelder-Mead is the in-repo _nelder_mead, which takes scipy's steps to
-    the bit (the tests check it against scipy.optimize.minimize) and
-    evaluates the initial simplex and each shrink as one batch. The
-    objective pushes the four core rows through the couplers and calls
-    numpy's LAPACK gufunc for zgesdd directly (see the module docstring); a
-    failed SVD raises LinAlgError at its own point, whatever numpy's error
-    state or the warning filters say. max_sigma_min, argmax_seed and
-    optimizer_iterations repeat exactly for a given seed. No scipy module is
-    imported.
+    Nelder-Mead (_nelder_mead) and the objective are those of the module
+    docstring; a failed SVD raises LinAlgError at its own point, whatever
+    numpy's error state or the warning filters say. max_sigma_min,
+    argmax_seed and optimizer_iterations repeat exactly for a given seed.
     """
     seed = _require_budget(seed, m, restarts=restarts, iterations=iterations)
     if not _is_integer(singular_index) or not 0 <= singular_index <= 3:

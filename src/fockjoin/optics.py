@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PRUNE_TOL, FockState, Occupation, _indices, _layout, _mode_count, _pruned, _renormalized, _trusted
+from .fock import PRUNE_TOL, FockState, Occupation, _default_rng, _indices, _layout, _mode_count, _pruned, _renormalized, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -203,7 +203,7 @@ def mode_permutation(m: int, perm) -> ModeUnitary:
 
 def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
     """Haar-distributed unitary, deterministic for a fixed seed."""
-    return haar_from_rng(m, np.random.default_rng(seed))
+    return haar_from_rng(m, _default_rng(seed))
 
 
 def haar_from_rng(m: int, rng: np.random.Generator) -> ModeUnitary:
@@ -363,6 +363,18 @@ def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
     return (keys >> (bits * np.array(modes, dtype=np.int64))[:, None]) & ((1 << bits) - 1)
 
 
+def _complex_product(ar, ai, br, bi):
+    """(ar + i ai) * (br + i bi) from float64 parts, scalars or arrays, by CPython's formula and so with its bits.
+
+    The one complex product of the array code. numpy's complex128 array
+    multiply rounds otherwise (44% of products of standard normal parts differ
+    in bits on an x86-64 VM with numpy 2.4); its complex128 scalars do not.
+    CPython 3.10-3.13 takes a float x times a complex as complex(x, 0.0)
+    times it, so a float factor is passed as (x, 0.0).
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
     """The candidates of every term under rows of one nonzero entry each.
 
@@ -380,7 +392,7 @@ def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
             continue
         for step in range(n.max()):
             on = n > step
-            re, im = np.where(on, re * c.real - im * c.imag, re), np.where(on, re * c.imag + im * c.real, im)
+            re, im = np.where(on, _complex_product(re, im, c.real, c.imag), (re, im))
     keys = keys + (weights[[b for ((b, _),) in rows]] - weights) @ counts
     return np.arange(len(keys)), keys, facts, re, im, True
 
@@ -467,24 +479,22 @@ def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool)
     factorial product, and (cre[k], cim[k]) its monomial coefficient.
     distinct says the keys are known to differ, as one term's monomials do.
 
-    The values keep the dict loop's roundings: amp * coeff is re = ar*cr -
-    ai*ci and im = ar*ci + ai*cr, as CPython computes it (numpy's complex
-    multiply rounds differently), and the factorial products are exact, so
-    their square roots round as math.sqrt does. CPython 3.10-3.13 takes a
-    complex times a float x as times complex(x, 0.0), whose extra terms
-    re*0.0 and im*0.0 change at most the sign of a zero part; so do the
-    0j + steps that _routed skips. The sums erase those signs: keys are
-    numbered in order of first occurrence, the dict loop's insertion order,
-    and np.bincount adds their values in candidate order from +0.0, as
-    out.get(key, 0j) + value does. So a photon-free term, whose coefficient
-    is exactly 1, gets the bits of 0j + amp. Every amplitude is an
-    np.complex128, on this path as in the dict loop.
+    The values keep the dict loop's roundings: amp * coeff is
+    _complex_product, and the factorial products are exact, so their square
+    roots round as math.sqrt does. Scaling each part by a float instead of
+    multiplying by complex(x, 0.0) changes at most the sign of a zero part;
+    so do the 0j + steps that _routed skips. The sums erase those signs:
+    keys are numbered in order of first occurrence, the dict loop's
+    insertion order, and np.bincount adds their values in candidate order
+    from +0.0, as out.get(key, 0j) + value does. So a photon-free term,
+    whose coefficient is exactly 1, gets the bits of 0j + amp. Every
+    amplitude is an np.complex128, on this path as in the dict loop.
     """
     ar, ai = packed.amps.real[terms], packed.amps.imag[terms]
     inv_norm = (1.0 / np.sqrt(packed.facts))[terms]
     scale = np.sqrt(facts)
-    re = (ar * cre - ai * cim) * scale * inv_norm
-    im = (ar * cim + ai * cre) * scale * inv_norm
+    re, im = _complex_product(ar, ai, cre, cim)
+    re, im = re * scale * inv_norm, im * scale * inv_norm
     if distinct:
         re, im = re + 0.0, im + 0.0  # as 0j + value
     else:
@@ -567,8 +577,8 @@ def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int) -> _ArrayExp
     """_expand with numpy, bit for bit.
 
     Each photon step lists the candidates (monomial k, row entry b) in
-    k-major order, as the dict loop visits them, forms their products as
-    real ufunc expressions, and np.bincount adds them into their monomials
+    k-major order, as the dict loop visits them, forms their products with
+    _complex_product, and np.bincount adds them into their monomials
     in that order, starting from 0.0, as nxt.get(key, 0j) + x does. Which
     monomial each candidate lands in comes from _expansion_structure.
     """
@@ -581,9 +591,8 @@ def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int) -> _ArrayExp
     slots, keys, facts = _expansion_structure(tuple(steps), active, bits)
     re, im = np.ones(1), np.zeros(1)
     for (slot, count), (br, bi) in zip(slots, entries):
-        ar, ai = re[:, None], im[:, None]
-        re = np.bincount(slot, (ar * br - ai * bi).ravel(), count)
-        im = np.bincount(slot, (ar * bi + ai * br).ravel(), count)
+        re, im = _complex_product(re[:, None], im[:, None], br, bi)
+        re, im = np.bincount(slot, re.ravel(), count), np.bincount(slot, im.ravel(), count)
     return _ArrayExpansion(keys, facts, re, im)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .fock import (
     FockState,
+    _default_rng,
     _indices,
     _on_basis,
     _renormalized,
@@ -236,7 +237,7 @@ def _projective_report(plus, minus, correct, branch, feed_forward, seed, expecte
         raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
     measured = plus() if branch != "minus" or feed_forward else None
     if branch == "sample":
-        branch = "plus" if np.random.default_rng(seed).random() < measured[1] else "minus"
+        branch = "plus" if _default_rng(seed).random() < measured[1] else "minus"
     applied_ff = branch == "minus" and feed_forward
     output, prob = measured if branch == "plus" else minus()
     if applied_ff:

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .fock import (
-    NORM_ATOL, FockState, _as_number, _indices, _on_basis, _renormalized, _squared_norm, make_state, partial_inner, tensor
+    NORM_ATOL, FockState, _as_number, _default_rng, _indices, _on_basis, _renormalized, _squared_norm, make_state, partial_inner, tensor
 )
 from .optics import ModeUnitary, apply_unitary
 from .schemes import (
@@ -275,7 +275,7 @@ def teleport_join(
     resource = _resource_kinds(resource)
     full = _five_photon_state(pairs, resource)
     if picked_outcome is None:
-        picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, np.random.default_rng(seed).random())]
+        picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, _default_rng(seed).random())]
     conditional, weight = _bell_branch(full, picked_outcome)
 
     corrected = apply_unitary(conditional, _correction_unitary(*_correction(resource, picked_outcome)))

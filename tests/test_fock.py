@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 from fractions import Fraction
 from operator import itemgetter
@@ -282,6 +283,17 @@ def test_schmidt_rank_bell_type_state():
     assert schmidt_rank(s, bipartition(4, [0, 1]), 1e-9) == 2
 
 
+def test_schmidt_values_reject_a_cut_that_does_not_split_the_modes():
+    s = make_state(4, [((1, 0, 1, 0), 0.6), ((1, 0, 0, 1), 0.8)])
+    # Read on modes 0 and 1 only, the two orthogonal terms would add up to one singular value 1.4.
+    for cut in (bipartition(2, [0]), Bipartition((0,), (1,)), Bipartition((0, 1), (2, 3, 3))):
+        for values in (schmidt_values, schmidt_rank):
+            with pytest.raises(ValueError, match=rf"^{re.escape(repr(cut))} does not split the 4 modes$"):
+                values(s, cut)
+    assert schmidt_values(s, Bipartition((1, 0), (3, 2))).tolist() == pytest.approx([1.0])
+    assert schmidt_rank(s, bipartition(4, [0, 1])) == 1
+
+
 def test_schmidt_values_two_cnot_intermediate_state():
     # State after the two joining CNOTs, before projection, for generic
     # amplitudes; the 4 x 2 coefficient matrix across the control cut has
@@ -534,6 +546,8 @@ def _ref_partial_inner(bra, ket, positions):
 
 
 def _ref_schmidt_values(s, cut):
+    if len(cut.left) + len(cut.right) != s.modes or set(cut.left) | set(cut.right) != set(range(s.modes)):
+        raise ValueError(f"{cut} does not split the {s.modes} modes")
     if s.is_zero:
         return np.zeros(0)
     left_keys, right_keys, entries = {}, {}, []
@@ -678,7 +692,8 @@ def test_layout_ops_match_the_term_by_term_reference(op, data):
         matched = st.permutations(range(modes)).map(lambda p: tuple(p[:bra_modes]))
         _assert_same_outcome(partial_inner, _ref_partial_inner, bra, s, data.draw(matched | _positions(modes)))
     elif op == "schmidt_values":
-        # bipartition's cuts cover the register; a hand-built one need not, and may hold indices past either end.
+        # bipartition's cuts cover the register; a hand-built one need not (it may hold indices past either end),
+        # and then both sides raise the same error.
         left = data.draw(st.lists(st.integers(-modes - 1, modes), unique=True, max_size=modes))
         others = st.integers(-modes - 1, modes).filter(lambda i: i not in left)
         right = data.draw(st.lists(others, unique=True, max_size=modes))

@@ -64,6 +64,37 @@ def test_a_mode_count_is_an_int_of_at_least_one(name):
     assert type(count) is int and count == 2
 
 
+def _complex_product_parts():
+    """Rows (ar, ai, br, bi): standard normals, signed zeros and subnormals among them, and parts near 1e150."""
+    rng = np.random.default_rng(17)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072e-308, 1.0, -3.0, 1e150, -7.3e149])
+    return np.concatenate([
+        rng.standard_normal((4000, 4)),
+        rng.choice(specials, (2000, 4)),
+        np.where(rng.random((2000, 4)) < 0.5, rng.choice(specials, (2000, 4)), rng.standard_normal((2000, 4))),
+        rng.standard_normal((2000, 4)) * 1e150,
+    ])
+
+
+def _bits(*parts):
+    return [x.hex() for part in parts for x in np.asarray(part, dtype=float).reshape(-1).tolist()]
+
+
+def test_complex_product_is_cpythons_complex_product():
+    parts = _complex_product_parts()
+    scalar = []
+    for ar, ai, br, bi in parts.tolist():
+        z = complex(ar, ai) * complex(br, bi)
+        assert _bits(*optics._complex_product(ar, ai, br, bi)) == _bits(z.real, z.imag)
+        # CPython 3.10-3.13 multiplies a float x and a complex as complex(x, 0.0) and that complex.
+        w = ar * complex(br, bi)
+        assert _bits(*optics._complex_product(ar, 0.0, br, bi)) == _bits(w.real, w.imag)
+        scalar.append((z.real, z.imag))
+    # Over arrays, each entry is the scalar product's.
+    re, im = optics._complex_product(*parts.T)
+    assert _bits(re, im) == _bits(*np.array(scalar).T)
+
+
 def test_beamsplitter_block_values():
     u = beamsplitter(2, 0, 1, math.pi / 4).matrix
     r = 1 / math.sqrt(2)

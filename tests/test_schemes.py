@@ -25,7 +25,7 @@ from fockjoin.fock import (
     tensor,
 )
 from fockjoin.gates import CnotSpec, DualRailQubit, apply_cnot, logical_phase_flip
-from fockjoin.optics import ProjectorSpec, apply_projector, apply_unitary, hadamard_pair
+from fockjoin.optics import ProjectorSpec, apply_projector, apply_unitary, haar_random_unitary, hadamard_pair
 from fockjoin.schemes import (
     EncodingViolationError,
     GATE_FEED_FORWARD_RECOVERY,
@@ -152,6 +152,27 @@ def test_join_projective_sampling_is_seed_deterministic():
     assert first.branch == second.branch
     branches = {join_projective(s, branch="sample", seed=k).branch for k in range(20)}
     assert branches == {"plus", "minus"}
+
+
+# Each entry point that draws from a seed, and what it draws.
+_SEEDED = {
+    "join_projective": lambda seed: join_projective(two_qubit_input([0.6, 0, 0, 0.8]), branch="sample", seed=seed).branch,
+    "split_projective": lambda seed: split_projective(joined_ququart([0.6, 0, 0, 0.8]), branch="sample", seed=seed).branch,
+    "teleport_join": lambda seed: tpes.teleport_join((1, 0), (1, 0), seed=seed).branch,
+    "haar_random_unitary": lambda seed: haar_random_unitary(3, seed).matrix.tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_a_seed_is_a_non_negative_integer_or_none(name):
+    # Before, numpy raised its own TypeError or message for these, and True drew as seed 1.
+    draw = _SEEDED[name]
+    for bad, problem in ((1.5, "must hold integers"), ("3", "must hold integers"), (True, "must hold integers"), (-1, "out of range")):
+        with pytest.raises(ValueError, match=rf"^seed \[{bad!r}\] {problem}$"):
+            draw(bad)
+    for k in range(8):
+        assert draw(np.int64(k)) == draw(k)
+    draw(None)  # fresh entropy
 
 
 def test_join_output_is_one_photon_state():
