@@ -35,8 +35,8 @@ timeout 60 "$bin/fockjoin" nogo-scan --trials 100000000 --restarts 1 --iteration
 [ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: iterations must be at least 1, got 0$' err.txt \
     || fail "expected one error: line naming iterations, got: $(cat err.txt)"
 # Scans whose 64 trials cross seed 2**32, 2**64 and 2**128, where a seed gains a second, a third and a fifth 32-bit
-# entropy word: each certificate has the max_sigma_min bits and argmax_seed of a loop that builds default_rng(s) for
-# every trial seed s.
+# entropy word: every trial's 40 normals (m = 4) are default_rng(s)'s for its seed s, to the bit, and each certificate
+# has the max_sigma_min bits and argmax_seed of a loop that builds default_rng(s) for every trial seed s.
 for seed in 4294967264 18446744073709551584 340282366920938463463374607431768211424; do
     "$bin/fockjoin" nogo-scan --modes 4 --trials 64 --seed "$seed" --out scan.json \
         || fail "nogo-scan --trials 64 --seed $seed exited $?"
@@ -46,6 +46,10 @@ import numpy as np
 from fockjoin import nogo, optics
 report = json.load(open(sys.argv[1]))
 seed = int(sys.argv[2])
+normals = nogo._trial_normals(seed, 64, 40)
+for s in range(seed, seed + 64):
+    if normals[s - seed].tobytes() != np.random.default_rng(s).standard_normal(40).tobytes():
+        sys.exit(f"trial seed {s}: its normals are not default_rng({s}).standard_normal(40)")
 best, best_seed = -1.0, seed
 for s in range(seed, seed + 64):
     rng = np.random.default_rng(s)

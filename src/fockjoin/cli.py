@@ -30,7 +30,7 @@ from itertools import chain
 
 from . import __version__
 from .circuit import CircuitError, parse_circuit, run_circuit
-from .fock import _squared_norm, fidelity, state_from_dict
+from .fock import _clamped_overlap, _squared_norm, state_from_dict
 from .gates import build_postselected_cnot_network, network_input, postselect_rail_pairs, vacuum_failure_demo
 from .nogo import _require_budget, adversarial_search, merge_certificates, rank_scan
 from .optics import apply_unitary
@@ -229,7 +229,7 @@ def _cmd_tpes(args):
     body = {
         "pol": args.pol,
         "path": args.path,
-        "joining_fidelity": float(fidelity(joined, built)),
+        "joining_fidelity": _clamped_overlap(joined, built),  # both built by the package from checked kinds
         "output": _state_json(built),
     }
     return None, [f"{args.pol}/{args.path}".encode()], body

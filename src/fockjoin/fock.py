@@ -281,12 +281,17 @@ def _largest(s: FockState) -> float:
     return float(max(map(abs, s.terms.values()), default=0.0))
 
 
+def _clamped_overlap(a: FockState, b: FockState) -> float:
+    """min(|<a|b>|^2, 1), the one fidelity formula, with no normalization scan: for states the package built."""
+    return min(abs(inner_product(a, b)) ** 2, 1.0)
+
+
 def fidelity(a: FockState, b: FockState) -> float:
-    """|<a|b>|^2 for normalized states."""
+    """|<a|b>|^2 for normalized states: each is checked, then _clamped_overlap gives the value."""
     for name, s in (("first", a), ("second", b)):
         if not is_normalized(s):
             raise ValueError(f"{name} argument is not normalized (norm={norm(s):.6g})")
-    return min(abs(inner_product(a, b)) ** 2, 1.0)
+    return _clamped_overlap(a, b)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ Mode layout, one for every variant (fixed so test vectors are bit-exact):
 Branch selection is explicit: callers force "plus"/"minus" or ask for a
 seeded sample. Probabilities are always computed exactly; sampling only
 picks which exactly-weighted branch a report describes. A branch is
-built on demand, only if the report reads it (sampling and the
-feed-forward sum read the plus weight).
+built on demand, only if the report reads it (sampling reads the plus
+weight). Each entry point checks its inputs once; a report's fidelity is
+the clamped overlap of states the package built.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from .fock import (
     FockState,
+    _clamped_overlap,
     _default_rng,
     _indices,
     _on_basis,
@@ -43,7 +45,6 @@ from .fock import (
     add_vacuum_modes,
     basis_state,
     discard_empty_modes,
-    fidelity,
     is_normalized,
     make_state,
     partial_inner,
@@ -225,23 +226,28 @@ def deterministic_joining_pass(state: FockState, etas=(1.0, 1.0), eta_primes=(1.
 
 
 def _report(output: FockState, probability: float, branch: str, feed_forward_applied: bool, expected) -> SchemeReport:
-    """The one SchemeReport constructor; a vanished (zero) branch has fidelity 0."""
-    return SchemeReport(
-        output, probability, branch, feed_forward_applied, fidelity(output, expected) if not output.is_zero else 0.0
-    )
+    """The one SchemeReport constructor; a vanished (zero) branch has fidelity 0.
+
+    Each entry point checks its inputs once; a report's fidelity is the clamped
+    overlap of states the package built (fock._clamped_overlap), with no normalization scan.
+    """
+    return SchemeReport(output, probability, branch, feed_forward_applied, _clamped_overlap(output, expected))
 
 
 def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
-    """Report one branch; ``plus``/``minus`` build theirs on demand as (state, weight), with the measured modes gone."""
+    """Report one branch; ``plus``/``minus`` build theirs on demand as (state, weight), with the measured modes gone.
+
+    The two weights are bit-equal (a property test checks it): fed-forward minus doubles its own.
+    """
     if branch not in ("plus", "minus", "sample"):
         raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
-    measured = plus() if branch != "minus" or feed_forward else None
+    measured = plus() if branch != "minus" else None
     if branch == "sample":
         branch = "plus" if _default_rng(seed).random() < measured[1] else "minus"
     applied_ff = branch == "minus" and feed_forward
     output, prob = measured if branch == "plus" else minus()
     if applied_ff:
-        output, prob = correct(output), min(measured[1] + prob, 1.0)
+        output, prob = correct(output), min(2 * prob, 1.0)
     return _report(output, prob, branch, applied_ff, expected)
 
 

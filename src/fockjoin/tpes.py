@@ -131,22 +131,32 @@ def build_tpes(pol_kind: str, path_kind: str) -> FockState:
     return make_state(_mode(3), terms)
 
 
+@cache
+def _joining_input(pol_kind: str, path_kind: str) -> FockState:
+    """The state tpes_via_joining joins, built and checked once per pair of kinds and shared, like build_tpes."""
+    # The qubits to join (photon-5 path, then photon-4 polarization) take the
+    # first four modes in the joining input layout, and photons 2 and 3 follow.
+    terms = [
+        (_TWO_QUBIT_BASIS[2 * w5 + p4] + _occupied(2, _mode(0, pol=p2), _mode(1, path=w3)), cp * cw)
+        for p2, p4, cp in _bell_terms(pol_kind, POL_BELL_KINDS)
+        for w3, w5, cw in _bell_terms(path_kind, PATH_BELL_KINDS)
+    ]
+    return make_state(_mode(3), terms)
+
+
 def tpes_via_joining(pol_kind: str, path_kind: str) -> FockState:
     """Build the same resource by joining two halves of entangled pairs.
 
     Photons (2, 4) share the polarization Bell flavor, photons (3, 5) the
     path flavor; the deterministic joining pass fuses the photon-5 path
     qubit and the photon-4 polarization qubit into a fresh photon 1.
+    Each entry point checks its inputs once: the kinds here (an unknown one, a
+    list included, raises ValueError naming it), before the cached _joining_input
+    gives their state; the joining pass runs on every call. As with a report,
+    the tpes verb's fidelity is the clamped overlap of states the package built.
     """
-    # The qubits to join (photon-5 path, then photon-4 polarization) take the
-    # first four modes in the joining input layout, and photons 2 and 3 follow.
-    # The joined photon lands there: the result is [photon 1, photon 2, photon 3].
-    terms = [
-        (_TWO_QUBIT_BASIS[2 * w5 + p4] + _occupied(2, _mode(0, pol=p2), _mode(1, path=w3)), cp * cw)
-        for p2, p4, cp in _bell_terms(pol_kind, POL_BELL_KINDS)
-        for w3, w5, cw in _bell_terms(path_kind, PATH_BELL_KINDS)
-    ]
-    return drop_control_photon(deterministic_joining_pass(make_state(_mode(3), terms)))
+    # The joined photon lands on the first four modes: the result is [photon 1, photon 2, photon 3].
+    return drop_control_photon(deterministic_joining_pass(_joining_input(*_resource_kinds((pol_kind, path_kind)))))
 
 
 # One photon on each rail of the photon-4 polarization qubit, then of the photon-5 path qubit.

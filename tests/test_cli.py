@@ -634,6 +634,21 @@ def test_run_rejects_an_input_amplitude_it_would_prune(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("squared_norm, code", [(1 + 0.9e-8, 0), (1 + 1.01e-8, 2)])
+def test_teleport_join_accepts_pairs_within_the_norm_tolerance(capsys, squared_norm, code):
+    # Both pairs off norm 1 by 0.9e-8 pass the input check, so the run reports; past 1e-8 it exits 2 at the input.
+    scale = math.sqrt(squared_norm)
+    flags = [f"--alpha={0.6 * scale!r}", f"--beta={0.8 * scale!r}j", f"--gamma={0.28 * scale!r}", f"--delta={-0.96 * scale!r}j"]
+    assert cli_dispatch(["teleport-join", *flags, "--outcome", "5"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["fidelity"] >= 1 - 1e-7
+        assert captured.err == ""
+    else:
+        assert captured.err == "error: alpha/beta amplitudes must be normalized\n"
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "amplitudes, blamed",
     [

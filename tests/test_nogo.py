@@ -195,6 +195,12 @@ def test_merge_certificates_max_reduction():
     assert merged.verdict == VERDICT_COUNTEREXAMPLE
 
 
+@pytest.mark.parametrize("sigma, verdict", [(1e-6, VERDICT_COUNTEREXAMPLE), (1e-12, VERDICT_RANK_DEFICIENT)])
+def test_rank_threshold_parts_svd_noise_from_a_counterexample(sigma, verdict):
+    # SVD noise sits near 1e-13; a sigma_min of 1e-6 is a full-rank map, however small.
+    assert nogo._certify(1, sigma, 0, 0).verdict == verdict
+
+
 def test_unitary_parameterization_is_unitary():
     rng = np.random.default_rng(79)
     for m in (3, 4, 5):

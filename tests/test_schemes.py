@@ -555,7 +555,7 @@ def test_join_deterministic_names_a_vacuum_port_amplitude_off_the_unit_circle(mo
 
 @pytest.mark.parametrize(
     "branch,feed_forward,built",
-    [("plus", True, 1), ("plus", False, 1), ("minus", False, 1), ("minus", True, 2), ("sample", True, 2), ("sample", False, 2)],
+    [("plus", True, 1), ("plus", False, 1), ("minus", False, 1), ("minus", True, 1), ("sample", True, 2), ("sample", False, 2)],
 )
 def test_projective_schemes_build_only_the_branches_a_report_reads(monkeypatch, branch, feed_forward, built):
     contractions, postselections = [], []
@@ -646,6 +646,19 @@ def test_projective_reports_equal_an_eager_reference(amps, branch, feed_forward,
     assert _report_bits(
         split.output, split.success_probability, split.branch, split.feed_forward_applied, split.fidelity_to_expected
     ) == _report_bits(*_eager_split(alphas, branch, feed_forward, seed))
+
+
+@settings(max_examples=200)
+@given(_INPUT_AMPLITUDES, st.tuples(_ETAS, _ETAS))
+def test_plus_and_minus_branch_weights_are_bit_equal(amps, etas):
+    # The fed-forward minus branch reports min(2 * its own weight, 1): the sum of both weights only if they are bit-equal.
+    alphas = np.array(amps) / np.linalg.norm(amps)
+    for protocol, state, extra in (
+        (join_projective, two_qubit_input(alphas), {"etas": etas}),
+        (split_projective, joined_ququart(alphas), {}),
+    ):
+        plus, minus = (protocol(state, branch=b, feed_forward=False, **extra).success_probability for b in ("plus", "minus"))
+        assert plus.hex() == minus.hex()
 
 
 # --- probability model ----------------------------------------------------------

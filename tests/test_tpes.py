@@ -419,6 +419,7 @@ def test_bell_pairs_and_resources_are_shared_read_only():
         assert bell_pair(kind) is bell_pair(kind)
     for pol, path in ALL_BELL_OUTCOMES:
         assert build_tpes(pol, path) is build_tpes(pol, path)
+        assert tpes._joining_input(pol, path) is tpes._joining_input(pol, path)
     for state in (bell_pair("Phi-"), build_tpes("Psi+", "psi-")):
         occ = next(iter(state.terms))
         with pytest.raises(TypeError):
@@ -431,11 +432,30 @@ def test_bell_pairs_and_resources_are_shared_read_only():
         build_tpes("phi+", "phi+")
     with pytest.raises(ValueError, match=r"^unknown Bell kind 'Phi-'; expected one of phi\+, phi-, psi\+, psi-$"):
         build_tpes("Phi-", "Phi-")
+    # tpes_via_joining checks its kinds before its cached input is looked up, so an unhashable kind is named too.
+    for kinds, named in ((("phi+", "phi+"), "'phi+'"), ((["Phi-"], "phi-"), "['Phi-']"), (("Phi-", {"a": 1}), "{'a': 1}")):
+        with pytest.raises(ValueError, match=f"^unknown Bell kind {re.escape(named)}; expected one of "):
+            tpes_via_joining(*kinds)
 
 
 def test_expansion_rejects_unnormalized_inputs():
     with pytest.raises(ValueError):
         expand_five_photon(1.0, 1.0, 1.0, 0.0)
+
+
+def _scaled(pair, squared_norm):
+    """pair times sqrt(squared_norm): a normalized qubit pair pushed to the given squared norm."""
+    return tuple(complex(a) * math.sqrt(squared_norm) for a in pair)
+
+
+def test_teleport_join_reports_on_inputs_its_tolerance_accepts():
+    # Each pair is within NORM_ATOL of norm 1, but their product reference is off by about twice that, so the report
+    # must take the clamped overlap and not check the reference's normalization again.
+    pairs = _scaled((0.6, 0.8j), 1 + 0.9e-8), _scaled((0.28, -0.96j), 1 + 0.9e-8)
+    for outcome in range(16):
+        assert teleport_join(*pairs, outcome=outcome).fidelity_to_expected >= 1 - 1e-7
+    with pytest.raises(ValueError, match=r"^alpha/beta amplitudes must be normalized$"):
+        teleport_join(_scaled((0.6, 0.8j), 1 + 1.01e-8), _scaled((0.28, -0.96j), 1 + 1.01e-8), outcome=5)
 
 
 def test_joined_reference_norm():
