@@ -87,11 +87,8 @@ class FockState:
         return [occ for occ, _ in items], [float(amp.real) for _, amp in items], [float(amp.imag) for _, amp in items]
 
 
-def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple[int, ...]:
-    """values as non-negative ints (operator.index) below bound, or a ValueError naming them.
-
-    Bools, fractions and, as asked, repeats or a length other than count are rejected too.
-    """
+def _integers(values, name: str) -> tuple[int, ...]:
+    """values as ints (operator.index), or a ValueError naming them: the package's one integer rule, which rejects bools and fractions."""
     values = tuple(values)
     try:
         out = tuple(map(operator.index, values))
@@ -99,6 +96,15 @@ def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple
         out = None
     if out is None or bool in map(type, values):
         raise ValueError(f"{name} {list(values)} must hold integers")
+    return out
+
+
+def _indices(values, name: str, bound=None, distinct=False, count=None) -> tuple[int, ...]:
+    """values as non-negative ints (_integers) below bound, or a ValueError naming them.
+
+    As asked, repeats or a length other than count are rejected too.
+    """
+    out = _integers(values, name)
     if out and (min(out) < 0 or (bound is not None and max(out) >= bound)):
         raise ValueError(f"{name} {list(out)} out of range" + ("" if bound is None else f" for {bound} modes"))
     if distinct and len(set(out)) != len(out):

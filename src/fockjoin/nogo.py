@@ -21,28 +21,30 @@ seeds at once and derives each trial's PCG64 state, and one reused
 Generator is set to each state in turn and draws that trial's normals. The
 rows are bit-identical to default_rng(seed + i).standard_normal (the
 algorithms are O'Neill's PCG64 and numpy's SeedSequence, whose streams
-NumPy NEP 19 keeps stable). On a 2-core VM with numpy 2.4.6 the pass costs
-about 0.2 ms per chunk and the rest about 7 us per trial, against about
-20 us for a default_rng call. The QR, the symmetrized rows and the SVD
-then run over numpy stacks of trials, in chunks of a fixed number of
-matrix entries, so memory does not grow with the trial budget. Each
-trial's arithmetic is the one it would get alone (LAPACK factors each
-matrix of a stack separately, and the detection is normalized per trial),
-so certificates are bit-identical to a per-trial loop and independent of
-the chunking.
+NumPy NEP 19 keeps stable). On a 2-core x86-64 VM with Python 3.11 and
+numpy 2.4.6 the hashing costs about 0.35 us per trial (0.7 ms for a chunk
+of 2048 at m = 4), and the rest (the PCG64 seeding step, the state setter
+and the draws) about 3 us per trial, against about 10 us for a default_rng
+call and its draws. The QR, the symmetrized rows and the SVD then run
+over numpy stacks of trials, in chunks of a fixed number of matrix
+entries, so memory does not grow with the trial budget. Each trial's
+arithmetic is the one it would get alone (LAPACK factors each matrix of a
+stack separately, and _row_norms gives each detection the norm
+np.linalg.norm gives its row alone), so certificates are bit-identical to
+a per-trial loop and independent of the chunking.
 
 The adversarial search runs an in-repo Nelder-Mead that takes scipy's
 steps to the bit; the tests check it against scipy.optimize.minimize, and
 the package imports no scipy at all. Its objective avoids numpy's per-call
 cost on 4 x 4 arrays. Row k of the core C holds pc[b] at mode a and pc[a]
 at mode b for pair (a, b), so row k of C U is that row pushed through the
-couplers of U. One coupler list defines the parameterization: the Givens
-routine pushes rows through it in Python complex scalars
-(unitary_from_angles pushes the unit rows), and the batch objective pushes
-the rows of a whole simplex through it in float64 arrays with the same
-bits (optics._complex_product). The SVD calls the LAPACK gufunc (zgesdd
+couplers of U. One coupler formula (_couplers) defines the
+parameterization: the Givens routine pushes rows through it in Python
+complex scalars (unitary_from_angles pushes the unit rows), and the batch
+objective pushes the rows of a whole simplex through it in float64 arrays
+with the same bits (optics._complex_product). The SVD calls the LAPACK gufunc (zgesdd
 without vectors) behind np.linalg.svd(rows, compute_uv=False), minus numpy's
-wrapper: on the same VM, about 7.5 us per 4 x 4 call against 13.5 us. The
+wrapper: on the same VM, about 4.5 us per 4 x 4 call against 7.8 us. The
 objective agrees with a numpy matrix-product evaluation to about 1e-15 of
 sigma_max, not bit for bit.
 """
@@ -50,13 +52,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .fock import _indices, _mode_count, _on_basis, is_normalized
+from .fock import _indices, _integers, _mode_count, _on_basis, is_normalized
 from .optics import (
     ModeUnitary,
     ProjectorSpec,
@@ -212,15 +215,19 @@ def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarra
 
 
 def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool: a float budget would run a rounded-up number of steps."""
+    """A Python or numpy integer, not a bool: singular_index's check."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _require_count(name: str, value, least: int, message: str | None = None) -> None:
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(message or f"{name} must be at least {least}, got {value}")
+def _require_count(name: str, value, least: int, message: str | None = None) -> int:
+    """value as a Python int of at least least: a float budget would run a rounded-up number of steps.
+
+    A non-integer is worded by fock._integers, the package's integer rule.
+    """
+    (count,) = _integers([value], name)
+    if count < least:
+        raise ValueError(message or f"{name} must be at least {least}, got {count}")
+    return count
 
 
 def _require_budget(seed, m=None, **counts) -> int:
@@ -235,8 +242,7 @@ def _require_budget(seed, m=None, **counts) -> int:
     # A certificate from no trials would report max_sigma_min -1.
     for name, value in counts.items():
         _require_count(name, value, 1)
-    _require_count("seed", seed, 0)
-    return int(seed)
+    return _require_count("seed", seed, 0)
 
 
 # A chunk holds about this many complex entries per stacked m x m array, so
@@ -358,14 +364,23 @@ def _scan(sigmas_of, draws: int, m: int, trials: int, seed: int) -> NogoCertific
     return _certify(trials, best, best_seed, 0)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of the complex (n, m) stack v, with its bits.
+
+    np.linalg.norm(row) is sqrt(row.real . row.real + row.imag . row.imag);
+    np.vecdot takes those dot products a row at a time in the same order,
+    where norm(v, axis=1) and np.einsum sum otherwise.
+    """
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def _haar_trial_sigmas(normals: np.ndarray, m: int) -> np.ndarray:
     """sigma_min of symmetrized_modes(haar_from_rng(m, rng), random_projector(m, rng)) per row."""
     n, mm = len(normals), m * m
     u = _haar_from_normals(normals[:, :mm].reshape(n, m, m), normals[:, mm : 2 * mm].reshape(n, m, m))
     _require_unitary(u)
     v = normals[:, 2 * mm : 2 * mm + m] + 1j * normals[:, 2 * mm + m :]
-    # One norm per trial: a stacked norm sums in another order.
-    phi = v / np.array([np.linalg.norm(x) for x in v])[:, None]
+    phi = v / _row_norms(v)[:, None]
     _require_normalized(phi)
     rows = _symmetrized_rows(u, np.conj(phi), (0, 1, 2, 3))
     return np.linalg.svd(rows, compute_uv=False)[:, -1]
@@ -414,7 +429,7 @@ def _finite_params(params, size: int) -> list[float]:
     return params.tolist()
 
 
-def _couplers(cos, sin, m: int) -> list[tuple]:
+def _couplers(cos, sin, m: int):
     """The couplers of the parameterized unitary, in order, as (i, j, c, Re upper, Im upper, Re lower, Im lower).
 
     The parameters hold a (theta, phase) pair per coupler (i, j), i < j in
@@ -423,31 +438,32 @@ def _couplers(cos, sin, m: int) -> list[tuple]:
     [[c, e^{i phase} s], [-e^{-i phase} s, c]] on rows and columns (i, j).
     The unitary is the product of the couplers in order times
     diag(exp(1j * phases)). cos and sin may be lists of floats for one point
-    or rows of arrays over points: the products give the same bits.
+    or rows of arrays over points: the products give the same bits. A
+    generator, so the scalar objective builds no list of them per call.
     """
-    return [
-        (i, j, cos[k], cos[k + 1] * sin[k], sin[k + 1] * sin[k], -cos[k + 1] * sin[k], sin[k + 1] * sin[k])
-        for k, (i, j) in zip(range(0, m * (m - 1), 2), combinations(range(m), 2))
-    ]
+    for k, (i, j) in zip(range(0, m * (m - 1), 2), combinations(range(m), 2)):
+        yield i, j, cos[k], cos[k + 1] * sin[k], sin[k + 1] * sin[k], -cos[k + 1] * sin[k], sin[k + 1] * sin[k]
 
 
-def _givens_rows(params: list[float], m: int, starts) -> list[list[complex]]:
-    """Each start row v pushed through the parameterized unitary, v @ U, as lists of Python complex scalars.
+def _givens_rows(params: list[float], m: int, rows: list[list[complex]]) -> list[list[complex]]:
+    """Each row v of rows pushed through the parameterized unitary, v @ U, as lists of Python complex scalars.
 
     v @ U is v pushed through the couplers one at a time, each updating
-    entries i and j, and then scaled entry by entry by the phases. The unit
-    rows e_r give the rows of U.
+    entries i and j of rows in place, and then scaled entry by entry by the
+    phases into new lists. The unit rows e_r give the rows of U. A coupler's
+    entries are built once as complex scalars, c as complex(c, 0.0): the
+    product CPython 3.10-3.13 takes for a float times a complex, and the one
+    the batch objective writes out.
     """
     cos, sin = list(map(math.cos, params)), list(map(math.sin, params))
-    rows = [list(v) for v in starts]
     for i, j, c, upper_re, upper_im, lower_re, lower_im in _couplers(cos, sin, m):
-        upper, lower = complex(upper_re, upper_im), complex(lower_re, lower_im)
+        c, upper, lower = complex(c, 0.0), complex(upper_re, upper_im), complex(lower_re, lower_im)
         for v in rows:
             vi, vj = v[i], v[j]
             v[i] = c * vi + lower * vj
             v[j] = upper * vi + c * vj
-    phases = [complex(c, s) for c, s in zip(cos[m * (m - 1) :], sin[m * (m - 1) :])]
-    return [[a * p for a, p in zip(v, phases)] for v in rows]
+    phases = list(map(complex, cos[m * (m - 1) :], sin[m * (m - 1) :]))
+    return [list(map(operator.mul, v, phases)) for v in rows]
 
 
 def _detection(params: list[float], m: int) -> list[complex]:
@@ -487,50 +503,67 @@ def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
     """One singular value of the symmetrized rows C U on logical modes 0-3 (see the module docstring).
 
     Unchecked: numpy calls on 4 x 4 arrays and constructor validation would
-    dominate the optimizer's inner loop.
+    dominate the optimizer's inner loop. The core rows are pushed by
+    _givens_rows in Python complex scalars, and one gufunc call takes the
+    4 x m result: about 25 us per call at m = 4 on the VM of the module
+    docstring, 4.5 us of it the SVD.
     """
     params = x.tolist()
     pc = [z.conjugate() for z in _detection(params[m * m :], m)]
-    starts = ([0j if k is None else pc[k] for k in row] + [0j] * (m - 4) for row in _CORE_PATTERN)
-    rows = np.array(_givens_rows(params[: m * m], m, starts))
-    return _checked(float(_singular_values(rows, signature="D->d")[singular_index]))
+    starts = [[0j if k is None else pc[k] for k in row] + [0j] * (m - 4) for row in _CORE_PATTERN]
+    rows = np.array(_givens_rows(params[: m * m], m, starts), dtype=complex)
+    return _checked(_singular_values(rows, signature="D->d").item(singular_index))
 
 
 def _objective_sigmas(x: np.ndarray, m: int, singular_index: int):
     """_objective_sigma of each row of x, in order, as an iterator; the core rows of all points are pushed at once.
 
-    The trig is math's, the detections come from _detection and the couplers
-    from _couplers, over arrays of all points' rows (entry r * n + p is row r
-    of point p). Each entry is a real and an imaginary float64 array, and
-    each coupler update and the final phases multiply through
-    _complex_product, so every matrix, and so every value, has the bits
-    _objective_sigma gives. One call of the gufunc _objective_sigma calls
-    takes the (n, 4, m) stack, saving its per-call cost n - 1 times; the
-    values are checked as the iterator is read, so a failed SVD raises
-    LinAlgError at its own point, and no later value reaches the caller, as
-    with a loop of _objective_sigma calls.
+    The trig is math's and the detections are _detection's (a hypot per
+    point, then one division for all points, with the e_0 fallback below
+    1e-12). Entry [e, r, p] of the pushed arrays is entry e of row r of
+    point p, as a real and an imaginary float64 array. The couplers come
+    from _couplers; each one multiplies its [c, upper, lower, c]
+    coefficients, stacked once per call, into entries [i, i, j, j] in one
+    _complex_product, a float c as complex(c, 0.0), and the final phases
+    multiply through it too, so every matrix, and so every value, has the
+    bits _objective_sigma gives. One call of the gufunc _objective_sigma
+    calls takes the (n, 4, m) stack, saving its per-call cost n - 1 times:
+    about 10 us per point for a simplex of 25 at m = 4 on the VM of the
+    module docstring. The values are checked as the iterator is read, so a
+    failed SVD raises LinAlgError at its own point, and no later value
+    reaches the caller, as with a loop of _objective_sigma calls.
     """
     n = len(x)
     angles = x[:, : m * m].T.ravel().tolist()
-    cos = np.tile(np.array(list(map(math.cos, angles))).reshape(m * m, n), 4)
-    sin = np.tile(np.array(list(map(math.sin, angles))).reshape(m * m, n), 4)
-    pc = np.conj(np.array([_detection(params, m) for params in x[:, m * m :].tolist()], dtype=complex))
+    cos = np.fromiter(map(math.cos, angles), float, m * m * n).reshape(m * m, 1, n)
+    sin = np.fromiter(map(math.sin, angles), float, m * m * n).reshape(m * m, 1, n)
+    params = x[:, m * m :]
+    norms = np.fromiter(map(math.hypot, *params.T.tolist()), float, n)
+    fallback = norms < 1e-12
+    detections = (params / np.where(fallback, 1.0, norms)[:, None]).T
+    detections[:, fallback] = np.eye(2 * m, 1)
+    # The conjugated detections, pc = pc_re + i pc_im, component by component.
+    pc_re, pc_im = detections[:4], -detections[m : m + 4]
     re, im = np.zeros((m, 4, n)), np.zeros((m, 4, n))
     for r, row in enumerate(_CORE_PATTERN):
         for col, k in enumerate(row):
             if k is not None:
-                re[col, r], im[col, r] = pc[:, k].real, pc[:, k].imag
-    re, im = list(re.reshape(m, 4 * n)), list(im.reshape(m, 4 * n))
-    for i, j, c, ur, ui, lr, li in _couplers(cos, sin, m):
-        vi, vj = (re[i], im[i]), (re[j], im[j])
-        # v[i] = c * vi + lower * vj and v[j] = upper * vi + c * vj, a float c as complex(c, 0.0).
-        (ar, ai), (br, bi) = _complex_product(c, 0.0, *vi), _complex_product(lr, li, *vj)
-        re[i], im[i] = ar + br, ai + bi
-        (ar, ai), (br, bi) = _complex_product(ur, ui, *vi), _complex_product(c, 0.0, *vj)
-        re[j], im[j] = ar + br, ai + bi
-    re, im = _complex_product(np.array(re), np.array(im), cos[m * (m - 1) :], sin[m * (m - 1) :])
+                re[col, r], im[col, r] = pc_re[k], pc_im[k]
+    couplers = list(_couplers(cos, sin, m))
+    zero = np.zeros((1, n))
+    # Repeated over the four rows: a product of whole arrays runs faster than a broadcast one.
+    coeffs = zip(
+        np.array([(c, ur, lr, c) for _, _, c, ur, ui, lr, li in couplers]).repeat(4, axis=2),
+        np.array([(zero, ui, li, zero) for _, _, c, ur, ui, lr, li in couplers]).repeat(4, axis=2),
+    )
+    for (i, j, *_), (cr, ci) in zip(couplers, coeffs):
+        # [c vi, upper vi, lower vj, c vj]: v[i] = c vi + lower vj and v[j] = upper vi + c vj.
+        pr, pi = _complex_product(cr, ci, re.take((i, i, j, j), 0), im.take((i, i, j, j), 0))
+        sr, si = pr[:2] + pr[2:], pi[:2] + pi[2:]
+        re[i], re[j], im[i], im[j] = sr[0], sr[1], si[0], si[1]
+    re, im = _complex_product(re, im, cos[m * (m - 1) :], sin[m * (m - 1) :])
     rows = np.empty((n, 4, m), dtype=complex)
-    rows.real, rows.imag = re.reshape(m, 4, n).T, im.reshape(m, 4, n).T
+    rows.real, rows.imag = re.T, im.T
     return map(_checked, _singular_values(rows, signature="D->d")[:, singular_index].tolist())
 
 
@@ -548,31 +581,29 @@ def _nelder_mead(x0: np.ndarray, objective, objectives, maxiter: int, restart: i
     takes the same steps to the bit; the method forms (fsim.argsort(),
     sim.take, .max()) only skip numpy's Python wrappers, and the tolerance
     test reads one entry first, since the maximum exceeds xatol whenever it
-    does. The initial simplex and each shrink are evaluated as one batch
-    through objectives; reflections, expansions and contractions one point
-    at a time. A NaN value raises ValueError naming the restart, in
+    does; rho is 1, so its multiplications, exact, are left out. The initial
+    simplex and each shrink are evaluated as one batch through objectives;
+    reflections, expansions and contractions one point at a time. Each value
+    is checked as it arrives: a NaN raises ValueError naming the restart, in
     evaluation order. The best point evaluated stays in the simplex (a step
     keeps the better of xr and xe, a shrink keeps vertex 0), which every
     iteration leaves sorted, so the largest value is -fsim[0].
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    chi, psi, sigma = 2, 0.5, 0.5
 
-    def minus(values) -> list[float]:
-        """The minimized -value of each value, in evaluation order: a NaN raises."""
-        out = []
-        for value in values:
-            if math.isnan(value):
-                raise ValueError(f"NaN objective value in restart {restart}")
-            out.append(-value)
-        return out
+    def minus(value: float) -> float:
+        """The minimized -value of one value: a NaN raises."""
+        if math.isnan(value):
+            raise ValueError(f"NaN objective value in restart {restart}")
+        return -value
 
     def f(x):
-        return minus([objective(x)])[0]
+        return minus(objective(x))
 
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
     np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
-    fsim = np.array(minus(objectives(sim)))
+    fsim = np.array(list(map(minus, objectives(sim))))
     # scipy sorts twice here; equal values can move again in the second sort.
     for _ in range(2):
         ind = fsim.argsort()
@@ -588,17 +619,17 @@ def _nelder_mead(x0: np.ndarray, objective, objectives, maxiter: int, restart: i
         ):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        xr = 2 * xbar - sim[-1]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            xe = (1 + chi) * xbar - chi * sim[-1]
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                xc = (1 + psi) * xbar - psi * sim[-1]
                 fxc = f(xc)
                 shrink = fxc > fxr
             else:
@@ -607,7 +638,7 @@ def _nelder_mead(x0: np.ndarray, objective, objectives, maxiter: int, restart: i
                 shrink = fxc >= fsim[-1]
             if shrink:
                 sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = minus(objectives(sim[1:]))
+                fsim[1:] = list(map(minus, objectives(sim[1:])))
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1

@@ -37,6 +37,7 @@ UP, DOWN = 0, 1
 POL_BELL_KINDS = ("Phi+", "Phi-", "Psi+", "Psi-")
 PATH_BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 ALL_BELL_OUTCOMES = tuple(product(POL_BELL_KINDS, PATH_BELL_KINDS))
+_BELL_KINDS = POL_BELL_KINDS + PATH_BELL_KINDS
 # Generator.choice(16, p=uniform) returns bisect_right(cdf, rng.random()) for the cumsum of p
 # over its last entry (here exactly 1.0); drawing the same way keeps each seed's outcome.
 _OUTCOME_CDF = np.full(16, 1 / 16).cumsum().tolist()
@@ -90,23 +91,29 @@ def _resource_kinds(resource) -> tuple[str, str]:
     return pol_kind, path_kind
 
 
-def _bell_terms(kind: str, kinds=POL_BELL_KINDS + PATH_BELL_KINDS):
-    """(first, second, coefficient) pairs of a Bell state; H = u = 0 and V = d = 1."""
-    _kind_index(kind, kinds)
+def _bell_terms(kind: str):
+    """(first, second, coefficient) pairs of a Bell state of a checked kind; H = u = 0 and V = d = 1."""
     sign = 1.0 if kind.endswith("+") else -1.0
     if kind[:3].lower() == "psi":
         return ((0, 0, _ROOT_HALF), (1, 1, sign * _ROOT_HALF))
     return ((0, 1, _ROOT_HALF), (1, 0, sign * _ROOT_HALF))
 
 
-@cache
 def bell_pair(kind: str) -> FockState:
     """Two-photon Bell state on an 8-mode register (first photon, second photon).
 
     Polarization flavors ride on paths u, u; path flavors on polarizations
     H, H, matching the maximally entangled basis used for measurements.
-    Built once per kind and shared: its terms are read-only.
+    Built once per kind and shared: its terms are read-only. The kind is
+    checked before the cached _bell_pair is looked up, so an unknown one, a
+    list included, raises ValueError naming it.
     """
+    _kind_index(kind, _BELL_KINDS)
+    return _bell_pair(kind)
+
+
+@cache
+def _bell_pair(kind: str) -> FockState:
     field = "pol" if kind in POL_BELL_KINDS else "path"
     terms = [
         (_occupied(2, _mode(0, **{field: a}), _mode(1, **{field: b})), coeff)
@@ -115,18 +122,23 @@ def bell_pair(kind: str) -> FockState:
     return make_state(_mode(2), terms)
 
 
-@cache
 def build_tpes(pol_kind: str, path_kind: str) -> FockState:
     """Resource state on photons 1..3: photon 1 doubly entangled.
 
     The polarization link pairs photons (1, 2) with photon 3 fixed to H;
     the path link pairs photons (1, 3) with photon 2 fixed to u.
-    Built once per pair of kinds and shared, like bell_pair.
+    Built once per pair of kinds and shared, like bell_pair, and checked the
+    same way before the cached _build_tpes is looked up.
     """
+    return _build_tpes(*_resource_kinds((pol_kind, path_kind)))
+
+
+@cache
+def _build_tpes(pol_kind: str, path_kind: str) -> FockState:
     terms = [
         (_occupied(3, _mode(0, p1, w1), _mode(1, pol=p2), _mode(2, path=w3)), cp * cw)
-        for p1, p2, cp in _bell_terms(pol_kind, POL_BELL_KINDS)
-        for w1, w3, cw in _bell_terms(path_kind, PATH_BELL_KINDS)
+        for p1, p2, cp in _bell_terms(pol_kind)
+        for w1, w3, cw in _bell_terms(path_kind)
     ]
     return make_state(_mode(3), terms)
 
@@ -138,8 +150,8 @@ def _joining_input(pol_kind: str, path_kind: str) -> FockState:
     # first four modes in the joining input layout, and photons 2 and 3 follow.
     terms = [
         (_TWO_QUBIT_BASIS[2 * w5 + p4] + _occupied(2, _mode(0, pol=p2), _mode(1, path=w3)), cp * cw)
-        for p2, p4, cp in _bell_terms(pol_kind, POL_BELL_KINDS)
-        for w3, w5, cw in _bell_terms(path_kind, PATH_BELL_KINDS)
+        for p2, p4, cp in _bell_terms(pol_kind)
+        for w3, w5, cw in _bell_terms(path_kind)
     ]
     return make_state(_mode(3), terms)
 
@@ -184,16 +196,16 @@ def _input_pairs(alpha_beta, gamma_delta) -> list:
 
 
 def _five_photon_state(pairs, resource) -> FockState:
-    """Resource photons 1-3 followed by the input qubits of _input_pairs on photons 4 and 5."""
+    """Resource photons 1-3 (checked kinds, from _resource_kinds) followed by the input qubits of _input_pairs on photons 4 and 5."""
     psi4, psi5 = (_on_basis(_mode(1), rails, pair) for rails, pair in zip(_INPUT_RAILS, pairs))
-    return tensor(build_tpes(*resource), tensor(psi4, psi5))
+    return tensor(_build_tpes(*resource), tensor(psi4, psi5))
 
 
 def _bell_branch(full: FockState, outcome) -> tuple[FockState, float]:
-    """(normalized photon-1 state, exact weight) of one Bell outcome pair."""
+    """(normalized photon-1 state, exact weight) of one Bell outcome pair of ALL_BELL_OUTCOMES."""
     pol_kind, path_kind = outcome
-    reduced = partial_inner(bell_pair(pol_kind), full, _PAIR_24)
-    conditional = partial_inner(bell_pair(path_kind), reduced, _PAIR_35)
+    reduced = partial_inner(_bell_pair(pol_kind), full, _PAIR_24)
+    conditional = partial_inner(_bell_pair(path_kind), reduced, _PAIR_35)
     return _renormalized(conditional)
 
 

@@ -442,10 +442,22 @@ def test_rank_scan_checks_unitaries_and_detections(monkeypatch):
         patch.setattr(nogo, "_haar_from_normals", lambda re, im: 1.5 * (re + 1j * im))
         with pytest.raises(ValueError, match="matrix is not unitary"):
             rank_scan(4, 3)
-    norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kwargs: 2.0 * norm(x, *args, **kwargs))
+    norms = nogo._row_norms
+    monkeypatch.setattr(nogo, "_row_norms", lambda v: 2.0 * norms(v))
     with pytest.raises(ValueError, match="projector vector is not normalized"):
         rank_scan(4, 3)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_the_stacked_detection_norms_give_the_bytes_of_numpys_norm(m):
+    # A trial normalizes its detection by np.linalg.norm of that row alone; norm(v, axis=1) and np.einsum
+    # sum in another order and differ in the last bit on about a fifth of the rows.
+    rng = np.random.default_rng(900 + m)
+    stack = rng.standard_normal((600, m)) + 1j * rng.standard_normal((600, m))
+    for rows in (stack[:1], stack):
+        got = nogo._row_norms(rows)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([np.linalg.norm(row) for row in rows]).tobytes()
 
 
 def test_rank_scan_memory_does_not_grow_with_trials():
@@ -815,17 +827,19 @@ def test_the_svd_gufunc_gives_the_bytes_of_numpys_svd(m):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: adversarial_search(4, 1, 2.5), "iterations must be an integer, got 2.5"),
-        (lambda: adversarial_search(4, 1, True), "iterations must be an integer, got True"),
-        (lambda: adversarial_search(4, restarts=1.5, iterations=10), "restarts must be an integer, got 1.5"),
+        (lambda: adversarial_search(4, 1, 2.5), r"iterations \[2.5\] must hold integers"),
+        (lambda: adversarial_search(4, 1, True), r"iterations \[True\] must hold integers"),
+        (lambda: adversarial_search(4, restarts=1.5, iterations=10), r"restarts \[1.5\] must hold integers"),
         (lambda: adversarial_search(4, 1, 10, singular_index=2.5), "singular_index must be in 0..3, got 2.5"),
         (lambda: adversarial_search(4, 1, 10, singular_index=True), "singular_index must be in 0..3, got True"),
         (lambda: adversarial_search(4, 1, 10, seed=-1), "seed must be at least 0, got -1"),
-        (lambda: adversarial_search(4.0, 1, 10), "m must be an integer, got 4.0"),
+        (lambda: adversarial_search(4.0, 1, 10), r"m \[4.0\] must hold integers"),
         (lambda: rank_scan(4, 10, seed=-1), "seed must be at least 0, got -1"),
         (lambda: rank_scan_control(4, 10, seed=-1), "seed must be at least 0, got -1"),
-        (lambda: rank_scan(4, 2.5), "trials must be an integer, got 2.5"),
-        (lambda: rank_scan_control(4, 10, seed=1.0), "seed must be an integer, got 1.0"),
+        (lambda: rank_scan(4, 2.5), r"trials \[2.5\] must hold integers"),
+        (lambda: rank_scan_control(4, 10, seed=1.0), r"seed \[1.0\] must hold integers"),
+        (lambda: rank_scan(4, 1, 1.5), r"seed \[1.5\] must hold integers"),
+        (lambda: haar_random_unitary(3, 1.5), r"seed \[1.5\] must hold integers"),
         (lambda: max_abs_core_determinant(0, 1), "samples must be at least 1, got 0"),
         (lambda: max_abs_core_determinant(-1, 1), "samples must be at least 1, got -1"),
         (lambda: max_abs_core_determinant(5, -1), "seed must be at least 0, got -1"),

@@ -432,10 +432,14 @@ def test_bell_pairs_and_resources_are_shared_read_only():
         build_tpes("phi+", "phi+")
     with pytest.raises(ValueError, match=r"^unknown Bell kind 'Phi-'; expected one of phi\+, phi-, psi\+, psi-$"):
         build_tpes("Phi-", "Phi-")
-    # tpes_via_joining checks its kinds before its cached input is looked up, so an unhashable kind is named too.
+    # Each builder checks its kinds before its cache is looked up, so an unhashable kind is named too.
     for kinds, named in ((("phi+", "phi+"), "'phi+'"), ((["Phi-"], "phi-"), "['Phi-']"), (("Phi-", {"a": 1}), "{'a': 1}")):
-        with pytest.raises(ValueError, match=f"^unknown Bell kind {re.escape(named)}; expected one of "):
-            tpes_via_joining(*kinds)
+        for builder in (tpes_via_joining, build_tpes):
+            with pytest.raises(ValueError, match=f"^unknown Bell kind {re.escape(named)}; expected one of "):
+                builder(*kinds)
+    for kind in (["Phi-"], {"a": 1}):
+        with pytest.raises(ValueError, match=f"^unknown Bell kind {re.escape(repr(kind))}; expected one of "):
+            bell_pair(kind)
 
 
 def test_expansion_rejects_unnormalized_inputs():
