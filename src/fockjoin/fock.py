@@ -9,13 +9,15 @@ Mixed photon-number superpositions are allowed (post-selection produces
 them transiently); nothing enforces a global photon-number sector.
 
 Every op that picks, drops, inserts or reorders modes, here and in optics'
-expansion plans and the CNOT's rail swap, reads one cached _layout of its
-checked positions: pickers of their entries and of the other modes, and
-the map that puts both back in mode order.
+expansion plans, reads one cached _layout of its checked positions:
+pickers of their entries and of the other modes, and the map that puts
+both back in mode order. The CNOT reads its own cached rail getters
+(gates._rail_getters).
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -342,7 +344,10 @@ def schmidt_values(s: FockState, cut: Bipartition) -> np.ndarray:
 
 
 def schmidt_rank(s: FockState, cut: Bipartition, tol: float = 1e-9) -> int:
-    """Number of singular values above tol across the cut."""
+    """Number of singular values above tol across the cut; tol is a finite, non-negative real number, not a bool."""
+    # NaN fails the range test, and counts nothing above inf: either would read rank 0.
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite non-negative real number, got {tol!r}")
     return int(np.sum(schmidt_values(s, cut) > tol))
 
 
@@ -415,19 +420,22 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
 
     ``positions[k]`` is the ket mode matched with bra mode k. The result
     lives on the remaining ket modes, in their original order, and is not
-    normalized (its squared norm is the projection weight).
+    normalized (its squared norm is the projection weight). Each bra
+    amplitude is conjugated once (np.conj, an np.complex128), however many
+    ket terms it meets.
     """
     positions = _indices(positions, "positions", ket.modes, distinct=True, count=bra.modes)
     if len(positions) == ket.modes:
         raise ValueError("cannot contract every mode; at least one must remain")
     pick_sub, pick_rest, rest_modes, _ = _layout(ket.modes, positions)
+    conjugates = {occ: np.conj(amp) for occ, amp in bra.terms.items()}
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.terms.items():
-        bra_amp = bra.terms.get(pick_sub(occ))
-        if bra_amp is None:
+        bra_conj = conjugates.get(pick_sub(occ))
+        if bra_conj is None:
             continue
         rest_occ = pick_rest(occ)
-        out[rest_occ] = out.get(rest_occ, 0j) + np.conj(bra_amp) * amp
+        out[rest_occ] = out.get(rest_occ, 0j) + bra_conj * amp
     return _pruned(rest_modes, out)
 
 

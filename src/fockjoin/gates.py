@@ -5,8 +5,11 @@ A dual-rail qubit is one photon across a pair of modes: |10> is logical 0,
 term on occupation patterns and carries explicit vacuum-port amplitudes:
 eta multiplies terms whose target pair is empty, eta_prime multiplies
 terms whose control pair is empty, and doubly-empty terms pass through
-with factor 1. Patterns with two photons on a pair are rejected loudly --
-they signal a scheme-construction bug, not a physical branch.
+with factor 1. A term's action depends only on its four rail entries, so
+one table, _ACTIONS, maps each of the nine legal (control, target) entry
+4-tuples to it: multiply by eta, multiply by eta_prime, swap the target
+rails, or keep. Any other 4-tuple -- two photons on a pair -- is rejected
+loudly: it signals a scheme-construction bug, not a physical branch.
 
 The module also assembles the 6-mode post-selected physical CNOT network
 (three 1/3 couplers between balanced mixers on the target rails) as a
@@ -18,14 +21,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from operator import itemgetter
 
-from .fock import PRUNE_TOL, FockState, Occupation, _indices, _layout, _picker, _pruned, _trusted, basis_state
+from .fock import PRUNE_TOL, FockState, Occupation, _indices, _picker, _pruned, _trusted, basis_state
 from .optics import ModeUnitary, apply_unitary, beamsplitter, compose, hadamard_pair
 
 # Post-selected success amplitude of the physical network on logical inputs.
 NETWORK_SUCCESS_AMPLITUDE = 1.0 / 3.0
 
-_LEGAL_PATTERNS = {(1, 0), (0, 1), (0, 0)}
+_KEEP, _ETA, _ETA_PRIME, _SWAP = range(4)
+# A term's CNOT action, keyed by its (control, target) rail entries: a full target pair flips on a |01> control.
+_ACTIONS = {
+    (1, 0, 1, 0): _KEEP, (1, 0, 0, 1): _KEEP, (0, 0, 0, 0): _KEEP,
+    (0, 1, 1, 0): _SWAP, (0, 1, 0, 1): _SWAP,
+    (1, 0, 0, 0): _ETA, (0, 1, 0, 0): _ETA,
+    (0, 0, 1, 0): _ETA_PRIME, (0, 0, 0, 1): _ETA_PRIME,
+}
+_LEGAL_PATTERNS = {key[:2] for key in _ACTIONS}
 
 
 class IllegalPatternError(ValueError):
@@ -87,31 +100,44 @@ def _vacuum_port_problem(eta: complex, eta_prime: complex) -> str | None:
     return None if within else "vacuum-port amplitudes cannot exceed unit magnitude"
 
 
+@lru_cache(maxsize=64)
+def _rail_getters(modes: int, rails: tuple[int, int, int, int]):
+    """(the picker of a term's (control, target) rail entries, the map that swaps its target rails), built once."""
+    order = list(range(modes))
+    order[rails[2]], order[rails[3]] = rails[3], rails[2]
+    return itemgetter(*rails), itemgetter(*order)
+
+
 def apply_cnot(s: FockState, g: CnotSpec, *more: CnotSpec) -> FockState:
     """Term-wise logical CNOTs with vacuum-port semantics: g, then each of more, in one pass over the terms.
 
+    Each CNOT reads its action on a term from _ACTIONS, keyed by the term's four rail entries; a 4-tuple the
+    table lacks raises IllegalPatternError naming the first illegal pair, control before target.
     A CNOT maps legal patterns one to one, so no terms merge: pruning each term after each CNOT, as fock._pruned
     prunes, gives the keys, order and bits of one call per CNOT, and the same errors for one CNOT.
     """
     specs = []
     for g in (g, *more):
-        if max(*g.control.modes, *g.target.modes) >= s.modes:
+        rails = g.control.modes + g.target.modes
+        if max(rails) >= s.modes:
             raise ValueError(f"rails {g.control.modes} and {g.target.modes} out of range for {s.modes} modes")
-        _, pick_rest, _, merge = _layout(s.modes, g.target.modes)
-        specs.append((*g.control.modes, *g.target.modes, g, pick_rest, merge))
+        specs.append((*_rail_getters(s.modes, rails), g))
     out: dict[Occupation, complex] = {}
     for occ, amp in s.terms.items():
-        for c0, c1, t0, t1, g, pick_rest, merge in specs:
-            pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
-            if pc not in _LEGAL_PATTERNS or pt not in _LEGAL_PATTERNS:
+        for pick, swap, g in specs:
+            try:
+                action = _ACTIONS[pick(occ)]
+            except KeyError:
+                entries = pick(occ)
+                pc, pt = entries[:2], entries[2:]
                 pattern, q = (pc, g.control) if pc not in _LEGAL_PATTERNS else (pt, g.target)
-                raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
-            if pt == (0, 0) != pc:
+                raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}") from None
+            if action == _SWAP:
+                occ = swap(occ)
+            elif action == _ETA:
                 amp = amp * g.eta
-            elif pc == (0, 0) != pt:
+            elif action == _ETA_PRIME:
                 amp = amp * g.eta_prime
-            elif pc == (0, 1):  # the target rails' entries go back in swapped
-                occ = merge(pick_rest(occ) + pt[::-1])
             amp = 0j + amp
             if not abs(amp) > PRUNE_TOL:
                 break

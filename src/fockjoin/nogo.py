@@ -51,7 +51,6 @@ sigma_max, not bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -212,11 +211,6 @@ def _symmetrized_rows(u: np.ndarray, pc: np.ndarray, logical_modes) -> np.ndarra
     for k, (x, y) in enumerate(_mode_pairs(logical_modes)):
         rows[..., k, :] = pc[..., y, None] * u[..., x, :] + pc[..., x, None] * u[..., y, :]
     return rows
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool: singular_index's check."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _require_count(name: str, value, least: int, message: str | None = None) -> int:
@@ -671,7 +665,8 @@ def adversarial_search(
     argmax_seed and optimizer_iterations repeat exactly for a given seed.
     """
     seed = _require_budget(seed, m, restarts=restarts, iterations=iterations)
-    if not _is_integer(singular_index) or not 0 <= singular_index <= 3:
+    (singular_index,) = _integers([singular_index], "singular_index")
+    if not 0 <= singular_index <= 3:
         raise ValueError(f"singular_index must be in 0..3, got {singular_index}")
     rng = np.random.default_rng(seed)
     dim = m * m + 2 * m

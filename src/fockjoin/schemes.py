@@ -114,8 +114,20 @@ class ProbabilityModel:
             if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
                 raise ValueError(f"{name} must be a real number in [0, 1], got {p!r}")
         _indices([self.n_cnot], "n_cnot")  # a non-negative integer, not a bool
-        if not isinstance(self.feed_forward, (bool, np.bool_)):
-            raise ValueError(f"feed_forward must be a bool, got {self.feed_forward!r}")
+        _check_feed_forward(self.feed_forward)
+
+
+def _check_feed_forward(value) -> None:
+    """A ValueError naming feed_forward unless it is a bool or np.bool_: 0, None or [0] is no switch."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"feed_forward must be a bool, got {value!r}")
+
+
+def _check_measurement(branch, feed_forward) -> None:
+    """A projective run's checks of its branch and feed_forward, made before any CNOT runs."""
+    if branch not in ("plus", "minus", "sample"):
+        raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
+    _check_feed_forward(feed_forward)
 
 
 # Feed-forward recovery: accepting the correctable measurement branches of
@@ -237,14 +249,12 @@ def _report(output: FockState, probability: float, branch: str, feed_forward_app
 def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
     """Report one branch; ``plus``/``minus`` build theirs on demand as (state, weight), with the measured modes gone.
 
-    The two weights are bit-equal (a property test checks it): fed-forward minus doubles its own.
+    The entry point checked branch and feed_forward (_check_measurement) before its CNOTs ran. The two weights are bit-equal (a property test checks it): fed-forward minus doubles its own.
     """
-    if branch not in ("plus", "minus", "sample"):
-        raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
     measured = plus() if branch != "minus" else None
     if branch == "sample":
         branch = "plus" if _default_rng(seed).random() < measured[1] else "minus"
-    applied_ff = branch == "minus" and feed_forward
+    applied_ff = branch == "minus" and bool(feed_forward)
     output, prob = measured if branch == "plus" else minus()
     if applied_ff:
         output, prob = correct(output), min(2 * prob, 1.0)
@@ -266,6 +276,7 @@ def join_projective(
     when feed_forward is on.
     """
     alphas = input_coefficients(s)
+    _check_measurement(branch, feed_forward)
     state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
     return _projective_report(
         lambda: _renormalized(partial_inner(_JOIN_ERASERS[0], state, _CARRIER.modes)),
@@ -318,6 +329,7 @@ def split_projective(
     when feed_forward is on. Surviving rails of the halves merge into one pair.
     """
     alphas = ququart_coefficients(q)
+    _check_measurement(branch, feed_forward)
     state = apply_cnot(tensor(q, _PARKED), *_FAN_OUT)
     for mixer in _SPLIT_RAIL_MIXERS:
         state = apply_unitary(state, mixer)

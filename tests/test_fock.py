@@ -45,6 +45,7 @@ from fockjoin.fock import (
 from fockjoin import circuit, gates
 from fockjoin.gates import CnotSpec, DualRailQubit, IllegalPatternError, apply_cnot
 from fockjoin.optics import ModeUnitary, ProjectorSpec, apply_projector, beamsplitter, mode_permutation, phase_shifter
+from test_gates import _VACUUM_AMPLITUDES
 
 
 def random_state(modes, n_terms, rng, max_photons=2):
@@ -292,6 +293,15 @@ def test_schmidt_values_reject_a_cut_that_does_not_split_the_modes():
                 values(s, cut)
     assert schmidt_values(s, Bipartition((1, 0), (3, 2))).tolist() == pytest.approx([1.0])
     assert schmidt_rank(s, bipartition(4, [0, 1])) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, np.float64("nan"), "1e-9", None, True, 1j])
+def test_schmidt_rank_takes_a_finite_non_negative_real_tol(tol):
+    s = make_state(4, [((1, 0, 1, 0), 0.6), ((0, 1, 0, 1), 0.8)])
+    with pytest.raises(ValueError, match=rf"^tol must be a finite non-negative real number, got {re.escape(repr(tol))}$"):
+        schmidt_rank(s, bipartition(4, [0, 1]), tol)
+    for good in (0, 0.0, np.float64(0.7), Fraction(1, 10), np.int64(1)):
+        assert schmidt_rank(s, bipartition(4, [0, 1]), good) == sum(v > good for v in (0.8, 0.6))
 
 
 def test_schmidt_values_two_cnot_intermediate_state():
@@ -561,6 +571,10 @@ def _ref_schmidt_values(s, cut):
     return np.linalg.svd(mat, compute_uv=False)
 
 
+# One photon or none on a rail pair, written out here so a wrong gates._ACTIONS table cannot pass against itself.
+_REF_LEGAL_PAIRS = {(1, 0), (0, 1), (0, 0)}
+
+
 def _ref_apply_cnot(s, *specs):
     specs = [(*g.control.modes, *g.target.modes, g) for g in specs]
     for c0, c1, t0, t1, g in specs:
@@ -570,8 +584,8 @@ def _ref_apply_cnot(s, *specs):
     for occ, amp in s.terms.items():
         for c0, c1, t0, t1, g in specs:
             pc, pt = (occ[c0], occ[c1]), (occ[t0], occ[t1])
-            if pc not in gates._LEGAL_PATTERNS or pt not in gates._LEGAL_PATTERNS:
-                pattern, q = (pc, g.control) if pc not in gates._LEGAL_PATTERNS else (pt, g.target)
+            if pc not in _REF_LEGAL_PAIRS or pt not in _REF_LEGAL_PAIRS:
+                pattern, q = (pc, g.control) if pc not in _REF_LEGAL_PAIRS else (pt, g.target)
                 raise IllegalPatternError(f"pattern {pattern} on modes {q.modes} in term {occ}")
             if pt == (0, 0) != pc:
                 amp = amp * g.eta
@@ -665,8 +679,13 @@ def _positions(draw, modes):
     return _FORMS[draw(st.sampled_from(sorted(_FORMS)))](positions)
 
 
-# Each op's occupation entries: sparser ones let the empty-mode ops succeed, and dual rails let CNOTs act.
-_ENTRIES = {"discard_empty_modes": (0, 0, 0, 1, 2), "postselect_vacuum": (0, 0, 0, 1, 2), "apply_cnot": (0, 0, 1)}
+# Each op's occupation entries: sparser ones let the empty-mode ops succeed. A CNOT pass draws either set: without
+# 2s its terms stay legal through every CNOT, with them it meets illegal patterns and names the first illegal pair.
+_ENTRIES = {
+    "discard_empty_modes": [(0, 0, 0, 1, 2)],
+    "postselect_vacuum": [(0, 0, 0, 1, 2)],
+    "apply_cnot": [(0, 0, 1), (0, 0, 1, 2)],
+}
 _LAYOUT_OPS = ("add_vacuum_modes", "discard_empty_modes", "permute_modes", "postselect_vacuum", "partial_inner",
                "schmidt_values", "expansion_plan", "apply_cnot", "port_photons", "project")
 
@@ -677,7 +696,7 @@ _LAYOUT_OPS = ("add_vacuum_modes", "discard_empty_modes", "permute_modes", "post
 def test_layout_ops_match_the_term_by_term_reference(op, data):
     # Registers of 1 to 10 modes (4 or more for a CNOT), so positions reach 8 and past.
     modes = data.draw(st.integers(4 if op == "apply_cnot" else 1, 10), label="modes")
-    s = data.draw(_occupation_states(modes, _ENTRIES.get(op, (0, 0, 1, 2))))
+    s = data.draw(_occupation_states(modes, data.draw(st.sampled_from(_ENTRIES.get(op, [(0, 0, 1, 2)])))))
     if op == "add_vacuum_modes":
         _assert_same_outcome(add_vacuum_modes, _ref_add_vacuum_modes, s, data.draw(_positions(2 * modes)))
     elif op == "discard_empty_modes":
@@ -712,10 +731,14 @@ def test_layout_ops_match_the_term_by_term_reference(op, data):
         for u in units:
             assert _plan_layout(u, probe) == _ref_plan_layout(u, probe)
     elif op == "apply_cnot":
+        # One pass of 1 to 4 CNOTs between rail pairs of the register, with unit and sub-unit vacuum-port amplitudes.
         rails = data.draw(st.permutations(range(modes)))
-        fans = [CnotSpec(DualRailQubit(*rails[:2]), DualRailQubit(*rails[2:4]), eta=0.5j)]
-        if data.draw(st.booleans()):
-            fans.append(CnotSpec(DualRailQubit(*rails[2:4]), DualRailQubit(*rails[:2]), eta_prime=-1))
+        pairs = [DualRailQubit(*rails[k:k + 2]) for k in range(0, modes - 1, 2)]
+        fans = []
+        for _ in range(data.draw(st.integers(1, 4), label="CNOTs")):
+            control, target = data.draw(st.permutations(pairs))[:2]
+            eta, eta_prime = data.draw(st.tuples(*[st.sampled_from(_VACUUM_AMPLITUDES)] * 2), label="etas")
+            fans.append(CnotSpec(control, target, eta, eta_prime))
         _assert_same_outcome(apply_cnot, _ref_apply_cnot, s, *fans)
     elif op == "port_photons":
         for occ in data.draw(_occupation_states(6)).terms:

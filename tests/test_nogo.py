@@ -830,8 +830,8 @@ def test_the_svd_gufunc_gives_the_bytes_of_numpys_svd(m):
         (lambda: adversarial_search(4, 1, 2.5), r"iterations \[2.5\] must hold integers"),
         (lambda: adversarial_search(4, 1, True), r"iterations \[True\] must hold integers"),
         (lambda: adversarial_search(4, restarts=1.5, iterations=10), r"restarts \[1.5\] must hold integers"),
-        (lambda: adversarial_search(4, 1, 10, singular_index=2.5), "singular_index must be in 0..3, got 2.5"),
-        (lambda: adversarial_search(4, 1, 10, singular_index=True), "singular_index must be in 0..3, got True"),
+        (lambda: adversarial_search(4, 1, 10, singular_index=2.5), r"singular_index \[2.5\] must hold integers"),
+        (lambda: adversarial_search(4, 1, 10, singular_index=True), r"singular_index \[True\] must hold integers"),
         (lambda: adversarial_search(4, 1, 10, seed=-1), "seed must be at least 0, got -1"),
         (lambda: adversarial_search(4.0, 1, 10), r"m \[4.0\] must hold integers"),
         (lambda: rank_scan(4, 10, seed=-1), "seed must be at least 0, got -1"),

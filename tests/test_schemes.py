@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -570,6 +571,31 @@ def test_projective_schemes_build_only_the_branches_a_report_reads(monkeypatch, 
     if branch != "sample" and built == 1:
         assert contractions[0][0] is schemes._JOIN_ERASERS[branch == "minus"]
         assert postselections[0][1] == ((1, 3) if branch == "plus" else (0, 2))
+
+
+@pytest.mark.parametrize("feed_forward", ["no", "", 0, 1, 1.0, None, [0]])
+def test_projective_schemes_reject_a_feed_forward_that_is_no_bool(monkeypatch, feed_forward):
+    calls = []
+    real_cnot = schemes.apply_cnot
+    monkeypatch.setattr(schemes, "apply_cnot", lambda *args: calls.append(args) or real_cnot(*args))
+    rng = np.random.default_rng(78)
+    for protocol, state in ((join_projective, random_input(rng)), (split_projective, random_ququart(rng))):
+        for branch in ("plus", "minus"):
+            with pytest.raises(ValueError, match=rf"^feed_forward must be a bool, got {re.escape(repr(feed_forward))}$"):
+                protocol(state, branch=branch, feed_forward=feed_forward)
+        with pytest.raises(ValueError, match=r"^unknown branch 'Plus'; use plus, minus or sample$"):
+            protocol(state, branch="Plus")
+    assert calls == []  # both are checked before any CNOT runs
+
+
+def test_projective_schemes_take_numpy_bools_and_report_python_bools():
+    rng = np.random.default_rng(79)
+    for protocol, state in ((join_projective, random_input(rng)), (split_projective, random_ququart(rng))):
+        for flag in (np.True_, np.False_):
+            numpy_report = protocol(state, branch="minus", feed_forward=flag)
+            python_report = protocol(state, branch="minus", feed_forward=bool(flag))
+            assert numpy_report.feed_forward_applied is python_report.feed_forward_applied is bool(flag)
+            assert numpy_report.output.terms == python_report.output.terms
 
 
 _HALF0, _HALF1, _CARRIER = DualRailQubit(0, 1), DualRailQubit(2, 3), DualRailQubit(4, 5)
