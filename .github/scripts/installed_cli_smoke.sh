@@ -149,6 +149,24 @@ sys.exit(not (
 ))
 PY
 
+# One dense evolution under -W error: a seeded (10, 5) Haar unitary on |1111100000> gives 2002 terms of squared
+# norm 1, and 8 sampled amplitudes equal the permanent formula's; a warning (say, from the pruning mask) fails here.
+"$bin/python" -W error - <<'PY' || fail "the dense (10, 5) evolution is not 2002 terms of norm 1 matching permanents, or it warned"
+import sys
+import numpy as np
+from fockjoin import fock, optics, permanent
+u = optics.haar_random_unitary(10, 34)
+occ_in = (1,) * 5 + (0,) * 5
+terms = optics.apply_unitary(fock.basis_state(10, occ_in), u).terms
+keys = sorted(terms)
+picks = [keys[k] for k in np.random.default_rng(34).choice(len(keys), 8, replace=False)]
+sys.exit(not (
+    len(terms) == 2002
+    and abs(sum(abs(a) ** 2 for a in terms.values()) - 1) <= 1e-10
+    and all(abs(terms[occ] - permanent.transition_amplitude(u.matrix, occ_in, occ)) <= 1e-10 for occ in picks)
+))
+PY
+
 # A state file that lists an occupation twice: exit 2 with one error line naming it (make_state would sum them).
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [1, 0, 1, 0], "re": -0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 1.0, "im": 0.0}]}' > twice.json
 code=0

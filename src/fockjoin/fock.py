@@ -124,9 +124,9 @@ def _mode_count(modes) -> int:
     return count
 
 
-def _default_rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed) for a seed _indices accepts, a non-negative integer and no bool; None draws fresh entropy."""
-    return np.random.default_rng(seed if seed is None else _indices([seed], "seed")[0])
+def _checked_seed(seed) -> int | None:
+    """A sampler's seed as an int if _indices accepts it, a non-negative integer and no bool; None (fresh entropy) stays None."""
+    return seed if seed is None else _indices([seed], "seed")[0]
 
 
 def _check_amplitude(occ, amp) -> complex:

@@ -25,6 +25,11 @@ read, so a chain of elements packs its occupation tuples once; its
 report lists the arrays and builds no dict. Output keys, term order, amplitude bits and types
 do not depend on the path, and no option selects it.
 
+A dense expansion forms each photon's products as an (entries, monomials)
+array and sums its transpose, in the dict loop's monomial-major order, with
+np.bincount. The kept amplitudes are those with np.hypot(re, im) > PRUNE_TOL;
+large outputs test squared magnitudes first (_kept).
+
 All functions are pure but for one memo: a unitary keeps the dict loop's
 expansions (_memo: tuples, from its matrix alone), so a later call
 gets a fresh copy's bits without expanding again. Unitaries and projectors
@@ -44,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PRUNE_TOL, FockState, Occupation, _default_rng, _indices, _layout, _mode_count, _pruned, _renormalized, _trusted
+from .fock import PRUNE_TOL, FockState, Occupation, _checked_seed, _indices, _layout, _mode_count, _pruned, _renormalized, _trusted
 
 UNITARY_ATOL = 1e-10
 
@@ -67,9 +72,9 @@ class ModeUnitary:
 
     @cached_property
     def _active(self) -> list:
-        """The modes whose row or column is not the unit vector, ascending; the builders hand them in (_element)."""
-        rows, cols, units = self.matrix.tolist(), self.matrix.T.tolist(), np.eye(self.dim, dtype=complex).tolist()
-        return [i for i in range(self.dim) if rows[i] != units[i] or cols[i] != units[i]]
+        """The modes whose row or column is not the unit vector (-0.0 == 0.0), ascending; the builders hand them in (_element)."""
+        moved = self.matrix != np.eye(self.dim)
+        return np.flatnonzero((moved | moved.T).any(axis=1)).tolist()
 
     @cached_property
     def _expansion_plan(self):
@@ -203,7 +208,7 @@ def mode_permutation(m: int, perm) -> ModeUnitary:
 
 def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
     """Haar-distributed unitary, deterministic for a fixed seed."""
-    return haar_from_rng(m, _default_rng(seed))
+    return haar_from_rng(m, np.random.default_rng(_checked_seed(seed)))
 
 
 def haar_from_rng(m: int, rng: np.random.Generator) -> ModeUnitary:
@@ -240,6 +245,11 @@ def _check_finite(**angles):
 _ARRAY_MIN_MONOMIALS = 64
 _ROUTED_MIN_TERMS = 32
 _ARRAY_MIN_TERMS = 16
+# _kept squares from this many amplitudes on. np.hypot alone took 2.9 against
+# 5.6 us at 256, broke even near 900 and took 8.9 against 7.9 us at 1024 (2-core
+# VM, Python 3.11, numpy 2.4); the 330-term outputs of (8, 4) meshes stay below.
+_SQUARED_MIN_TERMS = 1024
+_SQUARED_BAND = (PRUNE_TOL**2 * (1 - 2**-48), PRUNE_TOL**2 * (1 + 2**-48))
 # The array pass packs occupations as int64 keys and takes factorial
 # products in int64, exact up to 20!.
 _ARRAY_MAX_PHOTONS = 20
@@ -303,7 +313,7 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     if len(out) < _ARRAY_MIN_TERMS:
         terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
     else:
-        keep = _kept(amps := np.fromiter(out.values(), dtype=complex, count=len(out)))
+        keep = _kept((amps := np.fromiter(out.values(), dtype=complex, count=len(out))).real, amps.imag)
         terms = dict(zip(compress(out, keep.tolist()), amps[keep]))
     return _trusted(s.modes, terms)
 
@@ -503,7 +513,7 @@ def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool)
         re, im = np.bincount(slot, re, len(keys)), np.bincount(slot, im, len(keys))
     amps = np.empty(len(keys), dtype=complex)
     amps.real, amps.imag = re, im
-    keep = _kept(amps)
+    keep = _kept(re, im)
     if not keep.all():
         keys, facts, amps = keys[keep], facts[keep], amps[keep]
     keys, facts, amps = _read_only(keys, facts, amps)
@@ -521,9 +531,26 @@ def _occupation_tuples(keys: np.ndarray, bits: int, modes: int) -> list:
     return list(zip(*map(bytes, _counts(keys, bits, range(modes)).astype(np.uint8))))
 
 
-def _kept(amps: np.ndarray) -> np.ndarray:
-    """The mask of amplitudes above PRUNE_TOL: np.hypot gives abs() of a Python complex bit for bit, np.abs does not."""
-    return np.hypot(amps.real, amps.imag) > PRUNE_TOL
+def _kept(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The mask of amplitudes re + i im above PRUNE_TOL, np.hypot(re, im) > PRUNE_TOL on every input.
+
+    np.hypot gives abs() of a Python complex bit for bit, np.abs does not.
+    From _SQUARED_MIN_TERMS amplitudes on, re * re + im * im decides, and
+    np.hypot only entries in _SQUARED_BAND or NaN. That sum is within 2**-50
+    relative of np.hypot's square (an ulp off the root), so the band,
+    2**-48 relative either side of PRUNE_TOL**2, holds every entry where
+    they could disagree. An overflowing square is inf, and warns nothing.
+    """
+    if len(re) < _SQUARED_MIN_TERMS:
+        return np.hypot(re, im) > PRUNE_TOL
+    with np.errstate(over="ignore", under="ignore"):
+        squared = re * re + im * im
+    low, high = _SQUARED_BAND
+    keep = squared > high
+    near = ~(keep | (squared < low))
+    if near.any():
+        keep[near] = np.hypot(re[near], im[near]) > PRUNE_TOL
+    return keep
 
 
 @cache
@@ -576,23 +603,25 @@ class _ArrayExpansion(NamedTuple):
 def _expand_arrays(sub: Occupation, rows, active: tuple, bits: int) -> _ArrayExpansion:
     """_expand with numpy, bit for bit.
 
-    Each photon step lists the candidates (monomial k, row entry b) in
-    k-major order, as the dict loop visits them, forms their products with
-    _complex_product, and np.bincount adds them into their monomials
-    in that order, starting from 0.0, as nxt.get(key, 0j) + x does. Which
-    monomial each candidate lands in comes from _expansion_structure.
+    Each photon step forms the products of (monomial k, row entry b) with
+    _complex_product as a (b, k) array, whose inner loops run over the
+    monomials, and np.bincount adds its transpose, the candidates in k-major
+    order as the dict loop visits them, into their monomials in that order,
+    starting from 0.0, as nxt.get(key, 0j) + x does. Which monomial each
+    candidate lands in comes from _expansion_structure.
     """
     steps, entries = [], []
     for n, row in zip(sub, rows):
         if n:
             cols, values = zip(*row)
+            values = np.array(values)[:, None]
             steps += [cols] * n
-            entries += [(np.array([c.real for c in values]), np.array([c.imag for c in values]))] * n
+            entries += [(values.real, values.imag)] * n
     slots, keys, facts = _expansion_structure(tuple(steps), active, bits)
     re, im = np.ones(1), np.zeros(1)
     for (slot, count), (br, bi) in zip(slots, entries):
-        re, im = _complex_product(re[:, None], im[:, None], br, bi)
-        re, im = np.bincount(slot, re.ravel(), count), np.bincount(slot, im.ravel(), count)
+        re, im = _complex_product(re, im, br, bi)
+        re, im = np.bincount(slot, re.T.ravel(), count), np.bincount(slot, im.T.ravel(), count)
     return _ArrayExpansion(keys, facts, re, im)
 
 

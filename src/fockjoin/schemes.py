@@ -37,8 +37,8 @@ import numpy as np
 
 from .fock import (
     FockState,
+    _checked_seed,
     _clamped_overlap,
-    _default_rng,
     _indices,
     _on_basis,
     _renormalized,
@@ -123,11 +123,12 @@ def _check_feed_forward(value) -> None:
         raise ValueError(f"feed_forward must be a bool, got {value!r}")
 
 
-def _check_measurement(branch, feed_forward) -> None:
-    """A projective run's checks of its branch and feed_forward, made before any CNOT runs."""
+def _check_measurement(branch, feed_forward, seed) -> int | None:
+    """A projective run's checks of its branch, feed_forward and seed, made before any CNOT runs; returns the checked seed."""
     if branch not in ("plus", "minus", "sample"):
         raise ValueError(f"unknown branch {branch!r}; use plus, minus or sample")
     _check_feed_forward(feed_forward)
+    return _checked_seed(seed)
 
 
 # Feed-forward recovery: accepting the correctable measurement branches of
@@ -249,11 +250,11 @@ def _report(output: FockState, probability: float, branch: str, feed_forward_app
 def _projective_report(plus, minus, correct, branch, feed_forward, seed, expected) -> SchemeReport:
     """Report one branch; ``plus``/``minus`` build theirs on demand as (state, weight), with the measured modes gone.
 
-    The entry point checked branch and feed_forward (_check_measurement) before its CNOTs ran. The two weights are bit-equal (a property test checks it): fed-forward minus doubles its own.
+    The entry point checked branch, feed_forward and seed (_check_measurement) before its CNOTs ran. The two weights are bit-equal (a property test checks it): fed-forward minus doubles its own.
     """
     measured = plus() if branch != "minus" else None
     if branch == "sample":
-        branch = "plus" if _default_rng(seed).random() < measured[1] else "minus"
+        branch = "plus" if np.random.default_rng(seed).random() < measured[1] else "minus"
     applied_ff = branch == "minus" and bool(feed_forward)
     output, prob = measured if branch == "plus" else minus()
     if applied_ff:
@@ -276,7 +277,7 @@ def join_projective(
     when feed_forward is on.
     """
     alphas = input_coefficients(s)
-    _check_measurement(branch, feed_forward)
+    seed = _check_measurement(branch, feed_forward, seed)
     state = joining_cnot_pass(add_vacuum_modes(s, UNFOLD_GAPS), etas=etas)
     return _projective_report(
         lambda: _renormalized(partial_inner(_JOIN_ERASERS[0], state, _CARRIER.modes)),
@@ -329,7 +330,7 @@ def split_projective(
     when feed_forward is on. Surviving rails of the halves merge into one pair.
     """
     alphas = ququart_coefficients(q)
-    _check_measurement(branch, feed_forward)
+    seed = _check_measurement(branch, feed_forward, seed)
     state = apply_cnot(tensor(q, _PARKED), *_FAN_OUT)
     for mixer in _SPLIT_RAIL_MIXERS:
         state = apply_unitary(state, mixer)

