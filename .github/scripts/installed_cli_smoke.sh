@@ -81,6 +81,15 @@ code=0
 [ "$code" -eq 2 ] || fail "join --branch sample --seed=-1 exited $code, expected 2"
 [ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: .*--seed' err.txt || fail "expected one error: line naming --seed, got: $(cat err.txt)"
 
+# A state file whose real part is the JSON boolean true (complex() would read it as 1): exit 2 with one error line
+# naming the part.
+echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": true, "im": 0.0}]}' > boolean.json
+code=0
+"$bin/fockjoin" join --input boolean.json > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "join on a boolean amplitude part exited $code, expected 2"
+[ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: re part of occupation (1, 0, 1, 0) is a boolean' err.txt \
+    || fail "expected one error: line naming the boolean part, got: $(cat err.txt)"
+
 # The split's minus branch, a measured branch folded back by feed-forward.
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 0, 0], "re": 0.6, "im": 0.0}, {"occ": [0, 0, 1, 0], "re": 0.0, "im": 0.8}]}' > ququart.json
 "$bin/fockjoin" split --input ququart.json --branch minus --report split.json || fail "split --branch minus exited $?"

@@ -3,7 +3,7 @@
 A state is a complex superposition of occupation-number basis vectors
 |n_0 n_1 ... n_{m-1}>, stored as a map from occupation tuple to amplitude.
 States are treated as immutable: every operation returns a new state and
-prunes amplitudes below PRUNE_TOL so exact cancellations vanish.
+keeps amplitudes with abs(amp) > PRUNE_TOL, so exact cancellations vanish.
 
 Mixed photon-number superpositions are allowed (post-selection produces
 them transiently); nothing enforces a global photon-number sector.
@@ -55,10 +55,10 @@ class FockState:
 
     A state that ``optics.apply_unitary`` built in one numpy pass (the
     private subclass ``optics._Packed``) carries its occupations and
-    amplitudes as arrays and builds ``terms`` the first time anything reads
-    it; the next unitary of a chain, state_to_dict and the CLI's reports
-    read the arrays instead. Every other state holds its dict from
-    construction on.
+    amplitudes as arrays and builds ``terms`` on first read; the next
+    unitary of a chain, state_to_dict and the CLI's reports read the arrays
+    instead. Every other state holds its dict from construction on. States
+    of either class are equal when their modes and terms are; none hashes.
     """
 
     modes: int
@@ -71,6 +71,9 @@ class FockState:
             occ = _indices(occ, "occupation", count=modes)
             terms[occ] = _check_amplitude(occ, amp)
         vars(self).update(modes=modes, terms=MappingProxyType(terms))
+
+    def __eq__(self, other):  # also across classes, where the dataclass __eq__ refuses
+        return (self.modes, self.terms) == (other.modes, other.terms) if isinstance(other, FockState) else NotImplemented
 
     @property
     def is_zero(self) -> bool:
@@ -304,12 +307,13 @@ def fidelity(a: FockState, b: FockState) -> float:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Split of the mode register into two disjoint index sets."""
+    """Split of the mode register into two disjoint index sets, stored as tuples of ints (_integers)."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
 
     def __post_init__(self):
+        vars(self).update(left=_integers(self.left, "left"), right=_integers(self.right, "right"))
         overlap = set(self.left) & set(self.right)
         if overlap:
             raise ValueError(f"left and right share modes {sorted(overlap)}")
@@ -454,8 +458,12 @@ def state_from_dict(data: dict) -> FockState:
     try:
         modes = _mode_count(data["modes"])
         pairs = [(tuple(t["occ"]), complex(t["re"], t["im"])) for t in data["terms"]]
+        booleans = [(part, t) for t in data["terms"] for part in ("re", "im") if isinstance(t[part], bool)]
     except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int part past the float range
         raise ValueError(f"malformed state object: {exc}") from exc
+    if booleans:  # complex() would read a JSON true as 1
+        part, t = booleans[0]
+        raise ValueError(f"{part} part of occupation {tuple(t['occ'])} is a boolean ({t[part]}), not a number")
     for occ, amp in pairs:
         # make_state would prune these away without a trace; exact zeros are fine.
         if 0.0 < abs(_check_amplitude(occ, amp)) <= PRUNE_TOL:

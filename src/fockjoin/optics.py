@@ -21,14 +21,15 @@ couplers) take states of _ROUTED_MIN_TERMS terms or more, _expanded any
 state with an expansion that may reach _ARRAY_MIN_MONOMIALS monomials.
 The array pass returns a state that carries its int64 keys, factorial
 products and amplitudes (_Packed) and builds its terms dict on the first
-read, so a chain of elements packs its occupation tuples once; its
-report lists the arrays and builds no dict. Output keys, term order, amplitude bits and types
-do not depend on the path, and no option selects it.
+read, so a chain of elements packs its occupation tuples once; its report
+lists the arrays and builds no dict. Output keys, term order, amplitude
+bits and types do not depend on the path, and no option selects it.
 
 A dense expansion forms each photon's products as an (entries, monomials)
 array and sums its transpose, in the dict loop's monomial-major order, with
-np.bincount. The kept amplitudes are those with np.hypot(re, im) > PRUNE_TOL;
-large outputs test squared magnitudes first (_kept).
+np.bincount. The dict loop keeps amplitudes with abs(amp) > PRUNE_TOL and
+the array pass those with np.hypot(re, im) > PRUNE_TOL, the same test bit
+for bit; large array outputs test squared magnitudes first (_kept).
 
 All functions are pure but for one memo: a unitary keeps the dict loop's
 expansions (_memo: tuples, from its matrix alone), so a later call
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -240,11 +241,9 @@ def _check_finite(**angles):
             raise ValueError(f"{name} {value!r} is not finite")
 
 
-# The two crossovers of apply_unitary's array kernels. Dict-loop outputs
-# of at least _ARRAY_MIN_TERMS terms are pruned with numpy.
+# The two crossovers of apply_unitary's array kernels.
 _ARRAY_MIN_MONOMIALS = 64
 _ROUTED_MIN_TERMS = 32
-_ARRAY_MIN_TERMS = 16
 # _kept squares from this many amplitudes on. np.hypot alone took 2.9 against
 # 5.6 us at 256, broke even near 900 and took 8.9 against 7.9 us at 1024 (2-core
 # VM, Python 3.11, numpy 2.4); the 330-term outputs of (8, 4) meshes stay below.
@@ -310,12 +309,7 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
         for expo, coeff, expo_fact in monomials:
             key = layout(passive + expo)
             out[key] = out.get(key, 0j) + amp * coeff * math.sqrt(passive_fact * expo_fact) * inv_norm
-    if len(out) < _ARRAY_MIN_TERMS:
-        terms = {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL}
-    else:
-        keep = _kept((amps := np.fromiter(out.values(), dtype=complex, count=len(out))).real, amps.imag)
-        terms = dict(zip(compress(out, keep.tolist()), amps[keep]))
-    return _trusted(s.modes, terms)
+    return _trusted(s.modes, {key: np.complex128(amp) for key, amp in out.items() if abs(amp) > PRUNE_TOL})
 
 
 class _Packed(FockState):
@@ -323,9 +317,9 @@ class _Packed(FockState):
 
     keys packs its occupations into int64s of `bits` bits per mode, and facts
     and amps hold their factorial products and amplitudes; _listing reads
-    them in report order, so state_to_dict and a report build no dict. A
-    subclass keeps the __getattr__ hook, which slows attribute loads, off
-    plain states.
+    them in report order, so state_to_dict and a report build no dict.
+    terms is a cached_property: its first read stores the read-only dict in
+    the instance, as FockState holds it; equality is FockState's.
     """
 
     keys = None  # on a dataclasses.replace copy, which holds its terms alone
@@ -333,16 +327,9 @@ class _Packed(FockState):
     def __init__(self, **fields):  # modes, the fields above, and terms if built; unchecked, as fock._trusted
         vars(self).update(fields)
 
-    def __getattr__(self, name):
-        # Called only for attributes the state lacks: its terms, until their first read.
-        if name != "terms":
-            raise AttributeError(f"'FockState' object has no attribute {name!r}")
-        terms = dict(zip(_occupation_tuples(self.keys, self.bits, self.modes), self.amps))
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-        return self.terms
-
-    def __eq__(self, other):  # the dataclass __eq__ compares states of one class only
-        return (self.modes, self.terms) == (other.modes, other.terms) if isinstance(other, FockState) else NotImplemented
+    @cached_property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(_occupation_tuples(self.keys, self.bits, self.modes), self.amps)))
 
     def _listing(self) -> tuple[list, list, list]:
         # FockState._listing from the arrays, without building terms: the keys are distinct, so the order is total.

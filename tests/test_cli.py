@@ -128,6 +128,18 @@ def test_non_finite_amplitude_exits_two(tmp_path, capsys, literal):
     assert "occupation (0, 1, 0, 1) is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_a_boolean_amplitude_part_exits_two(tmp_path, capsys, part):
+    state, report = tmp_path / "bool.json", tmp_path / "report.json"
+    term = {"occ": [1, 0, 1, 0], "re": 1.0, "im": 0.0} | {part: True}
+    state.write_text(json.dumps({"modes": 4, "terms": [term]}))
+    assert cli_dispatch(["join", "--input", str(state), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {part} part of occupation (1, 0, 1, 0) is a boolean (True), not a number\n"
+    assert not report.exists()
+
+
 def test_malformed_json_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -5,6 +5,7 @@ import math
 import pickle
 import struct
 import warnings
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -946,6 +947,38 @@ def test_coupler_chains_with_carried_keys_match_rebuilt_states_and_the_permanent
         assert abs(chained.amplitude(occ_out) - expected) < 1e-10
 
 
+def _term_hex(state):
+    """Each term's occupation, float.hex of both parts and amplitude type, in term order."""
+    return [(occ, float(a.real).hex(), float(a.imag).hex(), type(a)) for occ, a in state.terms.items()]
+
+
+@pytest.mark.parametrize("modes, photons, u", [(8, 5, hadamard_pair(8, 0, 1)), (4, 3, beamsplitter(4, 1, 0, 0.7, 0.3))])
+def test_the_dict_loop_prunes_to_the_array_pass_bits_on_either_side_of_16_terms(modes, photons, u):
+    # The dict loop keeps abs(amp) > PRUNE_TOL at every output size; the array pass decides by np.hypot, and from
+    # 1024 amplitudes on by squared magnitudes first. Terms with no photon on the coupled modes pass through, some
+    # just below or above the tolerance; the Hadamard pair's HOM terms cancel to exact zeros.
+    rng = np.random.default_rng(35)
+    occs = enumerate_occupations(modes, photons)
+    edges = [PRUNE_TOL * (1 + k * 2.0**-52) for k in range(-3, 4)] + [0.9e-12, 1.1e-12, 1.5e-12]
+    terms = {}
+    for k, occ in enumerate(occs):
+        if k % 3:
+            terms[occ] = complex(*(rng.choice([-1, 1], 2) * rng.uniform(0.5, 1, 2)))
+        else:
+            terms[occ] = edges[k // 3 % len(edges)] * 1j**k
+    state = FockState(modes, terms)
+    with _crossovers(10**9):
+        loop = apply_unitary(state, u)
+    with _crossovers(1):
+        array = apply_unitary(state, u)
+    assert type(loop) is FockState and type(array) is optics._Packed
+    assert _term_hex(loop) == _term_hex(array)
+    assert all(type(a) is np.complex128 for a in loop.terms.values())
+    assert len(loop.terms) >= 1024 if modes == 8 else 16 <= len(loop.terms) <= 40
+    passing = [occ for occ in occs if not any(u._expansion_plan[0](occ)) and sum(occ)]  # no photon on the coupled modes
+    assert any(occ not in loop.terms for occ in passing) and any(occ in loop.terms for occ in passing)
+
+
 def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
     # Two photons on modes 0 and 1 of every term, and up to three on modes 2-5; some zero parts are -0.0.
     occs = [(a, 2 - a, *p) for p in enumerate_occupations(4, 3) for a in range(3)]
@@ -962,12 +995,24 @@ def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
         chained = apply_unitary(steps[-1], bs)
     # The next element read their arrays: no dict was built for them.
     assert all(type(step) is optics._Packed and "terms" not in vars(step) for step in steps)
+    # The first read builds the read-only dict and keeps it in the instance, and later reads return it.
+    built = steps[0].terms
+    assert vars(steps[0])["terms"] is built and steps[0].terms is built and type(built) is MappingProxyType
     assert _assert_carries_its_terms(out) and _assert_carries_its_terms(chained)
     assert optics._packed(out) is out
     assert _carried(FockState(6, dict(out.terms))) is None
     # A dataclasses.replace copy holds its terms alone, and is packed again.
     copied = dataclasses.replace(out)
-    assert copied == out and optics._packed(copied) is not copied
+    assert optics._packed(copied) is not copied
+    # States are equal by mode count and terms, whatever their class, and unequal to anything else; none is hashable.
+    plain = FockState(6, dict(out.terms))
+    for other in (copied, plain):
+        assert other == out and out == other and not (other != out or out != other)
+    assert out != 5 and 5 != out and plain != 5 and out != FockState(6, {}) != out
+    assert out != apply_unitary(out, bs) and apply_unitary(out, bs) != out
+    for state in (out, copied, plain):
+        with pytest.raises(TypeError):
+            hash(state)
     _assert_matches_dict_loop(copied, hadamard_pair(6, 3, 0))
     # A phase shifter and a permutation read the carried keys too, and pass them on.
     routed = apply_unitary(apply_unitary(chained, phase_shifter(6, 2, 0.3)), mode_permutation(6, [5, 4, 3, 2, 1, 0]))
