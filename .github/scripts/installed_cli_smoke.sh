@@ -157,6 +157,41 @@ sys.exit(not (
     and canonical_json(report) + "\n" == text
 ))
 PY
+# The same mesh through the installed script under -W error, where a numpy warning from the coupler pass fails the
+# run: at most 330 terms of squared norm 1, and 8 sampled amplitudes equal the permanent formula's for the matrix
+# composed here from the circuit's lines (applying u then v is u @ v).
+"$bin/python" -W error "$bin/fockjoin" run --circuit mesh.pc --input four.json --report mesh_w.json \
+    || fail "run of the (8, 4) mesh under -W error exited $?"
+"$bin/python" -W error - mesh.pc mesh_w.json <<'PY' || fail "the (8, 4) mesh under -W error is not at most 330 terms of norm 1 matching permanents"
+import json, math, sys
+from pathlib import Path
+import numpy as np
+from fockjoin import permanent
+lines = [line.split() for line in Path(sys.argv[1]).read_text().splitlines()]
+m = int(lines[0][1])
+total = np.eye(m, dtype=complex)
+for op, *args in lines[1:]:
+    mat = np.eye(m, dtype=complex)
+    if op == "ps":
+        mat[int(args[0]), int(args[0])] = np.exp(1j * float(args[1]))
+    elif op == "perm":  # the photon in mode i exits in mode args[i]
+        mat = np.zeros((m, m), dtype=complex)
+        mat[range(m), [int(p) for p in args]] = 1.0
+    else:  # bs i j theta phi: [[cos, e^{i phi} sin], [-e^{-i phi} sin, cos]] on (i, j)
+        i, j, theta, phi = int(args[0]), int(args[1]), float(args[2]), float(args[3])
+        mat[i, i] = mat[j, j] = math.cos(theta)
+        mat[i, j], mat[j, i] = np.exp(1j * phi) * math.sin(theta), -np.exp(-1j * phi) * math.sin(theta)
+    total = total @ mat
+terms = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in json.loads(Path(sys.argv[2]).read_text())["output"]["terms"]}
+occ_in = (1, 0) * 4
+keys = sorted(terms)
+picks = [keys[k] for k in np.random.default_rng(8).choice(len(keys), 8, replace=False)]
+sys.exit(not (
+    len(terms) <= 330
+    and abs(sum(abs(a) ** 2 for a in terms.values()) - 1) <= 1e-10
+    and all(abs(terms[occ] - permanent.transition_amplitude(total, occ_in, occ)) <= 1e-10 for occ in picks)
+))
+PY
 
 # One dense evolution under -W error: a seeded (10, 5) Haar unitary on |1111100000> gives 2002 terms of squared
 # norm 1, and 8 sampled amplitudes equal the permanent formula's; a warning (say, from the pruning mask) fails here.

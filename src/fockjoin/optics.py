@@ -14,16 +14,16 @@ on (8, 4) states expands at most 15 sub-occupations for 330 terms. Dense
 unitaries take the same path with every mode active.
 
 States are spliced by a dict loop in Python complex arithmetic or by one
-numpy pass that repeats its floating-point operations in its order. Each
-unitary picks, from its structure, the one array kernel that may feed
-that pass: _routed (one nonzero entry per row) and _coupled (two-mode
-couplers) take states of _ROUTED_MIN_TERMS terms or more, _expanded any
-state with an expansion that may reach _ARRAY_MIN_MONOMIALS monomials.
-The array pass returns a state that carries its int64 keys, factorial
-products and amplitudes (_Packed) and builds its terms dict on the first
-read, so a chain of elements packs its occupation tuples once; its report
-lists the arrays and builds no dict. Output keys, term order, amplitude
-bits and types do not depend on the path, and no option selects it.
+numpy pass that repeats its floating-point operations in its order, fed by
+the array kernel a unitary picks from its structure (apply_unitary). Each
+kernel numbers its outputs in the dict loop's insertion order, so the pass
+only sums: _routed's are distinct, _coupled sorts its terms once by group,
+_expanded its candidates unless one term gives them. The pass returns a
+state that carries its int64 keys, factorial products and amplitudes
+(_Packed) and builds its terms dict on the first read, so a chain of
+elements packs its occupation tuples once; its report lists the arrays and
+builds no dict. Output keys, term order, amplitude bits and types do not
+depend on the path, and no option selects it.
 
 A dense expansion forms each photon's products as an (entries, monomials)
 array and sums its transpose, in the dict loop's monomial-major order, with
@@ -275,10 +275,6 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     phase shifters and 32-48 under couplers, 24 with carried keys (2-core
     VM, Python 3.11, numpy 2.4). Any unitary takes _expanded when an
     expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
-    The array pass returns a state that carries its keys, factorial
-    products and amplitudes (_Packed) and builds its terms dict only when
-    something reads it; the next call of a chain reads the arrays. Keys,
-    term order and every amplitude bit are the same on any path.
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
@@ -373,7 +369,7 @@ def _complex_product(ar, ai, br, bi):
 
 
 def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
-    """The candidates of every term under rows of one nonzero entry each.
+    """The candidates of every term under rows of one nonzero entry each, one per term and each its own output.
 
     _expand's steps coeff -> 0j + coeff * c for all terms at once, each
     term stopping at its photon count in the row; rows with c == 1 are
@@ -391,30 +387,38 @@ def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
             on = n > step
             re, im = np.where(on, _complex_product(re, im, c.real, c.imag), (re, im))
     keys = keys + (weights[[b for ((b, _),) in rows]] - weights) @ counts
-    return np.arange(len(keys)), keys, facts, re, im, True
+    return np.arange(len(keys)), None, keys, facts, re, im
 
 
 def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
-    """The (term, monomial) candidates of every term under a coupler, in term-major order.
+    """The (term, monomial) candidates of every term under a coupler, in term-major order, and their output slots.
 
     A term with a photons on the first active mode and b on the second
-    gives the a + b + 1 monomials of _coupler_coefficients' (a, b) entry.
+    gives the a + b + 1 monomials of _coupler_coefficients' (a, b) entry,
+    monomial b being (a, b) itself; monomial k lands in g + k * (w1 - w0),
+    g = key - b * (w1 - w0) (all a + b on the first). The dict loop meets
+    the outputs group by group (same g) in order of first term, k by k: one
+    _first_occurrences over the terms gives slot = group start + k, and a
+    group's outputs are its first term's monomials.
     """
-    weights = np.left_shift(1, bits * np.array(active, dtype=np.int64))
-    a, b = _counts(keys, bits, active)
-    top = int((a + b).max())
-    offsets, expos, expo_facts = _coupler_layout(top)
-    coeffs = np.array(_coupler_coefficients(rows, top))
-    terms, monomials = _spread(a + b + 1, offsets[a, b])
-    keys = (keys - a * weights[0] - b * weights[1])[terms] + (expos @ weights)[monomials]
-    facts = (facts // (_FACTORIALS[a] * _FACTORIALS[b]))[terms] * expo_facts[monomials]
-    return terms, keys, facts, coeffs.real[monomials], coeffs.imag[monomials], False
+    mask, shift = (1 << bits) - 1, (1 << bits * active[1]) - (1 << bits * active[0])
+    a, b = (keys >> bits * active[0]) & mask, (keys >> bits * active[1]) & mask
+    counts = a + b + 1
+    offsets, seconds, expo_facts = _coupler_layout(int(counts.max()) - 1)
+    coeffs = np.array(_coupler_coefficients(rows, len(offsets) - 1), dtype=complex)
+    groups, group, first = _first_occurrences(keys - b * shift)
+    entries, sizes = offsets[a, b], counts[first]
+    terms, monomials = _spread(counts, entries)
+    slots = monomials + ((sizes.cumsum() - sizes)[group] - entries)[terms]
+    outputs, expos = _spread(sizes, entries[first])
+    facts = (facts[first] // expo_facts[(entries + b)[first]])[outputs] * expo_facts[expos]
+    return terms, slots, groups[outputs] + seconds[expos] * shift, facts, coeffs.real[monomials], coeffs.imag[monomials]
 
 
 def _spread(counts: np.ndarray, starts: np.ndarray):
     """Term and monomial of each candidate, in term-major order, when term t has the counts[t] monomials from starts[t] on."""
-    ends = np.cumsum(counts)
-    return np.repeat(np.arange(len(counts)), counts), np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    ends = counts.cumsum()
+    return np.arange(len(counts)).repeat(counts), np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
 def _coupler_coefficients(rows, top: int) -> list:
@@ -424,28 +428,27 @@ def _coupler_coefficients(rows, top: int) -> list:
     second; each photon makes monomial k, by exponent k on the second active
     mode as _expand orders them, (0j + old[k - 1] * c1) + old[k] * c0.
     """
-
-    def step(old, row):
-        (_, c0), (_, c1) = row
-        return [0j + old[0] * c0] + [(0j + old[k - 1] * c1) + old[k] * c0 for k in range(1, len(old))] + [0j + old[-1] * c1]
-
+    ((_, r0), (_, r1)), ((_, s0), (_, s1)) = rows
     out, poly = [], [1.0 + 0j]
     for a in range(top + 1):
-        ext = poly = step(poly, rows[0]) if a else poly
-        for b in range(top - a + 1):
-            ext = step(ext, rows[1]) if b else ext
+        if a:
+            poly = [0j + poly[0] * r0, *[0j + p * r1 + q * r0 for p, q in zip(poly, poly[1:])], 0j + poly[-1] * r1]
+        out += poly
+        ext = poly
+        for _ in range(top - a):
+            ext = [0j + ext[0] * s0, *[0j + p * s1 + q * s0 for p, q in zip(ext, ext[1:])], 0j + ext[-1] * s1]
             out += ext
     return out
 
 
 @cache
 def _coupler_layout(top: int) -> tuple:
-    """Where _coupler_coefficients puts each (a, b), and its monomials' exponent pairs and factorial products."""
+    """Where _coupler_coefficients puts each (a, b), and its monomials' exponents k on the second mode and factorial products."""
     pairs = [(a, b) for a in range(top + 1) for b in range(top - a + 1)]
     expos = np.array([(a + b - k, k) for a, b in pairs for k in range(a + b + 1)], dtype=np.int64)
     offsets = np.zeros((top + 1, top + 1), dtype=np.intp)
     offsets[tuple(zip(*pairs))] = np.cumsum([0] + [a + b + 1 for a, b in pairs[:-1]])
-    return _read_only(offsets, expos, _FACTORIALS[expos].prod(axis=1))
+    return _read_only(offsets, expos[:, 1], _FACTORIALS[expos].prod(axis=1))
 
 
 def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: dict, active):
@@ -464,40 +467,38 @@ def _expanded(keys: np.ndarray, bits: int, facts: np.ndarray, subs, expansions: 
     passive = keys - weights @ counts
     keys = passive[terms] + expo_keys[monomials]
     facts = (facts // _FACTORIALS[counts].prod(axis=0))[terms] * expo_facts[monomials]
-    # The keys of several terms may repeat; one term's are distinct.
-    return terms, keys, facts, re[monomials], im[monomials], len(passive) == 1
+    keys, slots, first = _first_occurrences(keys) if len(passive) > 1 else (keys, None, slice(None))
+    return terms, slots, keys, facts[first], re[monomials], im[monomials]
 
 
-def _array_splice(packed: _Packed, terms, keys, facts, cre, cim, distinct: bool) -> _Packed:
+def _array_splice(packed: _Packed, terms, slots, keys, facts, cre, cim) -> _Packed:
     """The dict loop's output state, from its candidates in term-major order, carrying its arrays.
 
-    Candidate k comes from input term terms[k] of packed; keys[k] is its
-    output occupation, `bits` bits per mode, facts[k] that occupation's
-    factorial product, and (cre[k], cim[k]) its monomial coefficient.
-    distinct says the keys are known to differ, as one term's monomials do.
+    Candidate k comes from input term terms[k] of packed, has the monomial
+    coefficient (cre[k], cim[k]) and lands in output slots[k] (output k if
+    slots is None: _routed's and one term's outputs are distinct). The
+    kernel numbers the outputs in the dict loop's insertion order and hands
+    in their keys, `bits` bits per mode, and factorial products facts.
 
     The values keep the dict loop's roundings: amp * coeff is
     _complex_product, and the factorial products are exact, so their square
     roots round as math.sqrt does. Scaling each part by a float instead of
     multiplying by complex(x, 0.0) changes at most the sign of a zero part;
     so do the 0j + steps that _routed skips. The sums erase those signs:
-    keys are numbered in order of first occurrence, the dict loop's
-    insertion order, and np.bincount adds their values in candidate order
-    from +0.0, as out.get(key, 0j) + value does. So a photon-free term,
-    whose coefficient is exactly 1, gets the bits of 0j + amp. Every
-    amplitude is an np.complex128, on this path as in the dict loop.
+    np.bincount adds the values into their slots in candidate order from
+    +0.0, as out.get(key, 0j) + value does. So a photon-free term, whose
+    coefficient is exactly 1, gets the bits of 0j + amp. Every amplitude is
+    an np.complex128, on this path as in the dict loop.
     """
     ar, ai = packed.amps.real[terms], packed.amps.imag[terms]
     inv_norm = (1.0 / np.sqrt(packed.facts))[terms]
-    scale = np.sqrt(facts)
+    scale = np.sqrt(facts) if slots is None else np.sqrt(facts)[slots]
     re, im = _complex_product(ar, ai, cre, cim)
     re, im = re * scale * inv_norm, im * scale * inv_norm
-    if distinct:
+    if slots is None:
         re, im = re + 0.0, im + 0.0  # as 0j + value
     else:
-        keys, slot, first = _first_occurrences(keys)
-        facts = facts[first]
-        re, im = np.bincount(slot, re, len(keys)), np.bincount(slot, im, len(keys))
+        re, im = np.bincount(slots, re, len(keys)), np.bincount(slots, im, len(keys))
     amps = np.empty(len(keys), dtype=complex)
     amps.real, amps.imag = re, im
     keep = _kept(re, im)
@@ -637,17 +638,15 @@ def _expansion_structure(steps: tuple, active: tuple, bits: int) -> tuple:
 
 
 def _first_occurrences(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct candidates in order of first occurrence, each candidate's index among them, and the first-occurrence mask."""
-    perm = candidates.argsort()
+    """The distinct candidates in order of first occurrence, each candidate's index among them, and their first indices."""
+    perm = candidates.argsort(kind="stable")
     ordered = candidates[perm]
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    first = np.minimum.reduceat(perm, np.flatnonzero(new))  # each distinct key's first candidate
-    is_first = np.zeros(len(perm), dtype=bool)
-    is_first[first] = True
-    rank = (is_first.cumsum() - 1)[first]
-    slot = np.empty(len(perm), dtype=np.intp)
-    slot[perm] = rank[new.cumsum() - 1]
-    return candidates[is_first], slot, is_first
+    first = perm[new]  # each distinct candidate's first index, in sorted order, as the sort is stable
+    order = first.argsort()
+    slot = np.empty_like(perm)
+    slot[perm] = order.argsort()[new.cumsum() - 1]
+    return candidates[first[order]], slot, first[order]
 
 
 def apply_projector(s: FockState, p: ProjectorSpec) -> tuple[FockState, float]:

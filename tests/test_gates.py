@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +84,38 @@ def test_cnot_names_the_first_illegal_pair():
     # The reversed CNOT controls on GATE's target pair, so that pair is read first.
     with pytest.raises(IllegalPatternError, match=r"^pattern \(0, 2\) on modes \(2, 3\) in term \(1, 0, 0, 2\)$"):
         apply_reversed_cnot(two_pair_state((1, 0), (0, 2)), GATE)
+
+
+# Each legal (control, target) rail 4-tuple and its action, written out by hand.
+_RAIL_ACTIONS = {
+    (1, 0, 1, 0): "keep", (1, 0, 0, 1): "keep", (0, 0, 0, 0): "keep",
+    (0, 1, 1, 0): "swap", (0, 1, 0, 1): "swap",
+    (1, 0, 0, 0): "eta", (0, 1, 0, 0): "eta",
+    (0, 0, 1, 0): "eta_prime", (0, 0, 0, 1): "eta_prime",
+}
+
+
+def test_each_rail_pattern_of_up_to_two_photons_per_mode_gets_its_action_or_names_its_pair():
+    # All 81 4-tuples with entries 0..2, one term each. A legal pair holds (0, 0), (1, 0) or (0, 1); any other
+    # 4-tuple raises, naming the first illegal pair, control before target.
+    gate = CnotSpec(CONTROL, TARGET, eta=0.5j, eta_prime=-0.25)
+    amp = complex(0.6, -0.8)
+    for occ in itertools.product(range(3), repeat=4):
+        state = make_state(4, [(occ, amp)])
+        action = _RAIL_ACTIONS.get(occ)
+        if action is None:
+            pattern, modes = (occ[:2], CONTROL.modes) if occ[:2] not in {(0, 0), (1, 0), (0, 1)} else (occ[2:], TARGET.modes)
+            with pytest.raises(IllegalPatternError, match=f"^{re.escape(f'pattern {pattern} on modes {modes} in term {occ}')}$"):
+                apply_cnot(state, gate)
+            continue
+        expected = {
+            "keep": {occ: amp},
+            "swap": {occ[:2] + (occ[3], occ[2]): amp},
+            "eta": {occ: amp * gate.eta},
+            "eta_prime": {occ: amp * gate.eta_prime},
+        }[action]
+        assert apply_cnot(state, gate).terms == expected, (occ, action)
+    assert len(_RAIL_ACTIONS) == 9
 
 
 # Rail pairs of a 6-mode register; (3, 4) straddles two of the others, so a pass can meet an illegal pattern late.

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dense_oracle import DenseFock, enumerate_occupations
 from fockjoin.fock import PRUNE_TOL, FockState, add, basis_state, make_state, norm, normalize, state_to_dict
@@ -950,6 +950,48 @@ def test_coupler_chains_with_carried_keys_match_rebuilt_states_and_the_permanent
 def _term_hex(state):
     """Each term's occupation, float.hex of both parts and amplitude type, in term order."""
     return [(occ, float(a.real).hex(), float(a.imag).hex(), type(a)) for occ, a in state.terms.items()]
+
+
+@st.composite
+def _coupler_steps(draw):
+    """1 to 40 terms of up to 6 photons on 2 to 5 modes, signed-zero parts, then 1 to 4 couplers and Hadamard pairs."""
+    modes = draw(st.integers(2, 5))
+    picks = draw(st.lists(st.sampled_from(enumerate_occupations(modes, 6)), min_size=1, max_size=40, unique=True))
+    state = FockState(modes, {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks})
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    elements = []
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))  # i > j too
+        elements.append(beamsplitter(modes, i, j, draw(angle), draw(angle)) if draw(st.booleans()) else hadamard_pair(modes, i, j))
+    return state, elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coupler_steps())
+# Terms holding (1, 1) on a Hadamard pair: (1, 1, 0)'s own slot cancels to an exact zero and is pruned; (1, 1, 2)'s
+# slot also takes (2, 0, 2)'s monomial and is kept.
+@example((FockState(3, {(1, 1, 0): 0.6, (0, 1, 1): -0.3j, (1, 1, 2): -0.8j, (2, 0, 2): 0.1}), [hadamard_pair(3, 0, 1)]))
+# A reversed pair (i > j), whose first active mode is the coupler's second argument.
+@example((FockState(4, {(0, 1, 0, 2): 0.5, (1, 2, 0, 0): -0.5j, (0, 0, 1, 1): 0.5, (2, 1, 0, 1): -0.5}), [beamsplitter(4, 3, 1, 0.7, -0.4)]))
+# A group of several terms: the pair's photons moved onto its first mode give the same occupation.
+@example((FockState(3, {(2, 0, 1): 0.5, (1, 0, 0): 0.5j, (1, 1, 1): -0.5, (0, 2, 1): 0.5}), [beamsplitter(3, 0, 1, 1.1, 0.3)]))
+# Up to 6 photons on the pair, through a chain.
+@example((FockState(2, {(6, 0): 0.4, (3, 3): -0.4j, (2, 4): 0.6, (0, 6): 0.5j, (1, 2): 0.2}), [hadamard_pair(2, 0, 1), beamsplitter(2, 1, 0, 0.4, 2.0)]))
+def test_coupler_outputs_are_numbered_in_the_dict_loops_insertion_order(case):
+    # _coupled numbers its outputs by groups of terms; the dict loop inserts them one by one. Both must give
+    # the same keys in the same order, the same bits and types, and the array pass its outputs' factorial products.
+    state, elements = case
+    chains = {}
+    for crossover in (1, 10**9):
+        with _crossovers(crossover):
+            chains[crossover] = [state]
+            for u in elements:
+                chains[crossover].append(apply_unitary(chains[crossover][-1], u))
+    for before, array, loop in zip(chains[1], chains[1][1:], chains[10**9][1:]):
+        assert _term_hex(array) == _term_hex(loop)
+        assert _carried(loop) is None
+        # The array pass takes every step but those from an empty or photon-free state, which packs into no key.
+        assert _assert_carries_its_terms(array) or optics._packed(before) is None or not before.terms
 
 
 @pytest.mark.parametrize("modes, photons, u", [(8, 5, hadamard_pair(8, 0, 1)), (4, 3, beamsplitter(4, 1, 0, 0.7, 0.3))])
