@@ -211,6 +211,44 @@ sys.exit(not (
 ))
 PY
 
+# Twelve photons through a 4-mode chain of couplers under -W error: past 32 terms the chain runs on carried arrays,
+# whose report renders two-digit counts in one numpy pass. Some output occupation holds at least 10 photons, the squared
+# norm is 1, the report's bytes are canonical_json of its parsed form, and 8 sampled amplitudes equal the permanent
+# formula's for the matrix composed from the circuit's lines.
+printf 'modes 4\nbs 0 1 0.4 0.3\nbs 1 2 0.5 -1.1\nbs 2 3 0.3 2.0\nbs 0 1 0.6 0.7\nbs 1 2 0.2 -0.4\nbs 2 3 0.45 1.2\n' > crowded.pc
+echo '{"modes": 4, "terms": [{"occ": [12, 0, 0, 0], "re": 1.0, "im": 0.0}]}' > twelve.json
+"$bin/python" -W error "$bin/fockjoin" run --circuit crowded.pc --input twelve.json --report crowded.json \
+    || fail "run of the 4-mode coupler chain on |12,0,0,0> under -W error exited $?"
+"$bin/python" -W error - crowded.pc crowded.json <<'PY' || fail "the coupler chain on |12,0,0,0> is not carried, holds no count of 10, or does not match permanents"
+import json, math, sys
+from pathlib import Path
+import numpy as np
+from fockjoin import circuit, fock, optics, permanent
+from fockjoin.cli import canonical_json
+text = Path(sys.argv[1]).read_text()
+occ_in = (12, 0, 0, 0)
+final = circuit.run_circuit(circuit.parse_circuit(text), fock.basis_state(4, occ_in))[0]
+total = np.eye(4, dtype=complex)
+for op, *args in (line.split() for line in text.splitlines()[1:]):  # bs i j theta phi, as in the mesh check above
+    i, j, theta, phi = int(args[0]), int(args[1]), float(args[2]), float(args[3])
+    mat = np.eye(4, dtype=complex)
+    mat[i, i] = mat[j, j] = math.cos(theta)
+    mat[i, j], mat[j, i] = np.exp(1j * phi) * math.sin(theta), -np.exp(-1j * phi) * math.sin(theta)
+    total = total @ mat
+report_text = Path(sys.argv[2]).read_text(encoding="utf-8")
+report = json.loads(report_text)
+terms = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in report["output"]["terms"]}
+keys = sorted(terms)
+picks = [keys[k] for k in np.random.default_rng(12).choice(len(keys), 8, replace=False)]
+sys.exit(not (
+    type(final) is optics._Packed
+    and max(map(max, keys)) >= 10
+    and abs(sum(abs(a) ** 2 for a in terms.values()) - 1) <= 1e-10
+    and canonical_json(report) + "\n" == report_text
+    and all(abs(terms[occ] - permanent.transition_amplitude(total, occ_in, occ)) <= 1e-10 for occ in picks)
+))
+PY
+
 # A state file that lists an occupation twice: exit 2 with one error line naming it (make_state would sum them).
 echo '{"modes": 4, "terms": [{"occ": [1, 0, 1, 0], "re": 0.6, "im": 0.0}, {"occ": [1, 0, 1, 0], "re": -0.6, "im": 0.0}, {"occ": [0, 1, 0, 1], "re": 1.0, "im": 0.0}]}' > twice.json
 code=0

@@ -12,7 +12,8 @@ the tool version, the verb, a digest of the inputs and the seed in
 effect. A state in a report is rendered in one pass, one % format over
 its terms in report order (FockState._listing, which state_to_dict reads
 too), to the bytes canonical_json(state_to_dict(s)) would give; a state
-that carries its arrays is listed from them, without building its terms. A run that samples a branch or a Bell outcome, and nogo-scan, uses
+that carries its arrays is listed from them, without building its terms,
+its occupations' text in one numpy pass. A run that samples a branch or a Bell outcome, and nogo-scan, uses
 --seed (0 if omitted; a negative one exits 2) and reports it; a run that
 samples nothing reports null, whether or not --seed was given. So identical
 invocations produce byte-identical files, and so do deterministic runs that
@@ -27,6 +28,8 @@ import hashlib
 import json
 import sys
 from itertools import chain
+
+import numpy as np
 
 from . import __version__
 from .circuit import CircuitError, parse_circuit, run_circuit
@@ -96,11 +99,21 @@ def _emit(obj, write):
 
 
 def _state_json(s) -> _Rendered:
-    """canonical_json(state_to_dict(s)), in one % format over s._listing(): each part %.17g, each photon number %d."""
+    """canonical_json(state_to_dict(s)), in one % format over s._listing(): parts %.17g, photon numbers %d or row texts."""
     occs, re, im = s._listing()
-    term = '{"im":%.17g,"occ":[' + ",".join(["%d"] * s.modes) + '],"re":%.17g}'
+    occ, columns = ("%s", [_occupation_texts(occs)]) if isinstance(occs, np.ndarray) else (",".join(["%d"] * s.modes), zip(*occs))
+    term = '{"im":%.17g,"occ":[' + occ + '],"re":%.17g}'
     text = '{"modes":%d,"terms":[' + ",".join([term] * len(re)) + "]}"
-    return _Rendered(text % (s.modes, *chain.from_iterable(zip(im, *zip(*occs), re))))
+    return _Rendered(text % (s.modes, *chain.from_iterable(zip(im, *columns, re))))
+
+
+def _occupation_texts(counts: np.ndarray) -> list[str]:
+    """The "n0,n1,..." text of each row of optics._Packed's (terms x modes) uint8 counts (at most 20), in one pass."""
+    tens = counts // 10  # its digit, or a NUL (deleted below) where a count has none
+    chars = np.empty((*counts.shape, 3), np.uint8)
+    chars[..., 0], chars[..., 1], chars[..., 2] = (tens + 48) * (tens > 0), counts - tens * 10 + 48, 44  # 44: ","
+    chars[:, -1, 2] = 10  # each row's last "," becomes the line break that ends it
+    return chars.tobytes().translate(None, b"\0").decode("ascii").split("\n")
 
 
 def _envelope(verb: str, seed, digest_chunks) -> dict:

@@ -86,7 +86,7 @@ class FockState:
         """(occupations, real parts, imaginary parts) of the terms in report order, lexicographic by occupation.
 
         The parts are Python floats. state_to_dict and the CLI's report
-        renderer both read this; optics._Packed lists its arrays instead.
+        renderer both read this; optics._Packed lists a uint8 count matrix.
         """
         items = sorted(self.terms.items())
         return [occ for occ, _ in items], [float(amp.real) for _, amp in items], [float(amp.imag) for _, amp in items]
@@ -446,6 +446,7 @@ def partial_inner(bra: FockState, ket: FockState, positions) -> FockState:
 def state_to_dict(s: FockState) -> dict:
     """JSON-ready form; terms sorted lexicographically by occupation, as s._listing() gives them."""
     occs, re, im = s._listing()
+    occs = occs.tolist() if isinstance(occs, np.ndarray) else occs  # optics._Packed lists a count matrix
     return {"modes": s.modes, "terms": [{"occ": list(occ), "re": r, "im": i} for occ, r, i in zip(occs, re, im)]}
 
 

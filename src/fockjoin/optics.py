@@ -37,7 +37,8 @@ gets a fresh copy's bits without expanding again. Unitaries and projectors
 validate themselves on construction and keep a private read-only copy of
 their array. The builders here (identity, beamsplitter, phase_shifter,
 hadamard_pair, mode_permutation) make their own matrices, so they skip that
-check and the scan for active modes, and name those modes themselves.
+check and the matrix scan, and hand _plan their active modes and those
+modes' rows on the active columns, as the entries they wrote.
 """
 from __future__ import annotations
 
@@ -79,34 +80,34 @@ class ModeUnitary:
 
     @cached_property
     def _expansion_plan(self):
-        """What apply_unitary needs of the matrix, read once per unitary.
-
-        Returns (pick_active, pick_passive, layout, rows, active,
-        array_photons, kernel): pickers for the active and passive entries
-        of an occupation and the reordering that puts passive + active
-        entries back in mode order (tuple if that is the mode order), all
-        three from fock._layout of the active modes; the active
-        rows on the active columns (where alone they are nonzero) as
-        (active index, entry) pairs of their nonzero entries; the active
-        modes; _array_photons; and the kernel for whole states (_routed,
-        _coupled) or None.
-        """
+        """_plan of the matrix's scan, read once per unitary; the builders hand it in."""
         active = self._active
-        pick_active, pick_passive, _, layout = _layout(self.dim, tuple(active))
-        nonzero = [[(b, c) for b, c in enumerate(pick_active(row)) if c] for row in self.matrix[active].tolist()]
-        densest = max(map(len, nonzero), default=0)
-        kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
-        return pick_active, pick_passive, layout, nonzero, active, _array_photons(len(active), densest), kernel
+        return _plan(self.dim, active, self.matrix[active][:, active].tolist())
 
     @cached_property
     def _memo(self) -> dict:  # apply_unitary's dict-loop memo: the _expand tuple of each active sub-occupation seen
         return {}
 
 
-def _element(mat: np.ndarray, active: list) -> ModeUnitary:
-    """A builder's own unitary matrix and its active modes (ModeUnitary._active): no copy, unitarity check or scan."""
+def _plan(dim: int, active: list, rows: list) -> tuple:
+    """What apply_unitary needs of a unitary, from its active modes and their rows on them as matrix.tolist() gives those.
+
+    (pick_active, pick_passive, layout, rows, active, array_photons, kernel): fock._layout's pickers and
+    map back to mode order; each row's nonzero entries as (active index, entry) pairs; the active modes;
+    _array_photons; the kernel for whole states or None.
+    """
+    pick_active, pick_passive, _, layout = _layout(dim, tuple(active))
+    nonzero = [[(b, c) for b, c in enumerate(row) if c] for row in rows]
+    densest = max(map(len, nonzero), default=0)
+    kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
+    return pick_active, pick_passive, layout, nonzero, active, _array_photons(len(active), densest), kernel
+
+
+def _element(mat: np.ndarray, active: list, rows: list) -> ModeUnitary:
+    """A builder's own matrix, active modes (ModeUnitary._active) and their rows on them (_plan): no copy, check or scan."""
     u = object.__new__(ModeUnitary)
-    vars(u).update(dim=len(mat), matrix=_read_only(mat)[0], _active=active)
+    plan = _plan(len(mat), active, rows)
+    vars(u).update(dim=len(mat), matrix=_read_only(mat)[0], _active=active, _expansion_plan=plan)
     return u
 
 
@@ -147,7 +148,7 @@ def _require_normalized(vecs: np.ndarray):
 
 
 def identity(m: int) -> ModeUnitary:
-    return _element(np.eye(_mode_count(m), dtype=complex), [])
+    return _element(np.eye(_mode_count(m), dtype=complex), [], [])
 
 
 def compose(*elements: ModeUnitary) -> ModeUnitary:
@@ -169,42 +170,47 @@ def compose(*elements: ModeUnitary) -> ModeUnitary:
 
 def beamsplitter(m: int, i: int, j: int, theta: float, phase: float = 0.0) -> ModeUnitary:
     """Two-mode coupler: block [[cos, e^{i p} sin], [-e^{-i p} sin, cos]] on (i, j)."""
-    _indices((i, j), "modes", m, distinct=True)
+    m = _mode_count(m)
+    i, j = _indices((i, j), "modes", m, distinct=True)
     _check_finite(theta=theta, phase=phase)
-    mat = np.eye(m, dtype=complex)
-    c, s = math.cos(theta), math.sin(theta)
-    mat[i, i] = mat[j, j] = c
-    mat[i, j] = np.exp(1j * phase) * s
-    mat[j, i] = -np.exp(-1j * phase) * s
-    return _element(mat, sorted((i, j)) if (c, s) != (1, 0) else [])  # the identity at theta = 0
+    c, s = complex(math.cos(theta)), math.sin(theta)
+    return _two_mode(m, i, j, [[c, complex(np.exp(1j * phase) * s)], [complex(-np.exp(-1j * phase) * s), c]])
 
 
 def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
+    m = _mode_count(m)
     (i,) = _indices([i], "mode", m)
     _check_finite(phase=phase)
     mat = np.eye(m, dtype=complex)
-    mat[i, i] = np.exp(1j * phase)
-    return _element(mat, [i] if mat[i, i] != 1 else [])
+    mat[i, i] = z = complex(np.exp(1j * phase))
+    return _element(mat, [i], [[z]]) if z != 1 else _element(mat, [], [])
 
 
 def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
     """Balanced symmetric mixer (1/sqrt2)[[1, 1], [1, -1]] on modes (i, j)."""
-    _indices((i, j), "modes", m, distinct=True)
+    m = _mode_count(m)
+    i, j = _indices((i, j), "modes", m, distinct=True)
     r = 1.0 / math.sqrt(2.0)
+    return _two_mode(m, i, j, [[complex(r), complex(r)], [complex(r), complex(-r)]])
+
+
+def _two_mode(m: int, i: int, j: int, block: list) -> ModeUnitary:
+    """The unitary with the block [[ii, ij], [ji, jj]] (Python complex) on modes (i, j); an identity block moves no mode."""
+    (ii, ij), (ji, jj) = block
     mat = np.eye(m, dtype=complex)
-    mat[i, i] = r
-    mat[i, j] = r
-    mat[j, i] = r
-    mat[j, j] = -r
-    return _element(mat, sorted((i, j)))
+    mat[i, i], mat[i, j], mat[j, i], mat[j, j] = ii, ij, ji, jj
+    if block == [[1, 0], [0, 1]]:  # a coupler at theta = 0; -0.0 == 0.0, as in the scan
+        return _element(mat, [], [])
+    return _element(mat, [i, j], block) if i < j else _element(mat, [j, i], [[jj, ji], [ij, ii]])
 
 
 def mode_permutation(m: int, perm) -> ModeUnitary:
     """Routing unitary sending the photon in mode i to perm[i]."""
-    mat = np.zeros((m, m), dtype=complex)
-    for i, p in enumerate(_indices(perm, "permutation", m, distinct=True, count=m)):
-        mat[i, p] = 1.0
-    return _element(mat, np.flatnonzero(mat.diagonal() != 1).tolist())
+    m = _mode_count(m)
+    perm = _indices(perm, "permutation", m, distinct=True, count=m)
+    active = [i for i, p in enumerate(perm) if i != p]
+    rows = [[1 + 0j if perm[a] == b else 0j for b in active] for a in active]
+    return _element(np.eye(m, dtype=complex)[list(perm)], active, rows)  # row i of the matrix is e_perm[i]
 
 
 def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
@@ -271,10 +277,10 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     (_expansion_plan). _routed (rows of one nonzero entry: phase shifters,
     permutations) and _coupled (couplers: two active modes, four nonzero
     entries) expand states of _ROUTED_MIN_TERMS terms or more at once;
-    they overtook the dict loop at 8 terms under permutations, 30 under
-    phase shifters and 32-48 under couplers, 24 with carried keys (2-core
-    VM, Python 3.11, numpy 2.4). Any unitary takes _expanded when an
-    expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
+    one threshold serves both, though where each kernel overtakes the dict
+    loop moves with the kernel and with whether the state carries its keys.
+    Any unitary takes _expanded when an expansion may reach
+    _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
@@ -313,7 +319,7 @@ class _Packed(FockState):
 
     keys packs its occupations into int64s of `bits` bits per mode, and facts
     and amps hold their factorial products and amplitudes; _listing reads
-    them in report order, so state_to_dict and a report build no dict.
+    them in report order, occupations as a uint8 matrix: state_to_dict and a report build no dict.
     terms is a cached_property: its first read stores the read-only dict in
     the instance, as FockState holds it; equality is FockState's.
     """
@@ -331,10 +337,10 @@ class _Packed(FockState):
         # FockState._listing from the arrays, without building terms: the keys are distinct, so the order is total.
         if self.keys is None:
             return super()._listing()
-        counts = _counts(self.keys, self.bits, range(self.modes))
+        counts = _counts(self.keys, self.bits, range(self.modes)).astype(np.uint8)  # photon numbers are <= 20
         order = np.lexsort(counts[::-1])  # the last row sorts first: mode 0
         amps = self.amps[order]
-        return counts.T[order].tolist(), amps.real.tolist(), amps.imag.tolist()
+        return counts.T[order], amps.real.tolist(), amps.imag.tolist()
 
 
 def _packed(s: FockState) -> _Packed | None:
@@ -432,12 +438,22 @@ def _coupler_coefficients(rows, top: int) -> list:
     out, poly = [], [1.0 + 0j]
     for a in range(top + 1):
         if a:
-            poly = [0j + poly[0] * r0, *[0j + p * r1 + q * r0 for p, q in zip(poly, poly[1:])], 0j + poly[-1] * r1]
+            poly = _coupler_step(poly, r0, r1)
         out += poly
         ext = poly
         for _ in range(top - a):
-            ext = [0j + ext[0] * s0, *[0j + p * s1 + q * s0 for p, q in zip(ext, ext[1:])], 0j + ext[-1] * s1]
+            ext = _coupler_step(ext, s0, s1)
             out += ext
+    return out
+
+
+def _coupler_step(poly: list, c0: complex, c1: complex) -> list:
+    """poly times one photon of the row (c0, c1), in a plain loop: monomial k is (0j + poly[k - 1] * c1) + poly[k] * c0."""
+    last, out = poly[0], [0j + poly[0] * c0]
+    for p in poly[1:]:
+        out.append(0j + last * c1 + p * c0)
+        last = p
+    out.append(0j + last * c1)
     return out
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockjoin import __version__, cli, optics
 from fockjoin.cli import canonical_json, cli_dispatch
@@ -883,8 +884,42 @@ def _coupler_chain_states(draw):
     return modes, terms, couplers
 
 
+def _crowded_terms(modes, heavy, photons, small, amplitudes):
+    """photons on mode heavy and on the next mode, then the small occupations, with the amplitudes in turn."""
+    occs = [tuple(photons if j == (heavy + k) % modes else 0 for j in range(modes)) for k in (0, 1)]
+    occs += [occ for occ in small if occ not in occs]
+    return dict(zip(occs, amplitudes))
+
+
+@st.composite
+def _crowded_chain_states(draw):
+    """(modes, terms, couplers) of 32 to 40 terms on 4 to 6 modes, two of them 10 to 20 photons on one mode, then
+    1 to 4 couplers off the first heavy mode: each output carries its arrays and keeps a two-digit count."""
+    modes, photons = draw(st.integers(4, 6)), draw(st.integers(10, 20))
+    heavy = draw(st.integers(0, modes - 1))
+    small = draw(st.lists(st.tuples(*[st.integers(0, 2)] * modes), min_size=32, max_size=38, unique=True))
+    nonzero = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-6)
+    amplitudes = [complex(draw(nonzero), draw(nonzero)) for _ in range(len(small) + 2)]
+    others = [j for j in range(modes) if j != heavy]
+    angle = st.floats(-math.pi, math.pi)
+    couplers = []
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        couplers.append(beamsplitter(modes, i, j, draw(angle), draw(angle)) if draw(st.booleans()) else hadamard_pair(modes, i, j))
+    return modes, _crowded_terms(modes, heavy, photons, small, amplitudes), couplers
+
+
+# 20 photons on mode 3 and on mode 0, which the couplers spread over modes 0 to 2, beside 32 small terms.
+_TWENTY_PHOTONS = (
+    4,
+    _crowded_terms(4, 3, 20, list(itertools.product(range(3), repeat=4))[:32], [complex(0.1, -0.01 * k) for k in range(34)]),
+    (beamsplitter(4, 0, 1, 0.7, 0.3), hadamard_pair(4, 2, 1)),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.just((3, {}, ())), _dict_states(), _coupler_chain_states()))
+@given(st.one_of(st.just((3, {}, ())), _dict_states(), _coupler_chain_states(), _crowded_chain_states()))
+@example(_TWENTY_PHOTONS)
 def test_rendered_states_match_an_independent_reference(case):
     # cli._state_json writes every state of a report; its bytes must be canonical_json(state_to_dict(s)).
     modes, terms, couplers = case
@@ -896,6 +931,8 @@ def test_rendered_states_match_an_independent_reference(case):
     text, as_dict = cli._state_json(s), state_to_dict(s)
     if carried:
         assert "terms" not in vars(s)  # listed from its arrays, not from a terms dict built for the report
+        if max(map(max, terms)) >= 10:  # a crowded chain: the untouched heavy mode keeps its two-digit count
+            assert max(max(t["occ"]) for t in as_dict["terms"]) >= 10
     expected = _reference_state_json(s)
     assert text == expected
     assert canonical_json({"output": text}) == '{"output":' + expected + "}"

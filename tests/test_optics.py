@@ -613,6 +613,32 @@ def _bytes(values):
     return [struct.pack("<dd", v.real, v.imag) for v in values]
 
 
+# Coupler entries' parts: signed zeros, subnormals and plain floats.
+_COUPLER_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    st.floats(-1e-310, 1e-310),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(complex, _COUPLER_PARTS, _COUPLER_PARTS), min_size=4, max_size=4), st.integers(0, 8))
+@example([0.6 + 0.1j, -0.3 + 0.7j, 0.2 - 0.5j, 0.8 + 0.05j], 8)
+@example([complex(-0.0, 5e-324), complex(0.0, -0.0), complex(-5e-324, -0.0), complex(1.0, -0.0)], 4)
+def test_coupler_coefficients_are_the_dict_loops_expansions_bit_for_bit(entries, top):
+    # _coupler_coefficients builds every (a, b) polynomial of a coupler in its own loops;
+    # each coefficient must have the bits _expand gives the same sub-occupation.
+    r0, r1, s0, s1 = entries
+    rows = [[(0, r0), (1, r1)], [(0, s0), (1, s1)]]
+    expected = []
+    for a in range(top + 1):
+        for b in range(top - a + 1):
+            by_k = {expo[1]: coeff for expo, coeff, _ in _expand((a, b), rows)[1]}
+            expected += [by_k[k] for k in range(a + b + 1)]  # monomial k: exponent k on the second mode
+    table = optics._coupler_coefficients(rows, top)
+    assert [(c.real.hex(), c.imag.hex()) for c in table] == [(c.real.hex(), c.imag.hex()) for c in expected]
+
+
 def test_interpreter_multiplies_a_complex_by_a_float_as_by_complex_of_it():
     # The rule every amplitude bit pin relies on: CPython 3.10-3.13 computes
     # z * x as z * complex(x, 0.0), so -0.0 * 1.0 + 1.0 * 0.0 gives a +0.0
@@ -866,6 +892,34 @@ def test_non_finite_matrices_and_projectors_are_rejected():
 def test_element_modes_must_be_integers_in_range(build):
     with pytest.raises(ValueError, match="modes|mode|permutation"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: beamsplitter(m, 0, 1, 0.3),
+        lambda m: phase_shifter(m, 0, 0.3),
+        lambda m: hadamard_pair(m, 0, 1),
+        lambda m: mode_permutation(m, (1, 0)),
+        identity,
+    ],
+    ids=["beamsplitter", "phase_shifter", "hadamard_pair", "mode_permutation", "identity"],
+)
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (2.0, r"modes \[2\.0\] must hold integers"),
+        (True, r"modes \[True\] must hold integers"),
+        (0, "mode count must be positive, got 0"),
+        (-1, r"modes \[-1\] out of range"),
+    ],
+    ids=["float", "bool", "zero", "negative"],
+)
+def test_element_mode_counts_are_read_by_the_mode_count_rule(build, m, message):
+    # Every builder reads m through fock._mode_count before it touches numpy: a float
+    # count is no TypeError from np.eye, and True is no one-mode register.
+    with pytest.raises(ValueError, match=message):
+        build(m)
 
 
 @st.composite
