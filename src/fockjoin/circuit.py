@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockState, _picker, _squared_norm, is_normalized, norm, postselect_vacuum
+from .fock import FockState, _indices, _picker, _squared_norm, is_normalized, norm, postselect_vacuum
 from .gates import (
     CnotSpec,
     DualRailQubit,
@@ -272,14 +272,14 @@ def _zflip(state, m0, m1):
 
 
 def _project(state, *entries):
-    support = tuple(mode for mode, amp in entries if amp)
+    modes = _indices([mode for mode, _ in entries], "modes", state.modes, distinct=True)  # a hand-built line's too
+    support = tuple(mode for mode, (_, amp) in zip(modes, entries) if amp)
     pick = _picker(support)
     for occ in state.terms:
         if sum(pick(occ)) > 1:
             raise IllegalPatternError(f"term {occ} holds more than one photon on the detected modes {support}")
     phi = np.zeros(state.modes, dtype=complex)
-    for mode, amp in entries:
-        phi[mode] = amp
+    phi[list(modes)] = [amp for _, amp in entries]
     phi /= math.sqrt(_squared_norm(phi))
     return apply_projector(state, ProjectorSpec(phi))
 

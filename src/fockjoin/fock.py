@@ -57,8 +57,9 @@ class FockState:
     private subclass ``optics._Packed``) carries its occupations and
     amplitudes as arrays and builds ``terms`` on first read; the next
     unitary of a chain, state_to_dict and the CLI's reports read the arrays
-    instead. Every other state holds its dict from construction on. States
-    of either class are equal when their modes and terms are; none hashes.
+    instead. Every other state, a dataclasses.replace copy of that one
+    included, holds its dict from construction on. States of either class
+    are equal when their modes and terms are; none hashes.
     """
 
     modes: int
@@ -332,8 +333,7 @@ def schmidt_values(s: FockState, cut: Bipartition) -> np.ndarray:
         raise ValueError(f"{cut} does not split the {s.modes} modes")
     if s.is_zero:
         return np.zeros(0)
-    # The keys stay in here; itemgetter reads a hand-built cut's indices as occ[i] does, where a one-mode slice would not.
-    pick_left, pick_right = (itemgetter(*side) if len(side) else itemgetter(slice(0)) for side in (cut.left, cut.right))
+    pick_left, pick_right = _layout(s.modes, cut.left)[:2]
     left_keys: dict = {}
     right_keys: dict = {}
     entries = []
@@ -401,8 +401,8 @@ def _picker(indices):
     """Callable returning the tuple of an occupation's entries at indices."""
     if len(indices) >= 2:
         return itemgetter(*indices)
-    # A slice keeps the result a tuple: () or (occ[i],), where i = -1 slices to the end.
-    return itemgetter(slice(indices[0], indices[0] + 1 or None) if len(indices) else slice(0))
+    # A slice keeps the result a tuple: () or (occ[i],).
+    return itemgetter(slice(indices[0], indices[0] + 1) if len(indices) else slice(0))
 
 
 @lru_cache(maxsize=64)

@@ -18,12 +18,12 @@ numpy pass that repeats its floating-point operations in its order, fed by
 the array kernel a unitary picks from its structure (apply_unitary). Each
 kernel numbers its outputs in the dict loop's insertion order, so the pass
 only sums: _routed's are distinct, _coupled sorts its terms once by group,
-_expanded its candidates unless one term gives them. The pass returns a
-state that carries its int64 keys, factorial products and amplitudes
-(_Packed) and builds its terms dict on the first read, so a chain of
-elements packs its occupation tuples once; its report lists the arrays and
-builds no dict. Output keys, term order, amplitude bits and types do not
-depend on the path, and no option selects it.
+_expanded its candidates unless one term gives them. The pass returns a state
+that carries its int64 keys, factorial products and amplitudes (_Packed; a
+dataclasses.replace copy is a checked FockState) and builds its terms dict on
+the first read, so a chain of elements packs its occupation tuples once; its
+report lists the arrays and builds no dict. Output keys, term order,
+amplitude bits and types do not depend on the path, and no option selects it.
 
 A dense expansion forms each photon's products as an (entries, monomials)
 array and sums its transpose, in the dict loop's monomial-major order, with
@@ -73,15 +73,10 @@ class ModeUnitary:
         vars(self).update(dim=dim, matrix=mat)
 
     @cached_property
-    def _active(self) -> list:
-        """The modes whose row or column is not the unit vector (-0.0 == 0.0), ascending; the builders hand them in (_element)."""
-        moved = self.matrix != np.eye(self.dim)
-        return np.flatnonzero((moved | moved.T).any(axis=1)).tolist()
-
-    @cached_property
     def _expansion_plan(self):
-        """_plan of the matrix's scan, read once per unitary; the builders hand it in."""
-        active = self._active
+        """_plan of the modes whose row or column is not the unit vector (-0.0 == 0.0), read once; the builders hand it in."""
+        moved = self.matrix != np.eye(self.dim)
+        active = np.flatnonzero((moved | moved.T).any(axis=1)).tolist()
         return _plan(self.dim, active, self.matrix[active][:, active].tolist())
 
     @cached_property
@@ -104,10 +99,9 @@ def _plan(dim: int, active: list, rows: list) -> tuple:
 
 
 def _element(mat: np.ndarray, active: list, rows: list) -> ModeUnitary:
-    """A builder's own matrix, active modes (ModeUnitary._active) and their rows on them (_plan): no copy, check or scan."""
+    """A builder's own matrix, active modes and their rows on them (_plan): no copy, check or scan."""
     u = object.__new__(ModeUnitary)
-    plan = _plan(len(mat), active, rows)
-    vars(u).update(dim=len(mat), matrix=_read_only(mat)[0], _active=active, _expansion_plan=plan)
+    vars(u).update(dim=len(mat), matrix=_read_only(mat)[0], _expansion_plan=_plan(len(mat), active, rows))
     return u
 
 
@@ -285,7 +279,7 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
     pick_active, pick_passive, layout, rows, active, array_photons, kernel = u._expansion_plan
-    carried = type(s) is _Packed and s.keys is not None  # an array-pass output, whose terms may be unbuilt
+    carried = type(s) is _Packed  # an array-pass output, whose terms may be unbuilt
     packed = _packed(s) if kernel and len(s.keys if carried else s.terms) >= _ROUTED_MIN_TERMS else None
     if packed:
         return _array_splice(packed, *kernel(packed.keys, packed.bits, packed.facts, rows, active))
@@ -315,19 +309,18 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
 
 
 class _Packed(FockState):
-    """A state as arrays, whose terms dict an array-pass output builds on first read.
+    """A state that carries its arrays, whose terms dict an array-pass output builds on first read.
 
     keys packs its occupations into int64s of `bits` bits per mode, and facts
     and amps hold their factorial products and amplitudes; _listing reads
     them in report order, occupations as a uint8 matrix: state_to_dict and a report build no dict.
     terms is a cached_property: its first read stores the read-only dict in
-    the instance, as FockState holds it; equality is FockState's.
+    the instance, as FockState holds it; equality is FockState's. _carrying
+    and copy.copy build one; dataclasses.replace gets a checked FockState.
     """
 
-    keys = None  # on a dataclasses.replace copy, which holds its terms alone
-
-    def __init__(self, **fields):  # modes, the fields above, and terms if built; unchecked, as fock._trusted
-        vars(self).update(fields)
+    def __new__(cls, *args, **fields):  # copy.copy passes nothing, and gets a bare _Packed to fill
+        return FockState(*args, **fields) if args or fields else object.__new__(cls)
 
     @cached_property
     def terms(self) -> MappingProxyType:
@@ -335,8 +328,6 @@ class _Packed(FockState):
 
     def _listing(self) -> tuple[list, list, list]:
         # FockState._listing from the arrays, without building terms: the keys are distinct, so the order is total.
-        if self.keys is None:
-            return super()._listing()
         counts = _counts(self.keys, self.bits, range(self.modes)).astype(np.uint8)  # photon numbers are <= 20
         order = np.lexsort(counts[::-1])  # the last row sorts first: mode 0
         amps = self.amps[order]
@@ -345,7 +336,7 @@ class _Packed(FockState):
 
 def _packed(s: FockState) -> _Packed | None:
     """s as a _Packed (s itself if it carries its arrays), or None if its occupations do not fit int64 keys."""
-    if type(s) is _Packed and s.keys is not None:
+    if type(s) is _Packed:
         return s
     occ = np.fromiter(chain.from_iterable(s.terms), np.int64, len(s.terms) * s.modes).reshape(len(s.terms), s.modes)
     photons = int(occ.sum(axis=1).max(initial=0))
@@ -354,7 +345,14 @@ def _packed(s: FockState) -> _Packed | None:
         return None
     keys, facts = occ @ np.left_shift(1, bits * np.arange(s.modes, dtype=np.int64)), _FACTORIALS[occ].prod(axis=1)
     amps = np.fromiter(s.terms.values(), complex, len(s.terms))
-    return _Packed(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, terms=s.terms)
+    return _carrying(modes=s.modes, bits=bits, keys=keys, facts=facts, amps=amps, terms=s.terms)
+
+
+def _carrying(**fields) -> _Packed:
+    """A _Packed of modes, bits, keys, facts, amps and terms if built; unchecked, as fock._trusted."""
+    state = object.__new__(_Packed)
+    vars(state).update(fields)
+    return state
 
 
 def _counts(keys: np.ndarray, bits: int, modes) -> np.ndarray:
@@ -521,7 +519,7 @@ def _array_splice(packed: _Packed, terms, slots, keys, facts, cre, cim) -> _Pack
     if not keep.all():
         keys, facts, amps = keys[keep], facts[keep], amps[keep]
     keys, facts, amps = _read_only(keys, facts, amps)
-    return _Packed(modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps)
+    return _carrying(modes=packed.modes, bits=packed.bits, keys=keys, facts=facts, amps=amps)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:

@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fockjoin.circuit import CircuitError, CircuitProgram, Instruction, run_circuit
 from fockjoin.cli import cli_dispatch
-from fockjoin.fock import FockState, add, is_normalized, make_state, norm, postselect_vacuum, scale, state_from_dict, tensor
+from fockjoin.fock import FockState, add, basis_state, is_normalized, make_state, norm, postselect_vacuum, scale, state_from_dict, tensor
 from fockjoin.gates import CnotSpec, DualRailQubit, apply_cnot, apply_reversed_cnot, logical_phase_flip
-from fockjoin.nogo import end_to_end_projection_check
-from fockjoin.optics import ProjectorSpec, apply_unitary, beamsplitter, identity
+from fockjoin.nogo import end_to_end_projection_check, symmetrized_mode_matrix, unitary_from_angles
+from fockjoin.optics import ModeUnitary, ProjectorSpec, apply_projector, apply_unitary, beamsplitter, compose, identity
+from fockjoin.permanent import permanent
 from fockjoin.schemes import EncodingViolationError, drop_control_photon, join_deterministic, joined_ququart, two_qubit_input
 from fockjoin.tpes import derive_correction_table, expand_five_photon, teleport_join
 
@@ -393,3 +395,26 @@ def test_teleport_join_with_extreme_flags_exits_zero_or_two(alpha_beta, gamma_de
     if result is not None:
         _assert_a_measured_branch(*result)
 
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ModeUnitary(2, np.eye(3)), ValueError, "matrix shape (3, 3) does not match dim 2"),
+        (lambda: compose(), ValueError, "compose needs at least one element"),
+        (lambda: compose(identity(2), identity(3)), ValueError, "all elements must share the same mode count"),
+        (lambda: apply_projector(basis_state(2, (1, 0)), ProjectorSpec([1, 0, 0])), ValueError, "projector length 3 does not match state modes 2"),
+        (lambda: add(basis_state(2, (1, 0)), basis_state(3, (1, 0, 0))), ValueError, "mode counts differ: 2 vs 3"),
+        (lambda: symmetrized_mode_matrix([1, 0, 0]), ValueError, "expected four detection components"),
+        (lambda: unitary_from_angles(np.zeros(3), 2), ValueError, "expected 4 parameters, got 3"),
+        (lambda: end_to_end_projection_check([1, 0, 0], identity(4), ProjectorSpec([1, 0, 0, 0])), ValueError, "expected four input amplitudes"),
+        (lambda: permanent(np.ones((2, 3))), ValueError, "matrix must be square"),
+        (lambda: run_circuit(CircuitProgram(2, (Instruction("foo", ()),)), basis_state(2, (1, 0))), CircuitError, "unsupported instruction 'foo'"),
+    ],
+    ids=["unitary-shape", "compose-empty", "compose-mixed", "projector-length", "add-mixed", "symmetrized-components",
+         "angle-count", "projection-check-amplitudes", "permanent-non-square", "circuit-unknown-op"],
+)
+def test_shape_and_count_mismatches_raise_their_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,24 @@ def test_project_counts_only_its_support():
     final, probability, log = run_circuit(program, basis_state(2, (1, 2)))
     assert final.terms == {(0, 2): 1.0} and probability == 1.0
     assert log == ["instruction 0 (line 2): project weight 1"]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (((-1, 1 + 0j),), "modes [-1] out of range for 3 modes"),
+        (((3, 1 + 0j),), "modes [3] out of range for 3 modes"),
+        (((1.0, 1 + 0j),), "modes [1.0] must hold integers"),
+        (((True, 1 + 0j),), "modes [True] must hold integers"),
+        (((2, 0.6 + 0j), (2, 0.8 + 0j)), "modes [2, 2] has a repeated entry"),
+    ],
+    ids=["negative", "past-the-end", "fraction", "bool", "repeated"],
+)
+def test_hand_built_project_line_reads_its_modes_by_the_index_rule(entries, message):
+    # parse_circuit never builds these lines; a hand-built program gets the same ValueError as every other op.
+    program = CircuitProgram(3, (Instruction("project", entries),))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_circuit(program, basis_state(3, (0, 0, 1)))
 
 
 def test_project_weight_rounded_past_one_reads_one():

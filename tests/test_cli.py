@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from fockjoin import __version__, cli, optics
 from fockjoin.cli import canonical_json, cli_dispatch
@@ -917,7 +917,8 @@ _TWENTY_PHOTONS = (
 )
 
 
-@settings(max_examples=150, deadline=None)
+# No shrink phase: shrinking a failing 32- to 48-term state took minutes, and the first failing example is reported as drawn.
+@settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.one_of(st.just((3, {}, ())), _dict_states(), _coupler_chain_states(), _crowded_chain_states()))
 @example(_TWENTY_PHOTONS)
 def test_rendered_states_match_an_independent_reference(case):

@@ -635,7 +635,7 @@ def _ref_apply_cnot(s, *specs):
 
 def _ref_plan_layout(u, probe):
     """What u._expansion_plan's pickers and layout make of probe, built as the plan built them before."""
-    m, active = u.dim, u._active
+    m, active = u.dim, u._expansion_plan[4]
     passive = [i for i in range(m) if i not in active]
     order = passive + active
     layout = tuple if order == list(range(m)) else itemgetter(*sorted(range(m), key=order.__getitem__))
@@ -654,6 +654,9 @@ def _ref_port_photons(occ):
 
 
 def _ref_project(state, *entries):
+    modes = [mode for mode, _ in entries]  # distinct and below the mode count, as drawn
+    if min(modes) < 0:
+        raise ValueError(f"modes {modes} out of range for {state.modes} modes")
     support = tuple(mode for mode, amp in entries if amp)
     for occ in state.terms:
         if sum(occ[m] for m in support) > 1:

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
 import pickle
+import re
 import struct
 import warnings
 from types import MappingProxyType
@@ -28,7 +30,7 @@ from fockjoin.optics import (
     phase_shifter,
     random_projector,
 )
-from fockjoin import optics, schemes, tpes
+from fockjoin import cli, optics, schemes, tpes
 from fockjoin.optics import _expand, _expand_arrays
 from fockjoin.permanent import permanent, transition_amplitude
 
@@ -508,7 +510,7 @@ def test_pruning_mask_is_hypot_above_the_tolerance_bit_for_bit(size, seed):
 
 
 def _listed_active(u: ModeUnitary) -> list:
-    """The active-mode scan as a comparison of Python complex lists, which ModeUnitary._active replaced."""
+    """The active-mode scan as a comparison of Python complex lists, which the expansion plan's numpy scan replaced."""
     rows, cols, units = u.matrix.tolist(), u.matrix.T.tolist(), np.eye(u.dim, dtype=complex).tolist()
     return [i for i in range(u.dim) if rows[i] != units[i] or cols[i] != units[i]]
 
@@ -526,9 +528,9 @@ def test_active_mode_scan_equals_the_list_compare_scan():
             mat[(mat == 0) & (rng.random((m, m)) < 0.5)] = zeros[int(rng.integers(3))]
             mat[(mat == 1) & (rng.random((m, m)) < 0.5)] = complex(1.0, -0.0)
             u = ModeUnitary(m, mat)
-            assert u._active == _listed_active(u)
+            assert u._expansion_plan[4] == _listed_active(u)
     for u in (beamsplitter(6, 1, 4, 0.7), mode_permutation(5, [0, 2, 1, 3, 4]), phase_shifter(4, 3, 0.5), identity(3)):
-        assert ModeUnitary(u.dim, u.matrix)._active == _listed_active(u) == u._active
+        assert ModeUnitary(u.dim, u.matrix)._expansion_plan[4] == _listed_active(u) == u._expansion_plan[4]
 
 
 def test_dense_haar_evolution_terms_are_pinned():
@@ -972,7 +974,7 @@ def _assert_chain_matches_rebuilt_states(state, elements):
         if not _assert_carries_its_terms(out):
             continue
         plain = FockState(state.modes, dict(expected.terms))
-        fresh = lambda: optics._Packed(**{k: v for k, v in vars(out).items() if k != "terms"})  # noqa: E731
+        fresh = lambda: optics._carrying(**{k: v for k, v in vars(out).items() if k != "terms"})  # noqa: E731
         assert fresh() == plain and plain == fresh()
         assert fresh().is_zero == plain.is_zero
         for occ in [*list(plain.terms)[:2], (9,) * state.modes]:
@@ -1097,9 +1099,11 @@ def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
     assert _assert_carries_its_terms(out) and _assert_carries_its_terms(chained)
     assert optics._packed(out) is out
     assert _carried(FockState(6, dict(out.terms))) is None
-    # A dataclasses.replace copy holds its terms alone, and is packed again.
+    # A dataclasses.replace copy holds its terms alone, and is packed again; copy.copy keeps the arrays.
     copied = dataclasses.replace(out)
     assert optics._packed(copied) is not copied
+    shallow = copy.copy(out)
+    assert type(shallow) is optics._Packed and shallow.keys is out.keys and _assert_carries_its_terms(shallow)
     # States are equal by mode count and terms, whatever their class, and unequal to anything else; none is hashable.
     plain = FockState(6, dict(out.terms))
     for other in (copied, plain):
@@ -1117,6 +1121,23 @@ def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
     expected = apply_unitary(apply_unitary(rebuilt, phase_shifter(6, 2, 0.3)), mode_permutation(6, [5, 4, 3, 2, 1, 0]))
     assert list(routed.terms) == list(expected.terms)
     assert _bytes(routed.terms.values()) == _bytes(expected.terms.values())
+
+
+def test_a_replace_copy_of_an_array_pass_output_is_a_checked_state():
+    occs = [(a, 2 - a, *p) for p in enumerate_occupations(4, 3) for a in range(3)]
+    bs = beamsplitter(6, 1, 0, 0.7, -0.4)
+    out = apply_unitary(FockState(6, {occ: complex(0.1 * (k % 7) - 0.3, 0.2) for k, occ in enumerate(occs)}), bs)
+    assert _carried(out) is not None
+    with pytest.raises(ValueError, match=re.escape("occupation [1, 2] should have 6 entries")):
+        dataclasses.replace(out, terms={(1, 2): float("nan")})
+    with pytest.raises(ValueError, match=re.escape("amplitude (nan+0j) of occupation (0, 2, 0, 0, 0, 0) is not finite")):
+        dataclasses.replace(out, terms={(0, 2, 0, 0, 0, 0): float("nan")})
+    # With no changes, the copy is a plain FockState equal to out, reported and evolved as out is.
+    copied = dataclasses.replace(out)
+    assert type(copied) is FockState and copied == out
+    assert cli._state_json(copied) == cli._state_json(out) and repr(state_to_dict(copied)) == repr(state_to_dict(out))
+    for u in (bs, hadamard_pair(6, 3, 0), phase_shifter(6, 2, 0.3), mode_permutation(6, [5, 4, 3, 2, 1, 0])):
+        assert _term_hex(apply_unitary(copied, u)) == _term_hex(apply_unitary(out, u))
 
 
 @pytest.mark.parametrize(
