@@ -755,6 +755,82 @@ def test_batch_objective_pushes_zero_angles_and_a_fallback_detection_bit_for_bit
             assert batch_matrices == [b"".join(seen)]
 
 
+def _recording_svd(monkeypatch):
+    """Put a recorder around the SVD gufunc: the list it returns collects a copy of each array handed to it."""
+    svd = nogo._singular_values
+    seen = []
+
+    def recording(a, signature):
+        seen.append(a.copy())
+        return svd(a, signature=signature)
+
+    monkeypatch.setattr(nogo, "_singular_values", recording)
+    return seen
+
+
+def _objective_corpus(m):
+    """Seeded points at m modes, with zero and -0.0 angles and detections on both sides of the e_0 fallback."""
+    dim = m * m + 2 * m
+    x = np.random.default_rng(3900 + m).uniform(-4.0, 4.0, (12, dim))
+    x[1, : m * m] = 0.0
+    x[2, : m * m] = -0.0
+    x[3, ::2] = -0.0
+    x[4, 1 : m * m : 3] = 0.0
+    x[5, m * m :] = 0.0
+    x[6, m * m :] = -0.0
+    x[7, m * m :] = 3e-13 * np.sign(x[7, m * m :])
+    x[8, m * m :] = 2e-12 * np.sign(x[8, m * m :])
+    x[9, m * m : m * m + m] = -0.0
+    x[10, m * m + m :] = 0.0
+    x[11, : m * m] = math.pi / 2
+    return x
+
+
+def test_the_objectives_hand_the_svd_pinned_matrices(monkeypatch):
+    # The bytes of every 4 x m matrix the search objectives build are set by math's trig and CPython's complex
+    # products, not by LAPACK, so one digest holds them on every build: a change to the objectives must
+    # keep each bit, signed zeros included.
+    seen = _recording_svd(monkeypatch)
+    for m in (4, 5, 6):
+        x = _objective_corpus(m)
+        for k in (0, 3):
+            for p in x:
+                nogo._objective_sigma(p, m, k)
+            for batch in (x, x[:1], x[5:9]):
+                list(nogo._objective_sigmas(batch, m, k))
+    digest = hashlib.sha256()
+    for a in seen:
+        assert a.dtype == np.complex128 and a.shape[-2:] == (4, a.shape[-1])
+        digest.update(a.tobytes())
+    assert len(seen) == 3 * 2 * (12 + 3)
+    assert digest.hexdigest() == "6b412f345d5918bc8daa37e920e7d2f90d6ae62138ff9d45cb2b9130b844f79a"
+
+
+# The searches' values and steps are LAPACK's rounding of the pinned matrices above; pinned with numpy 2.4 wheels.
+_PINNED_SEARCH_BUILD = np.__version__.startswith("2.4.")
+
+
+@pytest.mark.skipif(not _PINNED_SEARCH_BUILD, reason="pinned with numpy 2.4 wheels")
+@pytest.mark.parametrize(
+    "m, iterations, singular_index, expected",
+    [
+        (4, 300, 0, ("0x1.0000000000003p+0", 571, "578f53c934244f34b1baccde2bc1f0ff50324bb23e34e664ba15039ee3c4a359")),
+        (4, 300, 3, ("0x1.07a7f4aa0a90cp-52", 600, "dfaa20e91645307f0484b78839fd2bfc3b58250c70b4b0d752b34810e607664e")),
+        (5, 120, 0, ("0x1.e194520f1f95bp-1", 240, "7717b8795ec3cd324ed6de151f0e0689e594c52b4e430def717f7f8b0e6ef70f")),
+        (5, 120, 3, ("0x1.30e613be379cdp-52", 240, "e2fa71876c105d382304345296fb7d01525f204e51e318c6a678ccf31a38531a")),
+        (6, 80, 0, ("0x1.a47cef5b2af47p-1", 160, "58d63fa9ca5f982a849109fef13035ee617541c6f23c7d5826f0abd4b6c653ef")),
+        (6, 80, 3, ("0x1.401f6c56b45ebp-52", 160, "cedafb56814afaf0a0088e3db57834b70c82e1a425ed9366813da86cbc6a47a4")),
+    ],
+)
+def test_seeded_searches_are_pinned(monkeypatch, m, iterations, singular_index, expected):
+    # (max_sigma_min in hex, optimizer_iterations, SHA-256 of the SVD call sizes): a batch of n points is
+    # one call of size n, a scalar evaluation one of size 1.
+    seen = _recording_svd(monkeypatch)
+    cert = adversarial_search(m, restarts=2, iterations=iterations, seed=600 + m, singular_index=singular_index)
+    sizes = ",".join(str(len(a) if a.ndim == 3 else 1) for a in seen)
+    assert (cert.max_sigma_min.hex(), cert.optimizer_iterations, hashlib.sha256(sizes.encode()).hexdigest()) == expected
+
+
 def _svd_failing_at(points):
     """The SVD gufunc with the matrices of the given points (numbered from 1 across calls) made NaN, and a call log.
 
