@@ -73,6 +73,12 @@ class FockState:
             terms[occ] = _check_amplitude(occ, amp)
         vars(self).update(modes=modes, terms=MappingProxyType(terms))
 
+    def __getstate__(self):  # pickle and copy take terms as a dict: a MappingProxyType does not pickle
+        return {key: dict(value) if key == "terms" else value for key, value in vars(self).items()}
+
+    def __setstate__(self, state):
+        vars(self).update({key: MappingProxyType(value) if key == "terms" else value for key, value in state.items()})
+
     def __eq__(self, other):  # also across classes, where the dataclass __eq__ refuses
         return (self.modes, self.terms) == (other.modes, other.terms) if isinstance(other, FockState) else NotImplemented
 

@@ -38,22 +38,22 @@ steps to the bit; the tests check it against scipy.optimize.minimize, and
 the package imports no scipy at all. Its objective avoids numpy's per-call
 cost on 4 x 4 arrays. Row k of the core C holds pc[b] at mode a and pc[a]
 at mode b for pair (a, b), so row k of C U is that row pushed through the
-couplers of U. One coupler formula (_couplers) defines the
+couplers of U. One coupler formula (_coupler) defines the
 parameterization: the Givens routine pushes rows through it in Python
 complex scalars (unitary_from_angles pushes the unit rows), and the batch
 objective pushes the rows of a whole simplex through it in float64 arrays
-with the same bits (optics._complex_product). The SVD calls the LAPACK gufunc (zgesdd
-without vectors) behind np.linalg.svd(rows, compute_uv=False), minus numpy's
-wrapper: on the same VM, about 4.5 us per 4 x 4 call against 7.8 us. The
-objective agrees with a numpy matrix-product evaluation to about 1e-15 of
-sigma_max, not bit for bit.
+with the same bits (optics._complex_product). The SVD calls the LAPACK
+gufunc (zgesdd without vectors) behind np.linalg.svd(rows,
+compute_uv=False), minus numpy's wrapper: on the same VM, about 4.5 us per
+4 x 4 call against 7.8 us. The objective agrees with a numpy matrix-product
+evaluation to about 1e-15 of sigma_max, not bit for bit.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, cycle, permutations, starmap
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -90,6 +90,10 @@ _CORE_PAIRS = _mode_pairs((0, 1, 2, 3))
 # there, or None for a structural zero. Row r, for pair (x, y), is
 # pc[y] * u[x] + pc[x] * u[y], so with u = 1 it holds pc[y] at x and pc[x] at y.
 _CORE_PATTERN = tuple(tuple({x: y, y: x}.get(c) for c in range(4)) for x, y in _CORE_PAIRS)
+# The pattern as the objectives read it: row r of the core is _CORE_ROWS[r](pc[:4] + [0j]), and part q of its
+# entry at mode c is entry _CORE_PARTS[q, c, r] of the concatenation (Re pc[:4], Im pc[:4], 0).
+_CORE_ROWS = tuple(operator.itemgetter(*(4 if k is None else k for k in row)) for row in _CORE_PATTERN)
+_CORE_PARTS = np.array([[[8 if k is None else 4 * q + k for k in col] for col in zip(*_CORE_PATTERN)] for q in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -423,61 +427,62 @@ def _finite_params(params, size: int) -> list[float]:
     return params.tolist()
 
 
-def _couplers(cos, sin, m: int):
-    """The couplers of the parameterized unitary, in order, as (i, j, c, Re upper, Im upper, Re lower, Im lower).
+def _coupler(c, s, cp, sp):
+    """A coupler from the cosines and sines of its theta (c, s) and phase (cp, sp): (c, Re upper, Im upper, Re lower, Im lower).
 
     The parameters hold a (theta, phase) pair per coupler (i, j), i < j in
-    row-major order, then m final phases; cos and sin hold their cosines and
-    sines. Coupler (i, j) is the block [[c, upper], [lower, c]] =
-    [[c, e^{i phase} s], [-e^{-i phase} s, c]] on rows and columns (i, j).
-    The unitary is the product of the couplers in order times
-    diag(exp(1j * phases)). cos and sin may be lists of floats for one point
-    or rows of arrays over points: the products give the same bits. A
-    generator, so the scalar objective builds no list of them per call.
+    row-major order, then m final phases. Coupler (i, j) is the block
+    [[c, upper], [lower, c]] = [[c, e^{i phase} s], [-e^{-i phase} s, c]] on
+    rows and columns (i, j); the unitary is the product of the couplers in
+    order times diag(exp(1j * phases)). Floats for one coupler or arrays over
+    couplers and points: the products give the same bits.
     """
-    for k, (i, j) in zip(range(0, m * (m - 1), 2), combinations(range(m), 2)):
-        yield i, j, cos[k], cos[k + 1] * sin[k], sin[k + 1] * sin[k], -cos[k + 1] * sin[k], sin[k + 1] * sin[k]
+    upper_re, im = cp * s, sp * s
+    return c, upper_re, im, -upper_re, im
 
 
-def _givens_rows(params: list[float], m: int, rows: list[list[complex]]) -> list[list[complex]]:
-    """Each row v of rows pushed through the parameterized unitary, v @ U, as lists of Python complex scalars.
+def _givens_rows(params: list[float], m: int, rows: list[list[complex]]) -> np.ndarray:
+    """The rows v of rows pushed through the parameterized unitary, v @ U, as a complex array; rows is used up.
 
     v @ U is v pushed through the couplers one at a time, each updating
     entries i and j of rows in place, and then scaled entry by entry by the
-    phases into new lists. The unit rows e_r give the rows of U. A coupler's
-    entries are built once as complex scalars, c as complex(c, 0.0): the
-    product CPython 3.10-3.13 takes for a float times a complex, and the one
-    the batch objective writes out.
+    phases. The unit rows e_r give the rows of U. A coupler's entries are
+    built once as complex scalars, c as complex(c, 0.0): the product CPython
+    3.10-3.13 takes for a float times a complex, and the one the batch
+    objective writes out.
     """
     cos, sin = list(map(math.cos, params)), list(map(math.sin, params))
-    for i, j, c, upper_re, upper_im, lower_re, lower_im in _couplers(cos, sin, m):
+    e = m * (m - 1)
+    blocks = map(_coupler, cos[0:e:2], sin[0:e:2], cos[1:e:2], sin[1:e:2])
+    for (i, j), (c, upper_re, upper_im, lower_re, lower_im) in zip(combinations(range(m), 2), blocks):
         c, upper, lower = complex(c, 0.0), complex(upper_re, upper_im), complex(lower_re, lower_im)
         for v in rows:
             vi, vj = v[i], v[j]
             v[i] = c * vi + lower * vj
             v[j] = upper * vi + c * vj
-    phases = list(map(complex, cos[m * (m - 1) :], sin[m * (m - 1) :]))
-    return [list(map(operator.mul, v, phases)) for v in rows]
+    entries = map(operator.mul, chain.from_iterable(rows), cycle(map(complex, cos[e:], sin[e:])))
+    return np.fromiter(entries, complex, len(rows) * m).reshape(len(rows), m)
 
 
-def _detection(params: list[float], m: int) -> list[complex]:
-    """Normalized detection from m real then m imaginary parts; e_0 if their norm is below 1e-12."""
+def _detection(params: list[float], m: int) -> tuple[list[float], float]:
+    """A detection's m real then m imaginary parts and the norm they are divided by; e_0's if their norm is below 1e-12."""
     n = math.hypot(*params)
     if n < 1e-12:
-        return [1 + 0j] + [0j] * (m - 1)
-    return [complex(re / n, im / n) for re, im in zip(params[:m], params[m:])]
+        return [1.0] + [0.0] * (2 * m - 1), 1.0
+    return params, n
 
 
 def unitary_from_angles(params, m: int) -> np.ndarray:
     """Unitary from m*m finite real parameters: Givens rotations plus phases."""
     m = _mode_count(m)
-    return np.array(_givens_rows(_finite_params(params, m * m), m, np.eye(m, dtype=complex).tolist()))
+    return _givens_rows(_finite_params(params, m * m), m, np.eye(m, dtype=complex).tolist())
 
 
 def projector_from_params(params, m: int) -> np.ndarray:
     """Normalized detection vector from 2m finite, otherwise unconstrained reals."""
     m = _mode_count(m)
-    return np.array(_detection(_finite_params(params, 2 * m), m))
+    parts, n = _detection(_finite_params(params, 2 * m), m)
+    return np.array([complex(re / n, im / n) for re, im in zip(parts[:m], parts[m:])])
 
 
 # The gufunc np.linalg.svd(a, compute_uv=False) calls in numpy 2.x: LAPACK's zgesdd without vectors under the
@@ -499,63 +504,55 @@ def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
     Unchecked: numpy calls on 4 x 4 arrays and constructor validation would
     dominate the optimizer's inner loop. The core rows are pushed by
     _givens_rows in Python complex scalars, and one gufunc call takes the
-    4 x m result: about 25 us per call at m = 4 on the VM of the module
-    docstring, 4.5 us of it the SVD.
+    4 x m result: about 23 us per call at m = 4 on the VM of the module
+    docstring, 4.3 us of it the SVD.
     """
     params = x.tolist()
-    pc = [z.conjugate() for z in _detection(params[m * m :], m)]
-    starts = [[0j if k is None else pc[k] for k in row] + [0j] * (m - 4) for row in _CORE_PATTERN]
-    rows = np.array(_givens_rows(params[: m * m], m, starts), dtype=complex)
-    return _checked(_singular_values(rows, signature="D->d").item(singular_index))
+    parts, n = _detection(params[m * m :], m)
+    # The conjugated detection on logical modes 0-3, then the zero _CORE_ROWS reads for a structural zero.
+    pc = [complex(re / n, -im / n) for re, im in zip(parts[:4], parts[m : m + 4])] + [0j]
+    tail = [0j] * (m - 4)
+    starts = [[*row(pc), *tail] for row in _CORE_ROWS]
+    return _checked(_singular_values(_givens_rows(params[: m * m], m, starts), signature="D->d").item(singular_index))
 
 
 def _objective_sigmas(x: np.ndarray, m: int, singular_index: int):
     """_objective_sigma of each row of x, in order, as an iterator; the core rows of all points are pushed at once.
 
     The trig is math's and the detections are _detection's (a hypot per
-    point, then one division for all points, with the e_0 fallback below
-    1e-12). Entry [e, r, p] of the pushed arrays is entry e of row r of
-    point p, as a real and an imaginary float64 array. The couplers come
-    from _couplers; each one multiplies its [c, upper, lower, c]
-    coefficients, stacked once per call, into entries [i, i, j, j] in one
-    _complex_product, a float c as complex(c, 0.0), and the final phases
-    multiply through it too, so every matrix, and so every value, has the
-    bits _objective_sigma gives. One call of the gufunc _objective_sigma
-    calls takes the (n, 4, m) stack, saving its per-call cost n - 1 times:
-    about 10 us per point for a simplex of 25 at m = 4 on the VM of the
-    module docstring. The values are checked as the iterator is read, so a
-    failed SVD raises LinAlgError at its own point, and no later value
-    reaches the caller, as with a loop of _objective_sigma calls.
+    point, one division for all). Entry [q, e, r, p] of the pushed array is
+    part q (real, imaginary) of entry e of row r of point p. Each coupler
+    multiplies its [c, upper, lower, c] from _coupler into entries
+    [i, i, j, j] in one _complex_product, a float c as complex(c, 0.0), and
+    the final phases multiply through it too, so every matrix, and so every
+    value, has the bits _objective_sigma gives. One call of the gufunc
+    takes the (n, 4, m) stack, saving its per-call cost n - 1 times: about
+    9 us per point for a simplex of 25 at m = 4 on the VM of the module
+    docstring. The values are checked as the iterator is read, so a failed
+    SVD raises LinAlgError at its own point, and no later value reaches the
+    caller, as with a loop of _objective_sigma calls.
     """
-    n = len(x)
-    angles = x[:, : m * m].T.ravel().tolist()
-    cos = np.fromiter(map(math.cos, angles), float, m * m * n).reshape(m * m, 1, n)
-    sin = np.fromiter(map(math.sin, angles), float, m * m * n).reshape(m * m, 1, n)
-    params = x[:, m * m :]
-    norms = np.fromiter(map(math.hypot, *params.T.tolist()), float, n)
+    n, mm, e = len(x), m * m, m * (m - 1)
+    angles = x[:, :mm].T.ravel().tolist()
+    cos = np.fromiter(map(math.cos, angles), float, mm * n).reshape(mm, n)
+    sin = np.fromiter(map(math.sin, angles), float, mm * n).reshape(mm, n)
+    params = x[:, mm:]
+    norms = np.fromiter(starmap(math.hypot, params.tolist()), float, n)
     fallback = norms < 1e-12
-    detections = (params / np.where(fallback, 1.0, norms)[:, None]).T
-    detections[:, fallback] = np.eye(2 * m, 1)
-    # The conjugated detections, pc = pc_re + i pc_im, component by component.
-    pc_re, pc_im = detections[:4], -detections[m : m + 4]
-    re, im = np.zeros((m, 4, n)), np.zeros((m, 4, n))
-    for r, row in enumerate(_CORE_PATTERN):
-        for col, k in enumerate(row):
-            if k is not None:
-                re[col, r], im[col, r] = pc_re[k], pc_im[k]
-    couplers = list(_couplers(cos, sin, m))
-    zero = np.zeros((1, n))
-    # Repeated over the four rows: a product of whole arrays runs faster than a broadcast one.
-    coeffs = zip(
-        np.array([(c, ur, lr, c) for _, _, c, ur, ui, lr, li in couplers]).repeat(4, axis=2),
-        np.array([(zero, ui, li, zero) for _, _, c, ur, ui, lr, li in couplers]).repeat(4, axis=2),
-    )
-    for (i, j, *_), (cr, ci) in zip(couplers, coeffs):
+    parts = (params / np.where(fallback, 1.0, norms)[:, None]).T
+    parts[:, fallback] = np.eye(2 * m, 1)
+    v = np.zeros((2, m, 4, n))
+    v[:, :4] = np.concatenate((parts[:4], -parts[m : m + 4], np.zeros((1, n))))[_CORE_PARTS]
+    c, upper_re, upper_im, lower_re, lower_im = _coupler(cos[0:e:2], sin[0:e:2], cos[1:e:2], sin[1:e:2])
+    zero = np.zeros_like(c)
+    # [coupler, part, c upper lower c, row, point]: repeated over the rows, as whole arrays multiply faster.
+    coeffs = np.array(((c, upper_re, lower_re, c), (zero, upper_im, lower_im, zero))).transpose(2, 0, 1, 3)
+    for (i, j), (cr, ci) in zip(combinations(range(m), 2), coeffs[:, :, :, None].repeat(4, 3)):
         # [c vi, upper vi, lower vj, c vj]: v[i] = c vi + lower vj and v[j] = upper vi + c vj.
-        pr, pi = _complex_product(cr, ci, re.take((i, i, j, j), 0), im.take((i, i, j, j), 0))
-        sr, si = pr[:2] + pr[2:], pi[:2] + pi[2:]
-        re[i], re[j], im[i], im[j] = sr[0], sr[1], si[0], si[1]
-    re, im = _complex_product(re, im, cos[m * (m - 1) :], sin[m * (m - 1) :])
+        pr, pi = _complex_product(cr, ci, *v.take((i, i, j, j), 1))
+        v[0, i : j + 1 : j - i] = pr[:2] + pr[2:]
+        v[1, i : j + 1 : j - i] = pi[:2] + pi[2:]
+    re, im = _complex_product(v[0], v[1], cos[e:, None], sin[e:, None])
     rows = np.empty((n, 4, m), dtype=complex)
     rows.real, rows.imag = re.T, im.T
     return map(_checked, _singular_values(rows, signature="D->d")[:, singular_index].tolist())

@@ -326,6 +326,10 @@ class _Packed(FockState):
     def terms(self) -> MappingProxyType:
         return MappingProxyType(dict(zip(_occupation_tuples(self.keys, self.bits, self.modes), self.amps)))
 
+    def __setstate__(self, state):  # pickle and copy.deepcopy hand back writable copies of the arrays
+        super().__setstate__(state)
+        _read_only(self.keys, self.facts, self.amps)
+
     def _listing(self) -> tuple[list, list, list]:
         # FockState._listing from the arrays, without building terms: the keys are distinct, so the order is total.
         counts = _counts(self.keys, self.bits, range(self.modes)).astype(np.uint8)  # photon numbers are <= 20

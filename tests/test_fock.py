@@ -1,9 +1,13 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 import struct
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -205,6 +209,22 @@ def test_terms_are_read_only():
     built = FockState(2, source)
     source[(0, 1)] = 1.0
     assert built.terms == {(1, 0): 1.0}
+
+
+def test_states_pickle_and_copy_to_equal_read_only_states():
+    # terms is a MappingProxyType, which does not pickle; a state hands pickle and copy a dict and wraps it again.
+    s = make_state(3, [((1, 0, 1), 0.6), ((0, 2, 0), complex(-0.0, 0.8))])
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert type(copied) is FockState and copied == s and copied.modes == 3
+        assert [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in copied.terms.items()] == [
+            (occ, amp.real.hex(), amp.imag.hex()) for occ, amp in s.terms.items()
+        ]
+        assert type(copied.terms) is MappingProxyType
+        with pytest.raises(TypeError):
+            copied.terms[(1, 0, 1)] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.modes = 4
+    assert copy.deepcopy(s).terms is not s.terms
 
 
 def test_inner_product_orthonormal_basis():

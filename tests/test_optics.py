@@ -1140,6 +1140,24 @@ def test_a_replace_copy_of_an_array_pass_output_is_a_checked_state():
         assert _term_hex(apply_unitary(copied, u)) == _term_hex(apply_unitary(out, u))
 
 
+@pytest.mark.parametrize("read_first", [False, True], ids=["terms unbuilt", "terms built"])
+def test_an_array_pass_output_pickles_and_deep_copies_to_a_carried_read_only_state(read_first):
+    occs = [(a, 2 - a, *p) for p in enumerate_occupations(4, 3) for a in range(3)]
+    bs = beamsplitter(6, 1, 0, 0.7, -0.4)
+    out = apply_unitary(FockState(6, {occ: complex(0.1 * (k % 7) - 0.3, -0.0) for k, occ in enumerate(occs)}), bs)
+    if read_first:
+        out.terms
+    for copied in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out), copy.copy(out)):
+        assert ("terms" in vars(copied)) is read_first
+        assert _assert_carries_its_terms(copied) and copied == out and _term_hex(copied) == _term_hex(out)
+        assert type(copied.terms) is MappingProxyType
+        with pytest.raises(TypeError):
+            copied.terms[occs[0]] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.modes = 7
+        assert _term_hex(apply_unitary(copied, bs)) == _term_hex(apply_unitary(out, bs))
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
