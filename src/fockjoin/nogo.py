@@ -44,9 +44,9 @@ complex scalars (unitary_from_angles pushes the unit rows), and the batch
 objective pushes the rows of a whole simplex through it in float64 arrays
 with the same bits (optics._complex_product). The SVD calls the LAPACK
 gufunc (zgesdd without vectors) behind np.linalg.svd(rows,
-compute_uv=False), minus numpy's wrapper: on the same VM, about 4.5 us per
-4 x 4 call against 7.8 us. The objective agrees with a numpy matrix-product
-evaluation to about 1e-15 of sigma_max, not bit for bit.
+compute_uv=False), minus numpy's wrapper: on the same VM, about 5 us per
+random complex 4 x 4 call against 9 us. The objective agrees with a numpy
+matrix-product evaluation to about 1e-15 of sigma_max, not bit for bit.
 """
 from __future__ import annotations
 
@@ -504,8 +504,8 @@ def _objective_sigma(x: np.ndarray, m: int, singular_index: int) -> float:
     Unchecked: numpy calls on 4 x 4 arrays and constructor validation would
     dominate the optimizer's inner loop. The core rows are pushed by
     _givens_rows in Python complex scalars, and one gufunc call takes the
-    4 x m result: about 23 us per call at m = 4 on the VM of the module
-    docstring, 4.3 us of it the SVD.
+    4 x m result: about 24 us per call at m = 4 on the VM of the module
+    docstring, 5 us of it the SVD.
     """
     params = x.tolist()
     parts, n = _detection(params[m * m :], m)

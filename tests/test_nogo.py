@@ -28,6 +28,7 @@ from fockjoin.nogo import (
     unitary_from_angles,
 )
 from fockjoin.optics import ProjectorSpec, haar_from_rng, haar_random_unitary, identity, random_projector
+from test_cli import _PINNED_SEARCH_BUILD
 
 
 def normalized_phi(rng, m):
@@ -788,8 +789,8 @@ def _objective_corpus(m):
 
 def test_the_objectives_hand_the_svd_pinned_matrices(monkeypatch):
     # The bytes of every 4 x m matrix the search objectives build are set by math's trig and CPython's complex
-    # products, not by LAPACK, so one digest holds them on every build: a change to the objectives must
-    # keep each bit, signed zeros included.
+    # products, not by LAPACK, so one digest holds them without a numpy-version guard, as for
+    # test_unitary_from_angles_is_pinned: a change to the objectives must keep each bit, signed zeros included.
     seen = _recording_svd(monkeypatch)
     for m in (4, 5, 6):
         x = _objective_corpus(m)
@@ -806,10 +807,8 @@ def test_the_objectives_hand_the_svd_pinned_matrices(monkeypatch):
     assert digest.hexdigest() == "6b412f345d5918bc8daa37e920e7d2f90d6ae62138ff9d45cb2b9130b844f79a"
 
 
-# The searches' values and steps are LAPACK's rounding of the pinned matrices above; pinned with numpy 2.4 wheels.
-_PINNED_SEARCH_BUILD = np.__version__.startswith("2.4.")
-
-
+# The searches' values and steps are LAPACK's rounding of the pinned matrices above, pinned as the nogo-scan
+# report pins are.
 @pytest.mark.skipif(not _PINNED_SEARCH_BUILD, reason="pinned with numpy 2.4 wheels")
 @pytest.mark.parametrize(
     "m, iterations, singular_index, expected",
