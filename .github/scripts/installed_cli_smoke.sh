@@ -211,7 +211,7 @@ sys.exit(not (
 ))
 PY
 
-# Twelve photons through a 4-mode chain of couplers under -W error: past 32 terms the chain runs on carried arrays,
+# Twelve photons through a 4-mode chain of couplers under -W error: from 16 terms the chain runs on carried arrays,
 # whose report renders two-digit counts in one numpy pass. Some output occupation holds at least 10 photons, the squared
 # norm is 1, the report's bytes are canonical_json of its parsed form, and 8 sampled amplitudes equal the permanent
 # formula's for the matrix composed from the circuit's lines.
@@ -271,6 +271,16 @@ code=0
 "$bin/fockjoin" join --input overflow.json > out.txt 2> err.txt || code=$?
 [ "$code" -eq 2 ] || fail "join on an overflowing amplitude exited $code, expected 2"
 [ "$(wc -l < err.txt)" -eq 1 ] && grep -q '^error: ' err.txt || fail "expected one error: line, got: $(cat err.txt)"
+
+# A malformed circuit: a tab-indented line, a no-break space (U+00A0) between two tokens, and "modes x" first. Tokens
+# are runs of non-whitespace with 1-based character columns, and the malformed declaration is still the declaration:
+# exit 2 with exactly these diagnostics, each as path:line:col: message.
+printf 'modes x\n\tps 0 zero\nbs 0\302\2401 0.2 x\n' > malformed.pc
+code=0
+"$bin/fockjoin" run --circuit malformed.pc --input valid.json > out.txt 2> err.txt || code=$?
+[ "$code" -eq 2 ] || fail "run of a malformed circuit exited $code, expected 2"
+printf 'malformed.pc:1:7: mode count must be an integer\nmalformed.pc:2:7: expected a numeric literal\nmalformed.pc:3:12: expected a numeric literal\n' > expected.txt
+cmp -s err.txt expected.txt || fail "unexpected diagnostics for the malformed circuit: $(cat err.txt)"
 
 # An unknown verb is a usage error.
 code=0

@@ -1,7 +1,7 @@
 """Line-oriented circuit description language and interpreter.
 
-Grammar (one instruction per line, ``#`` starts a comment, angles in
-radians; the ``modes`` declaration must come first):
+Grammar (one instruction per line, angles in radians; the ``modes``
+declaration must come first):
 
     modes N
     bs i j theta phi
@@ -17,6 +17,13 @@ radians; the ``modes`` declaration must come first):
 Each op is defined once, as a row of ``_OPS``: its usage text, argument
 parser, executor and canonical formatter. Adding an op means adding a row.
 
+A line's tokens are its runs of non-whitespace, as str.split finds them
+(tabs, no-break and ideographic spaces separate them too), up to the first
+token that starts with ``#``; a diagnostic's column is its token's 1-based
+character index. The first line with a token is the declaration, valid or
+not: after a malformed one, later lines get only the diagnostics that need
+no mode count, and none of the range or perm-length checks.
+
 Parsing collects every diagnostic instead of stopping at the first, so a
 fixture corpus can be validated in one pass. Execution folds instructions
 over a Fock state; projections multiply the running success probability.
@@ -24,7 +31,6 @@ over a Fock state; projections multiply the running success probability.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,9 +47,6 @@ from .gates import (
     logical_phase_flip,
 )
 from .optics import ProjectorSpec, apply_projector, apply_unitary, beamsplitter, hadamard_pair, mode_permutation, phase_shifter
-
-_TOKEN = re.compile(r"\S+")
-
 
 class CircuitError(RuntimeError):
     """Execution failure, annotated with the offending instruction index."""
@@ -81,7 +84,7 @@ class _Line:
     number: int
     keyword: str
     key_col: int
-    modes: int
+    modes: int | None  # None after a malformed declaration: the checks that need N are left out
     diagnostics: list[ParseDiagnostic]
 
     def complain(self, column: int, message: str, token: str = ""):
@@ -93,12 +96,14 @@ class _Line:
 
 
 def _tokenize(line: str):
-    tokens = []
-    for match in _TOKEN.finditer(line):
-        text = match.group()
+    """The line's tokens (str.split's runs of non-whitespace) with their 1-based columns, up to the first starting with '#'."""
+    tokens, end = [], 0
+    for text in line.split():
         if text.startswith("#"):
             break
-        tokens.append((text, match.start() + 1))
+        start = line.index(text, end)  # only whitespace lies between the last token's end and this one's start
+        tokens.append((text, start + 1))
+        end = start + len(text)
     return tokens
 
 
@@ -107,6 +112,7 @@ def parse_circuit(text: str):
     diagnostics: list[ParseDiagnostic] = []
     instructions: list[Instruction] = []
     modes: int | None = None
+    declared = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw)
@@ -115,8 +121,8 @@ def parse_circuit(text: str):
         (keyword, key_col), rest = tokens[0], tokens[1:]
         line = _Line(line_no, keyword, key_col, modes, diagnostics)
 
-        if modes is None:
-            modes = _parse_modes(line, rest)
+        if not declared:  # the first line declares the mode count, or fails to: then modes stays None
+            declared, modes = True, _parse_modes(line, rest)
             continue
 
         op = _OPS.get(keyword)
@@ -178,7 +184,7 @@ def _mode_args(line: _Line, tokens):
         except ValueError:
             line.complain(col, "mode index must be an integer", text)
             return None
-        if value < 0 or value >= line.modes:
+        if line.modes is not None and not 0 <= value < line.modes:
             line.complain(col, f"mode {value} out of range for {line.modes} modes", text)
             return None
         out.append(value)
@@ -204,7 +210,7 @@ def _fixed_arity(n_modes: int, n_numbers: int):
 
 
 def _parse_perm(line: _Line, tokens):
-    if len(tokens) != line.modes:
+    if line.modes is not None and len(tokens) != line.modes:
         return line.reject(f"perm needs exactly {line.modes} indices")
     return _mode_args(line, tokens)
 

@@ -36,9 +36,11 @@ expansions (_memo: tuples, from its matrix alone), so a later call
 gets a fresh copy's bits without expanding again. Unitaries and projectors
 validate themselves on construction and keep a private read-only copy of
 their array. The builders here (identity, beamsplitter, phase_shifter,
-hadamard_pair, mode_permutation) make their own matrices, so they skip that
-check and the matrix scan, and hand _plan their active modes and those
-modes' rows on the active columns, as the entries they wrote.
+hadamard_pair, mode_permutation) write their own entries, so they skip that
+check and the matrix scan: each keeps only the entries it writes over the
+identity and hands _plan its active modes and their rows' nonzero entries
+(_element). Its m x m matrix is built from those entries on the first read,
+which no apply_unitary call makes (ModeUnitary).
 """
 from __future__ import annotations
 
@@ -58,7 +60,14 @@ UNITARY_ATOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ModeUnitary:
-    """m x m complex unitary acting on the mode creation operators."""
+    """m x m complex unitary acting on the mode creation operators.
+
+    A builder's unitary (_element) holds only the (row, column, value)
+    entries it writes over the identity, as _entries; its first read of
+    matrix builds the read-only array from them, with the bytes the builder
+    would have written, and keeps it in the instance. compose, nogo, repr,
+    pickle and dataclasses.replace read it so; apply_unitary never does.
+    """
 
     dim: int
     matrix: np.ndarray
@@ -72,36 +81,58 @@ class ModeUnitary:
         mat.setflags(write=False)
         vars(self).update(dim=dim, matrix=mat)
 
+    def __getattr__(self, name):  # reached only for what the instance lacks: a builder's unread matrix
+        entries = vars(self).get("_entries")
+        if name != "matrix" or entries is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = np.eye(self.dim, dtype=complex)
+        for row, col, value in entries:
+            mat[row, col] = value
+        vars(self)["matrix"] = _read_only(mat)[0]
+        return mat
+
+    def __setstate__(self, state):  # pickle and copy.deepcopy hand back a writable copy of a built matrix
+        vars(self).update(state)
+        if "matrix" in state:
+            _read_only(self.matrix)
+
     @cached_property
     def _expansion_plan(self):
         """_plan of the modes whose row or column is not the unit vector (-0.0 == 0.0), read once; the builders hand it in."""
         moved = self.matrix != np.eye(self.dim)
         active = np.flatnonzero((moved | moved.T).any(axis=1)).tolist()
-        return _plan(self.dim, active, self.matrix[active][:, active].tolist())
+        return _plan(self.dim, active, _nonzero(self.matrix[active][:, active].tolist()))
 
     @cached_property
     def _memo(self) -> dict:  # apply_unitary's dict-loop memo: the _expand tuple of each active sub-occupation seen
         return {}
 
 
-def _plan(dim: int, active: list, rows: list) -> tuple:
-    """What apply_unitary needs of a unitary, from its active modes and their rows on them as matrix.tolist() gives those.
+def _nonzero(rows: list) -> list:
+    """Each row's nonzero entries as (column, entry) pairs, _plan's form of rows given as matrix.tolist() gives them."""
+    return [[(b, c) for b, c in enumerate(row) if c] for row in rows]
 
+
+def _plan(dim: int, active: list, rows: list) -> tuple:
+    """What apply_unitary needs of a unitary, from its active modes and the nonzero entries of their rows on them.
+
+    rows[a] lists active mode a's nonzero entries as (active index, entry) pairs, ascending (_nonzero).
     (pick_active, pick_passive, layout, rows, active, array_photons, kernel): fock._layout's pickers and
-    map back to mode order; each row's nonzero entries as (active index, entry) pairs; the active modes;
-    _array_photons; the kernel for whole states or None.
+    map back to mode order; rows; the active modes; _array_photons; the kernel for whole states or None.
     """
     pick_active, pick_passive, _, layout = _layout(dim, tuple(active))
-    nonzero = [[(b, c) for b, c in enumerate(row) if c] for row in rows]
-    densest = max(map(len, nonzero), default=0)
-    kernel = _routed if densest <= 1 else _coupled if list(map(len, nonzero)) == [2, 2] else None
-    return pick_active, pick_passive, layout, nonzero, active, _array_photons(len(active), densest), kernel
+    densest = max(map(len, rows), default=0)
+    kernel = _routed if densest <= 1 else _coupled if list(map(len, rows)) == [2, 2] else None
+    return pick_active, pick_passive, layout, rows, active, _array_photons(len(active), densest), kernel
 
 
-def _element(mat: np.ndarray, active: list, rows: list) -> ModeUnitary:
-    """A builder's own matrix, active modes and their rows on them (_plan): no copy, check or scan."""
+def _element(dim: int, entries: tuple, active: list, rows: list) -> ModeUnitary:
+    """A builder's unitary: the (row, column, value) entries it writes over the identity, its active modes and their rows (_plan).
+
+    No matrix is built until its first read, and nothing is copied, checked or scanned.
+    """
     u = object.__new__(ModeUnitary)
-    vars(u).update(dim=len(mat), matrix=_read_only(mat)[0], _expansion_plan=_plan(len(mat), active, rows))
+    vars(u).update(dim=dim, _entries=entries, _expansion_plan=_plan(dim, active, rows))
     return u
 
 
@@ -142,7 +173,7 @@ def _require_normalized(vecs: np.ndarray):
 
 
 def identity(m: int) -> ModeUnitary:
-    return _element(np.eye(_mode_count(m), dtype=complex), [], [])
+    return _element(_mode_count(m), (), [], [])
 
 
 def compose(*elements: ModeUnitary) -> ModeUnitary:
@@ -175,9 +206,9 @@ def phase_shifter(m: int, i: int, phase: float) -> ModeUnitary:
     m = _mode_count(m)
     (i,) = _indices([i], "mode", m)
     _check_finite(phase=phase)
-    mat = np.eye(m, dtype=complex)
-    mat[i, i] = z = complex(np.exp(1j * phase))
-    return _element(mat, [i], [[z]]) if z != 1 else _element(mat, [], [])
+    z = complex(np.exp(1j * phase))
+    entries = ((i, i, z),)
+    return _element(m, entries, [i], [[(0, z)]]) if z != 1 else _element(m, entries, [], [])
 
 
 def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
@@ -191,11 +222,11 @@ def hadamard_pair(m: int, i: int, j: int) -> ModeUnitary:
 def _two_mode(m: int, i: int, j: int, block: list) -> ModeUnitary:
     """The unitary with the block [[ii, ij], [ji, jj]] (Python complex) on modes (i, j); an identity block moves no mode."""
     (ii, ij), (ji, jj) = block
-    mat = np.eye(m, dtype=complex)
-    mat[i, i], mat[i, j], mat[j, i], mat[j, j] = ii, ij, ji, jj
+    entries = ((i, i, ii), (i, j, ij), (j, i, ji), (j, j, jj))
     if block == [[1, 0], [0, 1]]:  # a coupler at theta = 0; -0.0 == 0.0, as in the scan
-        return _element(mat, [], [])
-    return _element(mat, [i, j], block) if i < j else _element(mat, [j, i], [[jj, ji], [ij, ii]])
+        return _element(m, entries, [], [])
+    active, rows = ([i, j], block) if i < j else ([j, i], [[jj, ji], [ij, ii]])
+    return _element(m, entries, active, _nonzero(rows))
 
 
 def mode_permutation(m: int, perm) -> ModeUnitary:
@@ -203,8 +234,10 @@ def mode_permutation(m: int, perm) -> ModeUnitary:
     m = _mode_count(m)
     perm = _indices(perm, "permutation", m, distinct=True, count=m)
     active = [i for i, p in enumerate(perm) if i != p]
-    rows = [[1 + 0j if perm[a] == b else 0j for b in active] for a in active]
-    return _element(np.eye(m, dtype=complex)[list(perm)], active, rows)  # row i of the matrix is e_perm[i]
+    index = {mode: a for a, mode in enumerate(active)}
+    # Row i of the matrix is e_perm[i]: a moved row's 1 goes from column i to column perm[i].
+    entries = tuple(chain.from_iterable(((i, i, 0j), (i, perm[i], 1 + 0j)) for i in active))
+    return _element(m, entries, active, [[(index[perm[i]], 1 + 0j)] for i in active])
 
 
 def haar_random_unitary(m: int, seed: int) -> ModeUnitary:
@@ -241,9 +274,10 @@ def _check_finite(**angles):
             raise ValueError(f"{name} {value!r} is not finite")
 
 
-# The two crossovers of apply_unitary's array kernels.
+# The crossovers of apply_unitary's array kernels: one per expansion size, one per whole-state kernel.
 _ARRAY_MIN_MONOMIALS = 64
-_ROUTED_MIN_TERMS = 32
+_COUPLED_MIN_TERMS = 16
+_ROUTED_MIN_TERMS = 24
 # _kept squares from this many amplitudes on. np.hypot alone took 2.9 against
 # 5.6 us at 256, broke even near 900 and took 8.9 against 7.9 us at 1024 (2-core
 # VM, Python 3.11, numpy 2.4); the 330-term outputs of (8, 4) meshes stay below.
@@ -268,19 +302,33 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     The dict loop splices in Python complex arithmetic. An array kernel
     instead feeds one numpy pass (_array_splice) on occupations packed as
     int64 keys (_packed), and the unitary names its kernel once
-    (_expansion_plan). _routed (rows of one nonzero entry: phase shifters,
-    permutations) and _coupled (couplers: two active modes, four nonzero
-    entries) expand states of _ROUTED_MIN_TERMS terms or more at once;
-    one threshold serves both, though where each kernel overtakes the dict
-    loop moves with the kernel and with whether the state carries its keys.
-    Any unitary takes _expanded when an expansion may reach
-    _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
+    (_expansion_plan). _coupled (couplers: two active modes, four nonzero
+    entries) expands states of _COUPLED_MIN_TERMS = 16 terms or more at
+    once, and _routed (rows of one nonzero entry: phase shifters,
+    permutations) states of _ROUTED_MIN_TERMS = 24 or more. Median times in
+    us of one call with a fresh element, over 120 random states of exactly
+    4 photons on 8 modes (2-core x86-64 VM, Python 3.11, numpy 2.4), by dict
+    loop / array pass from a dict-held state / array pass from a carried
+    one; (6, 3) and (10, 5) states cross over within 4 terms of these:
+
+        terms  coupler          phase shifter    permutation
+        8      46 / 74 / 59     28 / 54 / 38     71 / 48 / 33
+        12     64 / 80 / 64     37 / 58 / 43     99 / 50 / 33
+        16     79 / 82 / 64     45 / 61 / 44    119 / 49 / 32
+        24    107 / 88 / 66     63 / 69 / 48    168 / 52 / 32
+        31    129 / 91 / 68     77 / 74 / 50    211 / 55 / 33
+
+    A phase shifter's dict loop expands at most photons + 1 distinct
+    sub-occupations and a permutation's one per term, so _routed's one
+    crossover sits between theirs. Any unitary takes _expanded when an
+    expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
     pick_active, pick_passive, layout, rows, active, array_photons, kernel = u._expansion_plan
     carried = type(s) is _Packed  # an array-pass output, whose terms may be unbuilt
-    packed = _packed(s) if kernel and len(s.keys if carried else s.terms) >= _ROUTED_MIN_TERMS else None
+    min_terms = _COUPLED_MIN_TERMS if kernel is _coupled else _ROUTED_MIN_TERMS
+    packed = _packed(s) if kernel and len(s.keys if carried else s.terms) >= min_terms else None
     if packed:
         return _array_splice(packed, *kernel(packed.keys, packed.bits, packed.facts, rows, active))
     subs = list(map(pick_active, s.terms))

@@ -1,10 +1,12 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockjoin import circuit
 from fockjoin.circuit import CircuitError, CircuitProgram, Instruction, format_circuit, parse_circuit, run_circuit
 from fockjoin.fock import discard_empty_modes, fidelity, make_state, norm, normalize, tensor, basis_state
 from fockjoin.schemes import (
@@ -310,6 +312,43 @@ def test_parse_diagnostics_for_modes_line(text, expected):
     assert _diagnostic_tuples(parse_circuit(text)) == [expected]
 
 
+@pytest.mark.parametrize(
+    "declaration, expected",
+    [
+        ("modes x", (1, 7, "mode count must be an integer", "x")),
+        ("modes 0", (1, 1, "usage: modes N with N >= 1", "modes")),
+        ("bs 0 1 0 0", (1, 1, "the first instruction must declare 'modes N'", "bs")),
+    ],
+)
+def test_a_malformed_declaration_is_still_the_declaration(declaration, expected):
+    # The first non-blank line declares the mode count, valid or not: later lines never read as the declaration.
+    assert _diagnostic_tuples(parse_circuit(f"\n{declaration}\nps 0 0.1\nbs 0 1 0.2 0\n")) == [(2, *expected[1:])]
+    # They get every diagnostic that needs no mode count, and none that does (range, perm length).
+    text = f"{declaration}\nps 9 zero\nbs 0 0 0.2 0\nfoo 1\nperm 1 0\nvac -1\nhad 0\nmodes 2\n"
+    assert _diagnostic_tuples(parse_circuit(text)) == [
+        expected,
+        (2, 6, "expected a numeric literal", "zero"),
+        (3, 1, "mode indices must be distinct", ""),
+        (4, 1, "unknown instruction 'foo'", "foo"),
+        (7, 1, "usage: had i j", "had"),
+        (8, 1, "unknown instruction 'modes'", "modes"),
+    ]
+
+
+_TOKEN_TEXT = st.text(st.sampled_from([" ", "\t", "\xa0", "\u3000", "\x1f", "#", *"0123456789", ".", "-", "é"]), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN_TEXT)
+def test_tokens_are_the_runs_of_non_whitespace_before_a_comment(line):
+    expected = []
+    for match in re.finditer(r"\S+", line):
+        if match.group().startswith("#"):
+            break
+        expected.append((match.group(), match.start() + 1))
+    assert circuit._tokenize(line) == expected
+
+
 _FINITE = st.floats(-10.0, 10.0, allow_nan=False)
 _PORT = st.floats(-0.7, 0.7, allow_nan=False)
 
@@ -355,3 +394,19 @@ def _programs(draw):
 @given(_programs())
 def test_format_parse_round_trip_property(program):
     assert parse_circuit(format_circuit(program)) == program
+
+
+def test_a_mesh_run_builds_no_element_matrix():
+    # An (8, 4) brick-wall mesh: a phase column, then couplers with a permutation halfway. apply_unitary reads each
+    # element's plan alone, so no element's matrix is ever built.
+    lines = ["modes 8", *(f"ps {i} 0.{i + 3}" for i in range(8))]
+    for layer in range(8):
+        if layer == 4:
+            lines.append("perm 3 0 6 1 7 2 5 4")
+        lines += [f"bs {i} {i + 1} 0.{layer + 2}{i} 1.{i}{layer}" for i in range(layer % 2, 7, 2)]
+    program = parse_circuit("\n".join(lines) + "\n")
+    with mock.patch.object(circuit, "apply_unitary", wraps=circuit.apply_unitary) as applied:
+        state, probability, _ = run_circuit(program, basis_state(8, (1, 0) * 4))
+    elements = [call.args[1] for call in applied.call_args_list]
+    assert len(elements) == len(lines) - 1 == 37 and len(state.terms) == 330 and probability == 1.0
+    assert all("matrix" not in vars(u) for u in elements)

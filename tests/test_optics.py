@@ -369,8 +369,88 @@ def test_applied_unitary_still_pickles():
     for u in (phase_shifter(3, 1, 0.5), beamsplitter(3, 0, 2, 0.4, 0.3), haar_random_unitary(3, 4)):
         out = apply_unitary(s, u)
         back = pickle.loads(pickle.dumps(u))
-        assert np.array_equal(back.matrix, u.matrix)
+        assert np.array_equal(back.matrix, u.matrix) and not back.matrix.flags.writeable
         assert apply_unitary(s, back).terms == out.terms
+
+
+def _written(m, entries):
+    """np.eye(m) as complex with each ((row, column), value) written over it: a builder's matrix, written out here."""
+    mat = np.eye(m, dtype=complex)
+    for (row, col), value in entries:
+        mat[row, col] = value
+    return mat
+
+
+def _coupler_entries(i, j, theta, phase):
+    """The documented block [[cos, e^{i p} sin], [-e^{-i p} sin, cos]] on (i, j)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return [((i, i), c), ((i, j), np.exp(1j * phase) * s), ((j, i), -np.exp(-1j * phase) * s), ((j, j), c)]
+
+
+def _element_cases():
+    """(name, builder call, its matrix written out as np.eye plus the documented entries)."""
+    r = 1 / math.sqrt(2)
+    perm = [2, 0, 1, 3, 5, 4]
+    return [
+        ("identity", lambda: identity(5), np.eye(5, dtype=complex)),
+        ("coupler", lambda: beamsplitter(5, 1, 3, 0.7, -0.4), _written(5, _coupler_entries(1, 3, 0.7, -0.4))),
+        ("coupler i > j", lambda: beamsplitter(5, 4, 0, 1.1, 2.5), _written(5, _coupler_entries(4, 0, 1.1, 2.5))),
+        ("coupler theta 0 phase pi", lambda: beamsplitter(4, 0, 2, 0.0, math.pi), _written(4, _coupler_entries(0, 2, 0.0, math.pi))),
+        ("coupler theta -0.0", lambda: beamsplitter(4, 3, 1, -0.0, 0.3), _written(4, _coupler_entries(3, 1, -0.0, 0.3))),
+        ("phase", lambda: phase_shifter(4, 2, 0.9), _written(4, [((2, 2), np.exp(0.9j))])),
+        ("phase -0.0", lambda: phase_shifter(4, 1, -0.0), _written(4, [((1, 1), np.exp(1j * -0.0))])),
+        ("hadamard i > j", lambda: hadamard_pair(4, 3, 1), _written(4, [((3, 3), r), ((3, 1), r), ((1, 3), r), ((1, 1), -r)])),
+        # Row i is e_perm[i]: its diagonal 1 moves to column perm[i].
+        ("permutation", lambda: mode_permutation(6, perm), _written(6, [e for i, p in enumerate(perm) for e in (((i, i), 0), ((i, p), 1))])),
+        ("identity permutation", lambda: mode_permutation(3, range(3)), np.eye(3, dtype=complex)),
+    ]
+
+
+def test_element_cases_hold_signed_zeros():
+    # The cases above exercise the bytes a == comparison would miss.
+    refs = {name: ref for name, _, ref in _element_cases()}
+    assert np.signbit(refs["coupler theta 0 phase pi"][0, 2].real) and refs["coupler theta 0 phase pi"][0, 2] == 0
+    assert np.signbit(refs["coupler theta -0.0"][3, 1].real) and np.signbit(refs["coupler theta -0.0"][1, 3].imag)
+    # 1j * -0.0 keeps the zero's sign only where float times complex skips complex(x, 0.0): the entry is then 1 - 0j,
+    # and 1 + 0j here. Either moves no mode, and the bytes must be the written ones.
+    assert refs["phase -0.0"][1, 1] == 1 and phase_shifter(4, 1, -0.0)._expansion_plan[4] == []
+
+
+@pytest.mark.parametrize("name, build, reference", _element_cases(), ids=[case[0] for case in _element_cases()])
+def test_an_element_builds_its_matrix_on_first_read_with_the_written_bytes(name, build, reference):
+    u = build()
+    assert "matrix" not in vars(u)
+    assert u.matrix.tobytes() == reference.tobytes() and u.matrix.shape == reference.shape
+    # The first read keeps the read-only array in the instance; later reads return it.
+    assert vars(u)["matrix"] is u.matrix and not u.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        u.matrix[0, 0] = 2
+    # Any other missing attribute is missing as on any object.
+    with pytest.raises(AttributeError, match="'ModeUnitary' object has no attribute 'missing'"):
+        build().missing
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("name, build, reference", _element_cases(), ids=[case[0] for case in _element_cases()])
+def test_an_element_copies_composes_and_prints_as_its_written_matrix(name, build, reference, read_first):
+    state = FockState(reference.shape[0], {occ: complex(0.1 * k, -0.2) for k, occ in enumerate(enumerate_occupations(reference.shape[0], 2))})
+    expected = apply_unitary(state, build()).terms
+
+    def fresh():
+        u = build()
+        if read_first:
+            u.matrix
+        return u
+
+    for copied in (pickle.loads(pickle.dumps(fresh())), copy.copy(fresh()), copy.deepcopy(fresh())):
+        # A copy keeps the entries of an unread matrix, not a matrix.
+        assert ("matrix" in vars(copied)) is read_first
+        assert copied.matrix.tobytes() == reference.tobytes() and not copied.matrix.flags.writeable
+        assert list(apply_unitary(state, copied).terms.items()) == list(expected.items())
+    replaced = dataclasses.replace(fresh())
+    assert type(replaced) is ModeUnitary and replaced.matrix.tobytes() == reference.tobytes()
+    assert compose(fresh(), fresh()).matrix.tobytes() == (np.eye(len(reference), dtype=complex) @ reference @ reference).tobytes()
+    assert repr(fresh()) == f"ModeUnitary(dim={len(reference)}, matrix={reference!r})"
 
 
 def test_photon_free_term_passes_through_unchanged():
@@ -692,8 +772,8 @@ def _dict_loop(state, u):
 
 
 def _crossovers(n):
-    """The term-count crossover of _routed and _coupled set to n: 1 forces their array pass, 10**9 the dict loop."""
-    return mock.patch.object(optics, "_ROUTED_MIN_TERMS", n)
+    """The term-count crossovers of _routed and _coupled set to n: 1 forces their array pass, 10**9 the dict loop."""
+    return mock.patch.multiple(optics, _ROUTED_MIN_TERMS=n, _COUPLED_MIN_TERMS=n)
 
 
 def _assert_matches_dict_loop(state, u):
@@ -1082,9 +1162,14 @@ def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
     occs = [(a, 2 - a, *p) for p in enumerate_occupations(4, 3) for a in range(3)]
     terms = {occ: complex(0.1 * (k % 7) - 0.3, -0.0 if k % 3 else 0.2) for k, occ in enumerate(occs)}
     bs = beamsplitter(6, 1, 0, 0.7, -0.4)
-    # 31 terms stay in the dict loop; 32 take the array pass, without _expand.
-    assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[:31])), bs)) is None
-    large = FockState(6, dict(list(terms.items())[:32]))
+    # One term short of the crossover stays in the dict loop; from the crossover on, the array pass runs, without _expand.
+    edge = optics._COUPLED_MIN_TERMS
+    assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[: edge - 1])), bs)) is None
+    large = FockState(6, dict(list(terms.items())[:edge]))
+    # A phase shifter and a permutation (_routed) have their own crossover.
+    for routed in (phase_shifter(6, 2, 0.3), mode_permutation(6, [1, 0, 3, 2, 5, 4])):
+        assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[: optics._ROUTED_MIN_TERMS - 1])), routed)) is None
+        assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[: optics._ROUTED_MIN_TERMS])), routed))
     _assert_matches_dict_loop(large, bs)
     with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
         out = apply_unitary(large, bs)
