@@ -157,6 +157,22 @@ sys.exit(not (
     and canonical_json(report) + "\n" == text
 ))
 PY
+# The same mesh twice in one process through cli_dispatch: the second run's couplers before the permutation read the
+# layouts the first run left in _coupled's memo (its hit count grows), and both reports are the installed script's bytes.
+"$bin/python" - mesh.pc four.json <<'PY' || fail "two in-process runs of the (8, 4) mesh exited nonzero or read no memo entry"
+import sys
+from fockjoin import optics
+from fockjoin.cli import cli_dispatch
+hits = []
+for k in (1, 2):
+    code = cli_dispatch(["run", "--circuit", sys.argv[1], "--input", sys.argv[2], "--report", f"mesh_{k}.json"])
+    if code:
+        sys.exit(f"in-process run {k} exited {code}")
+    hits.append(optics._coupled_layout.cache_info().hits)
+sys.exit(not hits[1] > hits[0])
+PY
+cmp -s mesh.json mesh_1.json && cmp -s mesh.json mesh_2.json \
+    || fail "the (8, 4) mesh reports of two in-process runs and the installed script differ"
 # The same mesh through the installed script under -W error, where a numpy warning from the coupler pass fails the
 # run: at most 330 terms of squared norm 1, and 8 sampled amplitudes equal the permanent formula's for the matrix
 # composed here from the circuit's lines (applying u then v is u @ v).

@@ -698,6 +698,8 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     amplitudes. Agreement certifies the bosonic bookkeeping end to end.
     The analytic rows come from one symmetrized_modes call, which checks
     the logical modes and the detection length before the input is built.
+    The detection lowers one of the input's two photons, so every output
+    term holds exactly one.
     """
     alpha = np.asarray(alpha, dtype=object).reshape(-1)
     if len(alpha) != 4:
@@ -714,12 +716,8 @@ def end_to_end_projection_check(alpha, u: ModeUnitary, phi: ProjectorSpec, logic
     # physical modes the simulator tracks.
     physical = ProjectorSpec(u.matrix.T @ phi.phi)
     simulated = np.zeros(m, dtype=complex)
-    extra = 0.0
     for occ, amp in _detected(propagated, physical).terms.items():
-        if sum(occ) == 1:
-            simulated[occ.index(1)] = amp
-        else:
-            extra = max(extra, abs(amp))
+        simulated[occ.index(1)] = amp
 
     analytic = alpha.astype(complex) @ rows
-    return float(max(np.max(np.abs(simulated - analytic)), extra))
+    return float(np.max(np.abs(simulated - analytic)))

@@ -31,16 +31,26 @@ np.bincount. The dict loop keeps amplitudes with abs(amp) > PRUNE_TOL and
 the array pass those with np.hypot(re, im) > PRUNE_TOL, the same test bit
 for bit; large array outputs test squared magnitudes first (_kept).
 
-All functions are pure but for one memo: a unitary keeps the dict loop's
-expansions (_memo: tuples, from its matrix alone), so a later call
-gets a fresh copy's bits without expanding again. Unitaries and projectors
-validate themselves on construction and keep a private read-only copy of
-their array. The builders here (identity, beamsplitter, phase_shifter,
-hadamard_pair, mode_permutation) write their own entries, so they skip that
-check and the matrix scan: each keeps only the entries it writes over the
-identity and hands _plan its active modes and their rows' nonzero entries
-(_element). Its m x m matrix is built from those entries on the first read,
-which no apply_unitary call makes (ModeUnitary).
+All functions are pure but for three memos, whose entries are functions of
+their keys, so a later call gets a fresh computation's bits; besides them,
+_coupler_layout and _array_photons cache small tables by size:
+- a unitary keeps the dict loop's expansions (_memo: tuples, from its
+  matrix alone), one per active sub-occupation it has met, for its life;
+- _expansion_structure keeps where a dense expansion's products go, keyed
+  on the active columns of each photon's row, the active modes and the
+  bits; the 8 most recent;
+- _coupled_layout keeps a coupler's index work, keyed on its input's key
+  and factorial-product bytes, the bits and the active pair, never the
+  angles; the _COUPLED_LAYOUTS = 64 most recent.
+
+Unitaries and projectors validate themselves on construction and keep a
+private read-only copy of their array. The builders here (identity,
+beamsplitter, phase_shifter, hadamard_pair, mode_permutation) write their
+own entries, so they skip that check and the matrix scan: each keeps only
+the entries it writes over the identity and hands _plan its active modes
+and their rows' nonzero entries (_element). Its m x m matrix is built from
+those entries on the first read, which no apply_unitary call makes
+(ModeUnitary).
 """
 from __future__ import annotations
 
@@ -274,10 +284,16 @@ def _check_finite(**angles):
             raise ValueError(f"{name} {value!r} is not finite")
 
 
-# The crossovers of apply_unitary's array kernels: one per expansion size, one per whole-state kernel.
+# The crossovers of apply_unitary's array kernels: one per expansion size, one per whole-state kernel. _routed's
+# is on terms times active modes (at least one), as its dict loop's cost grows with the distinct sub-occupations:
+# 30 from a dict-held state, 20 from a carried one, which the array pass need not pack.
 _ARRAY_MIN_MONOMIALS = 64
 _COUPLED_MIN_TERMS = 16
-_ROUTED_MIN_TERMS = 24
+_ROUTED_MIN_TERM_MODES = (30, 20)
+# _coupled_layout keeps this many inputs' index work, least recently used out first. Over 20 rounds of bench/'s
+# circuits workload at seed 11, whose (6, 3) and (8, 4) meshes make its _coupled calls, 64 entries served 40% of
+# them and held about 1.0 MB with their keys; 128 served 42% (2.1 MB), 256 45% (4.4 MB).
+_COUPLED_LAYOUTS = 64
 # _kept squares from this many amplitudes on. np.hypot alone took 2.9 against
 # 5.6 us at 256, broke even near 900 and took 8.9 against 7.9 us at 1024 (2-core
 # VM, Python 3.11, numpy 2.4); the 330-term outputs of (8, 4) meshes stay below.
@@ -305,29 +321,36 @@ def apply_unitary(s: FockState, u: ModeUnitary) -> FockState:
     (_expansion_plan). _coupled (couplers: two active modes, four nonzero
     entries) expands states of _COUPLED_MIN_TERMS = 16 terms or more at
     once, and _routed (rows of one nonzero entry: phase shifters,
-    permutations) states of _ROUTED_MIN_TERMS = 24 or more. Median times in
-    us of one call with a fresh element, over 120 random states of exactly
-    4 photons on 8 modes (2-core x86-64 VM, Python 3.11, numpy 2.4), by dict
-    loop / array pass from a dict-held state / array pass from a carried
-    one; (6, 3) and (10, 5) states cross over within 4 terms of these:
+    permutations) states whose terms times active modes (at least one)
+    reach _ROUTED_MIN_TERM_MODES: 30 from a dict-held state (30 terms
+    through a phase shifter, 15 through a swap, 4 through a permutation of
+    8 modes) and 20 from a carried one (20, 10 and 3). Median times in us
+    of one call with a fresh element, best of 3 on each of 60 random states
+    of exactly 4 photons on 8 modes (2-core x86-64 VM, Python 3.11, numpy
+    2.4), by dict loop / array pass from a dict-held state / array pass
+    from a carried one, the coupler's with _coupled_layout's memo cleared;
+    (6, 3) and (10, 5) states cross over within 4 terms of these:
 
-        terms  coupler          phase shifter    permutation
-        8      46 / 74 / 59     28 / 54 / 38     71 / 48 / 33
-        12     64 / 80 / 64     37 / 58 / 43     99 / 50 / 33
-        16     79 / 82 / 64     45 / 61 / 44    119 / 49 / 32
-        24    107 / 88 / 66     63 / 69 / 48    168 / 52 / 32
-        31    129 / 91 / 68     77 / 74 / 50    211 / 55 / 33
+        terms  coupler          phase shifter   swap            8-mode permutation
+        4       31 / 83 / 64    24 / 58 / 41    27 / 47 / 32     44 / 50 / 34
+        8       52 / 87 / 66    32 / 58 / 41    39 / 50 / 32     74 / 52 / 34
+        12      68 / 92 / 69    41 / 67 / 46    51 / 52 / 33    105 / 56 / 35
+        16      85 / 96 / 71    49 / 68 / 48    64 / 57 / 35    143 / 61 / 38
+        24     113 / 100 / 73   64 / 72 / 49    78 / 56 / 33    195 / 62 / 36
+        32     137 / 106 / 75   80 / 77 / 50   100 / 62 / 35    258 / 66 / 38
 
     A phase shifter's dict loop expands at most photons + 1 distinct
-    sub-occupations and a permutation's one per term, so _routed's one
-    crossover sits between theirs. Any unitary takes _expanded when an
-    expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
+    sub-occupations, a permutation's up to one per term, so its cost grows
+    with the active modes while the array pass's barely does. A coupler
+    whose layout the memo holds takes about 40% of a cold call's time (48
+    against 123 us on 330 carried terms). Any unitary takes _expanded when
+    an expansion may reach _ARRAY_MIN_MONOMIALS monomials (_expand_arrays).
     """
     if u.dim != s.modes:
         raise ValueError(f"unitary dim {u.dim} does not match state modes {s.modes}")
     pick_active, pick_passive, layout, rows, active, array_photons, kernel = u._expansion_plan
     carried = type(s) is _Packed  # an array-pass output, whose terms may be unbuilt
-    min_terms = _COUPLED_MIN_TERMS if kernel is _coupled else _ROUTED_MIN_TERMS
+    min_terms = _COUPLED_MIN_TERMS if kernel is _coupled else _ROUTED_MIN_TERM_MODES[carried] / max(len(active), 1)
     packed = _packed(s) if kernel and len(s.keys if carried else s.terms) >= min_terms else None
     if packed:
         return _array_splice(packed, *kernel(packed.keys, packed.bits, packed.facts, rows, active))
@@ -449,26 +472,48 @@ def _routed(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
 def _coupled(keys: np.ndarray, bits: int, facts: np.ndarray, rows, active):
     """The (term, monomial) candidates of every term under a coupler, in term-major order, and their output slots.
 
-    A term with a photons on the first active mode and b on the second
-    gives the a + b + 1 monomials of _coupler_coefficients' (a, b) entry,
+    The index work reads no angle: _coupled_layout does it once per input
+    and keeps it. Each call builds the coefficient table from rows and
+    gathers each candidate's monomial from it.
+    """
+    terms, slots, keys, facts, monomials, top = _coupled_layout(keys.tobytes(), facts.tobytes(), bits, *active)
+    coeffs = np.array(_coupler_coefficients(rows, top), dtype=complex)
+    return terms, slots, keys, facts, coeffs.real[monomials], coeffs.imag[monomials]
+
+
+@lru_cache(maxsize=_COUPLED_LAYOUTS)
+def _coupled_layout(key_bytes: bytes, fact_bytes: bytes, bits: int, first: int, second: int) -> tuple:
+    """_coupled's candidates, slots, output keys and factorial products, monomial indices and top, from the input's bytes.
+
+    key_bytes and fact_bytes hold the input's int64 keys, `bits` bits per
+    mode, and factorial products; (first, second) is the active pair. A
+    term with a photons on the first active mode and b on the second gives
+    the a + b + 1 monomials of _coupler_coefficients' (a, b) entry,
     monomial b being (a, b) itself; monomial k lands in g + k * (w1 - w0),
     g = key - b * (w1 - w0) (all a + b on the first). The dict loop meets
     the outputs group by group (same g) in order of first term, k by k: one
     _first_occurrences over the terms gives slot = group start + k, and a
-    group's outputs are its first term's monomials.
+    group's outputs are its first term's monomials. top is the largest
+    a + b.
+
+    The factorial products are a function of the keys, so keying on them
+    too costs no hit. Couplers meet the same inputs in every run of a mesh
+    layout up to its first permutation, whatever the angles, and callers
+    share the result, so it holds read-only arrays.
     """
-    mask, shift = (1 << bits) - 1, (1 << bits * active[1]) - (1 << bits * active[0])
-    a, b = (keys >> bits * active[0]) & mask, (keys >> bits * active[1]) & mask
+    keys, facts = np.frombuffer(key_bytes, np.int64), np.frombuffer(fact_bytes, np.int64)
+    mask, shift = (1 << bits) - 1, (1 << bits * second) - (1 << bits * first)
+    a, b = (keys >> bits * first) & mask, (keys >> bits * second) & mask
     counts = a + b + 1
-    offsets, seconds, expo_facts = _coupler_layout(int(counts.max()) - 1)
-    coeffs = np.array(_coupler_coefficients(rows, len(offsets) - 1), dtype=complex)
-    groups, group, first = _first_occurrences(keys - b * shift)
-    entries, sizes = offsets[a, b], counts[first]
+    top = int(counts.max()) - 1
+    offsets, seconds, expo_facts = _coupler_layout(top)
+    groups, group, leads = _first_occurrences(keys - b * shift)
+    entries, sizes = offsets[a, b], counts[leads]
     terms, monomials = _spread(counts, entries)
     slots = monomials + ((sizes.cumsum() - sizes)[group] - entries)[terms]
-    outputs, expos = _spread(sizes, entries[first])
-    facts = (facts[first] // expo_facts[(entries + b)[first]])[outputs] * expo_facts[expos]
-    return terms, slots, groups[outputs] + seconds[expos] * shift, facts, coeffs.real[monomials], coeffs.imag[monomials]
+    outputs, expos = _spread(sizes, entries[leads])
+    facts = (facts[leads] // expo_facts[(entries + b)[leads]])[outputs] * expo_facts[expos]
+    return *_read_only(terms, slots, groups[outputs] + seconds[expos] * shift, facts, monomials), top
 
 
 def _spread(counts: np.ndarray, starts: np.ndarray):

@@ -772,8 +772,8 @@ def _dict_loop(state, u):
 
 
 def _crossovers(n):
-    """The term-count crossovers of _routed and _coupled set to n: 1 forces their array pass, 10**9 the dict loop."""
-    return mock.patch.multiple(optics, _ROUTED_MIN_TERMS=n, _COUPLED_MIN_TERMS=n)
+    """The crossovers of _routed and _coupled set to n: 1 forces their array pass, 10**9 the dict loop."""
+    return mock.patch.multiple(optics, _ROUTED_MIN_TERM_MODES=(n, n), _COUPLED_MIN_TERMS=n)
 
 
 def _assert_matches_dict_loop(state, u):
@@ -1166,10 +1166,13 @@ def test_couplers_above_the_crossover_skip_expand_and_carry_their_keys():
     edge = optics._COUPLED_MIN_TERMS
     assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[: edge - 1])), bs)) is None
     large = FockState(6, dict(list(terms.items())[:edge]))
-    # A phase shifter and a permutation (_routed) have their own crossover.
+    # A phase shifter and a permutation (_routed) have their own crossover, on terms times active modes: from a
+    # dict-held state 30 and 5 terms, from a carried one 20 and 4.
     for routed in (phase_shifter(6, 2, 0.3), mode_permutation(6, [1, 0, 3, 2, 5, 4])):
-        assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[: optics._ROUTED_MIN_TERMS - 1])), routed)) is None
-        assert _carried(apply_unitary(FockState(6, dict(list(terms.items())[: optics._ROUTED_MIN_TERMS])), routed))
+        for carried, held in enumerate((lambda s: s, optics._packed)):
+            routed_edge = math.ceil(optics._ROUTED_MIN_TERM_MODES[carried] / len(routed._expansion_plan[4]))
+            assert _carried(apply_unitary(held(FockState(6, dict(list(terms.items())[: routed_edge - 1]))), routed)) is None
+            assert _carried(apply_unitary(held(FockState(6, dict(list(terms.items())[:routed_edge]))), routed))
     _assert_matches_dict_loop(large, bs)
     with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
         out = apply_unitary(large, bs)
@@ -1269,18 +1272,161 @@ def _term_bits(state):
     ids=["split-mixer", "pauli-XZ-X", "pauli-Z-I"],
 )
 def test_a_fixed_unitary_applied_again_gives_the_bits_of_a_fresh_copy(fixed):
-    # The dict loop keeps each unitary's expansions; a second call reads them instead of expanding again.
+    # The dict loop keeps each unitary's expansions; a second call reads them instead of expanding again. Up to 12
+    # terms through the Pauli permutations' 4 active modes reach _routed's crossover, so the dict loop is forced.
     u = fixed()
     rng = np.random.default_rng(91)
     states = []
     for _ in range(4):
         occupations = {tuple(int(n) for n in rng.integers(0, 3, u.dim)) for _ in range(12)}
         states.append(make_state(u.dim, [(occ, complex(*rng.standard_normal(2))) for occ in occupations]))
-    first = [_term_bits(apply_unitary(s, u)) for s in states]
-    memo = u._memo
-    assert memo and all(type(v) is tuple and type(v[1]) is tuple and all(type(m) is tuple for m in v[1]) for v in memo.values())
-    with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
-        again = [_term_bits(apply_unitary(s, u)) for s in states]
-    fresh_unitaries = [ModeUnitary(u.dim, u.matrix) for _ in states]
-    assert all("_memo" not in vars(v) for v in fresh_unitaries)
-    assert first == again == [_term_bits(apply_unitary(s, v)) for s, v in zip(states, fresh_unitaries)]
+    with _crossovers(10**9):
+        first = [_term_bits(apply_unitary(s, u)) for s in states]
+        memo = u._memo
+        assert memo and all(type(v) is tuple and type(v[1]) is tuple and all(type(m) is tuple for m in v[1]) for v in memo.values())
+        with mock.patch.object(optics, "_expand", side_effect=AssertionError("_expand called")):
+            again = [_term_bits(apply_unitary(s, u)) for s in states]
+        fresh_unitaries = [ModeUnitary(u.dim, u.matrix) for _ in states]
+        assert all("_memo" not in vars(v) for v in fresh_unitaries)
+        assert first == again == [_term_bits(apply_unitary(s, v)) for s, v in zip(states, fresh_unitaries)]
+    # The array pass, which the crossover picks for some of these states, gives the same bits.
+    assert first == [_term_bits(apply_unitary(s, u)) for s in states]
+
+
+_MEMO_ANGLES = st.sampled_from([0.0, -0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def _coupler_memo_cases(draw):
+    """A dict-held or carried state of 1 to 40 terms on 3 to 8 modes and up to 2 to 5 photons, and three couplers.
+
+    The first two share their active pair and so _coupled's layout, the third is on another pair. Their angles
+    include 0 and -0.0 (the identity), pi/4 at phase 0 (HOM cancellations to exact zeros) and pi/2.
+    """
+    modes, photons = draw(st.integers(3, 8)), draw(st.integers(2, 5))
+    picks = draw(st.lists(st.sampled_from(enumerate_occupations(modes, photons)), min_size=1, max_size=40, unique=True))
+    state = FockState(modes, {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks})
+    pair = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))  # i > j too
+    other = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True).filter(lambda p: set(p) != set(pair)))
+    couplers = [
+        hadamard_pair(modes, i, j) if draw(st.integers(0, 4)) == 0 else beamsplitter(modes, i, j, draw(_MEMO_ANGLES), draw(_MEMO_ANGLES))
+        for i, j in (pair, pair, other)
+    ]
+    return (optics._packed(state) or state) if draw(st.booleans()) else state, couplers
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coupler_memo_cases())
+@example(
+    (
+        FockState(3, {(1, 1, 0): 0.6, (2, 0, 1): -0.8j}),
+        [beamsplitter(3, 0, 1, 0.3, 1.0), beamsplitter(3, 0, 1, math.pi / 4, 0.0), beamsplitter(3, 1, 2, math.pi / 2, 0.4)],
+    )
+)
+def test_a_coupler_layout_read_from_the_memo_gives_the_bits_of_a_cleared_memo(case):
+    # The memo keys on the input's bytes, the bits and the pair, never on the angles: the second coupler reads the
+    # layout the first one left, the third one its own. Each must give the keys, order, bits and types of a call
+    # that computes its layout afresh, and of the dict loop.
+    state, couplers = case
+    layout = optics._coupled_layout
+    with _crossovers(10**9):
+        loops = [apply_unitary(state, u) for u in couplers]
+    with mock.patch.object(optics, "_COUPLED_MIN_TERMS", 1):
+        layout.cache_clear()
+        warm = []
+        for u in couplers:
+            hits = layout.cache_info().hits
+            warm.append(apply_unitary(state, u))
+            reads = layout.cache_info().hits - hits
+        assert reads == 0  # the third coupler's pair is its own
+        for u, out, loop in zip(couplers, warm, loops):
+            layout.cache_clear()
+            cold = apply_unitary(state, u)
+            assert _term_hex(out) == _term_hex(cold) == _term_hex(loop)
+            if _assert_carries_its_terms(out):
+                assert out.keys.tobytes() == cold.keys.tobytes() and out.facts.tobytes() == cold.facts.tobytes()
+        layout.cache_clear()
+        apply_unitary(state, couplers[0])
+        hits = layout.cache_info().hits
+        apply_unitary(state, couplers[1])
+    # Both couplers on the pair take _coupled whenever the input packs, and then the second one reads the memo.
+    coupled = all(u._expansion_plan[6] is optics._coupled for u in couplers[:2]) and optics._packed(state) is not None
+    assert layout.cache_info().hits - hits == coupled
+
+
+def test_the_coupler_layout_memo_keeps_its_bound_least_recently_used_out_first():
+    layout, bound = optics._coupled_layout, optics._COUPLED_LAYOUTS
+    assert layout.cache_info().maxsize == bound
+    # One-term states on 4 modes, each a distinct input: more of them than the memo holds.
+    states = [FockState(4, {occ: 1.0}) for occ in enumerate_occupations(4, 5) if sum(occ)][: bound + 2]
+    assert len(states) == bound + 2
+    bs = beamsplitter(4, 0, 1, 0.7, 0.2)
+    with mock.patch.object(optics, "_COUPLED_MIN_TERMS", 1):
+        layout.cache_clear()
+        for state in states:
+            apply_unitary(state, bs)
+        assert layout.cache_info().currsize == bound and layout.cache_info().misses == bound + 2
+        apply_unitary(states[-1], bs)  # the most recent input is kept
+        assert layout.cache_info().hits == 1
+        apply_unitary(states[0], bs)  # the two least recently used are gone
+        assert layout.cache_info().misses == bound + 3 and layout.cache_info().currsize == bound
+
+
+def test_the_coupler_layout_memo_holds_read_only_arrays():
+    state = optics._packed(FockState(4, {(1, 1, 0, 2): 0.6, (2, 0, 1, 0): -0.8j}))
+    bs = beamsplitter(4, 1, 0, 0.7, 0.2)
+    with mock.patch.object(optics, "_COUPLED_MIN_TERMS", 1):
+        optics._coupled_layout.cache_clear()
+        out = apply_unitary(state, bs)
+    entry = optics._coupled_layout(state.keys.tobytes(), state.facts.tobytes(), state.bits, 0, 1)
+    assert optics._coupled_layout.cache_info().hits == 1
+    arrays, top = entry[:-1], entry[-1]
+    assert type(top) is int and top == 2
+    assert all(type(a) is np.ndarray and not a.flags.writeable for a in arrays)
+    # The output state carries the memo's keys and factorial products, and so cannot change them.
+    assert out.keys is arrays[2] and out.facts is arrays[3]
+    with pytest.raises(ValueError):
+        out.keys[0] = 0
+
+
+def _assert_facts_are_the_keys(state):
+    """A carried state's factorial products are those of the occupations its keys pack, in key order."""
+    if _carried(state) is None:
+        return False
+    occupations = optics._occupation_tuples(state.keys, state.bits, state.modes)
+    assert state.facts.tolist() == [math.prod(map(math.factorial, occ)) for occ in occupations]
+    return True
+
+
+@st.composite
+def _states_under_each_kernel(draw):
+    """A state of 1 to 30 terms on 3 to 8 modes and up to 2 to 5 photons, and an element for each array kernel."""
+    modes, photons = draw(st.integers(3, 8)), draw(st.integers(2, 5))
+    picks = draw(st.lists(st.sampled_from(enumerate_occupations(modes, photons)), min_size=1, max_size=30, unique=True))
+    state = FockState(modes, {occ: complex(draw(_SIGNED_PARTS), draw(_SIGNED_PARTS)) for occ in picks})
+    i, j = draw(st.lists(st.integers(0, modes - 1), min_size=2, max_size=2, unique=True))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    elements = [
+        beamsplitter(modes, i, j, draw(angle), draw(angle)),
+        phase_shifter(modes, i, draw(angle)),
+        mode_permutation(modes, draw(st.permutations(range(modes)))),
+        haar_random_unitary(modes, draw(st.integers(0, 2**32 - 1))),
+    ]
+    return state, elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(_states_under_each_kernel())
+@example((FockState(8, {(1, 1, 1, 0, 0, 0, 0, 0): 0.6, (0, 0, 2, 0, 0, 1, 0, 0): -0.8j}), [identity(8), identity(8), identity(8), haar_random_unitary(8, 5)]))
+def test_every_carried_state_holds_the_factorial_products_of_its_keys(case):
+    # The coupler memo keys on the input's key bytes and returns the factorial products of its first call: that
+    # holds as every maker of a carried state (_packed, _routed, _coupled, _expanded) derives them from the keys.
+    state, elements = case
+    assert _assert_facts_are_the_keys(optics._packed(state)) or optics._packed(state) is None
+    with _crossovers(1):
+        for u in elements:
+            out = apply_unitary(state, u)
+            carried = apply_unitary(optics._packed(state) or state, u)
+            assert _assert_facts_are_the_keys(out) or optics._packed(state) is None or u._expansion_plan[6] is None
+            _assert_facts_are_the_keys(carried)
+            _assert_facts_are_the_keys(apply_unitary(out, u))
